@@ -6,9 +6,11 @@ Usage (from the repository root):
 
 The process imports ``extragrad`` from ``src/`` of the checkout it sits in,
 sets the inputs up several times, then repeats whole rounds of the
-workload's solves until ``--seconds`` have passed.  With ``--trace 0`` it
-prints the end-to-end metrics; with ``--trace 1`` it spends half the time on
-untraced rounds and half on traced ones and prints the per-layer metrics.
+workload's solves while each is expected to end within ``--seconds``.
+Times are scaled by a reference computation measured between solves
+(``calibrate.py``).  With ``--trace 0`` it prints the end-to-end metrics;
+with ``--trace 1`` it spends half the time on untraced rounds and half on
+traced ones and prints the per-layer metrics.
 Every answer is checked after the timing.  The last line of standard output
 is one JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``.
 """
@@ -87,16 +89,20 @@ def machine():
             "git_commit": git_commit(), "src_sha256": digest.hexdigest()}
 
 
-def measure(workload, tracer, seconds):
-    """Whole rounds until ``seconds`` have passed; at least one."""
+def measure(workload, tracer, normaliser, seconds):
+    """Whole rounds while the next one is expected to end within ``seconds``; at least one."""
     rounds = []
     start = clock()
+    longest = 0.0
     while True:
         tracer.reset()
-        solve_s, answers, attempted, failed = workload.run_round()
-        rounds.append({"solve_s": solve_s, "answers": answers, "attempted": attempted,
-                       "failed": failed, "stats": tracer.snapshot()})
-        if clock() - start >= seconds:
+        t0 = clock()
+        solve_s, wall_s, answers, attempted, failed = workload.run_round(normaliser)
+        longest = max(longest, clock() - t0)
+        rounds.append({"solve_s": solve_s, "wall_s": wall_s, "answers": answers,
+                       "attempted": attempted, "failed": failed, "stats": tracer.snapshot(),
+                       "reference_s": normaliser.speed()})
+        if clock() - start + longest > seconds:
             return rounds
 
 
@@ -131,6 +137,8 @@ def layer_metrics(untraced, traced, setup_stats, cpu_s):
     coord_s = median(sum(a["seconds"] for a in r["answers"] if a["kind"] == "coord")
                      for r in untraced)
     prox_rounds = first["counters"].get("prox_rounds", 0)
+    wall_u = median(r["wall_s"] for r in untraced)
+    reference_s = median(r["reference_s"] for r in untraced + traced)
     return {
         "boxsimplex.iterations": (iterations, "count"),
         "boxsimplex.us_per_iter": (per(solve_u, iterations), "us"),
@@ -165,6 +173,8 @@ def layer_metrics(untraced, traced, setup_stats, cpu_s):
         "cli.self_s": (self_t("cli.main"), "s"),
         "cli.write_s": (t("cli.write"), "s"),
         "process.cpu_s": (cpu_s, "s"),
+        "process.solve_wall_s": (wall_u, "s"),
+        "process.reference_s": (reference_s, "s"),
         "trace.overhead_s": (solve_t - solve_u, "s"),
     }
 
@@ -178,6 +188,7 @@ def run(args, work_dir):
     import tracing
     import workloads
     import_s = clock() - t0
+    import calibrate
     if Path(extragrad.__file__).resolve().parent != SRC / "extragrad":
         raise SystemExit(f"extragrad was imported from {extragrad.__file__}, not {SRC}")
     if args.workload not in workloads.WORKLOADS:
@@ -190,6 +201,8 @@ def run(args, work_dir):
     capture = workloads.Capture()
     capture.install(capture_patches)
     workload = workloads.WORKLOADS[args.workload](args.seed, capture)
+    normaliser = calibrate.Normaliser(calibrate.Reference())
+    normaliser.between(0, force=True)
     try:
         if args.trace:
             tracing.install(trace_patches, tracer)
@@ -202,13 +215,16 @@ def run(args, work_dir):
             workload.setup(str(rep_dir))
             setup_times.append(clock() - t0)
             setup_stats.append(tracer.snapshot())
+            normaliser.between(k + 1, force=True)
+        setup_s = (import_s * calibrate.REFERENCE_S / normaliser.marks[0][1]
+                   + median(normaliser.scaled(setup_times)))
         if args.trace:
             trace_patches.restore()
-            untraced = measure(workload, tracer, args.seconds / 2)
+            untraced = measure(workload, tracer, normaliser, args.seconds / 2)
             tracing.install(trace_patches, tracer)
-            traced = measure(workload, tracer, args.seconds / 2)
+            traced = measure(workload, tracer, normaliser, args.seconds / 2)
         else:
-            untraced, traced = measure(workload, tracer, args.seconds), []
+            untraced, traced = measure(workload, tracer, normaliser, args.seconds), []
     finally:
         trace_patches.restore()
         capture_patches.restore()
@@ -217,7 +233,9 @@ def run(args, work_dir):
     cpu_s = usage.ru_utime + usage.ru_stime
 
     rounds = untraced + traced
-    print("round solve_s: " + " ".join(f"{r['solve_s']:.3f}" for r in rounds), file=sys.stderr)
+    print("round solve_s: " + " ".join(f"{r['solve_s']:.3f}" for r in rounds)
+          + "; wall: " + " ".join(f"{r['wall_s']:.3f}" for r in rounds)
+          + "; reference: " + " ".join(f"{r['reference_s']:.4f}" for r in rounds), file=sys.stderr)
     correct = True
     for r in rounds:
         for a in r["answers"]:
@@ -235,7 +253,7 @@ def run(args, work_dir):
         kind = "per_layer"
     else:
         metrics = {"solve_s": (median(r["solve_s"] for r in untraced), "s"),
-                   "setup_s": (import_s + median(setup_times), "s"),
+                   "setup_s": (setup_s, "s"),
                    "peak_rss_mb": (peak_rss_mb, "MB")}
         kind = "end_to_end"
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())[kind]

@@ -21,12 +21,14 @@ ROOT = HERE.parent
 
 def main():
     sys.path.insert(0, str(ROOT / "src"))
+    import calibrate
     import tracing
     import workloads
 
     patches = tracing.Patches()
     capture = workloads.Capture()
     capture.install(patches)
+    normaliser = calibrate.Normaliser(calibrate.Reference())
     work = ROOT / ".perfbench-work" / "selftest"
     ok = True
     try:
@@ -35,7 +37,7 @@ def main():
             rep_dir = work / name
             rep_dir.mkdir(parents=True, exist_ok=True)
             workload.setup(str(rep_dir))
-            _, answers, attempted, failed = workload.run_round()
+            _, _, answers, attempted, failed = workload.run_round(normaliser)
             fails = workloads.self_test(workload, answers)
             if failed:
                 fails.append(f"{failed} of {attempted} solves failed")

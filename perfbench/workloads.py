@@ -102,16 +102,26 @@ class Workload:
                 "out": res["out"], "phases": res["phases"],
                 "seconds": res["seconds"]}, dt
 
-    def run_round(self):
-        """Returns (solve seconds, answers, attempted, failed)."""
-        total, answers, failed = 0.0, [], 0
+    def run_round(self, normaliser):
+        """Returns (normalised solve seconds, wall solve seconds, answers, attempted, failed).
+
+        ``normaliser`` measures the machine's speed before the first solve,
+        between solves at most once a second, and after the last solve.
+        """
+        times, answers, failed = [], [], 0
+        normaliser.reset()
+        normaliser.between(0, force=True)
         for answer, dt in self.solves():
-            total += dt
+            times.append(dt)
             if answer is None:
                 failed += 1
             else:
                 answers.append(answer)
-        return total, answers, len(answers) + failed, failed
+            normaliser.between(len(times))
+        if normaliser.marks[-1][0] != len(times):
+            normaliser.between(len(times), force=True)
+        return (sum(normaliser.scaled(times)), sum(times), answers,
+                len(answers) + failed, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +133,7 @@ class LinfReg(Workload):
     name = "linf-reg"
 
     def setup(self, rep_dir):
-        self.count, self.tol = (2, 0.1) if self.small else (8, 0.07)
+        self.count, self.tol = (2, 0.1) if self.small else (16, 0.07)
         self.cases = []
         for j in range(self.count):
             rng = make_rng(100 + self.count * self.seed + j)
@@ -171,47 +181,53 @@ def _game_perturbations(a, A, b, c):
 
 
 # ---------------------------------------------------------------------------
-# game-sparse-large: a certified `extragrad solve` on a 2000 x 1500 game
+# game-sparse-large: certified `extragrad solve` calls on two 2000 x 1500 games
 # ---------------------------------------------------------------------------
 
 
 class GameLarge(Workload):
     name = "game-sparse-large"
+    games_per_round = 2  # two draws halve the variance that the seed adds to solve_s
 
     def setup(self, rep_dir):
         m, n, density, self.tol = (200, 150, 0.05, 0.1) if self.small else (2000, 1500, 0.01, 0.1)
-        self.inst = problems.gen_box_simplex(m, n, density, seed=self.seed)
-        self.manifest = problems.save_instance(self.inst, os.path.join(rep_dir, "game.manifest"))
-        self.eps = self.tol * self.inst.op_norm
+        self.games = []
+        for j in range(1 if self.small else self.games_per_round):
+            inst = problems.gen_box_simplex(m, n, density, seed=self.games_per_round * self.seed + j)
+            manifest = problems.save_instance(inst, os.path.join(rep_dir, f"game{j}.manifest"))
+            self.games.append({"inst": inst, "manifest": manifest, "eps": self.tol * inst.op_norm})
         self.out = os.path.join(rep_dir, "solve")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # budget of 3 runs out
-            cli.main(["solve", "--alg", "box-simplex", "--instance", self.manifest,
+            cli.main(["solve", "--alg", "box-simplex", "--instance", self.games[0]["manifest"],
                       "--iters", "3", "--out", self.out, "--check"])
 
     def solves(self):
-        argv = ["solve", "--alg", "box-simplex", "--instance", self.manifest,
-                "--eps", repr(self.eps), "--out", self.out, "--check"]
-        res, dt = self._cli(argv, self.out)
-        if res is None:
-            yield None, dt
-            return
-        x, y, gap, trace = res["out"]
-        yield {"kind": "game-cli", "code": res["code"], "summary": res["summary"],
-               "x": x, "y": y, "gap": gap, "eps": self.eps,
-               "iterations": trace.summary["iterations"]}, dt
+        for j, game in enumerate(self.games):
+            argv = ["solve", "--alg", "box-simplex", "--instance", game["manifest"],
+                    "--eps", repr(game["eps"]), "--out", self.out, "--check"]
+            res, dt = self._cli(argv, self.out)
+            if res is None:
+                yield None, dt
+                continue
+            x, y, gap, trace = res["out"]
+            yield {"kind": "game-cli", "case": j, "code": res["code"], "summary": res["summary"],
+                   "x": x, "y": y, "gap": gap, "eps": game["eps"],
+                   "iterations": trace.summary["iterations"]}, dt
 
-    def _dense(self):
-        return self._ref("dense", self.inst.A.toarray)
+    def _dense(self, j):
+        return self._ref(("dense", j), self.games[j]["inst"].A.toarray)
 
     def check(self, a):
-        A, b, c = self._dense(), self.inst.b, self.inst.c
-        v_star = self._ref("game", lambda: checks.game_value_lp(self.inst.A, b, c))
+        inst = self.games[a["case"]]["inst"]
+        A, b, c = self._dense(a["case"]), inst.b, inst.c
+        v_star = self._ref(("game", a["case"]), lambda: checks.game_value_lp(inst.A, b, c))
         return (checks.check_cli(a["code"], a["summary"], certified=True)
                 + checks.check_game(A, b, c, v_star, a["x"], a["y"], a["gap"], a["eps"]))
 
     def perturbations(self, a):
-        return _game_perturbations(a, self._dense(), self.inst.b, self.inst.c) + [
+        inst = self.games[a["case"]]["inst"]
+        return _game_perturbations(a, self._dense(a["case"]), inst.b, inst.c) + [
             ("exit code 2", dict(a, code=2)),
             ("stability_ok=0", dict(a, summary=dict(a["summary"], stability_ok="0"))),
             ("local_rl_ok=0", dict(a, summary=dict(a["summary"], local_rl_ok="0"))),
