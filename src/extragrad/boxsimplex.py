@@ -7,13 +7,11 @@ reduction from box-constrained ell_inf regression.
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .core import Point, Box, Simplex, ProductSet
 from .operators import BoxSimplexInstance
 from .solvers import SolverTrace
@@ -68,37 +66,6 @@ class ShermanRegularizer:
         """Alternating exact block minimization until the iterate stalls."""
         inst = self.inst
         tol = self.cfg.resolve_tol(inst.op_norm)
-        if _kernels.USING_NUMBA:
-            x, y, rounds, change, gamma_max = _kernels.sherman_alternating(
-                inst.abs_A.indptr, inst.abs_A.indices, inst.abs_A.data,
-                self._at_indptr, self._at_indices, self._at_data,
-                g.x, g.y, z.x, np.maximum(z.y, Y_FLOOR), self.alpha,
-                self.cfg.max_rounds, tol)
-        else:
-            x, y, rounds, change, gamma_max = self._prox_numpy(z, g, tol)
-        self.last_rounds = rounds
-        self.last_residual = change
-        self.last_gamma_inf = gamma_max
-        if change >= tol:
-            warnings.warn(
-                f"alternating prox stopped at residual {change:.3e} "
-                f"after {rounds} rounds (tol {tol:.3e})", RuntimeWarning)
-        return Point(x, y)
-
-    @property
-    def _at_indptr(self):
-        return self.inst.abs_A_csc.indptr
-
-    @property
-    def _at_indices(self):
-        return self.inst.abs_A_csc.indices
-
-    @property
-    def _at_data(self):
-        return self.inst.abs_A_csc.data
-
-    def _prox_numpy(self, z: Point, g: Point, tol):
-        inst = self.inst
         zy = np.maximum(z.y, Y_FLOOR)
         atz_y = inst.abs_A.T @ zy
         az_x2 = inst.abs_A @ (z.x**2)
@@ -127,14 +94,14 @@ class ShermanRegularizer:
             x, y = x_new, y_new
             if change < tol:
                 break
-        return x, y, rounds, change, gamma_max
-
-
-def sherman_prox(reg: ShermanRegularizer, z: Point, g: Point,
-                 cfg: AlternatingProxConfig | None = None) -> Point:
-    if cfg is not None:
-        reg = ShermanRegularizer(reg.inst, cfg)
-    return reg.prox(z, g)
+        self.last_rounds = rounds
+        self.last_residual = change
+        self.last_gamma_inf = gamma_max
+        if change >= tol:
+            warnings.warn(
+                f"alternating prox stopped at residual {change:.3e} "
+                f"after {rounds} rounds (tol {tol:.3e})", RuntimeWarning)
+        return Point(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -207,36 +174,6 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     reg = ShermanRegularizer(inst, cfg)
     budget = iteration_budget(inst, eps, budget_constant) if max_iters is None else max_iters
     tol_rl = 1e-8 * max(1.0, inst.op_norm)
-    if _kernels.USING_NUMBA:
-        prox_cfg = cfg or AlternatingProxConfig()
-        (xb, yb, gap, gaps, t, stab_lo, stab_hi, worst_rl, gamma_max,
-         margins) = _kernels.box_simplex_run(
-            inst.A.indptr, inst.A.indices, inst.A.data,
-            inst.A_csc.indptr, inst.A_csc.indices, inst.A_csc.data,
-            inst.abs_A.indptr, inst.abs_A.indices, inst.abs_A.data,
-            inst.abs_A_csc.indptr, inst.abs_A_csc.indices, inst.abs_A_csc.data,
-            inst.b, inst.c, reg.alpha, lam, eps, budget,
-            prox_cfg.max_rounds, prox_cfg.resolve_tol(inst.op_norm), certify)
-        trace = SolverTrace()
-        trace.gaps = list(gaps)
-        trace.summary = {
-            "algorithm": "box-simplex", "iterations": int(t), "lam": lam,
-            "gap": float(gap), "budget": budget,
-            "stability_ok": bool(stab_lo >= 0.5 and stab_hi <= 2.0),
-            "local_rl_ok": bool(worst_rl <= tol_rl),
-            "gamma_inf_max": float(gamma_max),
-            "stability_lo": float(stab_lo), "stability_hi": float(stab_hi),
-            "initial_divergence_bound": lam * reg.divergence(
-                Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m)),
-                Point(xb, yb)),
-        }
-        if certify:
-            trace.regrets = list(margins)
-        if gap > eps:
-            warnings.warn(
-                f"box-simplex budget of {budget} iterations exhausted; "
-                f"best gap {gap:.3e} > eps {eps:.3e}", RuntimeWarning)
-        return xb, yb, float(gap), trace
     z = Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m))
     z0 = z
     x_acc = np.zeros(inst.n)
@@ -248,9 +185,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     trace.summary["stability_lo"] = 1.0
     trace.summary["stability_hi"] = 1.0
     best = None
-    start = time.perf_counter()
     t = 0
-    gap = np.inf
     while t < budget:
         gz = inst.operator(z)
         w = reg.prox(z, (1.0 / lam) * gz)
@@ -278,16 +213,18 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
         xb, yb = x_acc / t, y_acc / t
         gap = duality_gap(inst, xb, yb)
         trace.gaps.append(gap)
-        trace.wall_ms.append((time.perf_counter() - start) * 1e3)
         if best is None or gap < best[2]:
             best = (xb, yb, gap)
         if gap <= eps:
             break
         z = z_next
     else:
-        warnings.warn(
-            f"box-simplex budget of {budget} iterations exhausted; "
-            f"best gap {best[2]:.3e} > eps {eps:.3e}", RuntimeWarning)
+        if best is None:  # a zero budget answers with z0 itself
+            best = (z0.x, z0.y, duality_gap(inst, z0.x, z0.y))
+        if not best[2] <= eps:  # only z0 can already meet eps here; NaN gaps warn
+            warnings.warn(
+                f"box-simplex budget of {budget} iterations exhausted; "
+                f"best gap {best[2]:.3e} > eps {eps:.3e}", RuntimeWarning)
     xb, yb, gap = best
     trace.summary.update({
         "algorithm": "box-simplex", "iterations": t, "lam": lam,

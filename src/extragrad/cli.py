@@ -455,7 +455,6 @@ def cmd_bench(args):
 
             class _Counting:
                 profile = problem.profile
-                diag = False  # force the counting python path
 
                 @staticmethod
                 def f(x):

@@ -104,16 +104,13 @@ def eval_fenchel_game(op: FenchelGameOperator, z: Point) -> Point:
 class BoxSimplexInstance:
     """Bilinear game min_{x in [-1,1]^n} max_{y in simplex} y^T A x - b^T y + c^T x.
 
-    A is stored in both compressed-row and compressed-column form since both
-    A x and A^T y appear in every operator evaluation.
+    A and |A| are stored in compressed-row form.
     """
 
     def __init__(self, A, b, c):
         A = sp.csr_matrix(A, dtype=float)
         self.A = A
-        self.A_csc = A.tocsc()
         self.abs_A = sp.csr_matrix(abs(A))
-        self.abs_A_csc = self.abs_A.tocsc()
         self.b = np.asarray(b, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.m, self.n = A.shape

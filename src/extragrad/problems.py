@@ -198,18 +198,31 @@ def write_vector(path, v):
             fh.write(_fmt(x) + "\n")
 
 
+def _reject_nonfinite(path, values, entries):
+    """ParseError at the first NaN or infinity; entries[k][0] is value k's line."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        k = bad[0]
+        raise ParseError(path, entries[k][0], f"non-finite value {entries[k][1]!r}")
+
+
+def _parse_values(path, entries, what):
+    """Floats from (line number, text) pairs, all finite."""
+    vals = []
+    for ln, s in entries:
+        try:
+            vals.append(float(s))
+        except ValueError:
+            raise ParseError(path, ln, f"{what} {s!r}") from None
+    vals = np.array(vals)
+    _reject_nonfinite(path, vals, entries)
+    return vals
+
+
 def read_vector(path):
-    out = []
     with open(path) as fh:
-        for ln, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s:
-                continue
-            try:
-                out.append(float(s))
-            except ValueError:
-                raise ParseError(path, ln, f"bad number {s!r}") from None
-    return np.array(out)
+        entries = [(ln, s.strip()) for ln, s in enumerate(fh, 1) if s.strip()]
+    return _parse_values(path, entries, "bad number")
 
 
 def write_matrix_market(path, A):
@@ -265,6 +278,8 @@ def read_matrix_market(path):
                 data.append(float(p[2]))
             except (IndexError, ValueError):
                 raise ParseError(path, ln, f"bad coordinate entry {s!r}") from None
+        data = np.array(data)
+        _reject_nonfinite(path, data, entries)
         return sp.csr_matrix((data, (rows, cols)), shape=(m, n))
     if len(dims) != 2:
         raise ParseError(path, ln0, "array size line needs m n")
@@ -272,13 +287,7 @@ def read_matrix_market(path):
     if len(entries) != m * n:
         last = entries[-1][0] if entries else ln0
         raise ParseError(path, last, f"expected {m * n} values, found {len(entries)}")
-    vals = []
-    for ln, s in entries:
-        try:
-            vals.append(float(s))
-        except ValueError:
-            raise ParseError(path, ln, f"bad value {s!r}") from None
-    return np.array(vals).reshape((n, m)).T
+    return _parse_values(path, entries, "bad value").reshape((n, m)).T
 
 
 def write_manifest(path, entries: dict):
@@ -355,7 +364,19 @@ def save_instance(problem, manifest_path):
 
 
 def load_instance(manifest_path):
+    """Read a manifest and its data files; any malformed input is a ParseError."""
     man = read_manifest(manifest_path)
+    try:
+        return _build_instance(manifest_path, man)
+    except ParseError:
+        raise
+    except KeyError as e:
+        raise ParseError(manifest_path, 1, f"missing key {e.args[0]!r}") from None
+    except ValueError as e:  # constructors reject inconsistent data, e.g. mu > L
+        raise ParseError(manifest_path, 1, str(e)) from None
+
+
+def _build_instance(manifest_path, man):
     base = os.path.dirname(os.path.abspath(manifest_path))
     kind = man.get("kind")
     if kind == "quadratic":

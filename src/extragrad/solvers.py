@@ -8,12 +8,10 @@ acceleration with implicit O(1) iterate maintenance.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .core import Point, TAU_NUM, vdot
 from .operators import make_rng, AliasTable
 
@@ -43,7 +41,6 @@ class SolverTrace:
     telescope_slack: list = field(default_factory=list)
     f_errors: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
-    wall_ms: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
 
     @property
@@ -79,7 +76,6 @@ def mirror_prox(g, r, z0, lam, T, u=None, callback=None):
     """
     trace = SolverTrace()
     z = z0
-    start = time.perf_counter()
     for t in range(T):
         gz = g(z)
         w = r.prox(z, (1.0 / lam) * gz)
@@ -95,7 +91,6 @@ def mirror_prox(g, r, z0, lam, T, u=None, callback=None):
             trace.telescope_slack.append(slack)
         if callback is not None:
             callback(t, z, w, z_next)
-        trace.wall_ms.append((time.perf_counter() - start) * 1e3)
         z = z_next
     trace.summary = {"algorithm": "mirror-prox", "iterations": T, "lam": lam,
                      "final": z}
@@ -116,7 +111,6 @@ def dual_extrapolation(g, r, z_bar, lam, T, u=None):
     s = 0.0 * g(z_bar)  # zero dual state with matching shape
     z = r.prox(z_bar, s)
     regret_vs_base = 0.0
-    start = time.perf_counter()
     for t in range(T):
         z = r.prox(z_bar, s)
         gz = g(z)
@@ -132,7 +126,6 @@ def dual_extrapolation(g, r, z_bar, lam, T, u=None):
         trace.potentials.append(phi)
         if u is not None:
             trace.regrets.append(vdot(gw, w - u))
-        trace.wall_ms.append((time.perf_counter() - start) * 1e3)
     trace.summary = {"algorithm": "dual-ex", "iterations": T, "lam": lam,
                      "final": z}
     if u is not None:
@@ -155,7 +148,6 @@ def mirror_prox_sm(g, r, z0, lam, m, T, z_star=None):
     z = z0
     if z_star is not None:
         trace.divs_to_opt.append(r.divergence(z, z_star))
-    start = time.perf_counter()
     for t in range(T):
         w = r.prox(z, (1.0 / lam) * g(z))
         z_next = r.blended_prox(z, w, g(w), lam, m)
@@ -163,7 +155,6 @@ def mirror_prox_sm(g, r, z0, lam, m, T, z_star=None):
         trace.iterates.append(w)
         if z_star is not None:
             trace.divs_to_opt.append(r.divergence(z_next, z_star))
-        trace.wall_ms.append((time.perf_counter() - start) * 1e3)
         z = z_next
     trace.summary = {"algorithm": "mp-strong", "iterations": T, "lam": lam,
                      "m": m, "final": z}
@@ -189,7 +180,6 @@ def baseline_unaccelerated(problem, x0, T):
     trace = SolverTrace()
     z = x0.copy()
     acc = np.zeros_like(x0)
-    start = time.perf_counter()
     for t in range(T):
         w = z - problem.grad(z) / L
         z = z - problem.grad(w) / L
@@ -197,7 +187,6 @@ def baseline_unaccelerated(problem, x0, T):
         acc += w
         trace.iterates.append(w)
         trace.f_errors.append(problem.error(acc / (t + 1)))
-        trace.wall_ms.append((time.perf_counter() - start) * 1e3)
     mean = acc / T
     trace.summary = {"algorithm": "baseline", "iterations": T, "final": mean,
                      "f_err": problem.error(mean),
@@ -222,25 +211,20 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
         lower = problem.f(x1) - 0.5 / L * float(np.dot(problem.grad(x1), problem.grad(x1)))
         eps0 = max(problem.f(x0) - lower, eps)
     K = max(int(np.ceil(np.log2(eps0 / eps))), 0)
-    fast_path = _kernels.USING_NUMBA and getattr(problem, "diag", False)
     x_phase = x0.copy()
     for k in range(K):
-        if fast_path:
-            x_phase = _kernels.accel_phase_diag(
-                problem.M, problem.b, x_phase, mu, lam, T)
-        else:
-            x = x_phase.copy()
-            v = x_phase.copy()
-            v_sum = np.zeros_like(x)
-            for t in range(T):
-                gv = problem.grad(v)
-                x_half = x - gv / (mu * lam)
-                v_half = v + (x - v) / lam
-                v_sum += v_half
-                gvh = problem.grad(v_half)
-                x = x - gvh / (mu * lam)
-                v = v + (x_half - v_half) / lam
-            x_phase = v_sum / T
+        x = x_phase.copy()
+        v = x_phase.copy()
+        v_sum = np.zeros_like(x)
+        for t in range(T):
+            gv = problem.grad(v)
+            x_half = x - gv / (mu * lam)
+            v_half = v + (x - v) / lam
+            v_sum += v_half
+            gvh = problem.grad(v_half)
+            x = x - gvh / (mu * lam)
+            v = v + (x_half - v_half) / lam
+        x_phase = v_sum / T
         _check_finite(x_phase, k)
         if collect is not None:
             collect(k, x_phase)

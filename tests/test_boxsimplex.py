@@ -6,9 +6,8 @@ import pytest
 from extragrad import (
     Point, Simplex, make_rng, gen_box_simplex, BoxSimplexInstance,
     solve_box_simplex, duality_gap, preprocess, linf_regression_reduction,
-    iteration_budget, sherman_prox, ShermanRegularizer, AlternatingProxConfig,
+    iteration_budget, ShermanRegularizer, AlternatingProxConfig,
 )
-from extragrad import _kernels
 from extragrad.boxsimplex import LAMBDA_BOX_SIMPLEX, ENTROPY_SCALE_FACTOR
 
 
@@ -64,7 +63,7 @@ class TestShermanRegularizer:
         reg = ShermanRegularizer(inst)
         rng = make_rng(5)
         z = sample_domain(inst, rng)
-        out = sherman_prox(reg, z, Point(np.zeros(inst.n), np.zeros(inst.m)))
+        out = reg.prox(z, Point(np.zeros(inst.n), np.zeros(inst.m)))
         assert np.allclose(out.x, z.x, atol=1e-8)
         assert np.allclose(out.y, z.y, atol=1e-8)
 
@@ -92,7 +91,7 @@ class TestShermanRegularizer:
         reg = ShermanRegularizer(inst)
         z = Point(np.array([0.3]), np.array([1.0]))
         g = Point(np.array([0.5]), np.array([0.0]))
-        out = sherman_prox(reg, z, g)
+        out = reg.prox(z, g)
         grid = np.linspace(-1.0, 1.0, 10001)
         objective = [g.x[0] * x
                      + reg.divergence(Point(np.array([x]), np.array([1.0])), z)
@@ -107,26 +106,11 @@ class TestShermanRegularizer:
         for _ in range(20):
             z = sample_domain(inst, rng)
             g = Point(0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(4))
-            w = sherman_prox(reg, z, g)
+            w = reg.prox(z, g)
             gr = reg.grad(w) - reg.grad(z) + g
             for _ in range(10):
                 u = sample_domain(inst, rng)
                 assert gr.dot(u - w) >= -1e-6 * max(1.0, inst.op_norm)
-
-    def test_numba_and_numpy_prox_agree(self, monkeypatch):
-        inst = small_instance(seed=12)
-        reg = ShermanRegularizer(inst)
-        rng = make_rng(13)
-        z = sample_domain(inst, rng)
-        g = Point(0.2 * rng.standard_normal(inst.n), 0.2 * rng.standard_normal(inst.m))
-        # route prox through the kernel even when numba is absent (it then
-        # runs as plain Python), so the comparison is between two paths
-        monkeypatch.setattr(_kernels, "USING_NUMBA", True)
-        fast = reg.prox(z, g)
-        sx, sy, *_ = reg._prox_numpy(
-            z, g, AlternatingProxConfig().resolve_tol(inst.op_norm))
-        assert np.allclose(fast.x, sx, atol=1e-10)
-        assert np.allclose(fast.y, sy, atol=1e-10)
 
     def test_hessian_diagonal_lower_bound(self):
         # finite-difference quadratic forms of grad dominate the diagonal model
@@ -201,6 +185,34 @@ class TestSolve:
         inst = gen_box_simplex(10, 8, 0.5, seed=21)
         x, y, gap, trace = solve_box_simplex(inst, 0.02 * inst.op_norm)
         assert min(trace.gaps) == pytest.approx(gap, rel=1e-12)
+
+    def _assert_answers_z0(self, inst, eps, **kw):
+        with pytest.warns(RuntimeWarning, match="budget of 0 iterations exhausted"):
+            x, y, gap, trace = solve_box_simplex(inst, eps, **kw)
+        assert np.array_equal(x, np.zeros(inst.n))
+        assert np.array_equal(y, np.full(inst.m, 1.0 / inst.m))
+        assert gap == duality_gap(inst, x, y)
+        assert trace.summary["iterations"] == 0 and trace.summary["budget"] == 0
+        assert trace.gaps == []
+
+    def test_zero_max_iters_returns_z0(self):
+        inst = gen_box_simplex(10, 8, 0.5, seed=3)
+        self._assert_answers_z0(inst, 1e-2 * inst.op_norm, max_iters=0)
+
+    def test_zero_matrix_has_zero_budget(self):
+        inst = BoxSimplexInstance(np.zeros((3, 2)), np.array([0.0, 1.0, 2.0]),
+                                  np.array([0.5, -0.5]))
+        assert inst.op_norm == 0.0
+        self._assert_answers_z0(inst, 1e-3)
+
+    def test_stalled_prox_warns(self):
+        inst = gen_box_simplex(10, 8, 0.5, seed=4)
+        with pytest.warns(RuntimeWarning) as record:
+            solve_box_simplex(inst, 0.1 * inst.op_norm,
+                              cfg=AlternatingProxConfig(max_rounds=2))
+        stalls = [w for w in record
+                  if "alternating prox stopped" in str(w.message)]
+        assert stalls and all("after 2 rounds" in str(w.message) for w in stalls)
 
 
 class TestRegressionReduction:

@@ -75,6 +75,25 @@ class TestSolve:
                 blobs.append(fh.read())
         assert blobs[0] == blobs[1]
 
+    def test_box_simplex_trace_byte_identical(self, bs_manifest, tmp_path):
+        blobs = []
+        for i in range(2):
+            out = str(tmp_path / f"bs{i}")
+            assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                        "--eps", "0.1", "--check", "--out", out]) == 0
+            with open(out + ".trace.csv", "rb") as fh:
+                blobs.append(fh.read())
+        assert blobs[0] == blobs[1]
+
+    def test_box_simplex_zero_iters_is_exit_2(self, bs_manifest, tmp_path):
+        out = str(tmp_path / "z")
+        with pytest.warns(RuntimeWarning, match="budget of 0 iterations"):
+            assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                        "--iters", "0", "--out", out]) == 2
+        with open(out + ".summary.txt") as fh:
+            text = fh.read()
+        assert "iterations=0" in text and "exit_code=2" in text
+
     def test_budget_exhaustion_is_exit_2(self, quad_manifest, tmp_path):
         out = str(tmp_path / "b")
         assert run(["solve", "--alg", "baseline", "--instance", quad_manifest,
@@ -94,6 +113,33 @@ class TestSolve:
     def test_missing_instance_is_io_error(self, tmp_path):
         assert run(["solve", "--alg", "eg-accel",
                     "--instance", str(tmp_path / "missing.manifest")]) == 4
+
+    def test_nan_in_data_is_parse_error(self, quad_manifest, tmp_path, capsys):
+        bfile = quad_manifest.replace(".manifest", ".b.txt")
+        with open(bfile) as fh:
+            lines = fh.readlines()
+        lines[2] = "nan\n"
+        with open(bfile, "w") as fh:
+            fh.writelines(lines)
+        assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
+                    "--out", str(tmp_path / "n")]) == 4
+        assert "b.txt:3: non-finite value 'nan'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("mu=1.0", "mu=100.0", "need 0 < mu <= L"),
+        ("mu=1.0", "mu=one", "could not convert string to float: 'one'"),
+        ("b=quad.b.txt", "", "missing key 'b'"),
+    ])
+    def test_bad_manifest_is_parse_error(self, quad_manifest, tmp_path, capsys,
+                                         old, new, message):
+        with open(quad_manifest) as fh:
+            text = fh.read()
+        assert old in text
+        with open(quad_manifest, "w") as fh:
+            fh.write(text.replace(old, new))
+        assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
+                    "--out", str(tmp_path / "m")]) == 4
+        assert message in capsys.readouterr().err
 
     def test_alg_instance_mismatch_is_usage_error(self, bs_manifest):
         assert run(["solve", "--alg", "eg-accel", "--instance", bs_manifest]) == 64
