@@ -53,36 +53,42 @@ class ShermanRegularizer:
 
     def grad(self, p: Point):
         y = np.maximum(p.y, Y_FLOOR)
-        gx = 2.0 * (self.inst.abs_A.T @ p.y) * p.x
+        gx = 2.0 * (self.inst.abs_At @ p.y) * p.x
         gy = self.inst.abs_A @ (p.x**2) + self.alpha * (1.0 + np.log(y))
         return Point(gx, gy)
 
     def divergence(self, a: Point, b: Point):
-        ga = self.grad(a)
-        diff = b - a
-        return self.value(b) - self.value(a) - ga.dot(diff)
+        return self._divergence(a, b, self.value(a), self.value(b))
+
+    def _divergence(self, a: Point, b: Point, value_a: float, value_b: float):
+        """The divergence from a to b, given r(a) and r(b)."""
+        return value_b - value_a - self.grad(a).dot(b - a)
 
     def prox(self, z: Point, g: Point):
         """Alternating exact block minimization until the iterate stalls."""
         inst = self.inst
         tol = self.cfg.resolve_tol(inst.op_norm)
         zy = np.maximum(z.y, Y_FLOOR)
-        atz_y = inst.abs_A.T @ zy
+        atz_y = inst.abs_At @ zy
         az_x2 = inst.abs_A @ (z.x**2)
         log_zy = np.log(zy)
         lin_x = g.x - 2.0 * atz_y * z.x
+        neg_lin_x = -lin_x
         x, y = z.x.copy(), zy.copy()
         gamma_max = 0.0
         rounds = 0
         change = np.inf
         for r in range(self.cfg.max_rounds):
             rounds = r + 1
-            a_coef = inst.abs_A.T @ y
+            a_coef = inst.abs_At @ y
             with np.errstate(divide="ignore", invalid="ignore"):
-                x_new = np.where(a_coef > 1e-300,
-                                 -lin_x / (2.0 * a_coef),
-                                 -np.sign(lin_x))
-            x_new = np.clip(np.nan_to_num(x_new), -1.0, 1.0)
+                x_new = neg_lin_x / (2.0 * a_coef)
+            flat = ~(a_coef > 1e-300)  # no curvature (NaN included): go to the edge
+            if flat.any():
+                x_new[flat] = -np.sign(lin_x[flat])
+            np.clip(x_new, -1.0, 1.0, out=x_new)  # also maps +-inf to +-1
+            if np.isnan(x_new).any():
+                x_new[np.isnan(x_new)] = 0.0
             gamma = g.y + inst.abs_A @ (x_new**2) - az_x2
             gamma_max = max(gamma_max, float(np.abs(gamma).max()))
             logw = log_zy - gamma / self.alpha
@@ -142,7 +148,7 @@ def linf_regression_reduction(A, b) -> BoxSimplexInstance:
 def duality_gap(inst: BoxSimplexInstance, x, y) -> float:
     """max_{y'} f(x, y') - min_{x'} f(x', y), both best responses in closed form."""
     best_y = float(np.max(inst.A @ x - inst.b)) + float(inst.c @ x)
-    aty_c = inst.A.T @ y + inst.c
+    aty_c = inst.At @ y + inst.c
     best_x = -float(np.abs(aty_c).sum()) - float(inst.b @ y)
     return best_y - best_x
 
@@ -154,6 +160,8 @@ def duality_gap(inst: BoxSimplexInstance, x, y) -> float:
 
 def iteration_budget(inst: BoxSimplexInstance, eps: float, constant: float = 50.0) -> int:
     """Budget C * ||A|| log m / eps; the constant absorbs prox inexactness."""
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     return int(np.ceil(constant * inst.op_norm * np.log(max(inst.m, 2)) / eps))
 
 
@@ -186,6 +194,8 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     trace.summary["stability_hi"] = 1.0
     best = None
     t = 0
+    if certify:
+        value_z = reg.value(z)  # r(z_next) of one iteration is r(z) of the next
     while t < budget:
         gz = inst.operator(z)
         w = reg.prox(z, (1.0 / lam) * gz)
@@ -202,7 +212,10 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
             if ratio_hi > 2.0 or ratio_lo < 0.5:
                 trace.summary["stability_ok"] = False
             lhs = (gw - gz).dot(w - z_next)
-            rhs = lam * (reg.divergence(z, w) + reg.divergence(w, z_next))
+            value_w, value_next = reg.value(w), reg.value(z_next)
+            rhs = lam * (reg._divergence(z, w, value_z, value_w)
+                         + reg._divergence(w, z_next, value_w, value_next))
+            value_z = value_next
             if lhs > rhs + tol_rl:
                 trace.summary["local_rl_ok"] = False
             trace.regrets.append(lhs - rhs)

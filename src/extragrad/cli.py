@@ -53,6 +53,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_float(text):
+    """--eps, --eps0: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
+def _count(text):
+    """--iters: a whole number, zero or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be zero or more, got {text!r}")
+    return value
+
+
 def _fmt(x):
     return "" if x is None else repr(float(x))
 
@@ -519,9 +541,9 @@ def build_parser():
         if with_alg:
             p.add_argument("--alg", required=True)
         p.add_argument("--instance")
-        p.add_argument("--eps", type=float)
-        p.add_argument("--eps0", type=float)
-        p.add_argument("--iters", type=int)
+        p.add_argument("--eps", type=_positive_float)
+        p.add_argument("--eps0", type=_positive_float)
+        p.add_argument("--iters", type=_count)
         p.add_argument("--phases", type=int)
         p.add_argument("--lambda", dest="lam", type=float)
         p.add_argument("--mono", type=float)
@@ -541,8 +563,8 @@ def build_parser():
     p_bench = sub.add_parser("bench", help="compare algorithms on one instance")
     p_bench.add_argument("--alg", action="append", required=True)
     p_bench.add_argument("--instance")
-    p_bench.add_argument("--eps", type=float)
-    p_bench.add_argument("--iters", type=int)
+    p_bench.add_argument("--eps", type=_positive_float)
+    p_bench.add_argument("--iters", type=_count)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out")
     return parser

@@ -104,13 +104,17 @@ def eval_fenchel_game(op: FenchelGameOperator, z: Point) -> Point:
 class BoxSimplexInstance:
     """Bilinear game min_{x in [-1,1]^n} max_{y in simplex} y^T A x - b^T y + c^T x.
 
-    A and |A| are stored in compressed-row form.
+    A and |A| are stored in compressed-row form.  ``At`` and ``abs_At`` are
+    their transposes, built once: compressed-column views on the same arrays,
+    since building a transpose per product costs several times the product.
     """
 
     def __init__(self, A, b, c):
         A = sp.csr_matrix(A, dtype=float)
         self.A = A
         self.abs_A = sp.csr_matrix(abs(A))
+        self.At = A.T
+        self.abs_At = self.abs_A.T
         self.b = np.asarray(b, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.m, self.n = A.shape
@@ -124,7 +128,7 @@ class BoxSimplexInstance:
         return float(y @ (self.A @ x) - self.b @ y + self.c @ x)
 
     def operator(self, z: Point) -> Point:
-        return Point(self.A.T @ z.y + self.c, self.b - self.A @ z.x)
+        return Point(self.At @ z.y + self.c, self.b - self.A @ z.x)
 
 
 def eval_box_simplex(inst: BoxSimplexInstance, z: Point) -> Point:

@@ -317,7 +317,7 @@ def save_instance(problem, manifest_path):
     os.makedirs(base, exist_ok=True)
     if isinstance(problem, QuadraticProblem):
         mfile, bfile = stem + ".M.mtx", stem + ".b.txt"
-        M = np.diag(problem.M) if problem.diag else problem.M
+        M = problem.M.reshape(-1, 1) if problem.diag else problem.M  # diagonal as a column
         write_matrix_market(os.path.join(base, mfile), M)
         write_vector(os.path.join(base, bfile), problem.b)
         write_manifest(manifest_path, {
@@ -384,8 +384,8 @@ def _build_instance(manifest_path, man):
         if sp.issparse(M):
             M = M.toarray()
         b = read_vector(os.path.join(base, man["b"]))
-        if int(man.get("diag", 0)):
-            M = np.diag(M) if M.ndim == 2 else M
+        if int(man.get("diag", 0)):  # a d x 1 column, or the dense d x d of older manifests
+            M = M.ravel() if M.shape[1] == 1 else np.diag(M)
         return QuadraticProblem(M, b, mu=float(man["mu"]), L=float(man["L"]))
     if kind == "box-simplex":
         A = read_matrix_market(os.path.join(base, man["A"]))

@@ -131,6 +131,42 @@ class TestShermanRegularizer:
             assert quad >= model - 1e-4 * max(1.0, abs(quad))
 
 
+class TestTransposes:
+    def test_transposes_share_storage(self):
+        inst = small_instance(seed=30)
+        assert np.shares_memory(inst.At.data, inst.A.data)
+        assert np.shares_memory(inst.abs_At.data, inst.abs_A.data)
+
+    def test_transposed_products_match(self):
+        inst = small_instance(seed=31)
+        y = Simplex(inst.m).sample(make_rng(32), 1e-2)
+        assert np.array_equal(inst.At @ y, inst.A.T @ y)
+        assert np.array_equal(inst.abs_At @ y, inst.abs_A.T @ y)
+
+
+class TestProxXUpdate:
+    def test_zero_column_takes_the_sign_branch(self):
+        # columns 1 and 3 of A are zero, so their curvature a_coef is 0
+        A = np.array([[0.5, 0.0, -1.0, 0.0],
+                      [2.0, 0.0, 0.25, 0.0],
+                      [-0.3, 0.0, 0.0, 0.0]])
+        inst = BoxSimplexInstance(A, np.zeros(3), np.zeros(4))
+        reg = ShermanRegularizer(inst, AlternatingProxConfig(max_rounds=1))
+        z = Point(np.array([0.2, -0.4, 0.9, 0.1]), np.array([0.5, 0.3, 0.2]))
+        g = Point(np.array([0.7, 0.3, -5.0, -0.2]), np.array([0.1, -0.2, 0.05]))
+        with pytest.warns(RuntimeWarning, match="alternating prox stopped"):
+            out = reg.prox(z, g)
+        # one round from y = z.y, in the where / nan_to_num / clip form
+        a_coef = np.abs(A).T @ z.y
+        lin_x = g.x - 2.0 * a_coef * z.x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_old = np.where(a_coef > 1e-300, -lin_x / (2.0 * a_coef), -np.sign(lin_x))
+        x_old = np.clip(np.nan_to_num(x_old), -1.0, 1.0)
+        assert np.array_equal(out.x, x_old)
+        assert out.x[1] == -1.0 and out.x[3] == 1.0
+        assert out.x[2] == 1.0  # clipped from outside the box
+
+
 class TestDualityGap:
     def test_zero_instance(self):
         inst = BoxSimplexInstance(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
@@ -180,6 +216,11 @@ class TestSolve:
         inst = gen_box_simplex(10, 5, 0.5, seed=20)
         assert iteration_budget(inst, 0.1) == int(
             np.ceil(50.0 * inst.op_norm * np.log(10) / 0.1))
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+    def test_budget_rejects_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            iteration_budget(gen_box_simplex(10, 5, 0.5, seed=20), eps)
 
     def test_gap_trace_reaches_reported_minimum(self):
         inst = gen_box_simplex(10, 8, 0.5, seed=21)

@@ -141,6 +141,24 @@ class TestSolve:
                     "--out", str(tmp_path / "m")]) == 4
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "0"), ("--eps", "nan"), ("--eps", "-1"), ("--iters", "-3"),
+    ])
+    def test_box_simplex_out_of_range_is_usage_error(self, bs_manifest, tmp_path,
+                                                     capsys, flag, value):
+        assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                    flag, value, "--out", str(tmp_path / "u")]) == 64
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+        assert not os.path.exists(str(tmp_path / "u.trace.csv"))
+
+    @pytest.mark.parametrize("value", ["0", "nan", "-1"])
+    def test_eg_accel_out_of_range_eps0_is_usage_error(self, quad_manifest, tmp_path,
+                                                       capsys, value):
+        assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
+                    "--eps0", value, "--out", str(tmp_path / "u")]) == 64
+        assert "argument --eps0" in capsys.readouterr().err
+
     def test_alg_instance_mismatch_is_usage_error(self, bs_manifest):
         assert run(["solve", "--alg", "eg-accel", "--instance", bs_manifest]) == 64
 

@@ -145,6 +145,29 @@ class TestSerialization:
             assert np.array_equal(back.b, prob.b)
             assert back.profile.mu == prob.profile.mu
 
+    def test_diagonal_written_as_column(self, tmp_path):
+        prob = gen_quadratic(50, 1.0, 1e3, diag=True, seed=15)
+        man = str(tmp_path / "dg.manifest")
+        save_instance(prob, man)
+        assert read_matrix_market(str(tmp_path / "dg.M.mtx")).shape == (50, 1)
+        back = load_instance(man)
+        assert back.diag and np.array_equal(back.M, prob.M)
+        assert np.array_equal(back.b, prob.b)
+
+    def test_dense_diagonal_manifest_still_loads(self, tmp_path):
+        # manifests written before the diagonal was saved as a column hold all d^2 values
+        with open(str(tmp_path / "old.M.mtx"), "w") as fh:
+            fh.write("%%MatrixMarket matrix array real general\n3 3\n"
+                     "2.0\n0.0\n0.0\n0.0\n0.5\n0.0\n0.0\n0.0\n7.25\n")
+        with open(str(tmp_path / "old.b.txt"), "w") as fh:
+            fh.write("1.0\n-1.0\n0.5\n")
+        man = str(tmp_path / "old.manifest")
+        write_manifest(man, {"kind": "quadratic", "diag": 1, "d": 3, "M": "old.M.mtx",
+                             "b": "old.b.txt", "mu": "0.5", "L": "7.25"})
+        back = load_instance(man)
+        assert back.diag and np.array_equal(back.M, [2.0, 0.5, 7.25])
+        assert np.array_equal(back.b, [1.0, -1.0, 0.5])
+
     def test_box_simplex_round_trip(self, tmp_path):
         inst = gen_box_simplex(100, 80, 0.3, seed=12)
         man = str(tmp_path / "bs.manifest")
