@@ -13,7 +13,6 @@ from .core import (
     TAU_FEAS,
     Point,
     DomainError,
-    ConvergenceError,
     FeasibleSet,
     Everywhere,
     Box,
@@ -27,7 +26,6 @@ from .core import (
     ConjugateRegularizer,
     ProductRegularizer,
     divergence,
-    prox,
 )
 from .operators import (
     make_rng,
@@ -53,7 +51,6 @@ from .problems import (
     load_instance,
 )
 from .solvers import (
-    SolverConfig,
     SolverTrace,
     NonFiniteIterateError,
     mirror_prox,

@@ -53,26 +53,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_float(text):
-    """--eps, --eps0: a finite number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _checked(convert, ok, rule):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+    kind = "whole number" if convert is int else "number"
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a {kind}: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return parse
 
 
-def _count(text):
-    """--iters: a whole number, zero or more."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be zero or more, got {text!r}")
-    return value
+# --eps, --eps0, --lambda
+_positive_float = _checked(float, lambda v: np.isfinite(v) and v > 0, "positive and finite")
+# --mono
+_nonnegative_float = _checked(float, lambda v: np.isfinite(v) and v >= 0,
+                              "finite and zero or more")
+# --iters
+_count = _checked(int, lambda v: v >= 0, "zero or more")
+# --samples
+_positive_count = _checked(int, lambda v: v >= 1, "one or more")
 
 
 def _fmt(x):
@@ -455,21 +459,10 @@ def cmd_bench(args):
                 raise UsageError("baseline needs a quadratic instance")
             eps = args.eps if args.eps is not None else 1e-2
             T = args.iters if args.iters is not None else 100000
-            # run until the mean iterate reaches eps, in growing stretches
-            z = np.zeros(problem.d)
-            acc = np.zeros(problem.d)
-            L = problem.profile.L
-            it = 0
-            err = problem.error(z)
-            while it < T:
-                w = z - problem.grad(z) / L
-                z = z - problem.grad(w) / L
-                acc += w
-                it += 1
-                err = problem.error(acc / it)
-                if err <= eps:
-                    break
-            results.append((alg, it, 2 * it, err, (time.perf_counter() - start) * 1e3))
+            trace = baseline_unaccelerated(problem, np.zeros(problem.d), T, eps=eps)
+            it = trace.summary["iterations"]
+            results.append((alg, it, 2 * it, trace.summary["f_err"],
+                            (time.perf_counter() - start) * 1e3))
         elif alg == "eg-accel":
             eps = args.eps if args.eps is not None else 1e-6
             counter = {"n": 0}
@@ -544,9 +537,8 @@ def build_parser():
         p.add_argument("--eps", type=_positive_float)
         p.add_argument("--eps0", type=_positive_float)
         p.add_argument("--iters", type=_count)
-        p.add_argument("--phases", type=int)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--mono", type=float)
+        p.add_argument("--lambda", dest="lam", type=_positive_float)
+        p.add_argument("--mono", type=_nonnegative_float)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out")
 
@@ -558,7 +550,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="certify an inequality")
     common(p_verify, with_alg=False)
     p_verify.add_argument("--check", required=True)
-    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--samples", type=_positive_count)
 
     p_bench = sub.add_parser("bench", help="compare algorithms on one instance")
     p_bench.add_argument("--alg", action="append", required=True)

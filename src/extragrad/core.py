@@ -27,10 +27,6 @@ class DomainError(ValueError):
     """Input outside the domain of a regularizer or operator."""
 
 
-class ConvergenceError(RuntimeError):
-    """An inner solve failed to reach its tolerance."""
-
-
 @dataclass(frozen=True)
 class Point:
     """A point z = (x-block, y-block) in a product space.
@@ -406,8 +402,3 @@ def divergence(reg, a, b) -> float:
     if val < -TAU_NUM * max(1.0, abs(val)):
         raise DomainError(f"negative divergence {val}; regularizer not convex here")
     return val
-
-
-def prox(reg, z, g):
-    """Prox step argmin_v <g, v> + V^r_z(v) over the regularizer's set."""
-    return reg.prox(z, g)

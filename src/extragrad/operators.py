@@ -92,10 +92,6 @@ class FenchelGameOperator:
         return Point(self.grad_f(v), v - x)
 
 
-def eval_fenchel_game(op: FenchelGameOperator, z: Point) -> Point:
-    return op(z)
-
-
 # ---------------------------------------------------------------------------
 # Box-simplex game
 # ---------------------------------------------------------------------------
@@ -129,10 +125,6 @@ class BoxSimplexInstance:
 
     def operator(self, z: Point) -> Point:
         return Point(self.At @ z.y + self.c, self.b - self.A @ z.x)
-
-
-def eval_box_simplex(inst: BoxSimplexInstance, z: Point) -> Point:
-    return inst.operator(z)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +190,6 @@ class MinimaxInstance:
         ])
         sol = np.linalg.solve(K, np.concatenate([-self.q, -self.r]))
         return Point(sol[:n], sol[n:])
-
-
-def eval_minimax(inst: MinimaxInstance, z: Point) -> Point:
-    return inst.operator(z)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +273,3 @@ class CoordinateEstimatorState:
         shifted = self.x_t.copy()
         shifted[self.i] += self.delta_i / self.p_i
         return Point(gx, self.v_half - shifted)
-
-
-def coord_estimate_at_z(state: CoordinateEstimatorState) -> Point:
-    return state.estimate_at_z()
-
-
-def coord_estimate_at_w(state: CoordinateEstimatorState) -> Point:
-    return state.estimate_at_w()

@@ -12,22 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Point, TAU_NUM, vdot
-from .operators import make_rng, AliasTable
-
-
-@dataclass
-class SolverConfig:
-    """Shared solver knobs; per-algorithm defaults are filled by callers."""
-
-    lam: float = 1.0
-    m: float = 0.0
-    T: int = 100
-    K: int = 1
-    eps: float = 1e-6
-    eps0: float | None = None
-    seed: int = 0
-    verbose: bool = False
+from .core import Point, vdot
+from .operators import make_rng, AliasTable, lambda_coord, lambda_fenchel
 
 
 @dataclass
@@ -42,10 +28,6 @@ class SolverTrace:
     f_errors: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-
-    @property
-    def iterations(self):
-        return len(self.iterates)
 
     def cum_regret(self):
         return float(np.sum(self.regrets)) if self.regrets else 0.0
@@ -170,27 +152,33 @@ def mirror_prox_sm(g, r, z0, lam, m, T, z_star=None):
 # ---------------------------------------------------------------------------
 
 
-def baseline_unaccelerated(problem, x0, T):
+def baseline_unaccelerated(problem, x0, T, eps=None):
     """Mirror prox on g = grad f with r = 1/2 ||x0 - .||^2 (1/T rate).
 
-    Mean iterate satisfies f(mean) - f* <= L ||x0 - x*||^2 / (2T).
+    Mean iterate satisfies f(mean) - f* <= L ||x0 - x*||^2 / (2T).  With eps
+    given, stops at the first mean iterate with f(mean) - f* <= eps.  With no
+    step taken the answer is x0 and the bound is infinite.
     """
     L = problem.profile.L
     x0 = np.asarray(x0, dtype=float)
     trace = SolverTrace()
     z = x0.copy()
     acc = np.zeros_like(x0)
+    mean, f_err = x0, problem.error(x0)
     for t in range(T):
         w = z - problem.grad(z) / L
         z = z - problem.grad(w) / L
         _check_finite(z, t)
         acc += w
-        trace.iterates.append(w)
-        trace.f_errors.append(problem.error(acc / (t + 1)))
-    mean = acc / T
-    trace.summary = {"algorithm": "baseline", "iterations": T, "final": mean,
-                     "f_err": problem.error(mean),
-                     "bound": L * float(np.dot(x0 - problem.x_star, x0 - problem.x_star)) / (2 * T)}
+        mean = acc / (t + 1)
+        f_err = problem.error(mean)
+        trace.f_errors.append(f_err)
+        if eps is not None and f_err <= eps:
+            break
+    n = len(trace.f_errors)
+    dist2 = float(np.dot(x0 - problem.x_star, x0 - problem.x_star))
+    trace.summary = {"algorithm": "baseline", "iterations": n, "final": mean,
+                     "f_err": f_err, "bound": L * dist2 / (2 * n) if n else np.inf}
     return trace
 
 
@@ -202,13 +190,14 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
     averaged half-iterate.  Only gradient queries are issued.
     """
     L, mu = problem.profile.L, problem.profile.mu
-    lam = 1.0 + np.sqrt(L / mu)
+    lam = lambda_fenchel(problem.profile)
     T = 4 * int(np.ceil(lam))
     x0 = np.asarray(x0, dtype=float)
     if eps0 is None:
         # one prox-gradient step gives a lower bound on f
         x1 = x0 - problem.grad(x0) / L
-        lower = problem.f(x1) - 0.5 / L * float(np.dot(problem.grad(x1), problem.grad(x1)))
+        g1 = problem.grad(x1)
+        lower = problem.f(x1) - 0.5 / L * float(np.dot(g1, g1))
         eps0 = max(problem.f(x0) - lower, eps)
     K = max(int(np.ceil(np.log2(eps0 / eps))), 0)
     x_phase = x0.copy()
@@ -240,7 +229,7 @@ def general_norm_accel(problem, omega, x0, eps, T=None):
     omega queries occur.  omega must supply prox and blended-prox closed forms.
     """
     L, mu = problem.profile.L, problem.profile.mu
-    lam = 1.0 + np.sqrt(L / mu)
+    lam = lambda_fenchel(problem.profile)
     m = 1.0
     x0 = np.asarray(x0, dtype=float)
     if T is None:
@@ -287,13 +276,16 @@ class EuclideanOmega:
 # ---------------------------------------------------------------------------
 
 
+DET_FLOOR = 1e-250  # refactor B before its determinant underflows
+
+
 @dataclass
 class ImplicitIterate:
     """(x_t | v_t) = (p_t | q_t) B_t with B_t a 2x2 matrix.
 
     One-sparse dual updates then cost O(1): only p_i, q_i move.  B_t is
     refactored to the identity (materializing x, v) when its determinant
-    underflows.
+    falls below DET_FLOOR.
     """
 
     B: np.ndarray
@@ -318,7 +310,7 @@ class ImplicitIterate:
 
 
 def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
-                   shadow=False, det_floor=1e-250):
+                   callback=None):
     """Coordinate-accelerated smooth minimization with shared-randomness estimators.
 
     Samples coordinate i with p_i ~ sqrt(L_i), takes 1-sparse extragradient
@@ -329,14 +321,19 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
     average of the half-iterates (O(d) extra per step), which is the form the
     halving guarantee is stated for.
 
-    Returns (x, info) with the query count and, in shadow mode, the worst
-    relative disagreement between implicit and explicit iterates.
+    ``callback(i, g_v, g_vh, state)`` runs after every inner step with the
+    sampled coordinate, its partials at v and at the half-point, and the
+    implicit iterate; ``callback(None, None, None, state)`` runs whenever a
+    fresh iterate with B = I is built (at the start and at every phase
+    restart).  ``verify.coord_shadow_error`` checks the iterates through it.
+
+    Returns (x, info) with the query and iteration counts.
     """
     prof = problem.profile
     if prof.L_i is None:
         raise ValueError("per-coordinate smoothnesses required")
     mu = prof.mu
-    lam = 1.0 + prof.s_half / np.sqrt(mu)
+    lam = lambda_coord(prof)
     kappa = lam  # the iterate matrix uses the same constant as the step size
     T = 4 * int(np.ceil(lam))
     x0 = np.asarray(x0, dtype=float)
@@ -351,11 +348,10 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
         [0.0, 1.0 - 1.0 / kappa + 1.0 / kappa**2],
     ])
     state = ImplicitIterate(np.eye(2), x0.copy(), x0.copy())
+    if callback is not None:
+        callback(None, None, None, state)
     queries = 0
     inner_iters = 0
-    worst_shadow_err = 0.0
-    sx = x0.copy()
-    sv = x0.copy()
 
     for k in range(K):
         tau = int(rng.integers(T)) if not average_phases else T
@@ -383,27 +379,17 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
             state.B = B_next
             state.p[i] -= s1 * Binv[0, 0] + s2 * Binv[1, 0]
             state.q[i] -= s1 * Binv[0, 1] + s2 * Binv[1, 1]
-            if abs(det) < det_floor:
+            if abs(det) < DET_FLOOR:
                 state.refactor()
-            if shadow:
-                # explicit simulation of the same step
-                svh = (1.0 - 1.0 / lam) * sv + sx / lam
-                sx_new = sx.copy()
-                sx_new[i] -= g_vh / (mu * lam * p_i)
-                sv_new = (1.0 - 1.0 / lam + 1.0 / lam**2) * sv \
-                    + (1.0 / lam - 1.0 / lam**2) * sx
-                sv_new[i] -= g_v / (mu * lam**2 * p_i**2)
-                sx, sv = sx_new, sv_new
-                xs, vs = state.reconstruct()
-                scale = max(1.0, float(np.max(np.abs(sx))), float(np.max(np.abs(sv))))
-                err = max(float(np.max(np.abs(xs - sx))), float(np.max(np.abs(vs - sv)))) / scale
-                worst_shadow_err = max(worst_shadow_err, err)
+            if callback is not None:
+                callback(i, g_v, g_vh, state)
         if average_phases:
             x_next = v_sum / T
         else:
             _, x_next = state.reconstruct()
         state = ImplicitIterate(np.eye(2), x_next.copy(), x_next.copy())
-        sx, sv = x_next.copy(), x_next.copy()
+        if callback is not None:
+            callback(None, None, None, state)
 
     x_final = state.p
     info = {
@@ -412,6 +398,5 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
         "phases": K,
         "lam": lam,
         "T": T,
-        "shadow_err": worst_shadow_err,
     }
     return x_final, info

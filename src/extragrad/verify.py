@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Point, TAU_NUM
-from .operators import make_rng
+from .core import Point, TAU_NUM, vdot
+from .operators import make_rng, lambda_coord
+from .solvers import eg_coord_accel
 
 TAU_REL_RATIO = 1e-6  # relative slack on ratio comparisons
 SIMPLEX_MARGIN = 1e-3  # keep entropy gradients finite
@@ -66,16 +67,6 @@ class CertificateReport:
                     writer.writerow([role, "x"] + [repr(v) for v in np.atleast_1d(pt)])
 
 
-def _sub(a, b):
-    return a - b
-
-
-def _dot(a, b):
-    if isinstance(a, Point):
-        return a.dot(b)
-    return float(np.dot(a, b))
-
-
 def check_relative_lipschitzness(g, r, lam, sampler: TripleSampler) -> CertificateReport:
     """Worst sampled ratio of <g(w)-g(z), w-u> to V_z(w) + V_w(u).
 
@@ -90,7 +81,7 @@ def check_relative_lipschitzness(g, r, lam, sampler: TripleSampler) -> Certifica
     n = 0
     for z, w, u in sampler.points():
         n += 1
-        num = _dot(_sub(g(w), g(z)), _sub(w, u))
+        num = vdot(g(w) - g(z), w - u)
         den = r.divergence(z, w) + r.divergence(w, u)
         if den < TAU_NUM:
             if num > TAU_NUM:
@@ -126,7 +117,7 @@ def check_strong_monotonicity(g, r, m, sampler: TripleSampler) -> CertificateRep
     n = 0
     for z, w, _ in sampler.points():
         n += 1
-        num = _dot(_sub(g(w), g(z)), _sub(w, z))
+        num = vdot(g(w) - g(z), w - z)
         den = r.divergence(w, z) + r.divergence(z, w)
         if den < TAU_NUM:
             skipped += 1
@@ -147,7 +138,7 @@ def check_regret_certificate(trace, g, r, lam, z0, u):
         return True, lam * r.divergence(z0, u)
     lhs = 0.0
     for w in trace.iterates:
-        lhs += _dot(g(w), _sub(w, u))
+        lhs += vdot(g(w), w - u)
     rhs = lam * r.divergence(z0, u)
     T = len(trace.iterates)
     margin = rhs - lhs
@@ -184,26 +175,35 @@ def _fenchel_div(problem, z1, z2):
     return 0.5 * mu * float(np.dot(dx, dx)) + dual
 
 
+def coord_step(x, v, i, g_v, g_vh, lam, mu, p_i):
+    """One explicit shared-randomness coordinate step from (x, v) along i.
+
+    g_v and g_vh are the i-th partials of f at v and at the half-point
+    v_half = (1 - 1/lam) v + x/lam, which is the same for every i.  Returns
+    (x_half, x_next, v_next); the inputs are not modified.
+    """
+    x_half = x.copy()
+    x_half[i] -= g_v / (mu * lam * p_i)
+    x_next = x.copy()
+    x_next[i] -= g_vh / (mu * lam * p_i)
+    v_next = (1.0 - 1.0 / lam + 1.0 / lam**2) * v + (1.0 / lam - 1.0 / lam**2) * x
+    v_next[i] -= g_v / (mu * lam**2 * p_i**2)
+    return x_half, x_next, v_next
+
+
 def coord_iteration_outcomes(problem, x_t, v_t, lam, p):
     """All per-coordinate outcomes of one shared-randomness iteration.
 
-    For each i returns (w_i = (x_half, v_half), z_next_i = (x_next, v_next),
-    delta_i); v_half is the same deterministic point for every i.
+    For each i returns (w_i = (x_half, v_half), z_next_i = (x_next, v_next));
+    v_half is the same deterministic point for every i.
     """
     mu = problem.profile.mu
-    d = x_t.size
     v_half = (1.0 - 1.0 / lam) * v_t + x_t / lam
     g_v = problem.grad(v_t)
     g_vh = problem.grad(v_half)
     outcomes = []
-    for i in range(d):
-        x_half = x_t.copy()
-        x_half[i] -= g_v[i] / (mu * lam * p[i])
-        x_next = x_t.copy()
-        x_next[i] -= g_vh[i] / (mu * lam * p[i])
-        v_next = (1.0 - 1.0 / lam + 1.0 / lam**2) * v_t \
-            + (1.0 / lam - 1.0 / lam**2) * x_t
-        v_next[i] -= g_v[i] / (mu * lam**2 * p[i]**2)
+    for i in range(x_t.size):
+        x_half, x_next, v_next = coord_step(x_t, v_t, i, g_v[i], g_vh[i], lam, mu, p[i])
         outcomes.append(((x_half, v_half), (x_next, v_next)))
     return outcomes, v_half, g_v, g_vh
 
@@ -212,26 +212,52 @@ def coord_trajectory(problem, x0, steps, seed=0, lam=None, p=None):
     """Explicit randomized-coordinate trajectory; returns the visited (x, v) states."""
     prof = problem.profile
     if lam is None:
-        lam = 1.0 + prof.s_half / np.sqrt(prof.mu)
+        lam = lambda_coord(prof)
     if p is None:
         p = prof.coord_probabilities()
     mu = prof.mu
     rng = make_rng(seed)
     x = np.asarray(x0, dtype=float).copy()
     v = x.copy()
-    states = [(x.copy(), v.copy())]
+    states = [(x, v)]
     for _ in range(steps - 1):
         i = int(rng.choice(p.size, p=p))
         v_half = (1.0 - 1.0 / lam) * v + x / lam
         g_v = problem.grad(v)
         g_vh = problem.grad(v_half)
-        x_new = x.copy()
-        x_new[i] -= g_vh[i] / (mu * lam * p[i])
-        v_new = (1.0 - 1.0 / lam + 1.0 / lam**2) * v + (1.0 / lam - 1.0 / lam**2) * x
-        v_new[i] -= g_v[i] / (mu * lam**2 * p[i]**2)
-        x, v = x_new, v_new
-        states.append((x.copy(), v.copy()))
+        _, x, v = coord_step(x, v, i, g_v[i], g_vh[i], lam, mu, p[i])
+        states.append((x, v))
     return states
+
+
+def coord_shadow_error(problem, x0, eps, eps0=None, seed=0):
+    """Run ``eg_coord_accel`` beside an explicit copy of its iterates.
+
+    The explicit pair (x, v) starts from each fresh implicit iterate (B = I,
+    so (x, v) = (p, q)) and takes ``coord_step`` with the solver's own
+    coordinate and partials after every inner step.  Returns the solver's
+    info with ``shadow_err``: the worst disagreement with the reconstructed
+    implicit iterate over all steps, relative to max(1, |x|_inf, |v|_inf).
+    """
+    prof = problem.profile
+    lam, mu, p = lambda_coord(prof), prof.mu, prof.coord_probabilities()
+    x = v = None
+    worst = 0.0
+
+    def shadow(i, g_v, g_vh, state):
+        nonlocal x, v, worst
+        if i is None:
+            x, v = state.p.copy(), state.q.copy()
+            return
+        _, x, v = coord_step(x, v, i, g_v, g_vh, lam, mu, p[i])
+        xs, vs = state.reconstruct()
+        scale = max(1.0, float(np.max(np.abs(x))), float(np.max(np.abs(v))))
+        err = max(float(np.max(np.abs(xs - x))), float(np.max(np.abs(vs - v)))) / scale
+        worst = max(worst, err)
+
+    _, info = eg_coord_accel(problem, x0, eps, eps0=eps0, seed=seed, callback=shadow)
+    info["shadow_err"] = worst
+    return info
 
 
 def check_estimator_conditions(problem, states, u, lam=None, p=None) -> CertificateReport:
@@ -254,7 +280,7 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
     if p is None:
         p = prof.coord_probabilities()
     if lam is None:
-        lam = 1.0 + prof.s_half / np.sqrt(prof.mu)
+        lam = lambda_coord(prof)
     ux, uv = u
     gf_u = problem.grad(uv)
     worst_identity = 0.0

@@ -18,7 +18,7 @@ from extragrad import (
 )
 from extragrad.verify import (
     TripleSampler, check_relative_lipschitzness, check_regret_certificate,
-    check_estimator_conditions, coord_trajectory,
+    check_estimator_conditions, coord_trajectory, coord_shadow_error,
 )
 from extragrad.cli import _fenchel_pair, _minimax_pair
 
@@ -162,8 +162,7 @@ def test_criterion_07_linf_regression_reference():
 def test_criterion_08_coordinate_method():
     # (a) implicit iterates track an explicit shadow to 1e-8 over >= 1e3 steps
     prob = gen_quadratic(10, 1.0, 40.0, diag=True, seed=0)
-    _, info = eg_coord_accel(prob, np.zeros(10), 1e-10, eps0=1.0, seed=1,
-                             shadow=True)
+    info = coord_shadow_error(prob, np.zeros(10), 1e-10, eps0=1.0, seed=1)
     assert info["inner_iterations"] >= 1000
     assert info["shadow_err"] <= 1e-8
 

@@ -101,6 +101,16 @@ class TestSolve:
         with open(out + ".summary.txt") as fh:
             assert "exit_code=2" in fh.read()
 
+    def test_baseline_zero_iters_answers_x0(self, quad_manifest, tmp_path):
+        out = str(tmp_path / "b0")
+        assert run(["solve", "--alg", "baseline", "--instance", quad_manifest,
+                    "--iters", "0", "--out", out]) == 0
+        with open(out + ".summary.txt") as fh:
+            text = fh.read()
+        assert "iters=0" in text and "bound=inf" in text and "exit_code=0" in text
+        with open(out + ".trace.csv") as fh:
+            assert fh.read().strip() == ",".join(TRACE_HEADER)
+
     def test_mirror_prox_with_certificate(self, mm_manifest, tmp_path):
         out = str(tmp_path / "mp")
         assert run(["solve", "--alg", "mirror-prox", "--instance", mm_manifest,
@@ -158,6 +168,23 @@ class TestSolve:
         assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
                     "--eps0", value, "--out", str(tmp_path / "u")]) == 64
         assert "argument --eps0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--alg", "mirror-prox", "--lambda", "0"],
+        ["solve", "--alg", "mirror-prox", "--lambda", "nan"],
+        ["solve", "--alg", "mirror-prox", "--lambda", "-1"],
+        ["solve", "--alg", "mp-strong", "--mono", "nan"],
+        ["verify", "--check", "strong-mono", "--mono", "-1"],
+        ["verify", "--check", "rel-lip", "--samples", "-3"],
+        ["verify", "--check", "rel-lip", "--samples", "0"],
+    ], ids=lambda argv: "=".join(argv[3:]))
+    def test_out_of_range_numeric_flag_is_usage_error(self, mm_manifest, tmp_path,
+                                                      capsys, argv):
+        out = str(tmp_path / "u")
+        assert run(argv + ["--instance", mm_manifest, "--out", out]) == 64
+        err = capsys.readouterr().err
+        assert f"argument {argv[3]}" in err and "Traceback" not in err
+        assert not os.path.exists(out + ".summary.txt")
 
     def test_alg_instance_mismatch_is_usage_error(self, bs_manifest):
         assert run(["solve", "--alg", "eg-accel", "--instance", bs_manifest]) == 64

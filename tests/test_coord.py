@@ -9,6 +9,7 @@ from extragrad import (
 )
 from extragrad.operators import CoordinateEstimatorState
 from extragrad.solvers import ImplicitIterate
+from extragrad.verify import coord_shadow_error
 
 
 class TestImplicitIterate:
@@ -47,8 +48,7 @@ class TestShadowAgreement:
 
     def test_shadow_error_small_over_long_run(self):
         prob = gen_quadratic(10, 1.0, 40.0, diag=True, seed=4)
-        _, info = eg_coord_accel(prob, np.zeros(10), 1e-10, eps0=1.0,
-                                 seed=5, shadow=True)
+        info = coord_shadow_error(prob, np.zeros(10), 1e-10, eps0=1.0, seed=5)
         assert info["inner_iterations"] >= 1000
         assert info["shadow_err"] <= 1e-8
 

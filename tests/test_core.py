@@ -6,7 +6,7 @@ import pytest
 from extragrad import (
     Point, Box, Simplex, Everywhere, ProductSet, DomainError,
     ConjugateOracle, grad_conjugate, ScaledEuclidean, NegativeEntropy,
-    ConjugateRegularizer, ProductRegularizer, divergence, prox, make_rng,
+    ConjugateRegularizer, ProductRegularizer, divergence, make_rng,
 )
 
 
@@ -136,24 +136,24 @@ class TestDivergence:
 class TestProx:
     def test_euclidean_prox(self):
         reg = ScaledEuclidean(1.0)
-        out = prox(reg, np.array([1.0, 2.0]), np.array([1.0, 0.0]))
+        out = reg.prox(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
         assert np.allclose(out, [0.0, 2.0])
 
     def test_entropy_prox_closed_form(self):
         reg = NegativeEntropy(1.0, dim=2)
-        out = prox(reg, np.array([0.5, 0.5]), np.array([0.0, np.log(2.0)]))
+        out = reg.prox(np.array([0.5, 0.5]), np.array([0.0, np.log(2.0)]))
         assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0])
 
     def test_zero_gradient_returns_base(self):
         rng = make_rng(3)
         z = rng.standard_normal(4)
-        assert np.allclose(prox(ScaledEuclidean(2.5), z, np.zeros(4)), z)
+        assert np.allclose(ScaledEuclidean(2.5).prox(z, np.zeros(4)), z)
         s = Simplex(4).sample(rng, 1e-2)
-        assert np.allclose(prox(NegativeEntropy(3.0, dim=4), s, np.zeros(4)), s)
+        assert np.allclose(NegativeEntropy(3.0, dim=4).prox(s, np.zeros(4)), s)
 
     def test_box_constrained_prox(self):
         reg = ScaledEuclidean(1.0, feasible_set=Box([-1.0], [1.0]))
-        assert prox(reg, np.array([0.5]), np.array([-3.0]))[0] == pytest.approx(1.0)
+        assert reg.prox(np.array([0.5]), np.array([-3.0]))[0] == pytest.approx(1.0)
 
     def test_prox_optimality_sampled(self):
         # <g + grad r(w) - grad r(z), u - w> >= 0 for feasible u
@@ -163,7 +163,7 @@ class TestProx:
         for _ in range(100):
             z = s.sample(rng, 1e-3)
             g = rng.standard_normal(3)
-            w = prox(reg, z, g)
+            w = reg.prox(z, g)
             u = s.sample(rng, 1e-3)
             lhs = float((g + reg.grad(w) - reg.grad(z)) @ (u - w))
             assert lhs >= -1e-9

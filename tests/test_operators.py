@@ -9,7 +9,6 @@ from extragrad import (
     MinimaxInstance, AliasTable, CoordinateEstimatorState, ScaledEuclidean,
     ProductRegularizer, gen_quadratic,
 )
-from extragrad.operators import eval_fenchel_game, eval_box_simplex, eval_minimax
 
 
 class TestSmoothnessProfile:
@@ -51,7 +50,7 @@ class TestLambdaFormulas:
 class TestFenchelGameOperator:
     def test_identity_quadratic(self):
         op = FenchelGameOperator(lambda v: v, SmoothnessProfile(1.0, 1.0))
-        out = eval_fenchel_game(op, Point([2.0], [3.0]))
+        out = op(Point([2.0], [3.0]))
         assert np.allclose(out.x, [3.0]) and np.allclose(out.y, [1.0])
 
     def test_zero_at_solution(self):
@@ -86,12 +85,12 @@ class TestFenchelGameOperator:
 class TestBoxSimplexInstance:
     def test_zero_instance(self):
         inst = BoxSimplexInstance(np.zeros((2, 2)), np.zeros(2), np.zeros(2))
-        out = eval_box_simplex(inst, Point([0.5, -0.5], [0.5, 0.5]))
+        out = inst.operator(Point([0.5, -0.5], [0.5, 0.5]))
         assert np.allclose(out.x, 0.0) and np.allclose(out.y, 0.0)
 
     def test_scalar_instance(self):
         inst = BoxSimplexInstance([[1.0]], [0.0], [0.0])
-        out = eval_box_simplex(inst, Point([1.0], [1.0]))
+        out = inst.operator(Point([1.0], [1.0]))
         assert np.allclose(out.x, [1.0]) and np.allclose(out.y, [-1.0])
 
     def test_against_dense_reference(self):
@@ -132,7 +131,7 @@ class TestBoxSimplexInstance:
 class TestMinimaxInstance:
     def test_decoupled_operator(self):
         inst = MinimaxInstance(2.0, 3.0, np.zeros((2, 2)))
-        out = eval_minimax(inst, Point([1.0, -1.0], [0.5, 0.5]))
+        out = inst.operator(Point([1.0, -1.0], [0.5, 0.5]))
         assert np.allclose(out.x, [2.0, -2.0])
         assert np.allclose(out.y, [1.5, 1.5])
 

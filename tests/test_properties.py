@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from extragrad import (
-    Point, ScaledEuclidean, NegativeEntropy, ConjugateOracle, divergence, prox,
+    Point, ScaledEuclidean, NegativeEntropy, ConjugateOracle, divergence,
 )
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
@@ -29,7 +29,7 @@ def test_euclidean_divergence_nonnegative_and_symmetric_in_distance(a, b, mu):
 @settings(max_examples=200, deadline=None)
 def test_euclidean_prox_step_formula(z, g, mu):
     reg = ScaledEuclidean(mu)
-    out = prox(reg, z, g)
+    out = reg.prox(z, g)
     assert np.allclose(out, z - g / mu, atol=1e-12)
 
 
@@ -38,7 +38,7 @@ def test_euclidean_prox_step_formula(z, g, mu):
 def test_entropy_prox_stays_on_simplex(weights, g):
     z = weights[:3] / weights[:3].sum()
     reg = NegativeEntropy(1.0, dim=3)
-    out = prox(reg, z, g[:3])
+    out = reg.prox(z, g[:3])
     assert out.min() >= 0.0
     assert abs(out.sum() - 1.0) <= 1e-9
 

@@ -141,6 +141,22 @@ class TestBaseline:
             trace = baseline_unaccelerated(prob, np.zeros(20), T)
             assert trace.summary["f_err"] <= trace.summary["bound"] + 1e-9
 
+    def test_eps_stops_at_first_mean_iterate_below(self):
+        prob = gen_quadratic(20, 1.0, 50.0, diag=False, seed=5)
+        full = baseline_unaccelerated(prob, np.zeros(20), 500)
+        first = next(t for t, e in enumerate(full.f_errors) if e <= 1e-2)
+        trace = baseline_unaccelerated(prob, np.zeros(20), 500, eps=1e-2)
+        assert trace.f_errors == full.f_errors[:first + 1]
+        assert trace.summary["iterations"] == first + 1
+        assert trace.summary["f_err"] == full.f_errors[first]
+
+    def test_zero_steps_answer_x0(self):
+        prob = gen_quadratic(5, 1.0, 4.0, diag=True, seed=4)
+        trace = baseline_unaccelerated(prob, np.ones(5), 0)
+        assert np.array_equal(trace.summary["final"], np.ones(5))
+        assert trace.summary["f_err"] == prob.error(np.ones(5))
+        assert trace.summary["bound"] == np.inf
+
 
 class TestEgAccel:
     def test_starts_at_optimum(self):
@@ -171,6 +187,21 @@ class TestEgAccel:
         prob = gen_quadratic(10, 1.0, 30.0, diag=True, seed=8)
         x = eg_accel(prob, np.zeros(10), 1e-9)
         assert prob.error(x) <= 1e-9
+
+    def test_default_eps0_costs_two_gradients(self, monkeypatch):
+        prob = gen_quadratic(10, 1.0, 30.0, diag=True, seed=8)
+        calls = []
+        grad = prob.grad
+
+        def counting_grad(x):
+            calls.append(x)
+            return grad(x)
+
+        monkeypatch.setattr(prob, "grad", counting_grad)
+        phases = []
+        eg_accel(prob, np.zeros(10), 1e-9, collect=lambda k, x: phases.append(k))
+        T = 4 * int(np.ceil(1.0 + np.sqrt(30.0)))
+        assert len(calls) == 2 + 2 * len(phases) * T
 
 
 class TestGeneralNorm:
