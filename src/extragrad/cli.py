@@ -231,7 +231,9 @@ def cmd_solve(args):
                 raise UsageError("mp-strong needs a minimax instance")
             trace, rows, cfg = _solve_quadratic_mp(problem, args, args.alg == "dual-ex")
             summary.update(cfg)
-            summary["final_f_err"] = rows[-1]["f_err"] if rows else float("nan")
+            # no step taken: the answer is x0, as for the baseline
+            summary["final_f_err"] = rows[-1]["f_err"] if rows else problem.error(
+                np.zeros(problem.d))
             if args.check:
                 g = problem.grad
                 r = ScaledEuclidean(1.0)
@@ -319,7 +321,8 @@ def cmd_solve(args):
         rows = [{"iter": t, "gap": gp} for t, gp in enumerate(trace.gaps)]
         summary.update({"eps": eps, "gap": gap,
                         "iterations": trace.summary["iterations"],
-                        "budget": trace.summary["budget"]})
+                        "budget": trace.summary["budget"],
+                        "prox_gap_sum": trace.summary["prox_gap_sum"]})
         if args.check is not None:
             ok = trace.summary["stability_ok"] and trace.summary["local_rl_ok"]
             summary["stability_ok"] = trace.summary["stability_ok"]
@@ -343,10 +346,10 @@ def cmd_verify(args):
     out = args.out or ("verify-" + args.check)
     N = args.samples if args.samples is not None else 1000
     code = EXIT_OK
-    summary = {"check": args.check, "instance": args.instance,
-               "samples": N, "seed": args.seed}
+    summary = {"check": args.check, "instance": args.instance, "seed": args.seed}
 
     if args.check in ("rel-lip", "rel-smooth", "strong-mono"):
+        summary["samples"] = N
         if isinstance(problem, QuadraticProblem):
             d = problem.d
             if args.check == "rel-lip":
@@ -408,6 +411,8 @@ def cmd_verify(args):
         if not (isinstance(problem, QuadraticProblem) and problem.diag):
             raise UsageError("estimator check needs a diagonal quadratic instance")
         steps = args.iters if args.iters is not None else 10
+        if steps < 1:
+            raise UsageError("estimator check needs --iters of one or more")
         states = V.coord_trajectory(problem, np.zeros(problem.d), steps, seed=args.seed)
         try:
             rep = V.check_estimator_conditions(

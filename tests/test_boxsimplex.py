@@ -1,13 +1,17 @@
 """Box-simplex games: coupled regularizer, preprocessing, certified solve."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 from extragrad import (
     Point, Simplex, make_rng, gen_box_simplex, BoxSimplexInstance,
     solve_box_simplex, duality_gap, preprocess, linf_regression_reduction,
     iteration_budget, ShermanRegularizer, AlternatingProxConfig,
 )
+from extragrad import boxsimplex
 from extragrad.boxsimplex import LAMBDA_BOX_SIMPLEX, ENTROPY_SCALE_FACTOR
 
 
@@ -131,6 +135,59 @@ class TestShermanRegularizer:
             assert quad >= model - 1e-4 * max(1.0, abs(quad))
 
 
+class TestProxGap:
+    @staticmethod
+    def lp_gap(reg, z, g, w):
+        """<h, w> - min over box x simplex of <h, u>, the minimum by linprog."""
+        inst = reg.inst
+        h = g + reg.grad(w) - reg.grad(z)
+        c = np.concatenate([h.x, h.y])
+        res = scipy.optimize.linprog(
+            c, A_eq=np.r_[np.zeros(inst.n), np.ones(inst.m)][None, :], b_eq=[1.0],
+            bounds=[(-1.0, 1.0)] * inst.n + [(0.0, None)] * inst.m, method="highs")
+        assert res.status == 0
+        return h.dot(w) - float(c @ res.x)
+
+    @pytest.mark.parametrize("max_rounds", [1, 2, 3])
+    def test_last_gap_matches_linprog(self, max_rounds):
+        inst = small_instance(seed=40, m=7, n=5)
+        reg = ShermanRegularizer(inst, AlternatingProxConfig(max_rounds=max_rounds))
+        rng = make_rng(41 + max_rounds)
+        for _ in range(10):
+            z = sample_domain(inst, rng)
+            g = Point(rng.standard_normal(inst.n), rng.standard_normal(inst.m))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                w = reg.prox(z, g)
+            assert reg.last_gap == pytest.approx(self.lp_gap(reg, z, g, w), rel=1e-9)
+
+    def test_default_tol_bounds_the_gap(self):
+        inst = small_instance(seed=42, m=7, n=5)
+        reg = ShermanRegularizer(inst)
+        rng = make_rng(43)
+        for _ in range(10):
+            z = sample_domain(inst, rng)
+            g = Point(rng.standard_normal(inst.n), rng.standard_normal(inst.m))
+            w = reg.prox(z, g)
+            assert reg.last_gap <= 1e-10 * max(inst.op_norm, 1.0)
+            assert self.lp_gap(reg, z, g, w) <= 1e-8 * max(inst.op_norm, 1.0)
+
+    def test_shared_z_terms_give_identical_output(self):
+        inst = small_instance(seed=44, m=9, n=6)
+        rng = make_rng(45)
+        shared, alone = ShermanRegularizer(inst), ShermanRegularizer(inst)
+        for _ in range(10):
+            z = sample_domain(inst, rng)
+            zt = shared.z_terms(z)
+            for _ in range(2):  # two calls from one z, as in an iteration
+                g = Point(0.3 * rng.standard_normal(inst.n),
+                          0.3 * rng.standard_normal(inst.m))
+                a, b = shared.prox(z, g, zt), alone.prox(z, g)
+                assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+                assert shared.last_gap == alone.last_gap
+                assert shared.last_rounds == alone.last_rounds
+
+
 class TestTransposes:
     def test_transposes_share_storage(self):
         inst = small_instance(seed=30)
@@ -250,10 +307,56 @@ class TestSolve:
         inst = gen_box_simplex(10, 8, 0.5, seed=4)
         with pytest.warns(RuntimeWarning) as record:
             solve_box_simplex(inst, 0.1 * inst.op_norm,
-                              cfg=AlternatingProxConfig(max_rounds=2))
+                              cfg=AlternatingProxConfig(max_rounds=2, tol=1e-10 * inst.op_norm))
         stalls = [w for w in record
                   if "alternating prox stopped" in str(w.message)]
         assert stalls and all("after 2 rounds" in str(w.message) for w in stalls)
+
+
+    def test_prox_gaps_add_at_most_a_quarter_eps(self):
+        inst = gen_box_simplex(12, 10, 0.5, seed=18)
+        eps = 1e-2 * inst.op_norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no prox stall
+            x, y, gap, trace = solve_box_simplex(inst, eps, certify=True)
+        s = trace.summary
+        assert gap <= eps and s["stability_ok"] and s["local_rl_ok"]
+        assert 0.0 < s["prox_gap_sum"]
+        assert s["lam"] * s["prox_gap_sum"] / s["iterations"] <= eps / 4
+
+    def test_solve_stops_prox_at_eps_over_8_lam(self):
+        rng = make_rng(100)
+        inst = linf_regression_reduction(rng.standard_normal((10, 5)),
+                                         rng.standard_normal(10))
+        eps = 1.5e-3 * inst.op_norm
+        with pytest.warns(RuntimeWarning) as record:
+            solve_box_simplex(inst, eps, cfg=AlternatingProxConfig(max_rounds=1),
+                              max_iters=1000)
+        stalls = [str(w.message) for w in record
+                  if "alternating prox stopped" in str(w.message)]
+        tol = f"(tol {eps / (8 * LAMBDA_BOX_SIMPLEX):.3e})"
+        assert stalls and all(tol in m for m in stalls)
+
+    def test_linf_prox_takes_about_one_round(self, monkeypatch):
+        # the 16 instances of the linf-reg benchmark workload at seed 0
+        counts = {"calls": 0, "rounds": 0}
+        prox = ShermanRegularizer.prox
+
+        def counting(self, *args):
+            out = prox(self, *args)
+            counts["calls"] += 1
+            counts["rounds"] += self.last_rounds
+            return out
+
+        monkeypatch.setattr(boxsimplex.ShermanRegularizer, "prox", counting)
+        for j in range(16):
+            rng = make_rng(100 + j)
+            inst = linf_regression_reduction(rng.standard_normal((10, 5)),
+                                             rng.standard_normal(10))
+            x, y, gap, trace = solve_box_simplex(inst, 0.07 * inst.op_norm)
+            assert gap <= 0.07 * inst.op_norm
+        assert counts["calls"] > 0
+        assert counts["rounds"] <= 1.1 * counts["calls"]
 
 
 class TestRegressionReduction:

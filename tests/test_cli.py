@@ -2,13 +2,20 @@
 
 import os
 
+import numpy as np
 import pytest
 
 from extragrad.cli import main, TRACE_HEADER
+from extragrad.problems import load_instance
 
 
 def run(argv):
     return main(argv)
+
+
+def read_summary(path):
+    with open(path) as fh:
+        return dict(line.rstrip("\n").split("=", 1) for line in fh)
 
 
 @pytest.fixture
@@ -108,6 +115,18 @@ class TestSolve:
         with open(out + ".summary.txt") as fh:
             text = fh.read()
         assert "iters=0" in text and "bound=inf" in text and "exit_code=0" in text
+        with open(out + ".trace.csv") as fh:
+            assert fh.read().strip() == ",".join(TRACE_HEADER)
+
+    @pytest.mark.parametrize("alg", ["mirror-prox", "dual-ex"])
+    def test_quadratic_zero_iters_answers_x0(self, alg, quad_manifest, tmp_path):
+        out = str(tmp_path / alg)
+        assert run(["solve", "--alg", alg, "--instance", quad_manifest,
+                    "--iters", "0", "--out", out]) == 0
+        summary = read_summary(out + ".summary.txt")
+        problem = load_instance(quad_manifest)
+        assert summary["iters"] == "0" and summary["exit_code"] == "0"
+        assert float(summary["final_f_err"]) == problem.error(np.zeros(problem.d))
         with open(out + ".trace.csv") as fh:
             assert fh.read().strip() == ",".join(TRACE_HEADER)
 
@@ -227,6 +246,35 @@ class TestVerify:
         out = str(tmp_path / "v5")
         assert run(["verify", "--check", "estimator", "--instance", man,
                     "--iters", "10", "--out", out]) == 0
+
+    def test_estimator_zero_iters_is_usage_error(self, tmp_path):
+        man = str(tmp_path / "small.manifest")
+        assert run(["gen", "quadratic", "d=4", "mu=1", "L=9", "diag=1",
+                    "--seed", "3", "--out", man]) == 0
+        out = str(tmp_path / "v0")
+        assert run(["verify", "--check", "estimator", "--instance", man,
+                    "--iters", "0", "--out", out]) == 64
+        assert not os.path.exists(out + ".summary.txt")
+        assert run(["verify", "--check", "estimator", "--instance", man,
+                    "--iters", "1", "--out", out]) == 0
+
+    def test_samples_only_in_sampled_summaries(self, quad_manifest, mm_manifest,
+                                               bs_manifest, tmp_path):
+        cases = [
+            (["--check", "rel-lip", "--instance", quad_manifest, "--samples", "50"], True),
+            (["--check", "rel-smooth", "--instance", quad_manifest, "--samples", "50"], True),
+            (["--check", "strong-mono", "--instance", mm_manifest, "--samples", "50"], True),
+            (["--check", "regret", "--instance", mm_manifest, "--iters", "5"], False),
+            (["--check", "estimator", "--instance", quad_manifest, "--iters", "3"], False),
+            (["--check", "local-rl", "--instance", bs_manifest, "--iters", "5"], False),
+        ]
+        for i, (argv, sampled) in enumerate(cases):
+            out = str(tmp_path / f"s{i}")
+            assert run(["verify", *argv, "--out", out]) == 0, argv
+            summary = read_summary(out + ".summary.txt")
+            assert ("samples" in summary) == sampled, argv
+            if sampled:
+                assert summary["samples"] == "50"
 
     def test_estimator_high_dim_refused(self, tmp_path):
         man = str(tmp_path / "big.manifest")
