@@ -9,7 +9,6 @@ inequalities the convergence guarantees rest on.
 
 from .core import (
     TAU_NUM,
-    TAU_REL,
     TAU_FEAS,
     Point,
     DomainError,

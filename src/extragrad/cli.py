@@ -1,7 +1,13 @@
 """Command-line entry point: generate instances, run solvers, certify, benchmark.
 
 Exit codes: 0 success, 2 iteration budget exhausted before the target,
-3 certificate failure, 4 I/O or parse error, 64 usage error.
+3 a certificate failed or the run diverged (a non-finite iterate, or a point
+outside a regularizer's domain), 4 I/O or parse error, 64 usage error.
+
+``solve``, ``verify`` and ``bench`` each look up what they run in a table keyed
+by (algorithm or check id, instance kind); a pair outside the table is a usage
+error.  The instance kinds are ``quadratic``, ``diagonal quadratic``,
+``box-simplex`` and ``minimax``.
 
 Trace CSVs carry the fixed header ``iter,f_err,gap,div_to_opt,cum_regret,wall_ms``
 with columns left empty when an algorithm does not produce them.  Per-row wall
@@ -12,22 +18,24 @@ byte-identical traces; the total wall time goes to the summary file instead.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import sys
 import time
 import warnings
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
-from .core import (Everywhere, Point, ProductSet, ScaledEuclidean,
+from .core import (DomainError, Everywhere, Point, ProductSet, ScaledEuclidean,
                    ConjugateRegularizer, ProductRegularizer)
-from .operators import (BoxSimplexInstance, MinimaxInstance, lambda_fenchel,
-                        lambda_minimax)
+from .operators import lambda_fenchel, lambda_minimax
 from .problems import (ParseError, QuadraticProblem, gen_box_simplex,
                        gen_minimax, gen_quadratic, save_instance, load_instance)
-from .solvers import (baseline_unaccelerated, dual_extrapolation, eg_accel,
-                      eg_coord_accel, general_norm_accel, mirror_prox,
-                      mirror_prox_sm, EuclideanOmega)
+from .solvers import (NonFiniteIterateError, baseline_unaccelerated,
+                      dual_extrapolation, eg_accel, eg_coord_accel,
+                      general_norm_accel, mirror_prox, mirror_prox_sm, EuclideanOmega)
 from .boxsimplex import solve_box_simplex
 from . import verify as V
 
@@ -36,10 +44,6 @@ EXIT_BUDGET = 2
 EXIT_CERT = 3
 EXIT_IO = 4
 EXIT_USAGE = 64
-
-ALGORITHMS = ("mirror-prox", "dual-ex", "mp-strong", "baseline", "eg-accel",
-              "eg-gennorm", "eg-coord", "box-simplex")
-CHECKS = ("rel-lip", "rel-smooth", "strong-mono", "regret", "estimator", "local-rl")
 
 TRACE_HEADER = ("iter", "f_err", "gap", "div_to_opt", "cum_regret", "wall_ms")
 
@@ -79,6 +83,10 @@ _count = _checked(int, lambda v: v >= 0, "zero or more")
 _positive_count = _checked(int, lambda v: v >= 1, "one or more")
 
 
+def _or(value, default):
+    return default if value is None else value
+
+
 def _fmt(x):
     return "" if x is None else repr(float(x))
 
@@ -111,10 +119,63 @@ def write_summary(path, entries):
             fh.write(f"{k}={v}\n")
 
 
+def _cert(ok):
+    return EXIT_OK if ok else EXIT_CERT
+
+
+QUADRATICS = ("quadratic", "diagonal quadratic")
+VI_KINDS = QUADRATICS + ("minimax",)
+
+
+def _table(*rows):
+    """{(id, kind): runner} from (id, kinds, runner) rows."""
+    return {(ident, kind): run for ident, kinds, run in rows for kind in kinds}
+
+
+def _resolve(table, what, idents, path):
+    """Load the instance at ``path`` and the runner of each id in ``idents`` for its
+    kind; an id ``table`` lacks, or lacks for that kind, is a usage error."""
+    for ident in idents:
+        if not any(i == ident for i, _ in table):
+            known = ", ".join(dict.fromkeys(i for i, _ in table))
+            raise UsageError(f"{what} {ident!r} is not one of {known}")
+    problem = _load(path)
+    kind = "diagonal quadratic" if getattr(problem, "diag", False) else problem.kind
+    for ident in idents:
+        if (ident, kind) not in table:
+            kinds = [k for i, k in table if i == ident]
+            wanted = " or ".join([", ".join(kinds[:-1]), kinds[-1]] if len(kinds) > 1 else kinds)
+            raise UsageError(f"{what} {ident} needs a {wanted} instance, not a {kind} one")
+    return problem, [table[ident, kind] for ident in idents]
+
+
 def _load(path):
     if path is None:
         raise UsageError("--instance is required for this command")
     return load_instance(path)
+
+
+def _quadratic_vi(problem):
+    return SimpleNamespace(
+        g=problem.grad, r=ScaledEuclidean(1.0), z0=np.zeros(problem.d),
+        u=problem.x_star, lam=problem.profile.L, mono=problem.profile.mu,
+        dom=Everywhere(problem.d), error=problem.error)
+
+
+def _minimax_vi(problem):
+    n, m = problem.C.shape
+    return SimpleNamespace(
+        g=problem.operator,
+        r=ProductRegularizer(ScaledEuclidean(problem.mu_x), ScaledEuclidean(problem.mu_y)),
+        z0=Point(np.zeros(n), np.zeros(m)), u=problem.saddle_point(),
+        lam=lambda_minimax(problem.profile), mono=1.0,
+        dom=ProductSet(Everywhere(n), Everywhere(m)), error=None)
+
+
+def _vi(problem):
+    """Operator g, regularizer r, start z0, solution u, default --lambda and
+    --mono, sampling domain, and f-error (None for a game) of ``problem``."""
+    return {"quadratic": _quadratic_vi, "minimax": _minimax_vi}[problem.kind](problem)
 
 
 def _fenchel_pair(problem: QuadraticProblem):
@@ -129,386 +190,292 @@ def _fenchel_pair(problem: QuadraticProblem):
     return g, r
 
 
-def _minimax_pair(inst: MinimaxInstance):
-    r = ProductRegularizer(ScaledEuclidean(inst.mu_x), ScaledEuclidean(inst.mu_y))
-    return inst.operator, r
-
-
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
+# gen: kind -> (generator, {parameter: (type, default)})
+GEN = {
+    "quadratic": (gen_quadratic, {
+        "d": (_positive_count, 10), "mu": (_positive_float, 1.0),
+        "L": (_positive_float, 10.0), "diag": (_count, 1)}),
+    "box-simplex": (gen_box_simplex, {
+        "m": (_positive_count, 50), "n": (_positive_count, 40),
+        "density": (_positive_float, 0.5)}),
+    "minimax": (gen_minimax, {
+        "n": (_positive_count, 10), "m": (_positive_count, 10),
+        "mu_x": (_positive_float, 1.0), "mu_y": (_positive_float, 1.0),
+        "coupling": (_checked(float, np.isfinite, "finite"), 1.0)}),
+}
 
 
 def cmd_gen(args):
-    params = {}
+    generate, spec = GEN[args.kind]
+    kwargs = {key: default for key, (_, default) in spec.items()}
     for kv in args.params:
-        if "=" not in kv:
-            raise UsageError(f"generator parameter must be key=value, got {kv!r}")
-        k, v = kv.split("=", 1)
-        params[k] = v
+        key, sep, text = kv.partition("=")
+        if not sep or key not in spec:
+            raise UsageError(f"generator parameters are key=value with key one of "
+                             f"{', '.join(spec)}, got {kv!r}")
+        try:
+            kwargs[key] = spec[key][0](text)
+        except argparse.ArgumentTypeError as e:
+            raise UsageError(f"generator parameter {key}: {e}") from None
+    try:
+        problem = generate(**kwargs, seed=args.seed)
+    except ValueError as e:  # the generator's own checks, such as mu <= L
+        raise UsageError(str(e)) from None
     out = args.out or (args.kind + ".manifest")
-    if args.kind == "quadratic":
-        problem = gen_quadratic(
-            d=int(params.pop("d", 10)),
-            mu=float(params.pop("mu", 1.0)),
-            L=float(params.pop("L", 10.0)),
-            diag=bool(int(params.pop("diag", 1))),
-            seed=args.seed)
-    elif args.kind == "box-simplex":
-        problem = gen_box_simplex(
-            m=int(params.pop("m", 50)),
-            n=int(params.pop("n", 40)),
-            density=float(params.pop("density", 0.5)),
-            seed=args.seed)
-    elif args.kind == "minimax":
-        problem = gen_minimax(
-            n=int(params.pop("n", 10)),
-            m=int(params.pop("m", 10)),
-            mu_x=float(params.pop("mu_x", 1.0)),
-            mu_y=float(params.pop("mu_y", 1.0)),
-            coupling=float(params.pop("coupling", 1.0)),
-            seed=args.seed)
-    else:
-        raise UsageError(f"unknown instance kind {args.kind!r}")
-    if params:
-        raise UsageError(f"unknown generator parameters: {sorted(params)}")
     save_instance(problem, out)
     print(out)
     return EXIT_OK
 
 
-def _solve_quadratic_mp(problem, args, dual):
-    lam = args.lam if args.lam is not None else problem.profile.L
-    T = args.iters if args.iters is not None else 100
-    x0 = np.zeros(problem.d)
-    g = problem.grad
-    r = ScaledEuclidean(1.0)
-    run = dual_extrapolation if dual else mirror_prox
-    trace = run(g, r, x0, lam, T, u=problem.x_star)
-    rows = []
-    acc = np.zeros(problem.d)
-    cum = 0.0
-    for t, w in enumerate(trace.iterates):
-        acc += w
-        cum += trace.regrets[t]
-        rows.append({"iter": t, "f_err": problem.error(acc / (t + 1)), "cum_regret": cum})
-    return trace, rows, {"lam": lam, "iters": T}
-
-
-def _solve_minimax_mp(inst, args, alg):
-    g, r = _minimax_pair(inst)
-    lam = args.lam if args.lam is not None else lambda_minimax(inst.profile)
-    T = args.iters if args.iters is not None else 100
-    z0 = Point(np.zeros(inst.C.shape[0]), np.zeros(inst.C.shape[1]))
-    z_star = inst.saddle_point()
-    if alg == "mp-strong":
-        m = args.mono if args.mono is not None else 1.0
-        trace = mirror_prox_sm(g, r, z0, lam, m, T, z_star=z_star)
-        rows = [{"iter": t, "div_to_opt": dv}
-                for t, dv in enumerate(trace.divs_to_opt)]
-        return trace, rows, {"lam": lam, "m": m, "iters": T}
-    run = dual_extrapolation if alg == "dual-ex" else mirror_prox
-    trace = run(g, r, z0, lam, T, u=z_star)
-    cum = 0.0
-    rows = []
-    for t, reg in enumerate(trace.regrets):
-        cum += reg
+def _solve_vi(problem, args, dual):
+    """mirror-prox or dual-ex; --check tests the regret certificate."""
+    vi = _vi(problem)
+    lam, T = _or(args.lam, vi.lam), _or(args.iters, 100)
+    trace = (dual_extrapolation if dual else mirror_prox)(vi.g, vi.r, vi.z0, lam, T, u=vi.u)
+    rows, cum, acc = [], 0.0, 0.0
+    for t, (w, regret) in enumerate(zip(trace.iterates, trace.regrets)):
+        cum += regret
         rows.append({"iter": t, "cum_regret": cum})
-    return trace, rows, {"lam": lam, "iters": T}
+        if vi.error is not None:  # f-error of the running average
+            acc = acc + w
+            rows[-1]["f_err"] = vi.error(acc / (t + 1))
+    summary = {"lam": lam, "iters": T}
+    if vi.error is None:
+        summary["cum_regret"] = trace.cum_regret()
+    else:  # no step taken: the answer is z0, as for the baseline
+        summary["final_f_err"] = rows[-1]["f_err"] if rows else vi.error(vi.z0)
+    if args.check:
+        ok, margin = V.check_regret_certificate(trace, vi.g, vi.r, lam, vi.z0, vi.u)
+        summary.update(certificate_pass=ok, certificate_margin=margin)
+    return rows, summary, _cert(not args.check or ok)
+
+
+def _solve_mp_strong(problem, args):
+    """--check tests the contraction V_{z_T}(z*) <= (1 + m/lam)^-T V_{z_0}(z*)."""
+    vi = _vi(problem)
+    lam, m, T = _or(args.lam, vi.lam), _or(args.mono, vi.mono), _or(args.iters, 100)
+    trace = mirror_prox_sm(vi.g, vi.r, vi.z0, lam, m, T, z_star=vi.u)
+    rows = [{"iter": t, "div_to_opt": dv} for t, dv in enumerate(trace.divs_to_opt)]
+    summary = {"lam": lam, "m": m, "iters": T, "final_div_to_opt": trace.summary["final_div"]}
+    ok = trace.summary["final_div"] <= trace.summary["contraction_bound"] * (1.0 + 1e-9) + 1e-12
+    if args.check:
+        summary["certificate_pass"] = ok
+    return rows, summary, _cert(not args.check or ok)
+
+
+def _solve_baseline(problem, args):
+    T = _or(args.iters, 1000)
+    trace = baseline_unaccelerated(problem, np.zeros(problem.d), T)
+    rows = [{"iter": t, "f_err": fe} for t, fe in enumerate(trace.f_errors)]
+    f_err = trace.summary["f_err"]
+    summary = {"iters": T, "final_f_err": f_err, "bound": trace.summary["bound"]}
+    return rows, summary, EXIT_BUDGET if args.eps is not None and f_err > args.eps else EXIT_OK
+
+
+def _accuracy(problem, x, eps, rows, summary):
+    """An accelerated method's result: exit 2 when f(x) - f* > eps."""
+    final = problem.error(x)
+    summary.update(eps=eps, final_f_err=final)
+    return rows, summary, EXIT_BUDGET if final > eps else EXIT_OK
+
+
+def _solve_eg_accel(problem, args):
+    eps = _or(args.eps, 1e-6)
+    errs = []
+    x = eg_accel(problem, np.zeros(problem.d), eps, eps0=args.eps0,
+                 collect=lambda k, xp: errs.append(problem.error(xp)))
+    rows = [{"iter": k, "f_err": fe} for k, fe in enumerate(errs)]
+    return _accuracy(problem, x, eps, rows, {"phases": len(errs)})
+
+
+def _solve_eg_gennorm(problem, args):
+    eps = _or(args.eps, 1e-6)
+    x = general_norm_accel(problem, EuclideanOmega(), np.zeros(problem.d), eps, T=args.iters)
+    return _accuracy(problem, x, eps, [{"iter": 0, "f_err": problem.error(x)}], {})
+
+
+def _solve_eg_coord(problem, args):
+    eps = _or(args.eps, 1e-6)
+    x, info = eg_coord_accel(problem, np.zeros(problem.d), eps, eps0=args.eps0,
+                             seed=args.seed, average_phases=True)
+    summary = {k: info[k] for k in ("queries", "inner_iterations", "phases")}
+    return _accuracy(problem, x, eps, [{"iter": 0, "f_err": problem.error(x)}], summary)
+
+
+def _solve_box_simplex(problem, args):
+    """--check certifies stability and local relative Lipschitzness at every step."""
+    eps = _or(args.eps, 1e-2 * max(problem.op_norm, 1.0))
+    _, _, gap, trace = solve_box_simplex(problem, eps, max_iters=args.iters,
+                                         certify=args.check)
+    s = trace.summary
+    rows = [{"iter": t, "gap": gp} for t, gp in enumerate(trace.gaps)]
+    summary = {"eps": eps, "gap": gap, "iterations": s["iterations"],
+               "budget": s["budget"], "prox_gap_sum": s["prox_gap_sum"]}
+    if args.check:
+        summary.update(stability_ok=s["stability_ok"], local_rl_ok=s["local_rl_ok"])
+        if not (s["stability_ok"] and s["local_rl_ok"]):
+            return rows, summary, EXIT_CERT
+    return rows, summary, EXIT_BUDGET if gap > eps else EXIT_OK
+
+
+# solve: runner(problem, args) -> (trace rows, summary entries, exit code)
+SOLVE = _table(
+    ("mirror-prox", VI_KINDS, partial(_solve_vi, dual=False)),
+    ("dual-ex", VI_KINDS, partial(_solve_vi, dual=True)),
+    ("mp-strong", ("minimax",), _solve_mp_strong),
+    ("baseline", QUADRATICS, _solve_baseline),
+    ("eg-accel", QUADRATICS, _solve_eg_accel),
+    ("eg-gennorm", QUADRATICS, _solve_eg_gennorm),
+    ("eg-coord", ("diagonal quadratic",), _solve_eg_coord),
+    ("box-simplex", ("box-simplex",), _solve_box_simplex),
+)
+# the algorithms whose runs ``solve --check`` can certify
+CERTIFIED = ("mirror-prox", "dual-ex", "mp-strong", "box-simplex")
 
 
 def cmd_solve(args):
-    problem = _load(args.instance)
+    problem, [run] = _resolve(SOLVE, "algorithm", [args.alg], args.instance)
+    if args.check and args.alg not in CERTIFIED:
+        raise UsageError(f"algorithm {args.alg} has no certificate to --check")
     out = args.out or args.alg
-    rows = []
-    summary = {"algorithm": args.alg, "instance": args.instance, "seed": args.seed}
-    code = EXIT_OK
     start = time.perf_counter()
-
-    if args.alg in ("mirror-prox", "dual-ex", "mp-strong"):
-        if isinstance(problem, QuadraticProblem):
-            if args.alg == "mp-strong":
-                raise UsageError("mp-strong needs a minimax instance")
-            trace, rows, cfg = _solve_quadratic_mp(problem, args, args.alg == "dual-ex")
-            summary.update(cfg)
-            # no step taken: the answer is x0, as for the baseline
-            summary["final_f_err"] = rows[-1]["f_err"] if rows else problem.error(
-                np.zeros(problem.d))
-            if args.check:
-                g = problem.grad
-                r = ScaledEuclidean(1.0)
-                ok, margin = V.check_regret_certificate(
-                    trace, g, r, cfg["lam"], np.zeros(problem.d), problem.x_star)
-                summary["certificate_pass"] = ok
-                summary["certificate_margin"] = margin
-                if not ok:
-                    code = EXIT_CERT
-        elif isinstance(problem, MinimaxInstance):
-            trace, rows, cfg = _solve_minimax_mp(problem, args, args.alg)
-            summary.update(cfg)
-            if args.alg == "mp-strong":
-                summary["final_div_to_opt"] = trace.divs_to_opt[-1]
-                if args.check:
-                    rate = (1.0 + cfg["m"] / cfg["lam"]) ** (-cfg["iters"])
-                    bound = rate * trace.divs_to_opt[0]
-                    ok = trace.divs_to_opt[-1] <= bound * (1.0 + 1e-9) + 1e-12
-                    summary["certificate_pass"] = ok
-                    if not ok:
-                        code = EXIT_CERT
-            else:
-                summary["cum_regret"] = trace.cum_regret()
-                if args.check:
-                    g, r = _minimax_pair(problem)
-                    z0 = Point(np.zeros(problem.C.shape[0]), np.zeros(problem.C.shape[1]))
-                    ok, margin = V.check_regret_certificate(
-                        trace, g, r, cfg["lam"], z0, problem.saddle_point())
-                    summary["certificate_pass"] = ok
-                    summary["certificate_margin"] = margin
-                    if not ok:
-                        code = EXIT_CERT
-        else:
-            raise UsageError(f"{args.alg} does not apply to {problem.kind if hasattr(problem, 'kind') else type(problem).__name__}")
-
-    elif args.alg == "baseline":
-        if not isinstance(problem, QuadraticProblem):
-            raise UsageError("baseline needs a quadratic instance")
-        T = args.iters if args.iters is not None else 1000
-        trace = baseline_unaccelerated(problem, np.zeros(problem.d), T)
-        rows = [{"iter": t, "f_err": fe} for t, fe in enumerate(trace.f_errors)]
-        summary.update({"iters": T, "final_f_err": trace.summary["f_err"],
-                        "bound": trace.summary["bound"]})
-        if args.eps is not None and trace.summary["f_err"] > args.eps:
-            code = EXIT_BUDGET
-
-    elif args.alg in ("eg-accel", "eg-gennorm", "eg-coord"):
-        if not isinstance(problem, QuadraticProblem):
-            raise UsageError(f"{args.alg} needs a quadratic instance")
-        eps = args.eps if args.eps is not None else 1e-6
-        x0 = np.zeros(problem.d)
-        if args.alg == "eg-accel":
-            phase_errs = []
-
-            def collect(k, xp):
-                phase_errs.append(problem.error(xp))
-
-            x = eg_accel(problem, x0, eps, eps0=args.eps0, collect=collect)
-            rows = [{"iter": k, "f_err": fe} for k, fe in enumerate(phase_errs)]
-            summary["phases"] = len(phase_errs)
-        elif args.alg == "eg-gennorm":
-            x = general_norm_accel(problem, EuclideanOmega(), x0, eps, T=args.iters)
-            rows = [{"iter": 0, "f_err": problem.error(x)}]
-        else:
-            if not problem.diag:
-                raise UsageError("eg-coord needs a diagonal quadratic instance")
-            x, info = eg_coord_accel(problem, x0, eps, eps0=args.eps0,
-                                     seed=args.seed, average_phases=True)
-            summary.update({"queries": info["queries"],
-                            "inner_iterations": info["inner_iterations"],
-                            "phases": info["phases"]})
-            rows = [{"iter": 0, "f_err": problem.error(x)}]
-        final = problem.error(x)
-        summary["eps"] = eps
-        summary["final_f_err"] = final
-        if final > eps:
-            code = EXIT_BUDGET
-
-    elif args.alg == "box-simplex":
-        if not isinstance(problem, BoxSimplexInstance):
-            raise UsageError("box-simplex needs a box-simplex instance")
-        eps = args.eps if args.eps is not None else 1e-2 * max(problem.op_norm, 1.0)
-        x, y, gap, trace = solve_box_simplex(
-            problem, eps, max_iters=args.iters, certify=args.check is not None)
-        rows = [{"iter": t, "gap": gp} for t, gp in enumerate(trace.gaps)]
-        summary.update({"eps": eps, "gap": gap,
-                        "iterations": trace.summary["iterations"],
-                        "budget": trace.summary["budget"],
-                        "prox_gap_sum": trace.summary["prox_gap_sum"]})
-        if args.check is not None:
-            ok = trace.summary["stability_ok"] and trace.summary["local_rl_ok"]
-            summary["stability_ok"] = trace.summary["stability_ok"]
-            summary["local_rl_ok"] = trace.summary["local_rl_ok"]
-            if not ok:
-                code = EXIT_CERT
-        if gap > eps and code == EXIT_OK:
-            code = EXIT_BUDGET
-    else:
-        raise UsageError(f"unknown algorithm id {args.alg!r}")
-
-    summary["wall_ms_total"] = (time.perf_counter() - start) * 1e3
-    summary["exit_code"] = code
+    rows, entries, code = run(problem, args)
+    summary = {"algorithm": args.alg, "instance": args.instance, "seed": args.seed, **entries,
+               "wall_ms_total": (time.perf_counter() - start) * 1e3, "exit_code": code}
     write_trace(out + ".trace.csv", rows)
     write_summary(out + ".summary.txt", summary)
     return code
 
 
+def _sampled(args, out, check, g, r, constant, dom):
+    """``check(g, r, constant, sampler)`` on --samples points; writes the report."""
+    N = _or(args.samples, 1000)
+    rep = check(g, r, constant, V.TripleSampler(dom, N, args.seed))
+    rep.save(out + ".report.txt")
+    return {"samples": N, "constant": rep.constant, "worst": rep.worst,
+            "n_tested": rep.n_tested, "passed": rep.passed}, _cert(rep.passed)
+
+
+def _sampled_vi(check, flag):
+    """A runner sampling ``check`` on the VI's (g, r) at the constant --lambda or
+    --mono gives (``flag`` "lam" or "mono"), by default the VI's."""
+    def run(problem, args, out):
+        vi = _vi(problem)
+        constant = _or(getattr(args, flag), getattr(vi, flag))
+        return _sampled(args, out, check, vi.g, vi.r, constant, vi.dom)
+    return run
+
+
+def _verify_rel_lip_fenchel(problem, args, out):
+    """On a quadratic, rel-lip samples the Fenchel game that eg-accel runs on."""
+    g, r = _fenchel_pair(problem)
+    dom = ProductSet(Everywhere(problem.d), Everywhere(problem.d))
+    lam = _or(args.lam, lambda_fenchel(problem.profile))
+    return _sampled(args, out, V.check_relative_lipschitzness, g, r, lam, dom)
+
+
+def _verify_regret(problem, args, out):
+    vi = _vi(problem)
+    lam, T = _or(args.lam, vi.lam), _or(args.iters, 100)
+    trace = mirror_prox(vi.g, vi.r, vi.z0, lam, T, u=vi.u)
+    ok, margin = V.check_regret_certificate(trace, vi.g, vi.r, lam, vi.z0, vi.u)
+    return {"lam": lam, "iters": T, "passed": ok, "margin": margin}, _cert(ok)
+
+
+def _verify_estimator(problem, args, out):
+    steps = _or(args.iters, 10)
+    if steps < 1:
+        raise UsageError("estimator check needs --iters of one or more")
+    states = V.coord_trajectory(problem, np.zeros(problem.d), steps, seed=args.seed)
+    try:
+        rep = V.check_estimator_conditions(
+            problem, states, (problem.x_star, problem.x_star), lam=args.lam)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    rep.save(out + ".report.txt")
+    return {"constant": rep.constant, "worst": rep.worst,
+            "identity_error": rep.details["worst_identity_error"],
+            "passed": rep.passed}, _cert(rep.passed)
+
+
+def _verify_local_rl(problem, args, out):
+    iters = _or(args.iters, 200)
+    with warnings.catch_warnings():
+        if args.eps is None:  # exhausting the budget is the point here
+            warnings.simplefilter("ignore", RuntimeWarning)
+        _, _, gap, trace = solve_box_simplex(problem, max(_or(args.eps, 0.0), 1e-300),
+                                             max_iters=iters, certify=True)
+    s = trace.summary
+    ok = s["stability_ok"] and s["local_rl_ok"]
+    return {"iters": iters, "gap": gap, "stability_ok": s["stability_ok"],
+            "local_rl_ok": s["local_rl_ok"], "passed": ok}, _cert(ok)
+
+
+# verify: runner(problem, args, out) -> (summary entries, exit code)
+VERIFY = _table(
+    ("rel-lip", QUADRATICS, _verify_rel_lip_fenchel),
+    ("rel-lip", ("minimax",), _sampled_vi(V.check_relative_lipschitzness, "lam")),
+    ("rel-smooth", QUADRATICS, _sampled_vi(V.check_relative_smoothness_implies, "lam")),
+    ("strong-mono", VI_KINDS, _sampled_vi(V.check_strong_monotonicity, "mono")),
+    ("regret", VI_KINDS, _verify_regret),
+    ("estimator", ("diagonal quadratic",), _verify_estimator),
+    ("local-rl", ("box-simplex",), _verify_local_rl),
+)
+
+
 def cmd_verify(args):
-    problem = _load(args.instance)
+    problem, [run] = _resolve(VERIFY, "check", [args.check], args.instance)
     out = args.out or ("verify-" + args.check)
-    N = args.samples if args.samples is not None else 1000
-    code = EXIT_OK
-    summary = {"check": args.check, "instance": args.instance, "seed": args.seed}
-
-    if args.check in ("rel-lip", "rel-smooth", "strong-mono"):
-        summary["samples"] = N
-        if isinstance(problem, QuadraticProblem):
-            d = problem.d
-            if args.check == "rel-lip":
-                g, r = _fenchel_pair(problem)
-                lam = args.lam if args.lam is not None else lambda_fenchel(problem.profile)
-                dom = ProductSet(Everywhere(d), Everywhere(d))
-                sampler = V.TripleSampler(dom, N, args.seed)
-                rep = V.check_relative_lipschitzness(g, r, lam, sampler)
-            elif args.check == "rel-smooth":
-                L = args.lam if args.lam is not None else problem.profile.L
-                sampler = V.TripleSampler(Everywhere(d), N, args.seed)
-                rep = V.check_relative_smoothness_implies(
-                    problem.grad, ScaledEuclidean(1.0), L, sampler)
-            else:
-                m = args.mono if args.mono is not None else problem.profile.mu
-                sampler = V.TripleSampler(Everywhere(d), N, args.seed)
-                rep = V.check_strong_monotonicity(
-                    problem.grad, ScaledEuclidean(1.0), m, sampler)
-        elif isinstance(problem, MinimaxInstance):
-            g, r = _minimax_pair(problem)
-            n, m_dim = problem.C.shape
-            dom = ProductSet(Everywhere(n), Everywhere(m_dim))
-            sampler = V.TripleSampler(dom, N, args.seed)
-            if args.check == "strong-mono":
-                m = args.mono if args.mono is not None else 1.0
-                rep = V.check_strong_monotonicity(g, r, m, sampler)
-            else:
-                lam = args.lam if args.lam is not None else lambda_minimax(problem.profile)
-                rep = V.check_relative_lipschitzness(g, r, lam, sampler)
-        else:
-            raise UsageError(f"{args.check} is not defined for this instance kind")
-        summary.update({"constant": rep.constant, "worst": rep.worst,
-                        "n_tested": rep.n_tested, "passed": rep.passed})
-        rep.save(out + ".report.txt")
-        if not rep.passed:
-            code = EXIT_CERT
-
-    elif args.check == "regret":
-        if isinstance(problem, MinimaxInstance):
-            g, r = _minimax_pair(problem)
-            lam = args.lam if args.lam is not None else lambda_minimax(problem.profile)
-            z0 = Point(np.zeros(problem.C.shape[0]), np.zeros(problem.C.shape[1]))
-            u = problem.saddle_point()
-        elif isinstance(problem, QuadraticProblem):
-            g, r = problem.grad, ScaledEuclidean(1.0)
-            lam = args.lam if args.lam is not None else problem.profile.L
-            z0 = np.zeros(problem.d)
-            u = problem.x_star
-        else:
-            raise UsageError("regret check needs a quadratic or minimax instance")
-        T = args.iters if args.iters is not None else 100
-        trace = mirror_prox(g, r, z0, lam, T, u=u)
-        ok, margin = V.check_regret_certificate(trace, g, r, lam, z0, u)
-        summary.update({"lam": lam, "iters": T, "passed": ok, "margin": margin})
-        if not ok:
-            code = EXIT_CERT
-
-    elif args.check == "estimator":
-        if not (isinstance(problem, QuadraticProblem) and problem.diag):
-            raise UsageError("estimator check needs a diagonal quadratic instance")
-        steps = args.iters if args.iters is not None else 10
-        if steps < 1:
-            raise UsageError("estimator check needs --iters of one or more")
-        states = V.coord_trajectory(problem, np.zeros(problem.d), steps, seed=args.seed)
-        try:
-            rep = V.check_estimator_conditions(
-                problem, states, (problem.x_star, problem.x_star), lam=args.lam)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-        summary.update({"constant": rep.constant, "worst": rep.worst,
-                        "identity_error": rep.details["worst_identity_error"],
-                        "passed": rep.passed})
-        rep.save(out + ".report.txt")
-        if not rep.passed:
-            code = EXIT_CERT
-
-    elif args.check == "local-rl":
-        if not isinstance(problem, BoxSimplexInstance):
-            raise UsageError("local-rl check needs a box-simplex instance")
-        iters = args.iters if args.iters is not None else 200
-        eps = args.eps if args.eps is not None else 0.0  # run the full budget
-        with warnings.catch_warnings():
-            if args.eps is None:  # exhausting the budget is the point here
-                warnings.simplefilter("ignore", RuntimeWarning)
-            _, _, gap, trace = solve_box_simplex(problem, max(eps, 1e-300),
-                                                 max_iters=iters, certify=True)
-        ok = trace.summary["stability_ok"] and trace.summary["local_rl_ok"]
-        summary.update({"iters": iters, "gap": gap,
-                        "stability_ok": trace.summary["stability_ok"],
-                        "local_rl_ok": trace.summary["local_rl_ok"],
-                        "passed": ok})
-        if not ok:
-            code = EXIT_CERT
-    else:
-        raise UsageError(f"unknown check id {args.check!r}")
-
-    summary["exit_code"] = code
-    write_summary(out + ".summary.txt", summary)
+    entries, code = run(problem, args, out)
+    write_summary(out + ".summary.txt", {"check": args.check, "instance": args.instance,
+                                         "seed": args.seed, **entries, "exit_code": code})
     return code
 
 
+def _bench_baseline(problem, args):
+    eps, T = _or(args.eps, 1e-2), _or(args.iters, 100000)
+    trace = baseline_unaccelerated(problem, np.zeros(problem.d), T, eps=eps)
+    it = trace.summary["iterations"]
+    return it, 2 * it, trace.summary["f_err"]
+
+
+def _bench_eg_accel(problem, args):
+    counted, queries = copy.copy(problem), []  # the problem, its gradient calls counted
+    counted.grad = lambda x: queries.append(x.size) or problem.grad(x)
+    x = eg_accel(counted, np.zeros(problem.d), _or(args.eps, 1e-6))
+    # 2 gradient queries per inner iteration, after the 2 that estimate eps0
+    return (len(queries) - 2) // 2, len(queries), problem.error(x)
+
+
+def _bench_eg_coord(problem, args):
+    x, info = eg_coord_accel(problem, np.zeros(problem.d), _or(args.eps, 1e-6),
+                             seed=args.seed, average_phases=True)
+    return info["inner_iterations"], info["queries"], problem.error(x)
+
+
+def _bench_box_simplex(problem, args):
+    eps = _or(args.eps, 1e-2 * max(problem.op_norm, 1.0))
+    _, _, gap, trace = solve_box_simplex(problem, eps, max_iters=args.iters)
+    return trace.summary["iterations"], 2 * trace.summary["iterations"], gap
+
+
+# bench: runner(problem, args) -> (iterations, queries, final error)
+BENCH = _table(
+    ("baseline", QUADRATICS, _bench_baseline),
+    ("eg-accel", QUADRATICS, _bench_eg_accel),
+    ("eg-coord", ("diagonal quadratic",), _bench_eg_coord),
+    ("box-simplex", ("box-simplex",), _bench_box_simplex),
+)
+
+
 def cmd_bench(args):
-    problem = _load(args.instance)
-    out = args.out or "bench"
+    problem, runs = _resolve(BENCH, "algorithm", args.alg, args.instance)
     results = []
-    for alg in args.alg:
-        if alg not in ALGORITHMS:
-            raise UsageError(f"unknown algorithm id {alg!r}")
+    for alg, run in zip(args.alg, runs):
         start = time.perf_counter()
-        if alg == "baseline":
-            if not isinstance(problem, QuadraticProblem):
-                raise UsageError("baseline needs a quadratic instance")
-            eps = args.eps if args.eps is not None else 1e-2
-            T = args.iters if args.iters is not None else 100000
-            trace = baseline_unaccelerated(problem, np.zeros(problem.d), T, eps=eps)
-            it = trace.summary["iterations"]
-            results.append((alg, it, 2 * it, trace.summary["f_err"],
-                            (time.perf_counter() - start) * 1e3))
-        elif alg == "eg-accel":
-            eps = args.eps if args.eps is not None else 1e-6
-            counter = {"n": 0}
-            true_grad = problem.grad
-
-            class _Counting:
-                profile = problem.profile
-
-                @staticmethod
-                def f(x):
-                    return problem.f(x)
-
-                @staticmethod
-                def grad(x):
-                    counter["n"] += 1
-                    return true_grad(x)
-
-                @staticmethod
-                def error(x):
-                    return problem.error(x)
-
-            x = eg_accel(_Counting, np.zeros(problem.d), eps)
-            # 2 gradient queries per inner iteration
-            inner = (counter["n"] - 2) // 2  # minus the eps0 estimate queries
-            results.append((alg, inner, counter["n"], problem.error(x),
-                            (time.perf_counter() - start) * 1e3))
-        elif alg == "eg-coord":
-            eps = args.eps if args.eps is not None else 1e-6
-            x, info = eg_coord_accel(problem, np.zeros(problem.d), eps,
-                                     seed=args.seed, average_phases=True)
-            results.append((alg, info["inner_iterations"], info["queries"],
-                            problem.error(x), (time.perf_counter() - start) * 1e3))
-        elif alg == "box-simplex":
-            eps = args.eps if args.eps is not None else 1e-2 * max(problem.op_norm, 1.0)
-            _, _, gap, trace = solve_box_simplex(problem, eps, max_iters=args.iters)
-            results.append((alg, trace.summary["iterations"],
-                            2 * trace.summary["iterations"], gap,
-                            (time.perf_counter() - start) * 1e3))
-        else:
-            raise UsageError(f"bench does not support {alg!r}")
-    with open(out + ".csv", "w", newline="") as fh:
+        iters, queries, err = run(problem, args)
+        results.append((alg, iters, queries, err, (time.perf_counter() - start) * 1e3))
+    with open((args.out or "bench") + ".csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["alg", "iterations", "queries", "final_err", "wall_ms"])
         for alg, iters, queries, err, ms in results:
@@ -529,7 +496,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate an instance")
-    p_gen.add_argument("kind", choices=("quadratic", "box-simplex", "minimax"))
+    p_gen.add_argument("kind", choices=tuple(GEN))
     p_gen.add_argument("params", nargs="*",
                        help="generator parameters as key=value")
     p_gen.add_argument("--seed", type=int, default=0)
@@ -549,7 +516,7 @@ def build_parser():
 
     p_solve = sub.add_parser("solve", help="run a solver")
     common(p_solve, with_alg=True)
-    p_solve.add_argument("--check", nargs="?", const="trace",
+    p_solve.add_argument("--check", action="store_true",
                          help="also certify the produced trace")
 
     p_verify = sub.add_parser("verify", help="certify an inequality")
@@ -567,28 +534,23 @@ def build_parser():
     return parser
 
 
+COMMANDS = {"gen": cmd_gen, "solve": cmd_solve, "verify": cmd_verify, "bench": cmd_bench}
+
+
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "alg", None) is not None and args.command == "solve":
-            if args.alg not in ALGORITHMS:
-                raise UsageError(f"unknown algorithm id {args.alg!r}")
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ParseError, OSError) as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
+    except (NonFiniteIterateError, DomainError) as e:
+        print(f"run failed: {e}", file=sys.stderr)
+        return EXIT_CERT
 
 
 if __name__ == "__main__":

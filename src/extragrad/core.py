@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Absolute tolerance for identity checks; relative tolerance elsewhere.
+# Absolute tolerance for identity checks.
 TAU_NUM = 1e-9
-TAU_REL = 1e-8
 # Simplex feasibility tolerance after renormalization.
 TAU_FEAS = 1e-12
 

@@ -39,8 +39,8 @@ class SmoothnessProfile:
     L_i: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (0 < self.mu <= self.L):
-            raise ValueError("need 0 < mu <= L")
+        if not (0 < self.mu <= self.L < np.inf):
+            raise ValueError("need 0 < mu <= L, both finite")
         if self.L_i is not None:
             self.L_i = np.asarray(self.L_i, dtype=float)
             if np.any(self.L_i <= 0):
@@ -105,6 +105,8 @@ class BoxSimplexInstance:
     since building a transpose per product costs several times the product.
     """
 
+    kind = "box-simplex"
+
     def __init__(self, A, b, c):
         A = sp.csr_matrix(A, dtype=float)
         self.A = A
@@ -160,6 +162,8 @@ class MinimaxInstance:
     singular value of C, and L_xx, L_yy equal the diagonal moduli.
     """
 
+    kind = "minimax"
+
     def __init__(self, mu_x, mu_y, C, q=None, r=None):
         self.C = np.asarray(C, dtype=float)
         n, m = self.C.shape
@@ -167,7 +171,11 @@ class MinimaxInstance:
         self.mu_y = float(mu_y)
         self.q = np.zeros(n) if q is None else np.asarray(q, dtype=float)
         self.r = np.zeros(m) if r is None else np.asarray(r, dtype=float)
+        if self.q.shape != (n,) or self.r.shape != (m,):
+            raise ValueError(f"q and r must have {n} and {m} entries for a {n}x{m} C")
         sigma = float(np.linalg.svd(self.C, compute_uv=False)[0]) if self.C.size else 0.0
+        if not sigma * sigma < np.inf:  # lambda_minimax squares it
+            raise ValueError(f"coupling norm {sigma!r} is too large")
         self.profile = MinimaxProfile(self.mu_x, sigma, self.mu_y, self.mu_x, self.mu_y)
 
     def f(self, x, y) -> float:

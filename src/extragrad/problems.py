@@ -58,6 +58,8 @@ class QuadraticProblem:
         self.profile = SmoothnessProfile(L=L, mu=mu, L_i=L_i)
         self.x_star = self.oracle.grad_fstar(np.zeros(self.d))
         self.f_star = self.f(self.x_star)
+        if not np.isfinite(self.f_star):
+            raise ValueError(f"optimal value {self.f_star!r} is not finite")
 
     def f(self, x):
         return self.oracle.f(x)
@@ -365,9 +367,8 @@ def save_instance(problem, manifest_path):
 
 def load_instance(manifest_path):
     """Read a manifest and its data files; any malformed input is a ParseError."""
-    man = read_manifest(manifest_path)
     try:
-        return _build_instance(manifest_path, man)
+        return _build_instance(manifest_path, read_manifest(manifest_path))
     except ParseError:
         raise
     except KeyError as e:

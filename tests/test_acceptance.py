@@ -20,7 +20,7 @@ from extragrad.verify import (
     TripleSampler, check_relative_lipschitzness, check_regret_certificate,
     check_estimator_conditions, coord_trajectory, coord_shadow_error,
 )
-from extragrad.cli import _fenchel_pair, _minimax_pair
+from extragrad.cli import _fenchel_pair, _vi
 
 EUCLID_PAIR = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
 
@@ -107,7 +107,8 @@ def test_criterion_05_strongly_monotone_contraction():
     m = 1.0
     for seed in range(20):
         inst = gen_minimax(5, 5, 1.0, 2.0, 3.0, seed=seed)
-        g, r = _minimax_pair(inst)
+        vi = _vi(inst)
+        g, r = vi.g, vi.r
         lam = lambda_minimax(inst.profile)
         z0 = Point(np.ones(5), np.ones(5))
         trace = mirror_prox_sm(g, r, z0, lam, m, T, z_star=inst.saddle_point())
@@ -258,7 +259,8 @@ def test_criterion_10_property_suites():
     settings.append(("fenchel", gf, rf, lamf, domf))
 
     mm = gen_minimax(4, 4, 1.0, 1.5, 2.0, seed=2)
-    gm, rm = _minimax_pair(mm)
+    vi = _vi(mm)
+    gm, rm = vi.g, vi.r
     lamm = lambda_minimax(mm.profile)
     domm = ProductSet(Everywhere(4), Everywhere(4))
     settings.append(("minimax", gm, rm, lamm, domm))

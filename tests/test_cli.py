@@ -1,9 +1,14 @@
 """Command-line surface: exit codes, trace format, determinism."""
 
 import os
+import shutil
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from extragrad.cli import main, TRACE_HEADER
 from extragrad.problems import load_instance
@@ -58,6 +63,19 @@ class TestGen:
 
     def test_bad_kind_is_usage_error(self, tmp_path):
         assert run(["gen", "nonsense", "--out", str(tmp_path / "x")]) == 64
+
+    @pytest.mark.parametrize("params", [
+        ["quadratic", "d=abc"], ["quadratic", "d=0"], ["quadratic", "mu=5", "L=1"],
+        ["quadratic", "L=inf"], ["quadratic", "x=1"], ["quadratic", "d"],
+        ["box-simplex", "m=-1"], ["box-simplex", "density=2"], ["minimax", "n=0"],
+        ["minimax", "mu_x=0"], ["minimax", "coupling=nan"],
+    ], ids=" ".join)
+    def test_bad_parameter_is_usage_error(self, tmp_path, capsys, params):
+        out = str(tmp_path / "g.manifest")
+        assert run(["gen", *params, "--out", out]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not os.listdir(tmp_path)
 
 
 class TestSolve:
@@ -158,6 +176,7 @@ class TestSolve:
         ("mu=1.0", "mu=100.0", "need 0 < mu <= L"),
         ("mu=1.0", "mu=one", "could not convert string to float: 'one'"),
         ("b=quad.b.txt", "", "missing key 'b'"),
+        ("L=50.0", "L=inf", "need 0 < mu <= L, both finite"),
     ])
     def test_bad_manifest_is_parse_error(self, quad_manifest, tmp_path, capsys,
                                          old, new, message):
@@ -168,6 +187,23 @@ class TestSolve:
             fh.write(text.replace(old, new))
         assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
                     "--out", str(tmp_path / "m")]) == 4
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alg, data, message", [
+        ("eg-accel", "quad.b.txt", "is not finite"),
+        ("mirror-prox", "mm.C.mtx", "coupling norm"),
+    ])
+    def test_overflowing_instance_is_parse_error(self, quad_manifest, mm_manifest, tmp_path,
+                                                 capsys, alg, data, message):
+        path = str(tmp_path / data)
+        with open(path) as fh:
+            lines = fh.readlines()
+        lines[-1] = "1e308\n"  # finite, but the instance's constants overflow
+        with open(path, "w") as fh:
+            fh.writelines(lines)
+        manifest = quad_manifest if data.startswith("quad") else mm_manifest
+        assert run(["solve", "--alg", alg, "--instance", manifest,
+                    "--out", str(tmp_path / "o")]) == 4
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
@@ -207,6 +243,29 @@ class TestSolve:
 
     def test_alg_instance_mismatch_is_usage_error(self, bs_manifest):
         assert run(["solve", "--alg", "eg-accel", "--instance", bs_manifest]) == 64
+
+    def test_diverged_run_is_exit_3(self, quad_manifest, tmp_path, capsys):
+        out = str(tmp_path / "d")
+        assert run(["solve", "--alg", "mirror-prox", "--lambda", "1e-300",
+                    "--instance", quad_manifest, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: non-finite iterate") and err.count("\n") == 1
+        assert not os.path.exists(out + ".summary.txt")
+
+    @pytest.mark.parametrize("alg", ["baseline", "eg-accel", "eg-gennorm", "eg-coord"])
+    def test_check_without_certificate_is_usage_error(self, quad_manifest, tmp_path,
+                                                      capsys, alg):
+        out = str(tmp_path / "c")
+        assert run(["solve", "--alg", alg, "--instance", quad_manifest,
+                    "--check", "--out", out]) == 64
+        assert f"algorithm {alg} has no certificate" in capsys.readouterr().err
+        assert not os.path.exists(out + ".summary.txt")
+
+    def test_check_takes_no_value(self, bs_manifest, tmp_path):
+        out = str(tmp_path / "c")
+        assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                    "--check", "", "--out", out]) == 64
+        assert not os.path.exists(out + ".summary.txt")
 
     def test_box_simplex_solve(self, bs_manifest, tmp_path):
         out = str(tmp_path / "bs")
@@ -311,3 +370,129 @@ class TestUsage:
     def test_unknown_flag_is_usage_error(self, quad_manifest):
         assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
                     "--bogus-flag", "1"]) == 64
+
+
+# The instance kinds each (command, id) runs on; every other pair is a usage error.
+QUADRATICS = {"quadratic", "diagonal quadratic"}
+VI_KINDS = QUADRATICS | {"minimax"}
+SUPPORTED = {
+    "solve": {"mirror-prox": VI_KINDS, "dual-ex": VI_KINDS, "mp-strong": {"minimax"},
+              "baseline": QUADRATICS, "eg-accel": QUADRATICS, "eg-gennorm": QUADRATICS,
+              "eg-coord": {"diagonal quadratic"}, "box-simplex": {"box-simplex"}},
+    "verify": {"rel-lip": VI_KINDS, "rel-smooth": QUADRATICS, "strong-mono": VI_KINDS,
+               "regret": VI_KINDS, "estimator": {"diagonal quadratic"},
+               "local-rl": {"box-simplex"}},
+    "bench": {"baseline": QUADRATICS, "eg-accel": QUADRATICS,
+              "eg-coord": {"diagonal quadratic"}, "box-simplex": {"box-simplex"}},
+}
+GEN_ARGS = {
+    "diagonal quadratic": ["quadratic", "d=4", "mu=1", "L=9", "diag=1"],
+    "quadratic": ["quadratic", "d=4", "mu=1", "L=9", "diag=0"],
+    "box-simplex": ["box-simplex", "m=5", "n=4"],
+    "minimax": ["minimax", "n=3", "m=2"],
+}
+PAIRS = [(cmd, ident, kind) for cmd, ids in SUPPORTED.items()
+         for ident, kinds in ids.items() for kind in GEN_ARGS]
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory):
+    """One small manifest per instance kind."""
+    base = tmp_path_factory.mktemp("kinds")
+    out = {}
+    for kind, params in GEN_ARGS.items():
+        out[kind] = str(base / (kind.replace(" ", "-") + ".manifest"))
+        assert run(["gen", *params, "--seed", "1", "--out", out[kind]]) == 0
+    return out
+
+
+def _argv(cmd, ident, manifest, out):
+    flag = "--check" if cmd == "verify" else "--alg"
+    return [cmd, flag, ident, "--instance", manifest, "--out", out]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("cmd, ident, kind",
+                             [p for p in PAIRS if p[2] not in SUPPORTED[p[0]][p[1]]],
+                             ids="-".join)
+    def test_pair_outside_table_is_usage_error(self, manifests, tmp_path, capsys,
+                                               cmd, ident, kind):
+        out = str(tmp_path / "m")
+        assert run(_argv(cmd, ident, manifests[kind], out)) == 64
+        err = capsys.readouterr().err
+        what = "check" if cmd == "verify" else "algorithm"
+        assert err.startswith(f"usage error: {what} {ident} needs a ") and err.count("\n") == 1
+        assert err.endswith(f" instance, not a {kind} one\n")
+        assert not os.listdir(tmp_path)
+
+    @pytest.mark.parametrize("cmd, ident, kind",
+                             [p for p in PAIRS if p[2] in SUPPORTED[p[0]][p[1]]],
+                             ids="-".join)
+    def test_pair_in_table_runs(self, manifests, tmp_path, cmd, ident, kind):
+        small = {"solve": ["--iters", "3"], "verify": ["--iters", "3", "--samples", "5"],
+                 "bench": ["--iters", "50"]}[cmd]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run(_argv(cmd, ident, manifests[kind], str(tmp_path / "p")) + small)
+        assert code in (0, 2)
+
+    @pytest.mark.parametrize("cmd, ident", [("solve", "gradient-descent"),
+                                            ("verify", "bogus"), ("bench", "mirror-prox")])
+    def test_unknown_id_lists_the_known_ones(self, tmp_path, capsys, cmd, ident):
+        assert run(_argv(cmd, ident, str(tmp_path / "missing.manifest"), "x")) == 64
+        known = ", ".join(SUPPORTED[cmd])
+        assert capsys.readouterr().err.endswith(f"{ident!r} is not one of {known}\n")
+
+
+# Corruptions of one line of a manifest or data file.
+TOKENS = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-308", "1e400", "abc", "", "=",
+          "kind=minimax", "2 2", "1 1 1.0", "9 9 0.5", "0 1 1.0", "0x10", "1,5"]
+EDITS = ["replace", "value", "delete", "duplicate", "append", "truncate", "bytes"]
+
+
+def _corrupt(path, edit, index, token):
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    i = index % len(lines)
+    new = token.encode()
+    if edit == "value" and b"=" in lines[i]:
+        lines[i] = lines[i].split(b"=", 1)[0] + b"=" + new
+    elif edit in ("replace", "value"):
+        lines[i] = new
+    elif edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "append":
+        lines.append(new)
+    elif edit == "truncate":
+        lines[i] = lines[i][:len(lines[i]) // 2]
+    else:
+        lines[i] = lines[i][:1] + b"\xff\xfe" + lines[i][1:]
+    with open(path, "wb") as fh:
+        fh.write(b"\n".join(lines))
+
+
+class TestFuzz:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(kind=st.sampled_from(["diagonal quadratic", "box-simplex", "minimax"]),
+           which=st.integers(0, 3), edit=st.sampled_from(EDITS),
+           index=st.integers(0, 200), token=st.sampled_from(TOKENS))
+    def test_corrupted_instance_exits_with_a_documented_code(
+            self, manifests, kind, which, edit, index, token):
+        with tempfile.TemporaryDirectory() as tmp:
+            stem = os.path.splitext(os.path.basename(manifests[kind]))[0]
+            src = os.path.dirname(manifests[kind])
+            files = sorted(f for f in os.listdir(src) if f.startswith(stem + "."))
+            for f in files:
+                shutil.copy(os.path.join(src, f), tmp)
+            _corrupt(os.path.join(tmp, files[which % len(files)]), edit, index, token)
+            manifest = os.path.join(tmp, stem + ".manifest")
+            alg = "box-simplex" if kind == "box-simplex" else "mirror-prox"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                codes = [run(["solve", "--alg", alg, "--iters", "3", "--instance", manifest,
+                              "--out", os.path.join(tmp, "s")]),
+                         run(["verify", "--check", "rel-lip", "--samples", "5",
+                              "--instance", manifest, "--out", os.path.join(tmp, "v")])]
+        assert set(codes) <= {0, 2, 3, 4, 64}
