@@ -18,7 +18,6 @@ from .core import (
     Simplex,
     ProductSet,
     ConjugateOracle,
-    grad_conjugate,
     BlockRegularizer,
     ScaledEuclidean,
     NegativeEntropy,
@@ -32,12 +31,10 @@ from .operators import (
     lambda_fenchel,
     lambda_coord,
     lambda_minimax,
-    FenchelGameOperator,
     BoxSimplexInstance,
     MinimaxProfile,
     MinimaxInstance,
     AliasTable,
-    CoordinateEstimatorState,
 )
 from .problems import (
     ParseError,
@@ -45,7 +42,6 @@ from .problems import (
     gen_quadratic,
     gen_box_simplex,
     gen_minimax,
-    exact_solution,
     save_instance,
     load_instance,
 )
@@ -81,7 +77,6 @@ from .verify import (
     check_regret_certificate,
     check_estimator_conditions,
     coord_trajectory,
-    finite_diff_gradient,
 )
 
 USING_NUMBA = False  # read by the machine record of perfbench/run.py

@@ -204,18 +204,17 @@ def duality_gap(inst: BoxSimplexInstance, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-def iteration_budget(inst: BoxSimplexInstance, eps: float, constant: float = 50.0) -> int:
-    """Budget C * ||A|| log m / eps; the constant absorbs prox inexactness."""
+def iteration_budget(inst: BoxSimplexInstance, eps: float) -> int:
+    """Budget 50 ||A|| log m / eps; the constant absorbs prox inexactness."""
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    return int(np.ceil(constant * inst.op_norm * np.log(max(inst.m, 2)) / eps))
+    return int(np.ceil(50.0 * inst.op_norm * np.log(max(inst.m, 2)) / eps))
 
 
 def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
                       cfg: AlternatingProxConfig | None = None,
                       max_iters: int | None = None,
-                      certify: bool = False,
-                      budget_constant: float = 50.0):
+                      certify: bool = False):
     """Mirror prox with lam = 3 in the coupled regularizer from z0 = (0, uniform).
 
     Returns (x, y, gap, trace) for the averaged iterate.  With ``certify`` the
@@ -234,7 +233,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     if cfg.tol is None:
         cfg = replace(cfg, tol=max(cfg.resolve_tol(inst.op_norm), eps / (8.0 * lam)))
     reg = ShermanRegularizer(inst, cfg)
-    budget = iteration_budget(inst, eps, budget_constant) if max_iters is None else max_iters
+    budget = iteration_budget(inst, eps) if max_iters is None else max_iters
     tol_rl = 1e-8 * max(1.0, inst.op_norm)
     z = Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m))
     z0 = z
@@ -297,9 +296,6 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
                 f"box-simplex budget of {budget} iterations exhausted; "
                 f"best gap {best[2]:.3e} > eps {eps:.3e}", RuntimeWarning)
     xb, yb, gap = best
-    trace.summary.update({
-        "algorithm": "box-simplex", "iterations": t, "lam": lam,
-        "gap": gap, "budget": budget, "prox_gap_sum": prox_gap_sum,
-        "initial_divergence_bound": lam * reg.divergence(z0, Point(xb, yb)),
-    })
+    trace.summary.update({"algorithm": "box-simplex", "iterations": t, "lam": lam,
+                          "gap": gap, "budget": budget, "prox_gap_sum": prox_gap_sum})
     return xb, yb, gap, trace

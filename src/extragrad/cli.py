@@ -6,8 +6,8 @@ outside a regularizer's domain), 4 I/O or parse error, 64 usage error.
 
 ``solve``, ``verify`` and ``bench`` each look up what they run in a table keyed
 by (algorithm or check id, instance kind); a pair outside the table is a usage
-error.  The instance kinds are ``quadratic``, ``diagonal quadratic``,
-``box-simplex`` and ``minimax``.
+error, and so is a flag that no id of the run reads.  The instance kinds are
+``quadratic``, ``diagonal quadratic``, ``box-simplex`` and ``minimax``.
 
 Trace CSVs carry the fixed header ``iter,f_err,gap,div_to_opt,cum_regret,wall_ms``
 with columns left empty when an algorithm does not produce them.  Per-row wall
@@ -127,26 +127,46 @@ QUADRATICS = ("quadratic", "diagonal quadratic")
 VI_KINDS = QUADRATICS + ("minimax",)
 
 
+# argparse dests that every runner reads
+READ_BY_ALL = ["command", "instance", "seed", "out"]
+
+
 def _table(*rows):
-    """{(id, kind): runner} from (id, kinds, runner) rows."""
-    return {(ident, kind): run for ident, kinds, run in rows for kind in kinds}
+    """{(id, kind): (runner, flags)} from (id, kinds, flags, runner) rows; ``flags``
+    names the dests the runner reads besides READ_BY_ALL."""
+    return {(ident, kind): (run, reads.split()) for ident, kinds, reads, run in rows
+            for kind in kinds}
 
 
-def _resolve(table, what, idents, path):
-    """Load the instance at ``path`` and the runner of each id in ``idents`` for its
-    kind; an id ``table`` lacks, or lacks for that kind, is a usage error."""
+def _resolve(table, what, id_dest, args):
+    """Load --instance and the runner of each id in ``args.<id_dest>`` for its kind.
+
+    An id ``table`` lacks, or lacks for that kind, is a usage error, and so is a
+    flag given that no id given reads.
+    """
+    idents = getattr(args, id_dest)
+    idents = [idents] if isinstance(idents, str) else idents
     for ident in idents:
         if not any(i == ident for i, _ in table):
             known = ", ".join(dict.fromkeys(i for i, _ in table))
             raise UsageError(f"{what} {ident!r} is not one of {known}")
-    problem = _load(path)
+    reads = READ_BY_ALL + [id_dest] + [
+        flag for (i, _), (_, flags) in table.items() if i in idents for flag in flags]
+    unread = [dest for dest, value in vars(args).items()
+              if value is not None and value is not False and dest not in reads]
+    if "check" in unread:  # solve's --check switch
+        raise UsageError(f"{what} {idents[0]} has no certificate to --check")
+    if unread:
+        flags = ", ".join("--lambda" if dest == "lam" else "--" + dest for dest in unread)
+        raise UsageError(f"{flags} not read by {what} {', '.join(idents)}")
+    problem = _load(args.instance)
     kind = "diagonal quadratic" if getattr(problem, "diag", False) else problem.kind
     for ident in idents:
         if (ident, kind) not in table:
             kinds = [k for i, k in table if i == ident]
             wanted = " or ".join([", ".join(kinds[:-1]), kinds[-1]] if len(kinds) > 1 else kinds)
             raise UsageError(f"{what} {ident} needs a {wanted} instance, not a {kind} one")
-    return problem, [table[ident, kind] for ident in idents]
+    return problem, [table[ident, kind][0] for ident in idents]
 
 
 def _load(path):
@@ -318,25 +338,22 @@ def _solve_box_simplex(problem, args):
     return rows, summary, EXIT_BUDGET if gap > eps else EXIT_OK
 
 
-# solve: runner(problem, args) -> (trace rows, summary entries, exit code)
+# solve: runner(problem, args) -> (trace rows, summary entries, exit code);
+# the runners that read --check certify their run
 SOLVE = _table(
-    ("mirror-prox", VI_KINDS, partial(_solve_vi, dual=False)),
-    ("dual-ex", VI_KINDS, partial(_solve_vi, dual=True)),
-    ("mp-strong", ("minimax",), _solve_mp_strong),
-    ("baseline", QUADRATICS, _solve_baseline),
-    ("eg-accel", QUADRATICS, _solve_eg_accel),
-    ("eg-gennorm", QUADRATICS, _solve_eg_gennorm),
-    ("eg-coord", ("diagonal quadratic",), _solve_eg_coord),
-    ("box-simplex", ("box-simplex",), _solve_box_simplex),
+    ("mirror-prox", VI_KINDS, "lam iters check", partial(_solve_vi, dual=False)),
+    ("dual-ex", VI_KINDS, "lam iters check", partial(_solve_vi, dual=True)),
+    ("mp-strong", ("minimax",), "lam mono iters check", _solve_mp_strong),
+    ("baseline", QUADRATICS, "eps iters", _solve_baseline),
+    ("eg-accel", QUADRATICS, "eps eps0", _solve_eg_accel),
+    ("eg-gennorm", QUADRATICS, "eps iters", _solve_eg_gennorm),
+    ("eg-coord", ("diagonal quadratic",), "eps eps0", _solve_eg_coord),
+    ("box-simplex", ("box-simplex",), "eps iters check", _solve_box_simplex),
 )
-# the algorithms whose runs ``solve --check`` can certify
-CERTIFIED = ("mirror-prox", "dual-ex", "mp-strong", "box-simplex")
 
 
 def cmd_solve(args):
-    problem, [run] = _resolve(SOLVE, "algorithm", [args.alg], args.instance)
-    if args.check and args.alg not in CERTIFIED:
-        raise UsageError(f"algorithm {args.alg} has no certificate to --check")
+    problem, [run] = _resolve(SOLVE, "algorithm", "alg", args)
     out = args.out or args.alg
     start = time.perf_counter()
     rows, entries, code = run(problem, args)
@@ -413,18 +430,19 @@ def _verify_local_rl(problem, args, out):
 
 # verify: runner(problem, args, out) -> (summary entries, exit code)
 VERIFY = _table(
-    ("rel-lip", QUADRATICS, _verify_rel_lip_fenchel),
-    ("rel-lip", ("minimax",), _sampled_vi(V.check_relative_lipschitzness, "lam")),
-    ("rel-smooth", QUADRATICS, _sampled_vi(V.check_relative_smoothness_implies, "lam")),
-    ("strong-mono", VI_KINDS, _sampled_vi(V.check_strong_monotonicity, "mono")),
-    ("regret", VI_KINDS, _verify_regret),
-    ("estimator", ("diagonal quadratic",), _verify_estimator),
-    ("local-rl", ("box-simplex",), _verify_local_rl),
+    ("rel-lip", QUADRATICS, "lam samples", _verify_rel_lip_fenchel),
+    ("rel-lip", ("minimax",), "lam samples", _sampled_vi(V.check_relative_lipschitzness, "lam")),
+    ("rel-smooth", QUADRATICS, "lam samples",
+     _sampled_vi(V.check_relative_smoothness_implies, "lam")),
+    ("strong-mono", VI_KINDS, "mono samples", _sampled_vi(V.check_strong_monotonicity, "mono")),
+    ("regret", VI_KINDS, "lam iters", _verify_regret),
+    ("estimator", ("diagonal quadratic",), "lam iters", _verify_estimator),
+    ("local-rl", ("box-simplex",), "eps iters", _verify_local_rl),
 )
 
 
 def cmd_verify(args):
-    problem, [run] = _resolve(VERIFY, "check", [args.check], args.instance)
+    problem, [run] = _resolve(VERIFY, "check", "check", args)
     out = args.out or ("verify-" + args.check)
     entries, code = run(problem, args, out)
     write_summary(out + ".summary.txt", {"check": args.check, "instance": args.instance,
@@ -461,15 +479,15 @@ def _bench_box_simplex(problem, args):
 
 # bench: runner(problem, args) -> (iterations, queries, final error)
 BENCH = _table(
-    ("baseline", QUADRATICS, _bench_baseline),
-    ("eg-accel", QUADRATICS, _bench_eg_accel),
-    ("eg-coord", ("diagonal quadratic",), _bench_eg_coord),
-    ("box-simplex", ("box-simplex",), _bench_box_simplex),
+    ("baseline", QUADRATICS, "eps iters", _bench_baseline),
+    ("eg-accel", QUADRATICS, "eps", _bench_eg_accel),
+    ("eg-coord", ("diagonal quadratic",), "eps", _bench_eg_coord),
+    ("box-simplex", ("box-simplex",), "eps iters", _bench_box_simplex),
 )
 
 
 def cmd_bench(args):
-    problem, runs = _resolve(BENCH, "algorithm", args.alg, args.instance)
+    problem, runs = _resolve(BENCH, "algorithm", "alg", args)
     results = []
     for alg, run in zip(args.alg, runs):
         start = time.perf_counter()

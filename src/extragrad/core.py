@@ -16,7 +16,7 @@ import numpy as np
 
 # Absolute tolerance for identity checks.
 TAU_NUM = 1e-9
-# Simplex feasibility tolerance after renormalization.
+# Simplex feasibility tolerance.
 TAU_FEAS = 1e-12
 
 _EMPTY = np.zeros(0)
@@ -68,9 +68,6 @@ class Point:
 
     def __neg__(self):
         return Point(-self.x, -self.y)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.dot(self)))
 
     def copy(self):
         return Point(self.x.copy(), self.y.copy())
@@ -133,13 +130,6 @@ class Simplex(FeasibleSet):
 
     def contains(self, v, tol=TAU_FEAS):
         return bool(np.all(v >= -tol) and abs(float(np.sum(v)) - 1.0) <= max(tol, TAU_FEAS * v.size))
-
-    def renormalize(self, v):
-        w = np.maximum(v, 0.0)
-        s = float(np.sum(w))
-        if s <= 0.0:
-            raise DomainError("cannot renormalize the zero vector onto the simplex")
-        return w / s
 
     def sample(self, rng, margin=0.0):
         # margin keeps every entry >= margin / dim, away from the boundary
@@ -208,11 +198,6 @@ class ConjugateOracle:
 
     def grad_fstar(self, y):
         return self._solve(y - self.b)
-
-
-def grad_conjugate(oracle: ConjugateOracle, y):
-    """Gradient of the convex conjugate, i.e. the inverse of grad f."""
-    return oracle.grad_fstar(np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -350,45 +335,27 @@ class ConjugateRegularizer(BlockRegularizer):
 
 
 class ProductRegularizer:
-    """Separable regularizer r(x, y) = r_x(x) + r_y(y) over a product set.
+    """Separable regularizer r(x, y) = r_x(x) + r_y(y) over a product set."""
 
-    Either block regularizer may be None when the matching block is empty.
-    """
-
-    def __init__(self, rx: BlockRegularizer | None, ry: BlockRegularizer | None = None):
+    def __init__(self, rx: BlockRegularizer, ry: BlockRegularizer):
         self.rx = rx
         self.ry = ry
 
     def value(self, p: Point):
-        v = 0.0
-        if self.rx is not None:
-            v += self.rx.value(p.x)
-        if self.ry is not None:
-            v += self.ry.value(p.y)
-        return v
+        return self.rx.value(p.x) + self.ry.value(p.y)
 
     def grad(self, p: Point):
-        gx = self.rx.grad(p.x) if self.rx is not None else _EMPTY
-        gy = self.ry.grad(p.y) if self.ry is not None else _EMPTY
-        return Point(gx, gy)
+        return Point(self.rx.grad(p.x), self.ry.grad(p.y))
 
     def divergence(self, a: Point, b: Point):
-        v = 0.0
-        if self.rx is not None:
-            v += self.rx.divergence(a.x, b.x)
-        if self.ry is not None:
-            v += self.ry.divergence(a.y, b.y)
-        return v
+        return self.rx.divergence(a.x, b.x) + self.ry.divergence(a.y, b.y)
 
     def prox(self, z: Point, g: Point):
-        px = self.rx.prox(z.x, g.x) if self.rx is not None else _EMPTY
-        py = self.ry.prox(z.y, g.y) if self.ry is not None else _EMPTY
-        return Point(px, py)
+        return Point(self.rx.prox(z.x, g.x), self.ry.prox(z.y, g.y))
 
     def blended_prox(self, zt: Point, wt: Point, g: Point, lam, m):
-        px = self.rx.blended_prox(zt.x, wt.x, g.x, lam, m) if self.rx is not None else _EMPTY
-        py = self.ry.blended_prox(zt.y, wt.y, g.y, lam, m) if self.ry is not None else _EMPTY
-        return Point(px, py)
+        return Point(self.rx.blended_prox(zt.x, wt.x, g.x, lam, m),
+                     self.ry.blended_prox(zt.y, wt.y, g.y, lam, m))
 
 
 def divergence(reg, a, b) -> float:

@@ -1,4 +1,4 @@
-"""Monotone operator constructions and coordinate-wise randomized estimators.
+"""Monotone operator constructions, smoothness constants and coordinate sampling.
 
 The randomness contract for everything in this package: seeds feed a Philox
 counter-based 64-bit generator (`numpy.random.Philox`), so identical seeds
@@ -7,7 +7,7 @@ produce identical traces on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -69,30 +69,6 @@ def lambda_coord(profile: SmoothnessProfile) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Fenchel game operator
-# ---------------------------------------------------------------------------
-
-
-class FenchelGameOperator:
-    """Gradient operator of min_x max_y <y, x> - f*(y).
-
-    Explicitly, g(x, y) = (y, grad f*(y) - x).  Points are carried in the
-    implicit form z = (x, v) with y = grad f(v), so each evaluation costs one
-    gradient query and the explicit dual block is never materialized.
-    """
-
-    def __init__(self, grad_f, profile: SmoothnessProfile):
-        self.grad_f = grad_f
-        self.profile = profile
-
-    def __call__(self, z: Point) -> Point:
-        x, v = z.x, z.y
-        if x.shape != v.shape:
-            raise ValueError("x and v blocks must have equal dimension")
-        return Point(self.grad_f(v), v - x)
-
-
-# ---------------------------------------------------------------------------
 # Box-simplex game
 # ---------------------------------------------------------------------------
 
@@ -121,9 +97,6 @@ class BoxSimplexInstance:
         # ell_inf -> ell_inf operator norm: max row ell_1 norm
         row_l1 = np.asarray(abs(A).sum(axis=1)).ravel()
         self.op_norm = float(row_l1.max()) if self.m else 0.0
-
-    def value(self, x, y) -> float:
-        return float(y @ (self.A @ x) - self.b @ y + self.c @ x)
 
     def operator(self, z: Point) -> Point:
         return Point(self.At @ z.y + self.c, self.b - self.A @ z.x)
@@ -201,7 +174,7 @@ class MinimaxInstance:
 
 
 # ---------------------------------------------------------------------------
-# Shared-randomness coordinate estimators
+# Coordinate sampling
 # ---------------------------------------------------------------------------
 
 
@@ -231,53 +204,3 @@ class AliasTable:
     def draw(self, rng: np.random.Generator) -> int:
         i = int(rng.integers(self.prob.size))
         return i if rng.random() < self.prob[i] else int(self.alias[i])
-
-
-@dataclass
-class CoordinateEstimatorState:
-    """One iteration of the shared-randomness coordinate estimator pair.
-
-    Carries the current iterate (x_t, v_t with the dual block implicit as
-    grad f(v_t)), the sampled coordinate, its probability, and the 1-sparse
-    half-step displacement delta = x_half - x_t once the first estimator has
-    been consumed.  The same sampled coordinate feeds both estimators.
-    """
-
-    problem: object  # needs partial_i(i, a, u, b, w) and grad(v)
-    x_t: np.ndarray
-    v_t: np.ndarray
-    i: int
-    p_i: float
-    lam: float
-    mu: float
-    delta_i: float | None = None
-    v_half: np.ndarray | None = None
-    oracle_queries: int = 0
-
-    def estimate_at_z(self) -> Point:
-        """g_i(z_t) = ((1/p_i) grad_i f(v_t) e_i, v_t - x_t)."""
-        if self.p_i <= 0:
-            raise ValueError("sampled coordinate has zero probability")
-        gi = self.problem.partial_i(self.i, 1.0, self.v_t, 0.0, self.v_t)
-        self.oracle_queries += 1
-        gx = np.zeros_like(self.x_t)
-        gx[self.i] = gi / self.p_i
-        # record the half-step displacement induced by the prox in
-        # r(x, y) = mu/2 |x|^2 + f*(y)
-        self.delta_i = -gi / (self.mu * self.lam * self.p_i)
-        self.v_half = (1.0 - 1.0 / self.lam) * self.v_t + (1.0 / self.lam) * self.x_t
-        return Point(gx, self.v_t - self.x_t)
-
-    def estimate_at_w(self) -> Point:
-        """g_i(w_t^{(i)}) evaluated with the same sampled coordinate."""
-        if self.delta_i is None:
-            raise RuntimeError("estimate_at_z must run first with the same coordinate")
-        gi = self.problem.partial_i(
-            self.i, 1.0 - 1.0 / self.lam, self.v_t, 1.0 / self.lam, self.x_t
-        )
-        self.oracle_queries += 1
-        gx = np.zeros_like(self.x_t)
-        gx[self.i] = gi / self.p_i
-        shifted = self.x_t.copy()
-        shifted[self.i] += self.delta_i / self.p_i
-        return Point(gx, self.v_half - shifted)

@@ -1,4 +1,4 @@
-"""Instance generation, exact-solution oracles, and reproducible file I/O.
+"""Instance generation and reproducible file I/O.
 
 Matrices go to disk in Matrix Market coordinate/array format, vectors as one
 decimal per line, and a key=value manifest ties the pieces together.  All
@@ -32,9 +32,8 @@ class ParseError(ValueError):
 class QuadraticProblem:
     """f(x) = 1/2 x^T M x + b^T x with SPD M, dense or diagonal.
 
-    The exact minimizer x* = -M^{-1} b is cached at construction, and the
-    generalized partial derivative oracle grad_i f(a u + c w) is available at
-    O(1) cost for diagonal M and O(d) for dense M.
+    The exact minimizer x* = -M^{-1} b is cached at construction.  For
+    diagonal M, ``partial_at`` answers a coordinate partial in O(1).
     """
 
     kind = "quadratic"
@@ -66,12 +65,6 @@ class QuadraticProblem:
 
     def grad(self, x):
         return self.oracle.grad_f(x)
-
-    def partial_i(self, i, a, u, c, w):
-        """grad_i f(a u + c w) via the generalized partial derivative oracle."""
-        if self.diag:
-            return self.M[i] * (a * u[i] + c * w[i]) + self.b[i]
-        return float(self.M[i] @ (a * u + c * w)) + self.b[i]
 
     def partial_at(self, i, t):
         """grad_i f at any point whose i-th coordinate is t (diagonal M only)."""
@@ -106,38 +99,6 @@ def gen_quadratic(d, mu, L, diag=True, seed=0) -> QuadraticProblem:
     return QuadraticProblem(M, b, mu=mu, L=L)
 
 
-def power_iteration_extremes(M, iters=200, tol=1e-10, seed=0):
-    """Largest eigenvalue by power iteration (and smallest via shift)."""
-    rng = make_rng(seed)
-    d = M.shape[0]
-    v = rng.standard_normal(d)
-    lam = 0.0
-    for _ in range(iters):
-        v = M @ v
-        nv = np.linalg.norm(v)
-        v /= nv
-        new = float(v @ (M @ v))
-        if abs(new - lam) < tol * max(1.0, abs(new)):
-            lam = new
-            break
-        lam = new
-    shifted = lam * np.eye(d) - M
-    w = rng.standard_normal(d)
-    gap = 0.0
-    for _ in range(iters):
-        w = shifted @ w
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            break
-        w /= nw
-        new = float(w @ (shifted @ w))
-        if abs(new - gap) < tol * max(1.0, abs(new)):
-            gap = new
-            break
-        gap = new
-    return lam - gap, lam
-
-
 # ---------------------------------------------------------------------------
 # Box-simplex instance generation
 # ---------------------------------------------------------------------------
@@ -170,19 +131,6 @@ def gen_minimax(n, m, mu_x, mu_y, coupling, seed=0) -> MinimaxInstance:
     q = rng.standard_normal(n)
     r = rng.standard_normal(m)
     return MinimaxInstance(mu_x, mu_y, C, q, r)
-
-
-def exact_solution(problem):
-    """Closed-form optimum: minimizer, or saddle point for minimax instances.
-
-    Returns (point, value); raises LookupError for kinds with no closed form.
-    """
-    if isinstance(problem, QuadraticProblem):
-        return problem.x_star, problem.f_star
-    if isinstance(problem, MinimaxInstance):
-        z = problem.saddle_point()
-        return z, problem.f(z.x, z.y)
-    raise LookupError(f"no exact solution available for {type(problem).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +335,24 @@ def _build_instance(manifest_path, man):
         b = read_vector(os.path.join(base, man["b"]))
         if int(man.get("diag", 0)):  # a d x 1 column, or the dense d x d of older manifests
             M = M.ravel() if M.shape[1] == 1 else np.diag(M)
-        return QuadraticProblem(M, b, mu=float(man["mu"]), L=float(man["L"]))
-    if kind == "box-simplex":
+        inst = QuadraticProblem(M, b, mu=float(man["mu"]), L=float(man["L"]))
+        dims, keys = (inst.d,), ("d",)
+    elif kind == "box-simplex":
         A = read_matrix_market(os.path.join(base, man["A"]))
         b = read_vector(os.path.join(base, man["b"]))
         c = read_vector(os.path.join(base, man["c"]))
         inst = BoxSimplexInstance(A, b, c)
-        if inst.m != int(man["m"]) or inst.n != int(man["n"]):
-            raise ParseError(manifest_path, 1, "dimensions disagree with data files")
-        return inst
-    if kind == "minimax":
+        dims, keys = (inst.m, inst.n), ("m", "n")
+    elif kind == "minimax":
         C = read_matrix_market(os.path.join(base, man["C"]))
         if sp.issparse(C):
             C = C.toarray()
         q = read_vector(os.path.join(base, man["q"]))
         r = read_vector(os.path.join(base, man["r"]))
-        return MinimaxInstance(float(man["mu_x"]), float(man["mu_y"]), C, q, r)
-    raise ParseError(manifest_path, 1, f"unknown instance kind {kind!r}")
+        inst = MinimaxInstance(float(man["mu_x"]), float(man["mu_y"]), C, q, r)
+        dims, keys = inst.C.shape, ("n", "m")
+    else:
+        raise ParseError(manifest_path, 1, f"unknown instance kind {kind!r}")
+    if tuple(dims) != tuple(int(man[key]) for key in keys):
+        raise ParseError(manifest_path, 1, "dimensions disagree with data files")
+    return inst

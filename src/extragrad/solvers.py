@@ -94,13 +94,13 @@ def dual_extrapolation(g, r, z_bar, lam, T, u=None):
     z = r.prox(z_bar, s)
     regret_vs_base = 0.0
     for t in range(T):
-        z = r.prox(z_bar, s)
         gz = g(z)
         w = r.prox(z, (1.0 / lam) * gz)
         gw = g(w)
         _check_finite(w, t)
         s = s + (1.0 / lam) * gw
         z_next = r.prox(z_bar, s)
+        _check_finite(z_next, t)
         phi = (regret_vs_base + vdot(gw, w - z_bar) / lam
                - vdot(s, z_next - z_bar) - r.divergence(z_bar, z_next))
         regret_vs_base += vdot(gw, w - z_bar) / lam
@@ -108,6 +108,7 @@ def dual_extrapolation(g, r, z_bar, lam, T, u=None):
         trace.potentials.append(phi)
         if u is not None:
             trace.regrets.append(vdot(gw, w - u))
+        z = z_next
     trace.summary = {"algorithm": "dual-ex", "iterations": T, "lam": lam,
                      "final": z}
     if u is not None:

@@ -145,21 +145,6 @@ def check_regret_certificate(trace, g, r, lam, z0, u):
     return lhs <= rhs + T * TAU_NUM, margin
 
 
-def finite_diff_gradient(f, x, h, grad_oracle=None):
-    """Central-difference gradient; optionally reports max deviation from an oracle."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        out[i] = (f(x + e) - f(x - e)) / (2 * h)
-    if grad_oracle is None:
-        return out, None
-    return out, float(np.max(np.abs(out - grad_oracle(x))))
-
-
 # ---------------------------------------------------------------------------
 # Coordinate estimator conditions, by exhaustive enumeration
 # ---------------------------------------------------------------------------

@@ -177,6 +177,7 @@ class TestSolve:
         ("mu=1.0", "mu=one", "could not convert string to float: 'one'"),
         ("b=quad.b.txt", "", "missing key 'b'"),
         ("L=50.0", "L=inf", "need 0 < mu <= L, both finite"),
+        ("d=8", "d=3", "dimensions disagree with data files"),
     ])
     def test_bad_manifest_is_parse_error(self, quad_manifest, tmp_path, capsys,
                                          old, new, message):
@@ -188,6 +189,20 @@ class TestSolve:
         assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
                     "--out", str(tmp_path / "m")]) == 4
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new", [("n=5", "n=99"), ("m=4", "m=3")])
+    def test_bad_minimax_dimensions_are_parse_error(self, mm_manifest, tmp_path, capsys,
+                                                    old, new):
+        with open(mm_manifest) as fh:
+            text = fh.read()
+        assert old in text
+        with open(mm_manifest, "w") as fh:
+            fh.write(text.replace(old, new))
+        out = str(tmp_path / "m")
+        assert run(["solve", "--alg", "mirror-prox", "--instance", mm_manifest,
+                    "--out", out]) == 4
+        assert "dimensions disagree with data files" in capsys.readouterr().err
+        assert not os.path.exists(out + ".summary.txt")
 
     @pytest.mark.parametrize("alg, data, message", [
         ("eg-accel", "quad.b.txt", "is not finite"),
@@ -393,6 +408,26 @@ GEN_ARGS = {
 }
 PAIRS = [(cmd, ident, kind) for cmd, ids in SUPPORTED.items()
          for ident, kinds in ids.items() for kind in GEN_ARGS]
+# The flags each (command, id) reads besides --instance, --seed and --out; any
+# other flag given is a usage error.
+READS = {
+    "solve": {"mirror-prox": "--lambda --iters --check", "dual-ex": "--lambda --iters --check",
+              "mp-strong": "--lambda --mono --iters --check", "baseline": "--eps --iters",
+              "eg-accel": "--eps --eps0", "eg-gennorm": "--eps --iters",
+              "eg-coord": "--eps --eps0", "box-simplex": "--eps --iters --check"},
+    "verify": {"rel-lip": "--lambda --samples", "rel-smooth": "--lambda --samples",
+               "strong-mono": "--mono --samples", "regret": "--lambda --iters",
+               "estimator": "--lambda --iters", "local-rl": "--eps --iters"},
+    "bench": {"baseline": "--eps --iters", "eg-accel": "--eps", "eg-coord": "--eps",
+              "box-simplex": "--eps --iters"},
+}
+# A value in range for each flag that takes one, and the commands that have it.
+FLAG_VALUES = {"--eps": "0.1", "--eps0": "1", "--iters": "3", "--lambda": "2", "--mono": "1",
+               "--samples": "5"}
+HAS_FLAG = {"solve": ["--eps", "--eps0", "--iters", "--lambda", "--mono"],
+            "verify": list(FLAG_VALUES), "bench": ["--eps", "--iters"]}
+UNREAD = [(cmd, ident, flag) for cmd, ids in READS.items() for ident, reads in ids.items()
+          for flag in HAS_FLAG[cmd] if flag not in reads.split()]
 
 
 @pytest.fixture(scope="module")
@@ -429,12 +464,32 @@ class TestDispatch:
                              [p for p in PAIRS if p[2] in SUPPORTED[p[0]][p[1]]],
                              ids="-".join)
     def test_pair_in_table_runs(self, manifests, tmp_path, cmd, ident, kind):
-        small = {"solve": ["--iters", "3"], "verify": ["--iters", "3", "--samples", "5"],
-                 "bench": ["--iters", "50"]}[cmd]
+        values = {"--iters": "50" if cmd == "bench" else "3", "--samples": "5"}
+        small = [a for flag in READS[cmd][ident].split() if flag in values
+                 for a in (flag, values[flag])]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             code = run(_argv(cmd, ident, manifests[kind], str(tmp_path / "p")) + small)
         assert code in (0, 2)
+
+    @pytest.mark.parametrize("cmd, ident, flag", UNREAD)
+    def test_unread_flag_is_usage_error(self, manifests, tmp_path, capsys, cmd, ident, flag):
+        kind = next(k for k in GEN_ARGS if k in SUPPORTED[cmd][ident])
+        out = str(tmp_path / "f")
+        assert run(_argv(cmd, ident, manifests[kind], out) + [flag, FLAG_VALUES[flag]]) == 64
+        what = "check" if cmd == "verify" else "algorithm"
+        assert capsys.readouterr().err == f"usage error: {flag} not read by {what} {ident}\n"
+        assert not os.listdir(tmp_path)
+
+    def test_bench_flag_needs_one_reader(self, quad_manifest, tmp_path, capsys):
+        out = str(tmp_path / "b")
+        argv = ["bench", "--alg", "eg-accel", "--alg", "eg-coord", "--instance", quad_manifest,
+                "--iters", "50", "--out", out]
+        assert run(argv) == 64
+        assert capsys.readouterr().err == (
+            "usage error: --iters not read by algorithm eg-accel, eg-coord\n")
+        assert run(argv[:3] + ["--alg", "baseline"] + argv[5:]) == 0
+        assert os.path.exists(out + ".csv")
 
     @pytest.mark.parametrize("cmd, ident", [("solve", "gradient-descent"),
                                             ("verify", "bogus"), ("bench", "mirror-prox")])

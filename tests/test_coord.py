@@ -7,7 +7,6 @@ from extragrad import (
     eg_coord_accel, eg_accel, gen_quadratic, make_rng,
     coord_trajectory, check_estimator_conditions, lambda_coord,
 )
-from extragrad.operators import CoordinateEstimatorState
 from extragrad.solvers import ImplicitIterate
 from extragrad.verify import coord_shadow_error
 
@@ -93,16 +92,6 @@ class TestEstimators:
         with pytest.raises(ValueError):
             check_estimator_conditions(prob, states, (prob.x_star, prob.x_star),
                                        lam, p)
-
-    def test_estimator_query_order_enforced(self):
-        prob = gen_quadratic(3, 1.0, 4.0, diag=True, seed=13)
-        p = prob.profile.coord_probabilities()
-        lam = lambda_coord(prob.profile)
-        st = CoordinateEstimatorState(prob, np.zeros(3), np.zeros(3),
-                                      i=0, p_i=float(p[0]), lam=lam,
-                                      mu=prob.profile.mu)
-        with pytest.raises(RuntimeError):
-            st.estimate_at_w()
 
 
 class TestConvergence:

@@ -1,13 +1,12 @@
-"""Operator constructions: Fenchel game, box-simplex, minimax, coordinate estimators."""
+"""Operator constructions: smoothness constants, box-simplex, minimax, alias sampling."""
 
 import numpy as np
 import pytest
 
 from extragrad import (
     Point, make_rng, SmoothnessProfile, lambda_fenchel, lambda_coord,
-    lambda_minimax, FenchelGameOperator, BoxSimplexInstance, MinimaxProfile,
-    MinimaxInstance, AliasTable, CoordinateEstimatorState, ScaledEuclidean,
-    ProductRegularizer, gen_quadratic,
+    lambda_minimax, BoxSimplexInstance, MinimaxProfile, MinimaxInstance,
+    AliasTable, ScaledEuclidean, ProductRegularizer,
 )
 
 
@@ -45,41 +44,6 @@ class TestLambdaFormulas:
     def test_lambda_coord(self):
         prof = SmoothnessProfile(9.0, 1.0, L_i=[1.0, 4.0, 9.0])
         assert lambda_coord(prof) == pytest.approx(7.0)
-
-
-class TestFenchelGameOperator:
-    def test_identity_quadratic(self):
-        op = FenchelGameOperator(lambda v: v, SmoothnessProfile(1.0, 1.0))
-        out = op(Point([2.0], [3.0]))
-        assert np.allclose(out.x, [3.0]) and np.allclose(out.y, [1.0])
-
-    def test_zero_at_solution(self):
-        op = FenchelGameOperator(lambda v: v - 1.0, SmoothnessProfile(1.0, 1.0))
-        out = op(Point([1.0], [1.0]))
-        assert np.allclose(out.x, 0.0) and np.allclose(out.y, 0.0)
-
-    def test_diagonal_blocks(self):
-        M = np.array([1.0, 4.0])
-        op = FenchelGameOperator(lambda v: M * v, SmoothnessProfile(4.0, 1.0))
-        out = op(Point([1.0, 0.0], [0.0, 1.0]))
-        assert np.allclose(out.x, [0.0, 4.0])
-        assert np.allclose(out.y, [-1.0, 1.0])
-
-    def test_dimension_mismatch(self):
-        op = FenchelGameOperator(lambda v: v, SmoothnessProfile(1.0, 1.0))
-        with pytest.raises(ValueError):
-            op(Point([1.0, 2.0], [3.0]))
-
-    def test_monotone_sampled(self):
-        # points are implicit (x, v); the monotone pairing uses y = grad f(v)
-        prob = gen_quadratic(6, 1.0, 10.0, diag=False, seed=0)
-        op = FenchelGameOperator(prob.grad, prob.profile)
-        rng = make_rng(1)
-        for _ in range(200):
-            z = Point(rng.standard_normal(6), rng.standard_normal(6))
-            w = Point(rng.standard_normal(6), rng.standard_normal(6))
-            diff = Point(w.x - z.x, prob.grad(w.y) - prob.grad(z.y))
-            assert (op(w) - op(z)).dot(diff) >= -1e-9
 
 
 class TestBoxSimplexInstance:
@@ -201,69 +165,3 @@ class TestAliasTable:
         table = AliasTable([0.0, 1.0])
         rng = make_rng(0)
         assert all(table.draw(rng) == 1 for _ in range(50))
-
-
-class TestCoordinateEstimators:
-    def _state(self, problem, x, v, i, lam=None):
-        prof = problem.profile
-        lam = lam if lam is not None else lambda_coord(prof)
-        p = prof.coord_probabilities()
-        return CoordinateEstimatorState(problem, x, v, i, p[i], lam, prof.mu)
-
-    def test_d1_reduces_to_exact_gradient(self):
-        problem = gen_quadratic(1, 2.0, 2.0, diag=True, seed=0)
-        x, v = np.array([0.3]), np.array([-0.7])
-        st = self._state(problem, x, v, 0)
-        gz = st.estimate_at_z()
-        assert np.allclose(gz.x, problem.grad(v))
-        assert np.allclose(gz.y, v - x)
-
-    def test_off_coordinate_gradient_vanishes(self):
-        # f = 1/2 sum L_i x_i^2, v = e_j, i != j -> x-block zero
-        problem = gen_quadratic(3, 1.0, 9.0, diag=True, seed=1)
-        problem.b[:] = 0.0
-        v = np.array([0.0, 1.0, 0.0])
-        st = self._state(problem, np.zeros(3), v, 0)
-        gz = st.estimate_at_z()
-        assert np.allclose(gz.x, 0.0)
-
-    def test_unbiasedness_by_enumeration(self):
-        problem = gen_quadratic(5, 1.0, 25.0, diag=True, seed=2)
-        rng = make_rng(3)
-        x, v = rng.standard_normal(5), rng.standard_normal(5)
-        p = problem.profile.coord_probabilities()
-        acc = np.zeros(5)
-        for i in range(5):
-            st = self._state(problem, x, v, i)
-            acc += p[i] * st.estimate_at_z().x
-        assert np.allclose(acc, problem.grad(v), atol=1e-12)
-
-    def test_w_estimator_requires_z_first(self):
-        problem = gen_quadratic(2, 1.0, 4.0, diag=True, seed=4)
-        st = self._state(problem, np.zeros(2), np.ones(2), 1)
-        with pytest.raises(RuntimeError):
-            st.estimate_at_w()
-
-    def test_two_queries_per_iteration(self):
-        problem = gen_quadratic(4, 1.0, 16.0, diag=True, seed=5)
-        st = self._state(problem, np.zeros(4), np.ones(4), 2)
-        st.estimate_at_z()
-        st.estimate_at_w()
-        assert st.oracle_queries == 2
-
-    def test_w_estimator_blocks(self):
-        problem = gen_quadratic(3, 1.0, 9.0, diag=True, seed=6)
-        rng = make_rng(7)
-        x, v = rng.standard_normal(3), rng.standard_normal(3)
-        i = 1
-        st = self._state(problem, x, v, i)
-        st.estimate_at_z()
-        gw = st.estimate_at_w()
-        lam, p_i, mu = st.lam, st.p_i, st.mu
-        v_half = (1 - 1 / lam) * v + x / lam
-        assert np.allclose(st.v_half, v_half)
-        expected_gi = problem.grad(v_half)[i]
-        assert gw.x[i] == pytest.approx(expected_gi / p_i, rel=1e-12)
-        shifted = x.copy()
-        shifted[i] += st.delta_i / p_i
-        assert np.allclose(gw.y, v_half - shifted)

@@ -8,11 +8,11 @@ import scipy.sparse as sp
 
 from extragrad import (
     ParseError, QuadraticProblem, gen_quadratic, gen_box_simplex, gen_minimax,
-    exact_solution, save_instance, load_instance, BoxSimplexInstance,
+    save_instance, load_instance, BoxSimplexInstance,
     MinimaxInstance, make_rng,
 )
 from extragrad.problems import (
-    power_iteration_extremes, read_matrix_market, read_vector,
+    read_matrix_market, read_vector,
     write_matrix_market, write_vector, read_manifest, write_manifest,
 )
 
@@ -47,23 +47,14 @@ class TestGenQuadratic:
             assert prob.f(prob.x_star) <= prob.f(prob.x_star + delta)
 
     def test_partial_oracle_matches_gradient(self):
-        for diag in (True, False):
-            prob = gen_quadratic(5, 1.0, 5.0, diag=diag, seed=5)
-            rng = make_rng(6)
-            u, w = rng.standard_normal(5), rng.standard_normal(5)
-            a, c = 0.3, 0.7
-            full = prob.grad(a * u + c * w)
-            for i in range(5):
-                assert prob.partial_i(i, a, u, c, w) == pytest.approx(full[i], abs=1e-12)
-
-
-class TestPowerIteration:
-    def test_extremes_match_eigvalsh(self):
-        prob = gen_quadratic(10, 1.0, 20.0, diag=False, seed=7)
-        lo, hi = power_iteration_extremes(prob.M, iters=500, tol=1e-12)
-        ev = np.linalg.eigvalsh(prob.M)
-        assert hi == pytest.approx(ev[-1], rel=1e-6)
-        assert lo == pytest.approx(ev[0], rel=1e-6)
+        prob = gen_quadratic(5, 1.0, 5.0, diag=True, seed=5)
+        x = make_rng(6).standard_normal(5)
+        full = prob.grad(x)
+        for i in range(5):
+            assert prob.partial_at(i, x[i]) == pytest.approx(full[i], abs=1e-12)
+        dense = gen_quadratic(5, 1.0, 5.0, diag=False, seed=5)
+        with pytest.raises(ValueError, match="diagonal M"):
+            dense.partial_at(0, x[0])
 
 
 class TestGenBoxSimplex:
@@ -92,27 +83,22 @@ class TestGenBoxSimplex:
 class TestExactSolution:
     def test_identity_quadratic(self):
         prob = QuadraticProblem(np.eye(2), np.array([-1.0, -1.0]))
-        x, val = exact_solution(prob)
+        x, val = prob.x_star, prob.f_star
         assert np.allclose(x, [1.0, 1.0])
         assert val == pytest.approx(prob.f(np.array([1.0, 1.0])))
 
     def test_decoupled_minimax(self):
         inst = MinimaxInstance(2.0, 4.0, np.zeros((2, 2)),
                                np.array([2.0, 0.0]), np.array([0.0, 8.0]))
-        z, _ = exact_solution(inst)
+        z = inst.saddle_point()
         assert np.allclose(z.x, [-1.0, 0.0])
         assert np.allclose(z.y, [0.0, -2.0])
 
     def test_coupled_minimax_residual(self):
         inst = gen_minimax(6, 5, 1.0, 2.0, 3.0, seed=8)
-        z, _ = exact_solution(inst)
+        z = inst.saddle_point()
         g = inst.operator(z)
         assert max(np.abs(g.x).max(), np.abs(g.y).max()) < 1e-10
-
-    def test_unsupported_kind(self):
-        inst = gen_box_simplex(3, 3, 1.0, seed=0)
-        with pytest.raises(LookupError):
-            exact_solution(inst)
 
 
 class TestSerialization:

@@ -78,6 +78,24 @@ class TestDualExtrapolation:
         assert np.all(np.diff(pots) <= 1e-9)
         assert trace.cum_regret() <= trace.summary["regret_bound"] + 100 * 1e-9
 
+    def test_each_step_computes_its_dual_prox_once(self):
+        calls = []
+
+        class Counting(ProductRegularizer):
+            def prox(self, z, g):
+                calls.append(z)
+                return super().prox(z, g)
+
+        z_bar = Point([0.3, -0.2], [0.5, 0.1])
+        r = Counting(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
+        trace = dual_extrapolation(rotation_game, r, z_bar, 2.0, 10)
+        # z_0, then w_t and z_{t+1} = Prox_zbar(s_{t+1}) per step; z_{t+1} is reused
+        assert len(calls) == 2 * 10 + 1
+        s = sum((rotation_game(w) for w in trace.iterates), Point([0.0, 0.0], [0.0, 0.0]))
+        final = trace.summary["final"]  # z_T = z_bar - s_T with s_T = sum_t g(w_t) / lam
+        assert np.allclose(final.x, z_bar.x - s.x / 2.0)
+        assert np.allclose(final.y, z_bar.y - s.y / 2.0)
+
 
 class TestStronglyMonotone:
     def test_identity_operator_halves(self):

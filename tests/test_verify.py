@@ -1,17 +1,17 @@
-"""Certification layer: samplers, inequality checks, finite differences."""
+"""Certification layer: samplers and inequality checks."""
 
 import numpy as np
 import pytest
 
 from extragrad import (
     Point, Box, Simplex, ProductSet, ScaledEuclidean, ProductRegularizer,
-    ConjugateOracle, ConjugateRegularizer, FenchelGameOperator,
-    SmoothnessProfile, lambda_fenchel, make_rng, mirror_prox, gen_quadratic,
+    ConjugateOracle, ConjugateRegularizer, SmoothnessProfile, lambda_fenchel,
+    make_rng, mirror_prox,
 )
 from extragrad.verify import (
     TripleSampler, CertificateReport, check_relative_lipschitzness,
     check_relative_smoothness_implies, check_strong_monotonicity,
-    check_regret_certificate, finite_diff_gradient,
+    check_regret_certificate,
 )
 
 BOX_PAIR_DOMAIN = ProductSet(Box(-np.ones(2), np.ones(2)),
@@ -129,30 +129,6 @@ class TestRegretCertificate:
                           for w in trace.iterates]
         ok, margin = check_regret_certificate(trace, g, EUCLID_PAIR, 2.0, z0, u)
         assert not ok and margin < 0
-
-
-class TestFiniteDifference:
-    def test_quadratic_gradient(self):
-        prob = gen_quadratic(5, 1.0, 6.0, diag=False, seed=0)
-        x = make_rng(1).standard_normal(5)
-        approx, dev = finite_diff_gradient(prob.f, x, 1e-4, grad_oracle=prob.grad)
-        assert dev < 1e-6
-        assert np.allclose(approx, prob.grad(x), atol=1e-6)
-
-    def test_linear_function_is_exact(self):
-        c = np.array([2.0, -1.0])
-        approx, _ = finite_diff_gradient(lambda x: float(c @ x), np.zeros(2), 0.1)
-        assert np.allclose(approx, c, atol=1e-12)
-
-    def test_detects_wrong_oracle(self):
-        prob = gen_quadratic(4, 1.0, 3.0, diag=True, seed=2)
-        _, dev = finite_diff_gradient(prob.f, np.ones(4), 1e-4,
-                                      grad_oracle=lambda x: 2 * prob.grad(x))
-        assert dev > 1e-2
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError):
-            finite_diff_gradient(lambda x: 0.0, np.zeros(1), 0.0)
 
 
 class TestReportIO:
