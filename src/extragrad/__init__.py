@@ -54,13 +54,11 @@ from .solvers import (
     baseline_unaccelerated,
     eg_accel,
     general_norm_accel,
-    EuclideanOmega,
     ImplicitIterate,
     eg_coord_accel,
 )
 from .boxsimplex import (
     LAMBDA_BOX_SIMPLEX,
-    AlternatingProxConfig,
     ShermanRegularizer,
     preprocess,
     linf_regression_reduction,

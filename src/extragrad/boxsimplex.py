@@ -8,12 +8,11 @@ reduction from box-constrained ell_inf regression.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import Point, Box, Simplex, ProductSet
+from .core import Point
 from .operators import BoxSimplexInstance
 from .solvers import SolverTrace
 
@@ -21,21 +20,7 @@ LAMBDA_BOX_SIMPLEX = 3.0
 ENTROPY_SCALE_FACTOR = 10.0
 
 Y_FLOOR = 1e-300  # multiplicative updates cannot hit exact zero, underflow can
-
-
-@dataclass
-class AlternatingProxConfig:
-    """Knobs of the alternating block-minimization prox solver.
-
-    ``tol`` bounds the exact optimality gap of a prox output (see
-    ``ShermanRegularizer.prox``); ``max_rounds`` caps the rounds of one call.
-    """
-
-    max_rounds: int = 32
-    tol: float | None = None  # prox alone: 1e-10 * op_norm; solve: eps / (8 lam)
-
-    def resolve_tol(self, op_norm):
-        return 1e-10 * max(op_norm, 1.0) if self.tol is None else self.tol
+PROX_MAX_ROUNDS = 32  # hard cap on the rounds of one prox call
 
 
 class ZTerms(NamedTuple):
@@ -49,14 +34,16 @@ class ZTerms(NamedTuple):
 
 
 class ShermanRegularizer:
-    """r(x, y) = y^T |A| (x^2) + 10 ||A|| sum_i y_i log y_i over [-1,1]^n x simplex."""
+    """r(x, y) = y^T |A| (x^2) + 10 ||A|| sum_i y_i log y_i over [-1,1]^n x simplex.
 
-    def __init__(self, inst: BoxSimplexInstance, cfg: AlternatingProxConfig | None = None):
+    ``prox`` stops once its output's optimality gap is at most ``tol``, by
+    default 1e-10 max(||A||, 1).
+    """
+
+    def __init__(self, inst: BoxSimplexInstance, tol: float | None = None):
         self.inst = inst
         self.alpha = ENTROPY_SCALE_FACTOR * inst.op_norm
-        self.cfg = cfg or AlternatingProxConfig()
-        self.feasible_set = ProductSet(
-            Box(-np.ones(inst.n), np.ones(inst.n)), Simplex(inst.m))
+        self.tol = 1e-10 * max(inst.op_norm, 1.0) if tol is None else tol
         self.last_rounds = 0
         self.last_gap = 0.0
         self.last_gamma_inf = 0.0
@@ -104,18 +91,15 @@ class ShermanRegularizer:
         """
         inst = self.inst
         alpha = self.alpha
-        tol = self.cfg.resolve_tol(inst.op_norm)
+        tol = self.tol
         if zt is None:
             zt = self.z_terms(z)
         lin_x = g.x - zt.grad_zx
         neg_lin_x = -lin_x
         gamma, logw, h_y = self._gamma, self._logw, self._h_y
         a_coef = zt.atz_y  # round 1 starts from y = zy
-        x = y = None
         gamma_max = 0.0
-        rounds = 0
-        gap = np.inf
-        for r in range(self.cfg.max_rounds):
+        for r in range(PROX_MAX_ROUNDS):
             rounds = r + 1
             with np.errstate(divide="ignore", invalid="ignore"):
                 x = neg_lin_x / (2.0 * a_coef)
@@ -151,8 +135,6 @@ class ShermanRegularizer:
             warnings.warn(
                 f"alternating prox stopped at gap {gap:.3e} "
                 f"after {rounds} rounds (tol {tol:.3e})", RuntimeWarning)
-        if x is None:  # max_rounds = 0 answers z itself
-            x, y = z.x.copy(), zt.zy.copy()
         return Point(x, y)
 
 
@@ -212,7 +194,6 @@ def iteration_budget(inst: BoxSimplexInstance, eps: float) -> int:
 
 
 def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
-                      cfg: AlternatingProxConfig | None = None,
                       max_iters: int | None = None,
                       certify: bool = False):
     """Mirror prox with lam = 3 in the coupled regularizer from z0 = (0, uniform).
@@ -223,16 +204,13 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     Lipschitzness margin at lam = 3, and the sup-norm of the entropic
     subproblem's linear term.
 
-    Unless ``cfg.tol`` is set, each prox call stops at gap eps / (8 lam), but
-    no tighter than a prox called on its own.  The two calls of an iteration
-    then add at most eps / 4 to the averaged gap bound; the sum of the gaps
-    is ``trace.summary["prox_gap_sum"]``.
+    Each prox call stops at gap eps / (8 lam), but no tighter than a prox
+    called on its own.  The two calls of an iteration then add at most eps / 4
+    to the averaged gap bound; the sum of the gaps is
+    ``trace.summary["prox_gap_sum"]``.
     """
     lam = LAMBDA_BOX_SIMPLEX
-    cfg = cfg or AlternatingProxConfig()
-    if cfg.tol is None:
-        cfg = replace(cfg, tol=max(cfg.resolve_tol(inst.op_norm), eps / (8.0 * lam)))
-    reg = ShermanRegularizer(inst, cfg)
+    reg = ShermanRegularizer(inst, max(1e-10 * max(inst.op_norm, 1.0), eps / (8.0 * lam)))
     budget = iteration_budget(inst, eps) if max_iters is None else max_iters
     tol_rl = 1e-8 * max(1.0, inst.op_norm)
     z = Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m))

@@ -35,7 +35,7 @@ from .problems import (ParseError, QuadraticProblem, gen_box_simplex,
                        gen_minimax, gen_quadratic, save_instance, load_instance)
 from .solvers import (NonFiniteIterateError, baseline_unaccelerated,
                       dual_extrapolation, eg_accel, eg_coord_accel,
-                      general_norm_accel, mirror_prox, mirror_prox_sm, EuclideanOmega)
+                      general_norm_accel, mirror_prox, mirror_prox_sm)
 from .boxsimplex import solve_box_simplex
 from . import verify as V
 
@@ -310,7 +310,8 @@ def _solve_eg_accel(problem, args):
 
 def _solve_eg_gennorm(problem, args):
     eps = _or(args.eps, 1e-6)
-    x = general_norm_accel(problem, EuclideanOmega(), np.zeros(problem.d), eps, T=args.iters)
+    x = general_norm_accel(problem, ScaledEuclidean(problem.profile.mu), np.zeros(problem.d),
+                           eps, T=args.iters)
     return _accuracy(problem, x, eps, [{"iter": 0, "f_err": problem.error(x)}], {})
 
 

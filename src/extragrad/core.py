@@ -41,14 +41,6 @@ class Point:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
-    @property
-    def n(self):
-        return self.x.size
-
-    @property
-    def m(self):
-        return self.y.size
-
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y)))
 
@@ -66,12 +58,6 @@ class Point:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Point(-self.x, -self.y)
-
-    def copy(self):
-        return Point(self.x.copy(), self.y.copy())
-
 
 def vdot(a, b) -> float:
     """Inner product working on both Points and plain arrays."""
@@ -86,7 +72,7 @@ def vdot(a, b) -> float:
 
 
 class FeasibleSet:
-    def contains(self, v, tol=TAU_FEAS) -> bool:
+    def contains(self, v) -> bool:
         raise NotImplementedError
 
     def sample(self, rng, margin=0.0):
@@ -97,7 +83,7 @@ class Everywhere(FeasibleSet):
     def __init__(self, dim: int):
         self.dim = dim
 
-    def contains(self, v, tol=TAU_FEAS):
+    def contains(self, v):
         return v.size == self.dim and bool(np.all(np.isfinite(v)))
 
     def sample(self, rng, margin=0.0):
@@ -112,11 +98,8 @@ class Box(FeasibleSet):
             raise ValueError("box needs lo <= hi coordinatewise")
         self.dim = self.lo.size
 
-    def contains(self, v, tol=TAU_FEAS):
-        return bool(np.all(v >= self.lo - tol) and np.all(v <= self.hi + tol))
-
-    def project(self, v):
-        return np.clip(v, self.lo, self.hi)
+    def contains(self, v):
+        return bool(np.all(v >= self.lo - TAU_FEAS) and np.all(v <= self.hi + TAU_FEAS))
 
     def sample(self, rng, margin=0.0):
         lo = self.lo + margin * (self.hi - self.lo)
@@ -128,8 +111,9 @@ class Simplex(FeasibleSet):
     def __init__(self, dim: int):
         self.dim = dim
 
-    def contains(self, v, tol=TAU_FEAS):
-        return bool(np.all(v >= -tol) and abs(float(np.sum(v)) - 1.0) <= max(tol, TAU_FEAS * v.size))
+    def contains(self, v):
+        return bool(np.all(v >= -TAU_FEAS)
+                    and abs(float(np.sum(v)) - 1.0) <= max(TAU_FEAS, TAU_FEAS * v.size))
 
     def sample(self, rng, margin=0.0):
         # margin keeps every entry >= margin / dim, away from the boundary
@@ -143,8 +127,8 @@ class ProductSet(FeasibleSet):
         self.x_set = x_set
         self.y_set = y_set
 
-    def contains(self, p: Point, tol=TAU_FEAS):
-        return self.x_set.contains(p.x, tol) and self.y_set.contains(p.y, tol)
+    def contains(self, p: Point):
+        return self.x_set.contains(p.x) and self.y_set.contains(p.y)
 
     def sample(self, rng, margin=0.0):
         return Point(self.x_set.sample(rng, margin), self.y_set.sample(rng, margin))
@@ -208,8 +192,6 @@ class ConjugateOracle:
 class BlockRegularizer:
     """Distance-generating function over one vector block."""
 
-    feasible_set: FeasibleSet
-
     def value(self, v) -> float:
         raise NotImplementedError
 
@@ -231,13 +213,12 @@ class BlockRegularizer:
 
 
 class ScaledEuclidean(BlockRegularizer):
-    """r(v) = mu/2 ||v||_2^2, optionally over a box."""
+    """r(v) = mu/2 ||v||_2^2 over free space."""
 
-    def __init__(self, mu=1.0, feasible_set: FeasibleSet | None = None):
+    def __init__(self, mu=1.0):
         if mu < 0:
             raise ValueError("mu must be nonnegative")
         self.mu = mu
-        self.feasible_set = feasible_set
 
     def value(self, v):
         return 0.5 * self.mu * float(np.dot(v, v))
@@ -250,28 +231,19 @@ class ScaledEuclidean(BlockRegularizer):
         return 0.5 * self.mu * float(np.dot(d, d))
 
     def prox(self, z, g):
-        out = z - g / self.mu
-        if isinstance(self.feasible_set, Box):
-            out = self.feasible_set.project(out)
-        elif self.feasible_set is not None and not isinstance(self.feasible_set, Everywhere):
-            raise DomainError("euclidean prox implemented for boxes and free space only")
-        return out
+        return z - g / self.mu
 
     def blended_prox(self, zt, wt, g, lam, m):
-        out = (zt + (m / lam) * wt - g / (self.mu * lam)) / (1.0 + m / lam)
-        if isinstance(self.feasible_set, Box):
-            out = self.feasible_set.project(out)
-        return out
+        return (zt + (m / lam) * wt - g / (self.mu * lam)) / (1.0 + m / lam)
 
 
 class NegativeEntropy(BlockRegularizer):
     """r(v) = c * sum_i v_i log v_i over the probability simplex."""
 
-    def __init__(self, scale=1.0, dim=None):
+    def __init__(self, scale=1.0):
         if scale <= 0:
             raise ValueError("entropy scale must be positive")
         self.scale = scale
-        self.feasible_set = Simplex(dim) if dim is not None else None
 
     def value(self, v):
         w = np.maximum(v, 0.0)
@@ -310,7 +282,6 @@ class ConjugateRegularizer(BlockRegularizer):
 
     def __init__(self, oracle: ConjugateOracle):
         self.oracle = oracle
-        self.feasible_set = None
 
     def value(self, v):
         return self.oracle.fstar(v)

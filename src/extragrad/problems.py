@@ -44,21 +44,23 @@ class QuadraticProblem:
         self.diag = self.oracle.diag
         self.b = self.oracle.b
         self.d = self.b.size
-        if self.diag:
-            mu = float(self.M.min()) if mu is None else mu
-            L = float(self.M.max()) if L is None else L
-            L_i = self.M.copy()
-        else:
-            if mu is None or L is None:
-                ev = np.linalg.eigvalsh(self.M)
-                mu = float(ev[0]) if mu is None else mu
-                L = float(ev[-1]) if L is None else L
-            L_i = np.diag(self.M).copy()
+        if mu is None or L is None:
+            lo, hi = self.spectrum_extremes()
+            mu = lo if mu is None else mu
+            L = hi if L is None else L
+        L_i = self.M.copy() if self.diag else np.diag(self.M).copy()
         self.profile = SmoothnessProfile(L=L, mu=mu, L_i=L_i)
         self.x_star = self.oracle.grad_fstar(np.zeros(self.d))
         self.f_star = self.f(self.x_star)
         if not np.isfinite(self.f_star):
             raise ValueError(f"optimal value {self.f_star!r} is not finite")
+
+    def spectrum_extremes(self):
+        """The smallest and largest eigenvalues of M."""
+        if self.diag:
+            return float(self.M.min()), float(self.M.max())
+        ev = np.linalg.eigvalsh(self.M)
+        return float(ev[0]), float(ev[-1])
 
     def f(self, x):
         return self.oracle.f(x)
@@ -82,6 +84,8 @@ def gen_quadratic(d, mu, L, diag=True, seed=0) -> QuadraticProblem:
         raise ValueError("d must be >= 1")
     if not (0 < mu <= L):
         raise ValueError("need 0 < mu <= L")
+    if d == 1 and mu != L:
+        raise ValueError("d = 1 has one eigenvalue, so it needs mu = L")
     rng = make_rng(seed)
     ev = np.exp(rng.uniform(np.log(mu), np.log(L), size=d))
     ev[0] = mu
@@ -336,6 +340,10 @@ def _build_instance(manifest_path, man):
         if int(man.get("diag", 0)):  # a d x 1 column, or the dense d x d of older manifests
             M = M.ravel() if M.shape[1] == 1 else np.diag(M)
         inst = QuadraticProblem(M, b, mu=float(man["mu"]), L=float(man["L"]))
+        (lo, hi), mu, L = inst.spectrum_extremes(), inst.profile.mu, inst.profile.L
+        if max(abs(mu - lo), abs(L - hi)) > 1e-9 * L:  # a wrong mu or L mis-sets lam
+            raise ParseError(manifest_path, 1, f"mu={mu!r} and L={L!r} disagree with the "
+                             f"extreme eigenvalues {lo!r} and {hi!r} of M")
         dims, keys = (inst.d,), ("d",)
     elif kind == "box-simplex":
         A = read_matrix_market(os.path.join(base, man["A"]))

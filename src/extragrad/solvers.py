@@ -48,16 +48,19 @@ def _check_finite(z, t):
 # ---------------------------------------------------------------------------
 
 
-def mirror_prox(g, r, z0, lam, T, u=None, callback=None):
+def mirror_prox(g, r, z0, lam, T, u=None):
     """Mirror prox: w_t = Prox_{z_t}(g(z_t)/lam), z_{t+1} = Prox_{z_t}(g(w_t)/lam).
 
     With a comparator u supplied the trace records the instantaneous regret
     <g(w_t), w_t - u> and the telescoping slack
     V_{z_t}(u) - V_{z_{t+1}}(u) - <g(w_t), w_t - u>/lam, which is nonnegative
-    up to rounding whenever (g, r) is lam-relatively Lipschitz.
+    up to rounding whenever (g, r) is lam-relatively Lipschitz.  Each V_{z_t}(u)
+    is computed once, so T steps make T + 1 divergence calls.
     """
     trace = SolverTrace()
     z = z0
+    if u is not None:
+        div_z0 = div_z = r.divergence(z0, u)
     for t in range(T):
         gz = g(z)
         w = r.prox(z, (1.0 / lam) * gz)
@@ -68,16 +71,15 @@ def mirror_prox(g, r, z0, lam, T, u=None, callback=None):
         trace.iterates.append(w)
         if u is not None:
             regret = vdot(gw, w - u)
-            slack = r.divergence(z, u) - r.divergence(z_next, u) - regret / lam
+            div_next = r.divergence(z_next, u)
             trace.regrets.append(regret)
-            trace.telescope_slack.append(slack)
-        if callback is not None:
-            callback(t, z, w, z_next)
+            trace.telescope_slack.append(div_z - div_next - regret / lam)
+            div_z = div_next
         z = z_next
     trace.summary = {"algorithm": "mirror-prox", "iterations": T, "lam": lam,
                      "final": z}
     if u is not None:
-        trace.summary["regret_bound"] = lam * r.divergence(z0, u)
+        trace.summary["regret_bound"] = lam * div_z0
         trace.summary["cum_regret"] = trace.cum_regret()
     return trace
 
@@ -221,13 +223,14 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
     return x_phase
 
 
-def general_norm_accel(problem, omega, x0, eps, T=None):
+def general_norm_accel(problem, rx, x0, eps, T=None):
     """Accelerated minimization in a general norm via strongly-monotone mirror prox.
 
     Solves min_x mu*omega(x) + max_y <y,x> - h*(y) with h = f - mu*omega, using
     r(x, y) = mu*omega(x) + h*(y), m = 1, lam = 1 + sqrt(L/mu).  The dual block
     is maintained implicitly as grad h(v), so only grad h = grad f - mu*grad
-    omega queries occur.  omega must supply prox and blended-prox closed forms.
+    omega queries occur.  ``rx`` is the x-block regularizer mu*omega, a
+    :class:`BlockRegularizer` with a closed-form blended prox.
     """
     L, mu = problem.profile.L, problem.profile.mu
     lam = lambda_fenchel(problem.profile)
@@ -238,38 +241,21 @@ def general_norm_accel(problem, omega, x0, eps, T=None):
         T = int(np.ceil(4 * np.sqrt(L / mu) * np.log(max(2 * L / mu * err0 / eps, np.e))))
 
     def grad_h(v):
-        return problem.grad(v) - mu * omega.grad(v)
+        return problem.grad(v) - rx.grad(v)
 
     x, v = x0.copy(), x0.copy()
     for t in range(T):
         # w_t = Prox_{z_t}(g(z_t)/lam); y-block prox reduces to a v-space mix
-        gx = grad_h(v) + mu * omega.grad(x)
-        x_half = omega.prox_scaled(x, gx / lam, mu)
+        gx = grad_h(v) + rx.grad(x)
+        x_half = rx.prox(x, gx / lam)
         v_half = (1.0 - 1.0 / lam) * v + x / lam
         # blended second step against w_t
-        gx_w = grad_h(v_half) + mu * omega.grad(x_half)
+        gx_w = grad_h(v_half) + rx.grad(x_half)
         gy_w = v_half - x_half
-        x = omega.blended_prox_scaled(x, x_half, gx_w, lam, m, mu)
+        x = rx.blended_prox(x, x_half, gx_w, lam, m)
         v = (v + (m / lam) * v_half - gy_w / lam) / (1.0 + m / lam)
         _check_finite(x, t)
     return x
-
-
-class EuclideanOmega:
-    """omega(x) = 1/2 ||x||_2^2, the Euclidean instantiation of the general-norm path."""
-
-    def value(self, x):
-        return 0.5 * float(np.dot(x, x))
-
-    def grad(self, x):
-        return x
-
-    def prox_scaled(self, base, g, mu):
-        # argmin_x <g, x> + mu * V^omega_base(x)
-        return base - g / mu
-
-    def blended_prox_scaled(self, zt, wt, g, lam, m, mu):
-        return (zt + (m / lam) * wt - g / (mu * lam)) / (1.0 + m / lam)
 
 
 # ---------------------------------------------------------------------------

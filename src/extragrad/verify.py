@@ -27,12 +27,11 @@ class TripleSampler:
     domain: object  # any FeasibleSet, including ProductSet
     count: int = 1000
     seed: int = 0
-    margin: float = SIMPLEX_MARGIN
 
-    def points(self, per_draw=3):
+    def points(self):
         rng = make_rng(self.seed)
         for _ in range(self.count):
-            yield tuple(self.domain.sample(rng, self.margin) for _ in range(per_draw))
+            yield tuple(self.domain.sample(rng, SIMPLEX_MARGIN) for _ in range(3))
 
 
 @dataclass

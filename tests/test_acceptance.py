@@ -12,7 +12,7 @@ from extragrad import (
     Point, Box, Simplex, Everywhere, ProductSet, ScaledEuclidean,
     NegativeEntropy, ProductRegularizer, ConjugateOracle, ConjugateRegularizer,
     make_rng, mirror_prox, dual_extrapolation, mirror_prox_sm,
-    baseline_unaccelerated, eg_accel, general_norm_accel, EuclideanOmega,
+    baseline_unaccelerated, eg_accel, general_norm_accel,
     eg_coord_accel, gen_quadratic, gen_box_simplex, gen_minimax,
     lambda_minimax, lambda_fenchel, solve_box_simplex, linf_regression_reduction,
 )
@@ -200,7 +200,7 @@ def test_criterion_09_general_norm_budget():
         x0 = np.zeros(20)
         eps0 = prob.error(x0)
         T = int(np.ceil(4 * np.sqrt(25.0) * np.log(2 * 25.0 * eps0 / eps)))
-        x = general_norm_accel(prob, EuclideanOmega(), x0, eps, T=T)
+        x = general_norm_accel(prob, ScaledEuclidean(1.0), x0, eps, T=T)
         assert prob.error(x) <= eps, f"seed {seed}"
     print("criterion 9 general-norm accelerated budget: PASS")
 
@@ -218,7 +218,7 @@ def test_criterion_10_property_suites():
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     # prox optimality for entropy on the simplex
-    ent = NegativeEntropy(1.0, dim=5)
+    ent = NegativeEntropy(1.0)
     s = Simplex(5)
     worst = 0.0
     for _ in range(N):

@@ -9,7 +9,7 @@ import scipy.optimize
 from extragrad import (
     Point, Simplex, make_rng, gen_box_simplex, BoxSimplexInstance,
     solve_box_simplex, duality_gap, preprocess, linf_regression_reduction,
-    iteration_budget, ShermanRegularizer, AlternatingProxConfig,
+    iteration_budget, ShermanRegularizer,
 )
 from extragrad import boxsimplex
 from extragrad.boxsimplex import LAMBDA_BOX_SIMPLEX, ENTROPY_SCALE_FACTOR
@@ -149,9 +149,10 @@ class TestProxGap:
         return h.dot(w) - float(c @ res.x)
 
     @pytest.mark.parametrize("max_rounds", [1, 2, 3])
-    def test_last_gap_matches_linprog(self, max_rounds):
+    def test_last_gap_matches_linprog(self, max_rounds, monkeypatch):
+        monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", max_rounds)
         inst = small_instance(seed=40, m=7, n=5)
-        reg = ShermanRegularizer(inst, AlternatingProxConfig(max_rounds=max_rounds))
+        reg = ShermanRegularizer(inst)
         rng = make_rng(41 + max_rounds)
         for _ in range(10):
             z = sample_domain(inst, rng)
@@ -202,13 +203,14 @@ class TestTransposes:
 
 
 class TestProxXUpdate:
-    def test_zero_column_takes_the_sign_branch(self):
+    def test_zero_column_takes_the_sign_branch(self, monkeypatch):
         # columns 1 and 3 of A are zero, so their curvature a_coef is 0
+        monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 1)
         A = np.array([[0.5, 0.0, -1.0, 0.0],
                       [2.0, 0.0, 0.25, 0.0],
                       [-0.3, 0.0, 0.0, 0.0]])
         inst = BoxSimplexInstance(A, np.zeros(3), np.zeros(4))
-        reg = ShermanRegularizer(inst, AlternatingProxConfig(max_rounds=1))
+        reg = ShermanRegularizer(inst)
         z = Point(np.array([0.2, -0.4, 0.9, 0.1]), np.array([0.5, 0.3, 0.2]))
         g = Point(np.array([0.7, 0.3, -5.0, -0.2]), np.array([0.1, -0.2, 0.05]))
         with pytest.warns(RuntimeWarning, match="alternating prox stopped"):
@@ -303,16 +305,6 @@ class TestSolve:
         assert inst.op_norm == 0.0
         self._assert_answers_z0(inst, 1e-3)
 
-    def test_stalled_prox_warns(self):
-        inst = gen_box_simplex(10, 8, 0.5, seed=4)
-        with pytest.warns(RuntimeWarning) as record:
-            solve_box_simplex(inst, 0.1 * inst.op_norm,
-                              cfg=AlternatingProxConfig(max_rounds=2, tol=1e-10 * inst.op_norm))
-        stalls = [w for w in record
-                  if "alternating prox stopped" in str(w.message)]
-        assert stalls and all("after 2 rounds" in str(w.message) for w in stalls)
-
-
     def test_prox_gaps_add_at_most_a_quarter_eps(self):
         inst = gen_box_simplex(12, 10, 0.5, seed=18)
         eps = 1e-2 * inst.op_norm
@@ -324,17 +316,39 @@ class TestSolve:
         assert 0.0 < s["prox_gap_sum"]
         assert s["lam"] * s["prox_gap_sum"] / s["iterations"] <= eps / 4
 
-    def test_solve_stops_prox_at_eps_over_8_lam(self):
+    def test_stalled_prox_warns(self, monkeypatch):
+        # at eps = 1e-12 ||A|| the prox tolerance is its floor 1e-10 ||A||
+        monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 2)
+        inst = gen_box_simplex(10, 8, 0.5, seed=4)
+        with pytest.warns(RuntimeWarning) as record:
+            solve_box_simplex(inst, 1e-12 * inst.op_norm, max_iters=20)
+        stalls = [w for w in record
+                  if "alternating prox stopped" in str(w.message)]
+        assert stalls and all("after 2 rounds" in str(w.message) for w in stalls)
+
+    def test_solve_stops_prox_at_eps_over_8_lam(self, monkeypatch):
+        monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 1)
         rng = make_rng(100)
         inst = linf_regression_reduction(rng.standard_normal((10, 5)),
                                          rng.standard_normal(10))
         eps = 1.5e-3 * inst.op_norm
         with pytest.warns(RuntimeWarning) as record:
-            solve_box_simplex(inst, eps, cfg=AlternatingProxConfig(max_rounds=1),
-                              max_iters=1000)
+            solve_box_simplex(inst, eps, max_iters=1000)
         stalls = [str(w.message) for w in record
                   if "alternating prox stopped" in str(w.message)]
-        tol = f"(tol {eps / (8 * LAMBDA_BOX_SIMPLEX):.3e})"
+        tol = f"after 1 rounds (tol {eps / (8 * LAMBDA_BOX_SIMPLEX):.3e})"
+        assert stalls and all(tol in m for m in stalls)
+
+    def test_solve_keeps_the_prox_tolerance_floor(self, monkeypatch):
+        # eps / (8 lam) lies below 1e-10 max(||A||, 1), so the floor is the tolerance
+        monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 1)
+        inst = gen_box_simplex(10, 8, 0.5, seed=4)
+        eps = 1e-12 * inst.op_norm
+        with pytest.warns(RuntimeWarning) as record:
+            solve_box_simplex(inst, eps, max_iters=20)
+        stalls = [str(w.message) for w in record
+                  if "alternating prox stopped" in str(w.message)]
+        tol = f"(tol {1e-10 * max(inst.op_norm, 1.0):.3e})"
         assert stalls and all(tol in m for m in stalls)
 
     def test_linf_prox_takes_about_one_round(self, monkeypatch):

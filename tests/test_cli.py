@@ -67,7 +67,7 @@ class TestGen:
     @pytest.mark.parametrize("params", [
         ["quadratic", "d=abc"], ["quadratic", "d=0"], ["quadratic", "mu=5", "L=1"],
         ["quadratic", "L=inf"], ["quadratic", "x=1"], ["quadratic", "d"],
-        ["box-simplex", "m=-1"], ["box-simplex", "density=2"], ["minimax", "n=0"],
+        ["quadratic", "d=1"], ["box-simplex", "m=-1"], ["box-simplex", "density=2"], ["minimax", "n=0"],
         ["minimax", "mu_x=0"], ["minimax", "coupling=nan"],
     ], ids=" ".join)
     def test_bad_parameter_is_usage_error(self, tmp_path, capsys, params):
@@ -174,6 +174,7 @@ class TestSolve:
 
     @pytest.mark.parametrize("old, new, message", [
         ("mu=1.0", "mu=100.0", "need 0 < mu <= L"),
+        ("mu=1.0", "mu=5.0", "disagree with the extreme eigenvalues 1.0 and 50.0 of M"),
         ("mu=1.0", "mu=one", "could not convert string to float: 'one'"),
         ("b=quad.b.txt", "", "missing key 'b'"),
         ("L=50.0", "L=inf", "need 0 < mu <= L, both finite"),

@@ -23,7 +23,7 @@ class TestPoint:
 
     def test_empty_dual_block(self):
         p = Point([1.0, 2.0])
-        assert p.m == 0 and p.n == 2
+        assert p.y.size == 0 and p.x.size == 2
         assert p.dot(p) == pytest.approx(5.0)
 
     def test_finite_detection(self):
@@ -33,11 +33,10 @@ class TestPoint:
 
 
 class TestFeasibleSets:
-    def test_box_membership_and_projection(self):
+    def test_box_membership(self):
         box = Box([-1.0, -1.0], [1.0, 1.0])
         assert box.contains(np.array([0.5, -0.5]))
         assert not box.contains(np.array([1.5, 0.0]))
-        assert np.allclose(box.project(np.array([3.0, -2.0])), [1.0, -1.0])
 
     def test_box_requires_ordered_bounds(self):
         with pytest.raises(ValueError):
@@ -71,7 +70,7 @@ class TestDivergence:
         assert divergence(reg, np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(12.5)
 
     def test_entropy_kl_to_uniform(self):
-        reg = NegativeEntropy(1.0, dim=2)
+        reg = NegativeEntropy(1.0)
         val = divergence(reg, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
         assert val == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -86,7 +85,7 @@ class TestDivergence:
         assert rhs == pytest.approx(4.0, abs=1e-12)
 
     def test_entropy_rejects_zero_base(self):
-        reg = NegativeEntropy(1.0, dim=2)
+        reg = NegativeEntropy(1.0)
         with pytest.raises(DomainError):
             reg.grad(np.array([0.0, 1.0]))
         with pytest.raises(DomainError):
@@ -114,7 +113,7 @@ class TestDivergence:
                 assert divergence(reg, a, b) >= -1e-9
 
     def test_convexity_in_second_argument_sampled(self):
-        reg = NegativeEntropy(1.3, dim=4)
+        reg = NegativeEntropy(1.3)
         rng = make_rng(8)
         s = Simplex(4)
         for _ in range(200):
@@ -133,7 +132,7 @@ class TestProx:
         assert np.allclose(out, [0.0, 2.0])
 
     def test_entropy_prox_closed_form(self):
-        reg = NegativeEntropy(1.0, dim=2)
+        reg = NegativeEntropy(1.0)
         out = reg.prox(np.array([0.5, 0.5]), np.array([0.0, np.log(2.0)]))
         assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0])
 
@@ -142,15 +141,11 @@ class TestProx:
         z = rng.standard_normal(4)
         assert np.allclose(ScaledEuclidean(2.5).prox(z, np.zeros(4)), z)
         s = Simplex(4).sample(rng, 1e-2)
-        assert np.allclose(NegativeEntropy(3.0, dim=4).prox(s, np.zeros(4)), s)
-
-    def test_box_constrained_prox(self):
-        reg = ScaledEuclidean(1.0, feasible_set=Box([-1.0], [1.0]))
-        assert reg.prox(np.array([0.5]), np.array([-3.0]))[0] == pytest.approx(1.0)
+        assert np.allclose(NegativeEntropy(3.0).prox(s, np.zeros(4)), s)
 
     def test_prox_optimality_sampled(self):
         # <g + grad r(w) - grad r(z), u - w> >= 0 for feasible u
-        reg = NegativeEntropy(1.0, dim=3)
+        reg = NegativeEntropy(1.0)
         rng = make_rng(4)
         s = Simplex(3)
         for _ in range(100):
@@ -199,7 +194,7 @@ class TestConjugateOracle:
 class TestThreePointIdentity:
     @pytest.mark.parametrize("reg,sampler_margin", [
         (ScaledEuclidean(1.7), None),
-        (NegativeEntropy(2.0, dim=4), 1e-3),
+        (NegativeEntropy(2.0), 1e-3),
     ])
     def test_three_point_equality(self, reg, sampler_margin):
         rng = make_rng(21)

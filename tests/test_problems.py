@@ -38,6 +38,8 @@ class TestGenQuadratic:
             gen_quadratic(0, 1.0, 2.0)
         with pytest.raises(ValueError):
             gen_quadratic(3, 2.0, 1.0)
+        with pytest.raises(ValueError, match="needs mu = L"):
+            gen_quadratic(1, 1.0, 10.0)
 
     def test_minimizer_is_optimal(self):
         prob = gen_quadratic(6, 1.0, 9.0, diag=False, seed=3)
@@ -153,6 +155,18 @@ class TestSerialization:
         back = load_instance(man)
         assert back.diag and np.array_equal(back.M, [2.0, 0.5, 7.25])
         assert np.array_equal(back.b, [1.0, -1.0, 0.5])
+
+    @pytest.mark.parametrize("diag", [True, False])
+    @pytest.mark.parametrize("key, value", [("mu", 1e-300), ("mu", 5.0), ("L", 40.0)])
+    def test_mu_and_l_must_match_the_spectrum(self, tmp_path, diag, key, value):
+        # eg-accel's lam comes from mu and L; with mu = 1e-300 it would run without end
+        man = str(tmp_path / "q.manifest")
+        save_instance(gen_quadratic(8, 1.0, 30.0, diag=diag, seed=5), man)
+        entries = read_manifest(man)
+        entries[key] = repr(value)
+        write_manifest(man, entries)
+        with pytest.raises(ParseError, match="disagree with the extreme eigenvalues"):
+            load_instance(man)
 
     def test_box_simplex_round_trip(self, tmp_path):
         inst = gen_box_simplex(100, 80, 0.3, seed=12)

@@ -37,7 +37,7 @@ def test_euclidean_prox_step_formula(z, g, mu):
 @settings(max_examples=200, deadline=None)
 def test_entropy_prox_stays_on_simplex(weights, g):
     z = weights[:3] / weights[:3].sum()
-    reg = NegativeEntropy(1.0, dim=3)
+    reg = NegativeEntropy(1.0)
     out = reg.prox(z, g[:3])
     assert out.min() >= 0.0
     assert abs(out.sum() - 1.0) <= 1e-9

@@ -6,7 +6,7 @@ import pytest
 from extragrad import (
     Point, ScaledEuclidean, ProductRegularizer, make_rng,
     mirror_prox, dual_extrapolation, mirror_prox_sm, baseline_unaccelerated,
-    eg_accel, general_norm_accel, EuclideanOmega, gen_quadratic, gen_minimax,
+    eg_accel, general_norm_accel, gen_quadratic, gen_minimax,
     lambda_minimax, NonFiniteIterateError,
 )
 
@@ -47,6 +47,32 @@ class TestMirrorProx:
             T = 50
             trace = mirror_prox(g, EUCLID_PAIR, z0, lam, T, u=u)
             assert trace.cum_regret() <= trace.summary["regret_bound"] + T * 1e-9
+
+    def test_each_divergence_to_u_is_computed_once(self, monkeypatch):
+        calls = []
+        divergence = ProductRegularizer.divergence
+
+        def counting(self, a, b):
+            calls.append(1)
+            return divergence(self, a, b)
+
+        z0 = Point([1.0, 0.3], [-0.4, 0.2])
+        u = Point([0.1, -0.2], [0.3, 0.05])
+        T = 10
+        monkeypatch.setattr(ProductRegularizer, "divergence", counting)
+        trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, T, u=u)
+        assert len(calls) == T + 1
+        # the same values as computing V_{z_t}(u) afresh at every use
+        monkeypatch.setattr(ProductRegularizer, "divergence", divergence)
+        z, slack = z0, []
+        for w in trace.iterates:
+            z_next = EUCLID_PAIR.prox(z, rotation_game(w))
+            regret = rotation_game(w).dot(w - u)
+            slack.append(EUCLID_PAIR.divergence(z, u) - EUCLID_PAIR.divergence(z_next, u)
+                         - regret / 1.0)
+            z = z_next
+        assert trace.telescope_slack == slack
+        assert trace.summary["regret_bound"] == 1.0 * EUCLID_PAIR.divergence(z0, u)
 
     def test_telescoping_slack_nonnegative(self):
         z0 = Point([1.0, 0.3], [-0.4, 0.2])
@@ -225,7 +251,7 @@ class TestEgAccel:
 class TestGeneralNorm:
     def test_starts_at_optimum(self):
         prob = gen_quadratic(6, 1.0, 25.0, diag=True, seed=9)
-        x = general_norm_accel(prob, EuclideanOmega(), prob.x_star.copy(), 1e-8)
+        x = general_norm_accel(prob, ScaledEuclidean(1.0), prob.x_star.copy(), 1e-8)
         assert prob.error(x) <= 1e-8
 
     def test_reaches_target_within_theorem_iterations(self):
@@ -234,10 +260,10 @@ class TestGeneralNorm:
         L, mu = prob.profile.L, prob.profile.mu
         err0 = prob.error(np.zeros(12))
         T = int(np.ceil(4 * np.sqrt(L / mu) * np.log(2 * L / mu * err0 / eps)))
-        x = general_norm_accel(prob, EuclideanOmega(), np.zeros(12), eps, T=T)
+        x = general_norm_accel(prob, ScaledEuclidean(mu), np.zeros(12), eps, T=T)
         assert prob.error(x) <= eps
 
     def test_matches_euclidean_path_rate(self):
         prob = gen_quadratic(8, 1.0, 16.0, diag=True, seed=11)
-        x = general_norm_accel(prob, EuclideanOmega(), np.zeros(8), 1e-10)
+        x = general_norm_accel(prob, ScaledEuclidean(1.0), np.zeros(8), 1e-10)
         assert prob.error(x) <= 1e-10
