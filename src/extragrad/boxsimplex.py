@@ -1,8 +1,8 @@
 """Box-simplex bilinear games end to end.
 
 Preprocessing, the coupled box-entropy regularizer with its alternating
-minimization prox, mirror prox at lam = 3, the duality-gap oracle, and the
-reduction from box-constrained ell_inf regression.
+minimization prox, mirror prox with backtracking lam capped at 3, the
+duality-gap oracle, and the reduction from box-constrained ell_inf regression.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from .core import Point
 from .operators import BoxSimplexInstance
 from .solvers import SolverTrace
 
-LAMBDA_BOX_SIMPLEX = 3.0
+LAMBDA_BOX_SIMPLEX = 3.0  # the cap on lam: a step at 3 passes the local test
+LAMBDA_SHRINK = 0.8  # lam <- 0.8 lam after an accepted step
+LAMBDA_GROW = 2.0    # lam <- min(2 lam, cap) after a rejected try
 ENTROPY_SCALE_FACTOR = 10.0
 
 Y_FLOOR = 1e-300  # multiplicative updates cannot hit exact zero, underflow can
@@ -24,7 +26,10 @@ PROX_MAX_ROUNDS = 32  # hard cap on the rounds of one prox call
 
 
 class ZTerms(NamedTuple):
-    """The parts of a prox at z that do not depend on g."""
+    """The parts of a prox at z that do not depend on g.
+
+    They also give r(z) and grad r(z) without a product with |A|.
+    """
 
     zy: np.ndarray       # max(z_y, Y_FLOOR)
     atz_y: np.ndarray    # |A|^T zy
@@ -36,39 +41,45 @@ class ZTerms(NamedTuple):
 class ShermanRegularizer:
     """r(x, y) = y^T |A| (x^2) + 10 ||A|| sum_i y_i log y_i over [-1,1]^n x simplex.
 
-    ``prox`` stops once its output's optimality gap is at most ``tol``, by
-    default 1e-10 max(||A||, 1).
+    ``prox`` stops once its output's optimality gap is at most ``tol``, at
+    first 1e-10 max(||A||, 1), and leaves the z-terms of its output in
+    ``last_terms``.
     """
 
-    def __init__(self, inst: BoxSimplexInstance, tol: float | None = None):
+    def __init__(self, inst: BoxSimplexInstance):
         self.inst = inst
         self.alpha = ENTROPY_SCALE_FACTOR * inst.op_norm
-        self.tol = 1e-10 * max(inst.op_norm, 1.0) if tol is None else tol
+        self.tol = 1e-10 * max(inst.op_norm, 1.0)
         self.last_rounds = 0
         self.last_gap = 0.0
         self.last_gamma_inf = 0.0
+        self.last_terms: ZTerms | None = None
         # per-round scratch for the y block; outputs are always fresh arrays
         self._gamma = np.empty(inst.m)
         self._logw = np.empty(inst.m)
         self._h_y = np.empty(inst.m)
 
     def value(self, p: Point):
-        y = np.maximum(p.y, Y_FLOOR)
-        ent = float(np.sum(np.where(p.y > 0, y * np.log(y), 0.0)))
-        return float(p.y @ (self.inst.abs_A @ (p.x**2))) + self.alpha * ent
+        return self._value(p.y, self.z_terms(p))
 
     def grad(self, p: Point):
-        y = np.maximum(p.y, Y_FLOOR)
-        gx = 2.0 * (self.inst.abs_At @ p.y) * p.x
-        gy = self.inst.abs_A @ (p.x**2) + self.alpha * (1.0 + np.log(y))
-        return Point(gx, gy)
+        return self._grad(self.z_terms(p))
 
     def divergence(self, a: Point, b: Point):
-        return self._divergence(a, b, self.value(a), self.value(b))
+        ta = self.z_terms(a)
+        return self._divergence(a, b, ta, self._value(a.y, ta), self.value(b))
 
-    def _divergence(self, a: Point, b: Point, value_a: float, value_b: float):
-        """The divergence from a to b, given r(a) and r(b)."""
-        return value_b - value_a - self.grad(a).dot(b - a)
+    def _value(self, y: np.ndarray, t: ZTerms) -> float:
+        """r(p) of the point p with y block ``y`` and z-terms ``t``."""
+        return float(y @ t.az_x2) + self.alpha * float(y @ t.log_zy)
+
+    def _grad(self, t: ZTerms) -> Point:
+        """grad r(p) of the point p with z-terms ``t``."""
+        return Point(t.grad_zx, t.az_x2 + self.alpha * (1.0 + t.log_zy))
+
+    def _divergence(self, a: Point, b: Point, ta: ZTerms, value_a: float, value_b: float):
+        """The divergence from a to b, given z_terms(a), r(a) and r(b)."""
+        return value_b - value_a - self._grad(ta).dot(b - a)
 
     def z_terms(self, z: Point) -> ZTerms:
         inst = self.inst
@@ -87,7 +98,9 @@ class ShermanRegularizer:
         with h_x = g_x - grad_zx + 2 (|A|^T w_y) w_x and
         h_y = gamma + alpha (log max(w_y, floor) - log zy).  |A|^T w_y is also
         the next round's curvature, so the test costs one product per call.
-        ``zt`` passes ``z_terms(z)`` in when several calls share z.
+        ``zt`` passes ``z_terms(z)`` in when several calls share z.  The
+        round's products of its own output make ``last_terms``, which equals
+        ``z_terms`` of the output.
         """
         inst = self.inst
         alpha = self.alpha
@@ -109,7 +122,8 @@ class ShermanRegularizer:
             np.clip(x, -1.0, 1.0, out=x)  # also maps +-inf to +-1
             if np.isnan(x).any():
                 x[np.isnan(x)] = 0.0
-            np.add(g.y, inst.abs_A @ (x**2), out=gamma)
+            ax2 = inst.abs_A @ (x**2)
+            np.add(g.y, ax2, out=gamma)
             gamma -= zt.az_x2
             gamma_max = max(gamma_max, float(np.abs(gamma).max()))
             np.divide(gamma, alpha, out=logw)
@@ -117,11 +131,12 @@ class ShermanRegularizer:
             logw -= logw.max()
             y = np.exp(logw)
             y /= y.sum()
-            a_coef = inst.abs_At @ y
-            h_x = lin_x + 2.0 * a_coef * x
-            np.maximum(y, Y_FLOOR, out=h_y)
-            np.log(h_y, out=h_y)
-            h_y -= zt.log_zy
+            wy = np.maximum(y, Y_FLOOR)
+            a_coef = inst.abs_At @ wy
+            grad_wx = 2.0 * a_coef * x
+            h_x = lin_x + grad_wx
+            log_wy = np.log(wy)
+            np.subtract(log_wy, zt.log_zy, out=h_y)
             h_y *= alpha
             h_y += gamma
             gap = (float(h_x @ x) + float(np.abs(h_x).sum())
@@ -131,6 +146,7 @@ class ShermanRegularizer:
         self.last_rounds = rounds
         self.last_gap = gap
         self.last_gamma_inf = gamma_max
+        self.last_terms = ZTerms(wy, a_coef, ax2, log_wy, grad_wx)
         if not gap <= tol:
             warnings.warn(
                 f"alternating prox stopped at gap {gap:.3e} "
@@ -182,90 +198,158 @@ def duality_gap(inst: BoxSimplexInstance, x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# The lam = 3 mirror prox solve
+# Mirror prox with backtracking lam
 # ---------------------------------------------------------------------------
 
 
 def iteration_budget(inst: BoxSimplexInstance, eps: float) -> int:
-    """Budget 50 ||A|| log m / eps; the constant absorbs prox inexactness."""
+    """Budget 50 ||A|| log m / eps; the constant absorbs prox inexactness.
+
+    It counts accepted steps, and holds for every lam schedule capped at 3.
+    """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
     return int(np.ceil(50.0 * inst.op_norm * np.log(max(inst.m, 2)) / eps))
 
 
+class _Try(NamedTuple):
+    """One mirror prox try from z at lam and what the local test reads of it."""
+
+    w: Point
+    z_next: Point
+    terms_next: ZTerms   # z_terms(z_next), from the prox that made it
+    value_next: float    # r(z_next)
+    delta: float         # the optimality gaps of its two prox calls
+    margin: float        # <g(w) - g(z), w - z'> - lam (V_z(w) + V_w(z'))
+    ratio_lo: float      # the least ratio w_y / z_y or z'_y / z_y
+    ratio_hi: float      # the largest one
+    gamma_inf: float     # sup-norm of the entropic subproblems' linear terms
+
+    @property
+    def stable(self) -> bool:
+        return 0.5 <= self.ratio_lo and self.ratio_hi <= 2.0
+
+
+def _mirror_prox_try(reg: ShermanRegularizer, z: Point, gz: Point, zt: ZTerms,
+                     value_z: float, lam: float, tol: float) -> _Try:
+    """w = Prox_z(g(z)/lam) and z' = Prox_z(g(w)/lam), each prox stopping at
+    gap ``tol``, given g(z), z_terms(z) and r(z).  The prox outputs' own
+    z-terms give r and grad r at w and z', so the test costs no product."""
+    reg.tol = tol
+    w = reg.prox(z, (1.0 / lam) * gz, zt)
+    tw, delta, gamma_inf = reg.last_terms, reg.last_gap, reg.last_gamma_inf
+    gw = reg.inst.operator(w)
+    z_next = reg.prox(z, (1.0 / lam) * gw, zt)
+    tn = reg.last_terms
+    ratio_w, ratio_next = w.y / zt.zy, z_next.y / zt.zy
+    value_w, value_next = reg._value(w.y, tw), reg._value(z_next.y, tn)
+    lhs = (gw - gz).dot(w - z_next)
+    rhs = lam * (reg._divergence(z, w, zt, value_z, value_w)
+                 + reg._divergence(w, z_next, tw, value_w, value_next))
+    return _Try(w, z_next, tn, value_next, delta + reg.last_gap, lhs - rhs,
+                min(float(ratio_w.min()), float(ratio_next.min())),
+                max(float(ratio_w.max()), float(ratio_next.max())),
+                max(gamma_inf, reg.last_gamma_inf))
+
+
 def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
                       max_iters: int | None = None,
                       certify: bool = False):
-    """Mirror prox with lam = 3 in the coupled regularizer from z0 = (0, uniform).
+    """Mirror prox in the coupled regularizer from z0 = (0, uniform), with
+    backtracking lam capped at 3.
 
-    Returns (x, y, gap, trace) for the averaged iterate.  With ``certify`` the
-    trace records, per iteration: the worst entrywise ratio of successive
-    simplex iterates (multiplicative stability), the local relative
-    Lipschitzness margin at lam = 3, and the sup-norm of the entropic
-    subproblem's linear term.
+    A try at lam from z computes w = Prox_z(g(z)/lam), z' = Prox_z(g(w)/lam)
+    and passes the local test when the local relative-Lipschitz inequality
+        <g(w) - g(z), w - z'> <= lam (V_z(w) + V_w(z')) + 1e-8 max(1, ||A||)
+    holds and every ratio w_y / z_y and z'_y / z_y lies in [0.5, 2].  The
+    first try is at lam = 3; lam shrinks by 0.8 after an accepted step and
+    doubles, up to 3, after a failed try, which is redone from the same z.
+    A try at lam = 3 is always accepted.
 
-    Each prox call stops at gap eps / (8 lam), but no tighter than a prox
-    called on its own.  The two calls of an iteration then add at most eps / 4
-    to the averaged gap bound; the sum of the gaps is
+    Returns (x, y, gap, trace) for the average of the accepted w_t weighted
+    by 1/lam_t, the one of least duality gap; the exact gap of the average
+    is the stopping test.  ``trace.gaps`` and ``trace.lams`` hold the gap of
+    the average and the lam of each accepted step.  The summary's
+    ``gap_bound_ok`` tells whether every such gap stayed within the bound
+        (||A|| (1 + 10 log m) + sum delta + sum_t max(0, lhs_t - rhs_t) / lam_t)
+        / sum_t 1/lam_t
+    that the accepted steps prove, with delta the prox gaps (below).
+
+    ``certify`` checks the paper's claim that a step at lam = 3 passes the
+    local test from every point: from each accepted step's z it also makes
+    the try at lam = 3 (the accepted one itself when lam_t = 3) and records
+    in the summary whether stability (``stability_ok``, with the extreme
+    ratios ``stability_lo`` and ``stability_hi``) and local relative
+    Lipschitzness (``local_rl_ok``) held in all of them, the largest sup-norm
+    of their entropic subproblems' linear term (``gamma_inf_max``), and in
+    ``trace.regrets`` each one's lhs - rhs.  Certifying never changes the
+    iterates.
+
+    Each prox call of a try at lam stops at gap eps / (8 lam), but no tighter
+    than a prox called on its own.  The calls of the accepted steps then add
+    at most eps / 4 to the gap bound; the sum of their gaps is
     ``trace.summary["prox_gap_sum"]``.
     """
-    lam = LAMBDA_BOX_SIMPLEX
-    reg = ShermanRegularizer(inst, max(1e-10 * max(inst.op_norm, 1.0), eps / (8.0 * lam)))
+    cap = LAMBDA_BOX_SIMPLEX
+    reg = ShermanRegularizer(inst)
+    tol_floor = reg.tol
     budget = iteration_budget(inst, eps) if max_iters is None else max_iters
     tol_rl = 1e-8 * max(1.0, inst.op_norm)
+    # max_u V_{z0}(u) <= ||A|| (1 + 10 log m) over box x simplex
+    v0_max = inst.op_norm * (1.0 + ENTROPY_SCALE_FACTOR * np.log(max(inst.m, 1)))
     z = Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m))
     z0 = z
+    zt = reg.z_terms(z)  # afterwards each z's terms come from the prox that made it
+    value_z = reg._value(z.y, zt)
     x_acc = np.zeros(inst.n)
     y_acc = np.zeros(inst.m)
+    weight = 0.0
     trace = SolverTrace()
-    trace.summary["stability_ok"] = True
-    trace.summary["local_rl_ok"] = True
-    trace.summary["gamma_inf_max"] = 0.0
-    trace.summary["stability_lo"] = 1.0
-    trace.summary["stability_hi"] = 1.0
-    best = None
-    t = 0
-    prox_gap_sum = 0.0
+    s = trace.summary
+    s["gap_bound_ok"] = True
     if certify:
-        value_z = reg.value(z)  # r(z_next) of one iteration is r(z) of the next
+        s.update(stability_ok=True, local_rl_ok=True, gamma_inf_max=0.0,
+                 stability_lo=1.0, stability_hi=1.0)
+    best = None
+    lam = cap
+    t = retries = 0
+    prox_gap_sum = excess = 0.0
     while t < budget:
-        zt = reg.z_terms(z)  # both prox calls start from z
         gz = inst.operator(z)
-        w = reg.prox(z, (1.0 / lam) * gz, zt)
-        gamma_inf = reg.last_gamma_inf
-        prox_gap_sum += reg.last_gap
-        gw = inst.operator(w)
-        z_next = reg.prox(z, (1.0 / lam) * gw, zt)
-        gamma_inf = max(gamma_inf, reg.last_gamma_inf)
-        prox_gap_sum += reg.last_gap
+        while True:  # tries from z until one passes the local test or lam = cap
+            step = _mirror_prox_try(reg, z, gz, zt, value_z, lam,
+                                    max(tol_floor, eps / (8.0 * lam)))
+            if lam >= cap or (step.stable and step.margin <= tol_rl):
+                break
+            lam = min(LAMBDA_GROW * lam, cap)
+            retries += 1
         if certify:
-            base = zt.zy
-            ratio_hi = max(float(np.max(w.y / base)), float(np.max(z_next.y / base)))
-            ratio_lo = min(float(np.min(w.y / base)), float(np.min(z_next.y / base)))
-            trace.summary["stability_lo"] = min(trace.summary["stability_lo"], ratio_lo)
-            trace.summary["stability_hi"] = max(trace.summary["stability_hi"], ratio_hi)
-            if ratio_hi > 2.0 or ratio_lo < 0.5:
-                trace.summary["stability_ok"] = False
-            lhs = (gw - gz).dot(w - z_next)
-            value_w, value_next = reg.value(w), reg.value(z_next)
-            rhs = lam * (reg._divergence(z, w, value_z, value_w)
-                         + reg._divergence(w, z_next, value_w, value_next))
-            value_z = value_next
-            if lhs > rhs + tol_rl:
-                trace.summary["local_rl_ok"] = False
-            trace.regrets.append(lhs - rhs)
-            trace.summary["gamma_inf_max"] = max(trace.summary["gamma_inf_max"], gamma_inf)
-        x_acc += w.x
-        y_acc += w.y
+            at_cap = step if lam >= cap else _mirror_prox_try(
+                reg, z, gz, zt, value_z, cap, max(tol_floor, eps / (8.0 * cap)))
+            s["stability_ok"] = s["stability_ok"] and at_cap.stable
+            s["local_rl_ok"] = s["local_rl_ok"] and at_cap.margin <= tol_rl
+            s["stability_lo"] = min(s["stability_lo"], at_cap.ratio_lo)
+            s["stability_hi"] = max(s["stability_hi"], at_cap.ratio_hi)
+            s["gamma_inf_max"] = max(s["gamma_inf_max"], at_cap.gamma_inf)
+            trace.regrets.append(at_cap.margin)
+        prox_gap_sum += step.delta
+        excess += max(0.0, step.margin) / lam
+        x_acc += step.w.x / lam
+        y_acc += step.w.y / lam
+        weight += 1.0 / lam
         t += 1
-        xb, yb = x_acc / t, y_acc / t
+        trace.lams.append(lam)
+        xb, yb = x_acc / weight, y_acc / weight
         gap = duality_gap(inst, xb, yb)
         trace.gaps.append(gap)
+        if not gap <= (v0_max + prox_gap_sum + excess) / weight:
+            s["gap_bound_ok"] = False
         if best is None or gap < best[2]:
             best = (xb, yb, gap)
         if gap <= eps:
             break
-        z = z_next
+        z, zt, value_z = step.z_next, step.terms_next, step.value_next
+        lam *= LAMBDA_SHRINK
     else:
         if best is None:  # a zero budget answers with z0 itself
             best = (z0.x, z0.y, duality_gap(inst, z0.x, z0.y))
@@ -274,6 +358,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
                 f"box-simplex budget of {budget} iterations exhausted; "
                 f"best gap {best[2]:.3e} > eps {eps:.3e}", RuntimeWarning)
     xb, yb, gap = best
-    trace.summary.update({"algorithm": "box-simplex", "iterations": t, "lam": lam,
-                          "gap": gap, "budget": budget, "prox_gap_sum": prox_gap_sum})
+    s.update({"algorithm": "box-simplex", "iterations": t, "retries": retries,
+              "lam_min": min(trace.lams, default=cap), "lam_max": cap,
+              "gap": gap, "budget": budget, "prox_gap_sum": prox_gap_sum})
     return xb, yb, gap, trace

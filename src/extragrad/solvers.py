@@ -27,6 +27,7 @@ class SolverTrace:
     telescope_slack: list = field(default_factory=list)
     f_errors: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
+    lams: list = field(default_factory=list)         # step size lam_t per step
     summary: dict = field(default_factory=dict)
 
     def cum_regret(self):

@@ -133,6 +133,7 @@ def test_criterion_06_box_simplex_certified():
         s = trace.summary
         assert s["stability_ok"], f"seed {seed}: multiplicative stability broke"
         assert s["local_rl_ok"], f"seed {seed}: local relative Lipschitzness broke"
+        assert s["gap_bound_ok"], f"seed {seed}: a gap exceeded the bound the steps prove"
         assert gap <= eps, f"seed {seed}: gap {gap} > {eps}"
         assert s["iterations"] <= budget_cap
     print("criterion 6 box-simplex stability/certificates/gap: PASS")
@@ -155,6 +156,7 @@ def test_criterion_07_linf_regression_reference():
         assert res.status == 0
         ref = float(res.fun)
         x, y, gap, trace = solve_box_simplex(inst, 0.75 * tol)
+        assert trace.summary["gap_bound_ok"], f"seed {seed}: a gap exceeded the proven bound"
         val = float(np.abs(A @ x - b).max())
         assert abs(val - ref) <= tol, f"seed {seed}: {val} vs reference {ref}"
     print("criterion 7 l-inf regression vs LP reference: PASS")

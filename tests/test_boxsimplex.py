@@ -11,8 +11,9 @@ from extragrad import (
     solve_box_simplex, duality_gap, preprocess, linf_regression_reduction,
     iteration_budget, ShermanRegularizer,
 )
-from extragrad import boxsimplex
-from extragrad.boxsimplex import LAMBDA_BOX_SIMPLEX, ENTROPY_SCALE_FACTOR
+from extragrad import boxsimplex, cli
+from extragrad.boxsimplex import (LAMBDA_BOX_SIMPLEX, LAMBDA_GROW, LAMBDA_SHRINK,
+                                  ENTROPY_SCALE_FACTOR)
 
 
 def small_instance(seed=0, m=6, n=5, density=0.7):
@@ -188,6 +189,17 @@ class TestProxGap:
                 assert shared.last_gap == alone.last_gap
                 assert shared.last_rounds == alone.last_rounds
 
+    def test_last_terms_are_the_outputs_z_terms(self):
+        inst = small_instance(seed=46, m=9, n=6)
+        reg = ShermanRegularizer(inst)
+        rng = make_rng(47)
+        for _ in range(10):
+            z = sample_domain(inst, rng)
+            g = Point(0.3 * rng.standard_normal(inst.n), 0.3 * rng.standard_normal(inst.m))
+            w = reg.prox(z, g)
+            for a, b in zip(reg.last_terms, reg.z_terms(w)):
+                assert np.array_equal(a, b)
+
 
 class TestTransposes:
     def test_transposes_share_storage(self):
@@ -248,6 +260,38 @@ class TestDualityGap:
             assert duality_gap(inst, z.x, z.y) >= -1e-12
 
 
+def record_prox_calls(monkeypatch):
+    """Wraps ShermanRegularizer.prox; returns the list of (output, warning
+    messages) of its calls, filled as they happen."""
+    calls = []
+    prox = ShermanRegularizer.prox
+
+    def recording(self, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = prox(self, *args)
+        calls.append((out, [str(w.message) for w in caught]))
+        return out
+
+    monkeypatch.setattr(boxsimplex.ShermanRegularizer, "prox", recording)
+    return calls
+
+
+def tries_of(trace):
+    """(lam, accepted) of every try, rebuilt from the accepted steps' lams:
+    3 first, 0.8 lam after an accepted step, min(2 lam, 3) after a rejection."""
+    tries, lam = [], LAMBDA_BOX_SIMPLEX
+    for accepted in trace.lams:
+        while lam != accepted:
+            assert lam < accepted
+            tries.append((lam, False))
+            lam = min(LAMBDA_GROW * lam, LAMBDA_BOX_SIMPLEX)
+        tries.append((lam, True))
+        lam *= LAMBDA_SHRINK
+    assert sum(not ok for _, ok in tries) == trace.summary["retries"]
+    return tries
+
+
 class TestSolve:
     def test_scalar_game(self):
         inst = BoxSimplexInstance(np.array([[1.0]]), np.zeros(1), np.zeros(1))
@@ -263,7 +307,8 @@ class TestSolve:
         assert s["stability_ok"] and s["local_rl_ok"]
         assert 0.5 <= s["stability_lo"] <= s["stability_hi"] <= 2.0
         assert s["gamma_inf_max"] <= 3.0 * inst.op_norm
-        assert s["lam"] == LAMBDA_BOX_SIMPLEX
+        assert s["lam_max"] == LAMBDA_BOX_SIMPLEX
+        assert 0 < s["lam_min"] <= s["lam_max"]
 
     def test_iterates_feasible(self):
         inst = gen_box_simplex(8, 6, 0.6, seed=19)
@@ -314,7 +359,7 @@ class TestSolve:
         s = trace.summary
         assert gap <= eps and s["stability_ok"] and s["local_rl_ok"]
         assert 0.0 < s["prox_gap_sum"]
-        assert s["lam"] * s["prox_gap_sum"] / s["iterations"] <= eps / 4
+        assert s["prox_gap_sum"] / sum(1.0 / lam for lam in trace.lams) <= eps / 4
 
     def test_stalled_prox_warns(self, monkeypatch):
         # at eps = 1e-12 ||A|| the prox tolerance is its floor 1e-10 ||A||
@@ -328,16 +373,25 @@ class TestSolve:
 
     def test_solve_stops_prox_at_eps_over_8_lam(self, monkeypatch):
         monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 1)
+        calls = record_prox_calls(monkeypatch)
         rng = make_rng(100)
         inst = linf_regression_reduction(rng.standard_normal((10, 5)),
                                          rng.standard_normal(10))
         eps = 1.5e-3 * inst.op_norm
-        with pytest.warns(RuntimeWarning) as record:
-            solve_box_simplex(inst, eps, max_iters=1000)
-        stalls = [str(w.message) for w in record
-                  if "alternating prox stopped" in str(w.message)]
-        tol = f"after 1 rounds (tol {eps / (8 * LAMBDA_BOX_SIMPLEX):.3e})"
-        assert stalls and all(tol in m for m in stalls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            x, y, gap, trace = solve_box_simplex(inst, eps, max_iters=1000)
+        tries = tries_of(trace)
+        assert len(calls) == 2 * len(tries)
+        floor = 1e-10 * max(inst.op_norm, 1.0)
+        stalled = set()
+        for k, (_, messages) in enumerate(calls):
+            lam = tries[k // 2][0]  # two prox calls per try
+            tol = f"after 1 rounds (tol {max(floor, eps / (8 * lam)):.3e})"
+            assert all(tol in m for m in messages if "alternating prox stopped" in m)
+            if messages:
+                stalled.add(lam)
+        assert len(stalled) > 1  # stalls at more than one lam, so more than one tol
 
     def test_solve_keeps_the_prox_tolerance_floor(self, monkeypatch):
         # eps / (8 lam) lies below 1e-10 max(||A||, 1), so the floor is the tolerance
@@ -350,6 +404,98 @@ class TestSolve:
                   if "alternating prox stopped" in str(w.message)]
         tol = f"(tol {1e-10 * max(inst.op_norm, 1.0):.3e})"
         assert stalls and all(tol in m for m in stalls)
+
+    def test_certify_leaves_the_iterates_alone(self):
+        inst = gen_box_simplex(12, 10, 0.5, seed=18)
+        eps = 1e-2 * inst.op_norm
+        runs = [solve_box_simplex(inst, eps, certify=c) for c in (True, False)]
+        (x1, y1, g1, t1), (x2, y2, g2, t2) = runs
+        assert np.array_equal(x1, x2) and np.array_equal(y1, y2) and g1 == g2
+        assert np.array_equal(t1.gaps, t2.gaps) and np.array_equal(t1.lams, t2.lams)
+        assert t1.summary["retries"] == t2.summary["retries"] > 0
+        assert len(t1.regrets) == len(t1.lams) and t2.regrets == []
+
+    def test_certify_tries_lam_3_from_every_step(self, monkeypatch):
+        # the certificate reads the try at lam = 3 from each accepted step's z,
+        # which is the accepted try itself only when lam_t = 3
+        calls = []
+        try_ = boxsimplex._mirror_prox_try
+
+        def recording(reg, z, gz, zt, value_z, lam, tol):
+            step = try_(reg, z, gz, zt, value_z, lam, tol)
+            calls.append((lam, z, step))
+            return step
+
+        monkeypatch.setattr(boxsimplex, "_mirror_prox_try", recording)
+        inst = gen_box_simplex(12, 10, 0.5, seed=18)
+        x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm, certify=True)
+        at_cap, k = [], 0
+        for lam, accepted in tries_of(trace):
+            assert calls[k][0] == lam
+            k += 1
+            if accepted and lam < LAMBDA_BOX_SIMPLEX:
+                assert calls[k][0] == LAMBDA_BOX_SIMPLEX and calls[k][1] is calls[k - 1][1]
+                k += 1
+            if accepted:
+                at_cap.append(calls[k - 1][2])
+        assert k == len(calls) and len(at_cap) == len(trace.lams)
+        assert sum(lam < LAMBDA_BOX_SIMPLEX for lam in trace.lams) > 0
+        s = trace.summary
+        assert trace.regrets == [step.margin for step in at_cap]
+        assert s["stability_lo"] == min(step.ratio_lo for step in at_cap)
+        assert s["stability_hi"] == max(step.ratio_hi for step in at_cap)
+        assert s["gamma_inf_max"] == max(step.gamma_inf for step in at_cap)
+
+    def test_answer_is_the_one_over_lam_weighted_average(self, monkeypatch):
+        calls = record_prox_calls(monkeypatch)
+        inst = gen_box_simplex(12, 10, 0.5, seed=18)
+        x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm)
+        # the first prox call of each accepted try outputs w_t
+        ws = [calls[2 * k][0] for k, (_, accepted) in enumerate(tries_of(trace)) if accepted]
+        weights = 1.0 / np.array(trace.lams)
+        t = int(np.argmin(trace.gaps)) + 1
+        assert len(ws) == len(trace.lams) and t > 1
+        x_avg = sum(wt * w.x for wt, w in zip(weights[:t], ws)) / weights[:t].sum()
+        y_avg = sum(wt * w.y for wt, w in zip(weights[:t], ws)) / weights[:t].sum()
+        assert np.allclose(x, x_avg, rtol=1e-12, atol=1e-15)
+        assert np.allclose(y, y_avg, rtol=1e-12, atol=1e-15)
+        assert gap == duality_gap(inst, x, y)
+
+    def test_lam_cap_is_never_passed(self, monkeypatch, tmp_path):
+        # at a cap of 1e-3 every step is far too long, so the certificate fails
+        monkeypatch.setattr(boxsimplex, "LAMBDA_BOX_SIMPLEX", 1e-3)
+        inst = gen_box_simplex(12, 10, 0.5, seed=18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm,
+                                                 max_iters=50, certify=True)
+            s = trace.summary
+            assert s["lam_max"] == 1e-3 and max(trace.lams) <= 1e-3
+            assert not (s["stability_ok"] and s["local_rl_ok"])
+            manifest = str(tmp_path / "g.manifest")
+            assert cli.main(["gen", "box-simplex", "m=12", "n=10", "density=0.5",
+                             "--seed", "18", "--out", manifest]) == 0
+            out = str(tmp_path / "s")
+            assert cli.main(["solve", "--alg", "box-simplex", "--instance", manifest,
+                             "--iters", "50", "--check", "--out", out]) == cli.EXIT_CERT
+        with open(out + ".summary.txt") as fh:
+            text = fh.read()
+        assert "stability_ok=0" in text or "local_rl_ok=0" in text
+
+    def test_linf_backtracking_keeps_steps_few(self):
+        # the 16 instances of the linf-reg benchmark workload at seed 0; a fixed
+        # lam = 3 takes 11991 steps there
+        iterations = retries = 0
+        for j in range(16):
+            rng = make_rng(100 + j)
+            inst = linf_regression_reduction(rng.standard_normal((10, 5)),
+                                             rng.standard_normal(10))
+            x, y, gap, trace = solve_box_simplex(inst, 0.07 * inst.op_norm)
+            assert gap <= 0.07 * inst.op_norm
+            iterations += trace.summary["iterations"]
+            retries += trace.summary["retries"]
+        assert iterations <= 1500
+        assert retries <= 0.5 * iterations
 
     def test_linf_prox_takes_about_one_round(self, monkeypatch):
         # the 16 instances of the linf-reg benchmark workload at seed 0

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extragrad import boxsimplex
 from extragrad.cli import main, TRACE_HEADER
+from extragrad.operators import BoxSimplexInstance
 from extragrad.problems import load_instance
 
 
@@ -291,6 +293,23 @@ class TestSolve:
             text = fh.read()
         assert "stability_ok=1" in text and "local_rl_ok=1" in text
 
+    def test_box_simplex_check_certifies_the_gap_bound(self, bs_manifest, tmp_path,
+                                                       monkeypatch):
+        out = str(tmp_path / "bs")
+        assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                    "--eps", "0.1", "--check", "--out", out]) == 0
+        summary = read_summary(out + ".summary.txt")
+        assert summary["gap_bound_ok"] == "1"
+        assert int(summary["retries"]) >= 0 and 0 < float(summary["lam_min"]) <= 3
+        # an oracle reporting gaps above the bound fails that certificate alone
+        monkeypatch.setattr(boxsimplex, "duality_gap", lambda inst, x, y: 1e9)
+        with pytest.warns(RuntimeWarning, match="budget of 3 iterations exhausted"):
+            assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                        "--iters", "3", "--check", "--out", out]) == 3
+        summary = read_summary(out + ".summary.txt")
+        assert (summary["gap_bound_ok"], summary["stability_ok"],
+                summary["local_rl_ok"]) == ("0", "1", "1")
+
 
 class TestVerify:
     def test_rel_lip_passes(self, quad_manifest, tmp_path):
@@ -361,6 +380,9 @@ class TestVerify:
         out = str(tmp_path / "v6")
         assert run(["verify", "--check", "local-rl", "--instance", bs_manifest,
                     "--iters", "100", "--out", out]) == 0
+        summary = read_summary(out + ".summary.txt")
+        assert (summary["stability_ok"], summary["local_rl_ok"],
+                summary["gap_bound_ok"], summary["passed"]) == ("1", "1", "1", "1")
 
     def test_unknown_check_is_usage_error(self, quad_manifest):
         assert run(["verify", "--check", "bogus",
@@ -377,6 +399,19 @@ class TestBench:
             lines = fh.read().strip().splitlines()
         assert len(lines) == 3  # header + one row per algorithm
         assert lines[0].startswith("alg,")
+
+    def test_box_simplex_queries_count_operator_calls(self, bs_manifest, tmp_path,
+                                                      monkeypatch):
+        calls = []
+        operator = BoxSimplexInstance.operator
+        monkeypatch.setattr(BoxSimplexInstance, "operator",
+                            lambda self, z: calls.append(1) or operator(self, z))
+        out = str(tmp_path / "bench")
+        assert run(["bench", "--alg", "box-simplex", "--instance", bs_manifest,
+                    "--eps", "0.01", "--out", out]) == 0
+        with open(out + ".csv") as fh:
+            row = dict(zip(*[line.split(",") for line in fh.read().splitlines()]))
+        assert int(row["queries"]) == len(calls) > 2 * int(row["iterations"])
 
 
 class TestUsage:
