@@ -318,7 +318,7 @@ def _solve_eg_gennorm(problem, args):
 def _solve_eg_coord(problem, args):
     eps = _or(args.eps, 1e-6)
     x, info = eg_coord_accel(problem, np.zeros(problem.d), eps, eps0=args.eps0,
-                             seed=args.seed, average_phases=True)
+                             seed=args.seed)
     summary = {k: info[k] for k in ("queries", "inner_iterations", "phases")}
     return _accuracy(problem, x, eps, [{"iter": 0, "f_err": problem.error(x)}], summary)
 
@@ -471,7 +471,7 @@ def _bench_eg_accel(problem, args):
 
 def _bench_eg_coord(problem, args):
     x, info = eg_coord_accel(problem, np.zeros(problem.d), _or(args.eps, 1e-6),
-                             seed=args.seed, average_phases=True)
+                             seed=args.seed)
     return info["inner_iterations"], info["queries"], problem.error(x)
 
 

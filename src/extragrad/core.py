@@ -207,10 +207,6 @@ class BlockRegularizer:
         """argmin_v <g, v> + V_z(v) over the feasible set."""
         raise NotImplementedError
 
-    def blended_prox(self, zt, wt, g, lam, m):
-        """argmin_v <g/lam, v> + V_zt(v) + (m/lam) V_wt(v)."""
-        raise NotImplementedError
-
 
 class ScaledEuclidean(BlockRegularizer):
     """r(v) = mu/2 ||v||_2^2 over free space."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Point, vdot
+from .core import Point, ProductRegularizer, vdot
 from .operators import make_rng, AliasTable, lambda_coord, lambda_fenchel
 
 
@@ -104,9 +104,10 @@ def dual_extrapolation(g, r, z_bar, lam, T, u=None):
         s = s + (1.0 / lam) * gw
         z_next = r.prox(z_bar, s)
         _check_finite(z_next, t)
-        phi = (regret_vs_base + vdot(gw, w - z_bar) / lam
+        step_regret = vdot(gw, w - z_bar) / lam
+        phi = (regret_vs_base + step_regret
                - vdot(s, z_next - z_bar) - r.divergence(z_bar, z_next))
-        regret_vs_base += vdot(gw, w - z_bar) / lam
+        regret_vs_base += step_regret
         trace.iterates.append(w)
         trace.potentials.append(phi)
         if u is not None:
@@ -128,7 +129,8 @@ def mirror_prox_sm(g, r, z0, lam, m, T, z_star=None):
     solution z* is given, the trace records V_{z_t}(z*), which contracts by
     (1 + m/lam)^{-1} per iteration.
     """
-    if not hasattr(r, "blended_prox"):
+    blocks = (r.rx, r.ry) if isinstance(r, ProductRegularizer) else (r,)
+    if not all(hasattr(b, "blended_prox") for b in blocks):
         raise TypeError("regularizer lacks a closed-form blended prox")
     trace = SolverTrace()
     z = z0
@@ -264,27 +266,16 @@ def general_norm_accel(problem, rx, x0, eps, T=None):
 # ---------------------------------------------------------------------------
 
 
-DET_FLOOR = 1e-250  # refactor B before its determinant underflows
-
-
 @dataclass
 class ImplicitIterate:
     """(x_t | v_t) = (p_t | q_t) B_t with B_t a 2x2 matrix.
 
-    One-sparse dual updates then cost O(1): only p_i, q_i move.  B_t is
-    refactored to the identity (materializing x, v) when its determinant
-    falls below DET_FLOOR.
+    One-sparse dual updates then cost O(1): only p_i, q_i move.
     """
 
     B: np.ndarray
     p: np.ndarray
     q: np.ndarray
-
-    def coord(self, i):
-        pi, qi = self.p[i], self.q[i]
-        x_i = self.B[0, 0] * pi + self.B[1, 0] * qi
-        v_i = self.B[0, 1] * pi + self.B[1, 1] * qi
-        return x_i, v_i
 
     def reconstruct(self):
         x = self.B[0, 0] * self.p + self.B[1, 0] * self.q
@@ -297,17 +288,20 @@ class ImplicitIterate:
         self.B = np.eye(2)
 
 
-def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
-                   callback=None):
+def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
     """Coordinate-accelerated smooth minimization with shared-randomness estimators.
 
     Samples coordinate i with p_i ~ sqrt(L_i), takes 1-sparse extragradient
     steps maintained implicitly as (p, q, B), and uses two generalized partial
-    derivative queries per inner iteration.  By default each phase runs a
-    uniformly random number tau of iterations and restarts from v_tau; with
-    ``average_phases`` each phase runs all T iterations and restarts from the
-    average of the half-iterates (O(d) extra per step), which is the form the
+    derivative queries per inner iteration.  Each phase runs T = 4*ceil(lam)
+    iterations and restarts from the average of its half-iterates, the form the
     halving guarantee is stated for.
+
+    Every step costs O(1).  The iterate matrix A = [[1, a01], [0, a11]] keeps
+    B_t = [[1, beta], [0, gamma]] from B_0 = I, so x = p and v = beta p + gamma q;
+    det B_t = a11^t >= 0.015 within a phase, so B never needs refactoring.  The
+    half-point v_half = a_t p + b_t q is summed lazily as S_a p + S_b q - c, with
+    c absorbing each coordinate move.
 
     ``callback(i, g_v, g_vh, state)`` runs after every inner step with the
     sampled coordinate, its partials at v and at the half-point, and the
@@ -322,7 +316,7 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
         raise ValueError("per-coordinate smoothnesses required")
     mu = prof.mu
     lam = lambda_coord(prof)
-    kappa = lam  # the iterate matrix uses the same constant as the step size
+    a01, a11 = 1.0 / lam - 1.0 / lam**2, 1.0 - 1.0 / lam + 1.0 / lam**2
     T = 4 * int(np.ceil(lam))
     x0 = np.asarray(x0, dtype=float)
     if eps0 is None:
@@ -331,10 +325,6 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
     p_dist = prof.coord_probabilities()
     alias = AliasTable(p_dist)
     rng = make_rng(seed)
-    A = np.array([
-        [1.0, 1.0 / kappa - 1.0 / kappa**2],
-        [0.0, 1.0 - 1.0 / kappa + 1.0 / kappa**2],
-    ])
     state = ImplicitIterate(np.eye(2), x0.copy(), x0.copy())
     if callback is not None:
         callback(None, None, None, state)
@@ -342,15 +332,17 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
     inner_iters = 0
 
     for k in range(K):
-        tau = int(rng.integers(T)) if not average_phases else T
-        v_sum = np.zeros_like(x0) if average_phases else None
-        for t in range(tau):
-            if average_phases:
-                xs, vs = state.reconstruct()
-                v_sum += (1.0 - 1.0 / lam) * vs + xs / lam
+        p, q = state.p, state.q
+        beta, gamma = 0.0, 1.0
+        s_a = s_b = 0.0
+        c = np.zeros_like(x0)
+        for t in range(T):
+            s_a += 1.0 / lam + (1.0 - 1.0 / lam) * beta
+            s_b += (1.0 - 1.0 / lam) * gamma
             i = alias.draw(rng)
             p_i = p_dist[i]
-            x_i, v_i = state.coord(i)
+            x_i = p[i]
+            v_i = beta * x_i + gamma * q[i]
             vh_i = (1.0 - 1.0 / lam) * v_i + x_i / lam
             g_v = problem.partial_at(i, v_i)
             g_vh = problem.partial_at(i, vh_i)
@@ -358,23 +350,15 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, average_phases=False,
             inner_iters += 1
             s1 = g_vh / (mu * lam * p_i)
             s2 = g_v / (mu * lam**2 * p_i**2)
-            B_next = state.B @ A
-            det = B_next[0, 0] * B_next[1, 1] - B_next[0, 1] * B_next[1, 0]
-            Binv = np.array([
-                [B_next[1, 1], -B_next[0, 1]],
-                [-B_next[1, 0], B_next[0, 0]],
-            ]) / det
-            state.B = B_next
-            state.p[i] -= s1 * Binv[0, 0] + s2 * Binv[1, 0]
-            state.q[i] -= s1 * Binv[0, 1] + s2 * Binv[1, 1]
-            if abs(det) < DET_FLOOR:
-                state.refactor()
+            beta, gamma = a01 + a11 * beta, a11 * gamma
+            dq = (s1 * beta - s2) / gamma
+            p[i] -= s1
+            q[i] += dq
+            c[i] += s_b * dq - s_a * s1
             if callback is not None:
+                state.B[0, 1], state.B[1, 1] = beta, gamma
                 callback(i, g_v, g_vh, state)
-        if average_phases:
-            x_next = v_sum / T
-        else:
-            _, x_next = state.reconstruct()
+        x_next = (s_a * p + s_b * q - c) / T
         state = ImplicitIterate(np.eye(2), x_next.copy(), x_next.copy())
         if callback is not None:
             callback(None, None, None, state)

@@ -183,8 +183,7 @@ def test_criterion_08_coordinate_method():
     eps = 1e-4
     errs = []
     for seed in range(21):
-        x, info = eg_coord_accel(prob50, np.zeros(50), eps, seed=seed,
-                                 average_phases=True)
+        x, info = eg_coord_accel(prob50, np.zeros(50), eps, seed=seed)
         errs.append(prob50.error(x))
         eps0 = max(prob50.error(np.zeros(50)), eps)
         K = int(np.ceil(np.log2(eps0 / eps)))

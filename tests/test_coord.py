@@ -7,22 +7,12 @@ from extragrad import (
     eg_coord_accel, eg_accel, gen_quadratic, make_rng,
     coord_trajectory, check_estimator_conditions, lambda_coord,
 )
+from extragrad.operators import AliasTable
 from extragrad.solvers import ImplicitIterate
 from extragrad.verify import coord_shadow_error
 
 
 class TestImplicitIterate:
-    def test_coord_matches_reconstruct(self):
-        rng = make_rng(0)
-        B = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
-        p, q = rng.standard_normal(6), rng.standard_normal(6)
-        it = ImplicitIterate(B.copy(), p.copy(), q.copy())
-        x, v = it.reconstruct()
-        for i in range(6):
-            xi, vi = it.coord(i)
-            assert xi == pytest.approx(x[i], abs=1e-14)
-            assert vi == pytest.approx(v[i], abs=1e-14)
-
     def test_refactor_preserves_point(self):
         rng = make_rng(1)
         it = ImplicitIterate(np.eye(2), rng.standard_normal(4), rng.standard_normal(4))
@@ -96,15 +86,56 @@ class TestEstimators:
 
 class TestConvergence:
     def test_reaches_target_accuracy(self):
-        prob = gen_quadratic(12, 1.0, 30.0, diag=True, seed=14)
-        x, info = eg_coord_accel(prob, np.zeros(12), 1e-6, seed=15)
-        assert prob.error(x) <= 1e-6
+        for d, L, prob_seed, seed in [(12, 30.0, 14, 15), (8, 25.0, 16, 17)]:
+            prob = gen_quadratic(d, 1.0, L, diag=True, seed=prob_seed)
+            x, info = eg_coord_accel(prob, np.zeros(d), 1e-6, seed=seed)
+            assert prob.error(x) <= 1e-6
 
-    def test_average_phases_variant(self):
-        prob = gen_quadratic(8, 1.0, 25.0, diag=True, seed=16)
-        x, info = eg_coord_accel(prob, np.zeros(8), 1e-6, seed=17,
-                                 average_phases=True)
-        assert prob.error(x) <= 1e-6
+    @pytest.mark.parametrize("d, L, prob_seed, seeds", [
+        (50, 200.0, 4, range(21)),  # criterion 08(c)'s instance
+        (1, 1.0, 0, [3]), (8, 25.0, 16, [17]), (12, 30.0, 14, [15]),
+    ])
+    def test_phase_restarts_from_the_explicit_average(self, d, L, prob_seed, seeds):
+        # the same draws, with x, v and the sum of half-points held explicitly
+        prob = gen_quadratic(d, 1.0, L, diag=True, seed=prob_seed)
+        lam, mu = lambda_coord(prob.profile), prob.profile.mu
+        p = prob.profile.coord_probabilities()
+        T = 4 * int(np.ceil(lam))
+        a01, a11 = 1.0 / lam - 1.0 / lam**2, 1.0 - 1.0 / lam + 1.0 / lam**2
+        step_x, step_v = 1.0 / (mu * lam * p), 1.0 / (mu * lam**2 * p**2)
+        eps = 1e-4
+        K = max(int(np.ceil(np.log2(max(prob.error(np.zeros(d)), eps) / eps))), 1)
+        for seed in seeds:
+            x_imp, info = eg_coord_accel(prob, np.zeros(d), eps, seed=seed)
+            alias, rng = AliasTable(p), make_rng(seed)
+            x_phase = np.zeros(d)
+            for _ in range(K):
+                x, v, v_sum = x_phase.copy(), x_phase.copy(), np.zeros(d)
+                for _ in range(T):
+                    i = alias.draw(rng)
+                    v_half = (1.0 - 1.0 / lam) * v + x / lam
+                    v_sum += v_half
+                    g_v, g_vh = prob.partial_at(i, v[i]), prob.partial_at(i, v_half[i])
+                    v = a11 * v + a01 * x
+                    v[i] -= g_v * step_v[i]
+                    x[i] -= g_vh * step_x[i]
+                x_phase = v_sum / T
+            assert info["inner_iterations"] == K * T
+            assert np.max(np.abs(x_imp - x_phase)) <= 1e-12 * np.max(np.abs(x_phase))
+
+    def test_a_step_costs_o1(self, monkeypatch):
+        # no callback: no O(d) reconstruct and no full gradient inside a phase
+        reconstructs = []
+        original = ImplicitIterate.reconstruct
+        monkeypatch.setattr(ImplicitIterate, "reconstruct",
+                            lambda self: reconstructs.append(1) or original(self))
+        prob = gen_quadratic(20, 1.0, 50.0, diag=True, seed=20)
+        grads = []
+        prob.grad = lambda x: grads.append(1) or type(prob).grad(prob, x)
+        _, info = eg_coord_accel(prob, np.zeros(20), 1e-4, eps0=1.0, seed=21)
+        assert info["inner_iterations"] > 0
+        assert reconstructs == [] and grads == []
+        assert info["queries"] == 2 * info["inner_iterations"]
 
     def test_deterministic_given_seed(self):
         prob = gen_quadratic(9, 1.0, 16.0, diag=True, seed=18)

@@ -1,4 +1,5 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level UPPER_CASE constant of a library module is read by some library module.
 
 ``__init__.py`` is left out: its imports are the package's exports.
 """
@@ -31,3 +32,34 @@ def test_library_modules_use_every_import():
     assert modules
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def module_constants(source):
+    """UPPER_CASE names that the top level of ``source`` assigns."""
+    names = {}
+    for node in ast.parse(source).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and target.id.isupper():
+                names[target.id] = node.lineno
+    return names
+
+
+def names_read(source):
+    """Names that ``source`` loads, bare or as the attribute of a module."""
+    tree = ast.parse(source)
+    bare = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return bare | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_library_module_constants_are_read():
+    probe = "TOL = 1e-9\nUNUSED: float = 2.0\nlower = 3\nTOL_X = TOL\nnp.linalg.norm\n"
+    assert module_constants(probe) == {"TOL": 1, "UNUSED": 2, "TOL_X": 4}
+    assert names_read(probe) == {"float", "TOL", "np", "linalg", "norm"}
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert len(sources) > 1
+    read = set().union(*(names_read(s) for s in sources.values()))
+    unread = {name: [f"line {line}: {c}" for c, line in module_constants(s).items() if c not in read]
+              for name, s in sources.items() if name != "__init__.py"}
+    assert {name: consts for name, consts in unread.items() if consts} == {}

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from extragrad import (
-    Point, ScaledEuclidean, ProductRegularizer, make_rng,
+    Point, ScaledEuclidean, NegativeEntropy, ProductRegularizer, make_rng,
     mirror_prox, dual_extrapolation, mirror_prox_sm, baseline_unaccelerated,
     eg_accel, general_norm_accel, gen_quadratic, gen_minimax,
     lambda_minimax, NonFiniteIterateError,
 )
+from extragrad import solvers
+from extragrad.core import vdot
 
 EUCLID_PAIR = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
 
@@ -122,6 +124,14 @@ class TestDualExtrapolation:
         assert np.allclose(final.x, z_bar.x - s.x / 2.0)
         assert np.allclose(final.y, z_bar.y - s.y / 2.0)
 
+    def test_each_step_computes_its_regret_against_the_base_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solvers, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
+        z_bar = Point([0.3, -0.2], [0.5, 0.1])
+        dual_extrapolation(rotation_game, EUCLID_PAIR, z_bar, 2.0, 10)
+        # <g(w_t), w_t - zbar> and <s_{t+1}, z_{t+1} - zbar> per step
+        assert len(calls) == 2 * 10
+
 
 class TestStronglyMonotone:
     def test_identity_operator_halves(self):
@@ -163,6 +173,10 @@ class TestStronglyMonotone:
 
         with pytest.raises(TypeError):
             mirror_prox_sm(lambda z: z, NoBlend(), np.zeros(1), 1.0, 1.0, 1)
+        # a product is only as blendable as its blocks; entropy has no closed form
+        no_blend_y = ProductRegularizer(ScaledEuclidean(1.0), NegativeEntropy(1.0))
+        with pytest.raises(TypeError):
+            mirror_prox_sm(lambda z: z, no_blend_y, Point([0.0], [0.5, 0.5]), 1.0, 1.0, 1)
 
 
 class TestBaseline:
