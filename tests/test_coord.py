@@ -86,10 +86,15 @@ class TestEstimators:
 
 class TestConvergence:
     def test_reaches_target_accuracy(self):
-        for d, L, prob_seed, seed in [(12, 30.0, 14, 15), (8, 25.0, 16, 17)]:
-            prob = gen_quadratic(d, 1.0, L, diag=True, seed=prob_seed)
-            x, info = eg_coord_accel(prob, np.zeros(d), 1e-6, seed=seed)
-            assert prob.error(x) <= 1e-6
+        prob = gen_quadratic(12, 1.0, 30.0, diag=True, seed=14)
+        x, info = eg_coord_accel(prob, np.zeros(12), 1e-6, seed=15)
+        assert prob.error(x) <= 1e-6
+
+    def test_average_phases_variant(self):
+        # averaged phases are the solver's only rule: no argument selects them
+        prob = gen_quadratic(8, 1.0, 25.0, diag=True, seed=16)
+        x, info = eg_coord_accel(prob, np.zeros(8), 1e-6, seed=17)
+        assert prob.error(x) <= 1e-6
 
     @pytest.mark.parametrize("d, L, prob_seed, seeds", [
         (50, 200.0, 4, range(21)),  # criterion 08(c)'s instance
