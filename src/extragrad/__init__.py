@@ -9,21 +9,16 @@ inequalities the convergence guarantees rest on.
 
 from .core import (
     TAU_NUM,
-    TAU_FEAS,
     Point,
     DomainError,
-    FeasibleSet,
     Everywhere,
     Box,
     Simplex,
     ProductSet,
-    ConjugateOracle,
-    BlockRegularizer,
     ScaledEuclidean,
     NegativeEntropy,
     ConjugateRegularizer,
     ProductRegularizer,
-    divergence,
 )
 from .operators import (
     make_rng,

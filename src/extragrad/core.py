@@ -5,7 +5,10 @@ with a primal block ``x`` and a dual block ``y``.  Either block may be empty.
 Regularizers come in two flavors: block regularizers defined over a single
 vector, and point regularizers defined over a full primal-dual point (the
 product of two block regularizers, or a genuinely coupled one such as the
-box-simplex regularizer in :mod:`extragrad.boxsimplex`).
+box-simplex regularizer in :mod:`extragrad.boxsimplex`).  Both have
+``value``, ``grad``, ``divergence(a, b)``, the Bregman divergence
+V_a(b) = r(b) - r(a) - <grad r(a), b - a>, and ``prox(z, g)``, the argmin
+over the feasible set of <g, v> + V_z(v).
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import numpy as np
 
 # Absolute tolerance for identity checks.
 TAU_NUM = 1e-9
-# Simplex feasibility tolerance.
-TAU_FEAS = 1e-12
 
 _EMPTY = np.zeros(0)
 
@@ -67,30 +68,19 @@ def vdot(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Feasible sets
+# Feasible sets, as samplers of points for the certificates
 # ---------------------------------------------------------------------------
 
 
-class FeasibleSet:
-    def contains(self, v) -> bool:
-        raise NotImplementedError
-
-    def sample(self, rng, margin=0.0):
-        raise NotImplementedError
-
-
-class Everywhere(FeasibleSet):
+class Everywhere:
     def __init__(self, dim: int):
         self.dim = dim
-
-    def contains(self, v):
-        return v.size == self.dim and bool(np.all(np.isfinite(v)))
 
     def sample(self, rng, margin=0.0):
         return rng.standard_normal(self.dim)
 
 
-class Box(FeasibleSet):
+class Box:
     def __init__(self, lo, hi):
         self.lo = np.atleast_1d(np.asarray(lo, dtype=float))
         self.hi = np.atleast_1d(np.asarray(hi, dtype=float))
@@ -98,22 +88,15 @@ class Box(FeasibleSet):
             raise ValueError("box needs lo <= hi coordinatewise")
         self.dim = self.lo.size
 
-    def contains(self, v):
-        return bool(np.all(v >= self.lo - TAU_FEAS) and np.all(v <= self.hi + TAU_FEAS))
-
     def sample(self, rng, margin=0.0):
         lo = self.lo + margin * (self.hi - self.lo)
         hi = self.hi - margin * (self.hi - self.lo)
         return rng.uniform(lo, hi)
 
 
-class Simplex(FeasibleSet):
+class Simplex:
     def __init__(self, dim: int):
         self.dim = dim
-
-    def contains(self, v):
-        return bool(np.all(v >= -TAU_FEAS)
-                    and abs(float(np.sum(v)) - 1.0) <= max(TAU_FEAS, TAU_FEAS * v.size))
 
     def sample(self, rng, margin=0.0):
         # margin keeps every entry >= margin / dim, away from the boundary
@@ -122,66 +105,13 @@ class Simplex(FeasibleSet):
         return (1.0 - margin) * p + margin / self.dim
 
 
-class ProductSet(FeasibleSet):
-    def __init__(self, x_set: FeasibleSet, y_set: FeasibleSet):
+class ProductSet:
+    def __init__(self, x_set, y_set):
         self.x_set = x_set
         self.y_set = y_set
 
-    def contains(self, p: Point):
-        return self.x_set.contains(p.x) and self.y_set.contains(p.y)
-
     def sample(self, rng, margin=0.0):
         return Point(self.x_set.sample(rng, margin), self.y_set.sample(rng, margin))
-
-
-# ---------------------------------------------------------------------------
-# Conjugate oracle for quadratics
-# ---------------------------------------------------------------------------
-
-
-class ConjugateOracle:
-    """Closed-form evaluators for f, grad f, f*, grad f* of a quadratic.
-
-    f(x) = 1/2 x^T M x + b^T x with positive-definite M (dense or diagonal).
-    The inverse map uses a factorization of M fixed at construction, so
-    grad_fstar(grad_f(x)) == x to numerical precision.
-    """
-
-    def __init__(self, M, b=None):
-        M = np.asarray(M, dtype=float)
-        self.diag = M.ndim == 1
-        self.M = M
-        d = M.shape[0]
-        self.b = np.zeros(d) if b is None else np.asarray(b, dtype=float)
-        if self.diag:
-            if np.any(M <= 0):
-                raise ValueError("diagonal M must be positive")
-            self._inv = 1.0 / M
-        else:
-            try:
-                self._chol = np.linalg.cholesky(M)
-            except np.linalg.LinAlgError as e:
-                raise ValueError("M must be positive definite") from e
-
-    def _solve(self, v):
-        if self.diag:
-            return self._inv * v
-        z = np.linalg.solve(self._chol, v)
-        return np.linalg.solve(self._chol.T, z)
-
-    def f(self, x):
-        Mx = self.M * x if self.diag else self.M @ x
-        return 0.5 * float(np.dot(x, Mx)) + float(np.dot(self.b, x))
-
-    def grad_f(self, x):
-        return (self.M * x if self.diag else self.M @ x) + self.b
-
-    def fstar(self, y):
-        v = y - self.b
-        return 0.5 * float(np.dot(v, self._solve(v)))
-
-    def grad_fstar(self, y):
-        return self._solve(y - self.b)
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +119,7 @@ class ConjugateOracle:
 # ---------------------------------------------------------------------------
 
 
-class BlockRegularizer:
-    """Distance-generating function over one vector block."""
-
-    def value(self, v) -> float:
-        raise NotImplementedError
-
-    def grad(self, v):
-        raise NotImplementedError
-
-    def divergence(self, a, b) -> float:
-        """Bregman divergence from a to b: r(b) - r(a) - <grad r(a), b - a>."""
-        ga = self.grad(a)
-        return self.value(b) - self.value(a) - float(np.dot(ga, b - a))
-
-    def prox(self, z, g):
-        """argmin_v <g, v> + V_z(v) over the feasible set."""
-        raise NotImplementedError
-
-
-class ScaledEuclidean(BlockRegularizer):
+class ScaledEuclidean:
     """r(v) = mu/2 ||v||_2^2 over free space."""
 
     def __init__(self, mu=1.0):
@@ -233,7 +144,7 @@ class ScaledEuclidean(BlockRegularizer):
         return (zt + (m / lam) * wt - g / (self.mu * lam)) / (1.0 + m / lam)
 
 
-class NegativeEntropy(BlockRegularizer):
+class NegativeEntropy:
     """r(v) = c * sum_i v_i log v_i over the probability simplex."""
 
     def __init__(self, scale=1.0):
@@ -268,32 +179,32 @@ class NegativeEntropy(BlockRegularizer):
         return w / w.sum()
 
 
-class ConjugateRegularizer(BlockRegularizer):
-    """r = f* for a quadratic f given by a :class:`ConjugateOracle`.
+class ConjugateRegularizer:
+    """r = f* for a quadratic f given by a :class:`~extragrad.QuadraticProblem`.
 
     Divergences are evaluated through the dual identity
     V^{f*}_{grad f(a)}(grad f(b)) = V^f_b(a), so only primal quantities are
     ever formed.
     """
 
-    def __init__(self, oracle: ConjugateOracle):
-        self.oracle = oracle
+    def __init__(self, problem):
+        self.problem = problem
 
     def value(self, v):
-        return self.oracle.fstar(v)
+        return self.problem.fstar(v)
 
     def grad(self, v):
-        return self.oracle.grad_fstar(v)
+        return self.problem.grad_fstar(v)
 
     def divergence(self, a, b):
-        xa = self.oracle.grad_fstar(a)
-        xb = self.oracle.grad_fstar(b)
-        o = self.oracle
-        return o.f(xa) - o.f(xb) - float(np.dot(o.grad_f(xb), xa - xb))
+        q = self.problem
+        xa = q.grad_fstar(a)
+        xb = q.grad_fstar(b)
+        return q.f(xa) - q.f(xb) - float(np.dot(q.grad(xb), xa - xb))
 
     def prox(self, z, g):
         # argmin_y <g, y> + V^{f*}_z(y) solves grad f*(y) = grad f*(z) - g
-        return self.oracle.grad_f(self.oracle.grad_fstar(z) - g)
+        return self.problem.grad(self.problem.grad_fstar(z) - g)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +215,7 @@ class ConjugateRegularizer(BlockRegularizer):
 class ProductRegularizer:
     """Separable regularizer r(x, y) = r_x(x) + r_y(y) over a product set."""
 
-    def __init__(self, rx: BlockRegularizer, ry: BlockRegularizer):
+    def __init__(self, rx, ry):
         self.rx = rx
         self.ry = ry
 
@@ -324,14 +235,3 @@ class ProductRegularizer:
         return Point(self.rx.blended_prox(zt.x, wt.x, g.x, lam, m),
                      self.ry.blended_prox(zt.y, wt.y, g.y, lam, m))
 
-
-def divergence(reg, a, b) -> float:
-    """Bregman divergence V^r_a(b) for any regularizer/point pairing."""
-    if isinstance(a, Point) and not a.finite():
-        raise DomainError("non-finite point")
-    if isinstance(a, np.ndarray) and not np.all(np.isfinite(a)):
-        raise DomainError("non-finite point")
-    val = reg.divergence(a, b)
-    if val < -TAU_NUM * max(1.0, abs(val)):
-        raise DomainError(f"negative divergence {val}; regularizer not convex here")
-    return val

@@ -13,7 +13,6 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ConjugateOracle
 from .operators import BoxSimplexInstance, MinimaxInstance, SmoothnessProfile, make_rng
 
 
@@ -30,19 +29,30 @@ class ParseError(ValueError):
 
 
 class QuadraticProblem:
-    """f(x) = 1/2 x^T M x + b^T x with SPD M, dense or diagonal.
+    """f(x) = 1/2 x^T M x + b^T x with SPD M, dense or diagonal, and its conjugate.
 
-    The exact minimizer x* = -M^{-1} b is cached at construction.  For
-    diagonal M, ``partial_at`` answers a coordinate partial in O(1).
+    f* and grad f* use a factorization of M fixed at construction, so
+    grad_fstar(grad(x)) == x to numerical precision.  The exact minimizer
+    x* = -M^{-1} b is cached at construction.  For diagonal M,
+    ``partial_at`` answers a coordinate partial in O(1).
     """
 
     kind = "quadratic"
 
     def __init__(self, M, b, mu=None, L=None):
-        self.oracle = ConjugateOracle(M, b)
-        self.M = self.oracle.M
-        self.diag = self.oracle.diag
-        self.b = self.oracle.b
+        M = np.asarray(M, dtype=float)
+        self.diag = M.ndim == 1
+        self.M = M
+        if self.diag:
+            if np.any(M <= 0):
+                raise ValueError("diagonal M must be positive")
+            self._inv = 1.0 / M
+        else:
+            try:
+                self._chol = np.linalg.cholesky(M)
+            except np.linalg.LinAlgError as e:
+                raise ValueError("M must be positive definite") from e
+        self.b = np.asarray(b, dtype=float)
         self.d = self.b.size
         if mu is None or L is None:
             lo, hi = self.spectrum_extremes()
@@ -50,7 +60,7 @@ class QuadraticProblem:
             L = hi if L is None else L
         L_i = self.M.copy() if self.diag else np.diag(self.M).copy()
         self.profile = SmoothnessProfile(L=L, mu=mu, L_i=L_i)
-        self.x_star = self.oracle.grad_fstar(np.zeros(self.d))
+        self.x_star = self.grad_fstar(np.zeros(self.d))
         self.f_star = self.f(self.x_star)
         if not np.isfinite(self.f_star):
             raise ValueError(f"optimal value {self.f_star!r} is not finite")
@@ -62,11 +72,25 @@ class QuadraticProblem:
         ev = np.linalg.eigvalsh(self.M)
         return float(ev[0]), float(ev[-1])
 
+    def _solve(self, v):
+        if self.diag:
+            return self._inv * v
+        z = np.linalg.solve(self._chol, v)
+        return np.linalg.solve(self._chol.T, z)
+
     def f(self, x):
-        return self.oracle.f(x)
+        Mx = self.M * x if self.diag else self.M @ x
+        return 0.5 * float(np.dot(x, Mx)) + float(np.dot(self.b, x))
 
     def grad(self, x):
-        return self.oracle.grad_f(x)
+        return (self.M * x if self.diag else self.M @ x) + self.b
+
+    def fstar(self, y):
+        v = y - self.b
+        return 0.5 * float(np.dot(v, self._solve(v)))
+
+    def grad_fstar(self, y):
+        return self._solve(y - self.b)
 
     def partial_at(self, i, t):
         """grad_i f at any point whose i-th coordinate is t (diagonal M only)."""
@@ -245,8 +269,14 @@ def read_matrix_market(path):
 
 
 def write_manifest(path, entries: dict):
+    """key=value lines, the format of manifests, run summaries and certificate
+    reports: booleans as 0/1, reals with ``repr``."""
     with open(path, "w", newline="\n") as fh:
         for k, v in entries.items():
+            if isinstance(v, (bool, np.bool_)):
+                v = int(v)
+            elif isinstance(v, (float, np.floating)):
+                v = _fmt(v)
             fh.write(f"{k}={v}\n")
 
 

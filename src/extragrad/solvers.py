@@ -233,7 +233,7 @@ def general_norm_accel(problem, rx, x0, eps, T=None):
     r(x, y) = mu*omega(x) + h*(y), m = 1, lam = 1 + sqrt(L/mu).  The dual block
     is maintained implicitly as grad h(v), so only grad h = grad f - mu*grad
     omega queries occur.  ``rx`` is the x-block regularizer mu*omega, a
-    :class:`BlockRegularizer` with a closed-form blended prox.
+    regularizer with ``grad``, ``prox`` and a closed-form ``blended_prox``.
     """
     L, mu = problem.profile.L, problem.profile.mu
     lam = lambda_fenchel(problem.profile)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import Point, TAU_NUM, vdot
 from .operators import make_rng, lambda_coord
+from .problems import write_manifest
 from .solvers import eg_coord_accel
 
 TAU_REL_RATIO = 1e-6  # relative slack on ratio comparisons
@@ -24,7 +25,7 @@ SIMPLEX_MARGIN = 1e-3  # keep entropy gradients finite
 class TripleSampler:
     """Draws feasible points (with interior margin) for inequality checks."""
 
-    domain: object  # any FeasibleSet, including ProductSet
+    domain: object  # Everywhere, Box, Simplex, or a ProductSet of them
     count: int = 1000
     seed: int = 0
 
@@ -46,24 +47,22 @@ class CertificateReport:
     details: dict = field(default_factory=dict)
 
     def save(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write(f"inequality={self.inequality}\n")
-            fh.write(f"constant={float(self.constant)!r}\n")
-            fh.write(f"n_tested={self.n_tested}\n")
-            fh.write(f"n_skipped={self.n_skipped}\n")
-            fh.write(f"worst={float(self.worst)!r}\n")
-            fh.write(f"passed={int(self.passed)}\n")
-            for k, v in self.details.items():
-                fh.write(f"{k}={v}\n")
+        write_manifest(path, {
+            "inequality": self.inequality, "constant": float(self.constant),
+            "n_tested": self.n_tested, "n_skipped": self.n_skipped,
+            "worst": float(self.worst), "passed": self.passed, **self.details})
         with open(path + ".witness.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["role", "block", "values"])
             for role, pt in zip(("z", "w", "u"), self.witness):
                 if isinstance(pt, Point):
-                    writer.writerow([role, "x"] + [repr(v) for v in pt.x])
-                    writer.writerow([role, "y"] + [repr(v) for v in pt.y])
+                    blocks = (("x", pt.x), ("y", pt.y))
+                elif isinstance(pt, tuple):  # an implicit coordinate point (x, v)
+                    blocks = zip(("x", "v"), pt)
                 else:
-                    writer.writerow([role, "x"] + [repr(v) for v in np.atleast_1d(pt)])
+                    blocks = (("x", np.atleast_1d(pt)),)
+                for block, values in blocks:
+                    writer.writerow([role, block] + [repr(float(v)) for v in values])
 
 
 def check_relative_lipschitzness(g, r, lam, sampler: TripleSampler) -> CertificateReport:

@@ -10,7 +10,7 @@ import scipy.optimize
 
 from extragrad import (
     Point, Box, Simplex, Everywhere, ProductSet, ScaledEuclidean,
-    NegativeEntropy, ProductRegularizer, ConjugateOracle, ConjugateRegularizer,
+    NegativeEntropy, ProductRegularizer, QuadraticProblem, ConjugateRegularizer,
     make_rng, mirror_prox, dual_extrapolation, mirror_prox_sm,
     baseline_unaccelerated, eg_accel, general_norm_accel,
     eg_coord_accel, gen_quadratic, gen_box_simplex, gen_minimax,
@@ -234,7 +234,7 @@ def test_criterion_10_property_suites():
     # divergence identity V^{f*}_{grad f(a)}(grad f(b)) = V^f_b(a)
     M = np.array([1.0, 2.5, 4.0])
     L = 4.0
-    oracle = ConjugateOracle(M)
+    oracle = QuadraticProblem(M, np.zeros(3))
     creg = ConjugateRegularizer(oracle)
     pa, pb = rng.standard_normal((N, 3)), rng.standard_normal((N, 3))
     ya, yb = pa * M, pb * M

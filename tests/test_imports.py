@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level UPPER_CASE constant of a library module is read by some library module.
+"""Every name a library module imports is used in that module, every
+module-level UPPER_CASE constant of a library module is read by some library
+module, and every method of a library class is read by some library code.
 
 ``__init__.py`` is left out: its imports are the package's exports.
 """
@@ -63,3 +64,53 @@ def test_library_module_constants_are_read():
     unread = {name: [f"line {line}: {c}" for c, line in module_constants(s).items() if c not in read]
               for name, s in sources.items() if name != "__init__.py"}
     assert {name: consts for name, consts in unread.items() if consts} == {}
+
+
+# methods that no library code reads, with the reason each stays
+UNREAD_ON_PURPOSE = {
+    "ImplicitIterate.refactor": "perfbench/tracing.py wraps it as the solvers.refactor span",
+}
+
+
+def class_methods(source):
+    """{Class.method: line} for the methods the classes of ``source`` define, dunders left out."""
+    return {f"{node.name}.{item.name}": item.lineno
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")}
+
+
+def attributes_read(source):
+    """Attribute names that ``source`` loads outside any function of the same name,
+    so that a method calling its namesake on another object does not count."""
+    read = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.FunctionDef):
+            enclosing = enclosing | {node.name}
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+              and node.attr not in enclosing):
+            read.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return read
+
+
+def test_library_methods_are_read():
+    probe = ("class A:\n"
+             "    def __init__(self): self.used()\n"
+             "    def used(self): pass\n"
+             "    def unused(self): pass\n"
+             "    def value(self): return self.b.value()\n"
+             "    def other(self): self.unused = 1\n")
+    assert class_methods(probe) == {"A.used": 3, "A.unused": 4, "A.value": 5, "A.other": 6}
+    assert attributes_read(probe) == {"used", "b"}
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    read = set().union(*(attributes_read(s) for s in sources.values()))
+    unread = {method: f"{name} line {line}" for name, s in sources.items()
+              for method, line in class_methods(s).items() if method.split(".")[1] not in read}
+    assert {m: where for m, where in unread.items() if m not in UNREAD_ON_PURPOSE} == {}
+    # an exception whose method has gained a reader is stale
+    assert set(UNREAD_ON_PURPOSE) <= set(unread)

@@ -6,20 +6,21 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from extragrad import (
-    Point, ScaledEuclidean, NegativeEntropy, ConjugateOracle, divergence,
+    Point, ScaledEuclidean, NegativeEntropy, QuadraticProblem,
 )
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 vec = arrays(np.float64, 4, elements=finite_floats)
 pos = st.floats(0.1, 10.0, allow_nan=False)
+ROTATION = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]  # orthogonal
 
 
 @given(vec, vec, pos)
 @settings(max_examples=200, deadline=None)
 def test_euclidean_divergence_nonnegative_and_symmetric_in_distance(a, b, mu):
     reg = ScaledEuclidean(mu)
-    d_ab = divergence(reg, a, b)
-    d_ba = divergence(reg, b, a)
+    d_ab = reg.divergence(a, b)
+    d_ba = reg.divergence(b, a)
     assert d_ab >= 0.0
     # the Euclidean divergence is the symmetric half squared distance
     assert abs(d_ab - d_ba) <= 1e-9 * max(1.0, d_ab)
@@ -46,16 +47,18 @@ def test_entropy_prox_stays_on_simplex(weights, g):
 @given(vec, arrays(np.float64, 4, elements=st.floats(0.5, 8.0)))
 @settings(max_examples=200, deadline=None)
 def test_conjugate_gradients_invert(x, diag):
-    oracle = ConjugateOracle(diag)
-    back = oracle.grad_fstar(oracle.grad_f(x))
+    oracle = QuadraticProblem(diag, np.zeros(4))
+    back = oracle.grad_fstar(oracle.grad(x))
     assert np.allclose(back, x, atol=1e-9)
 
 
 @given(vec, vec, arrays(np.float64, 4, elements=st.floats(0.5, 8.0)))
 @settings(max_examples=200, deadline=None)
 def test_fenchel_young_inequality(x, y, diag):
-    oracle = ConjugateOracle(diag)
-    assert oracle.f(x) + oracle.fstar(y) >= float(x @ y) - 1e-7
+    # the same spectrum as a diagonal M and as a dense M = Q diag(.) Q^T
+    for M in (diag, (ROTATION * diag) @ ROTATION.T):
+        oracle = QuadraticProblem(M, np.zeros(4))
+        assert oracle.f(x) + oracle.fstar(y) >= float(x @ y) - 1e-7
 
 
 @given(vec, vec, vec)

@@ -5,18 +5,30 @@ import pytest
 
 from extragrad import (
     Point, Box, Simplex, ProductSet, ScaledEuclidean, ProductRegularizer,
-    ConjugateOracle, ConjugateRegularizer, SmoothnessProfile, lambda_fenchel,
-    make_rng, mirror_prox,
+    QuadraticProblem, ConjugateRegularizer, SmoothnessProfile, lambda_fenchel,
+    make_rng, mirror_prox, gen_quadratic,
 )
 from extragrad.verify import (
     TripleSampler, CertificateReport, check_relative_lipschitzness,
     check_relative_smoothness_implies, check_strong_monotonicity,
-    check_regret_certificate,
+    check_regret_certificate, check_estimator_conditions, coord_trajectory,
 )
 
 BOX_PAIR_DOMAIN = ProductSet(Box(-np.ones(2), np.ones(2)),
                              Box(-np.ones(2), np.ones(2)))
 EUCLID_PAIR = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
+
+
+def read_witness(path):
+    """(role, block, values) rows of a witness CSV; every line ends in a bare \\n
+    and every value cell is a decimal that ``float`` reads."""
+    with open(path, newline="") as fh:
+        text = fh.read()
+    assert "\r" not in text and text.endswith("\n")
+    header, *lines = text[:-1].split("\n")
+    assert header == "role,block,values"
+    return [(role, block, [float(c) for c in cells])
+            for role, block, *cells in (line.split(",") for line in lines)]
 
 
 def rotation_game(z):
@@ -62,7 +74,7 @@ class TestRelativeLipschitzness:
 
     def test_fenchel_game_passes_paper_constant(self):
         # L = 4, mu = 1: lam = L/sqrt(L mu) + sqrt(L/mu) - ... = 3 via the formula
-        oracle = ConjugateOracle(np.array([1.0, 4.0]))
+        oracle = QuadraticProblem(np.array([1.0, 4.0]), np.zeros(2))
         prof = SmoothnessProfile(4.0, 1.0)
         lam = lambda_fenchel(prof)
         assert lam == pytest.approx(3.0)
@@ -145,8 +157,18 @@ class TestReportIO:
         assert text["inequality"] == "relative-lipschitzness"
         assert float(text["worst"]) == rep.worst
         assert text["passed"] == "1"
-        with open(path + ".witness.csv") as fh:
-            assert fh.readline().startswith("role,block")
+        rows = read_witness(path + ".witness.csv")
+        assert rows == [(role, block, list(getattr(pt, block)))
+                        for role, pt in zip("zwu", rep.witness) for block in "xy"]
+
+    def test_coordinate_witness_has_an_x_row_and_a_v_row(self, tmp_path):
+        prob = gen_quadratic(3, 1.0, 9.0, diag=True, seed=8)
+        states = coord_trajectory(prob, np.ones(3), 5, seed=9)
+        rep = check_estimator_conditions(prob, states, (prob.x_star, prob.x_star))
+        path = str(tmp_path / "report.txt")
+        rep.save(path)
+        (x, v), = rep.witness
+        assert read_witness(path + ".witness.csv") == [("z", "x", list(x)), ("z", "v", list(v))]
 
     def test_reports_deterministic(self):
         reps = [check_relative_lipschitzness(
