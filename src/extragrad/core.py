@@ -5,10 +5,12 @@ with a primal block ``x`` and a dual block ``y``.  Either block may be empty.
 Regularizers come in two flavors: block regularizers defined over a single
 vector, and point regularizers defined over a full primal-dual point (the
 product of two block regularizers, or a genuinely coupled one such as the
-box-simplex regularizer in :mod:`extragrad.boxsimplex`).  Both have
-``value``, ``grad``, ``divergence(a, b)``, the Bregman divergence
+box-simplex regularizer in :mod:`extragrad.boxsimplex`).  Every regularizer
+has ``divergence(a, b)``, the Bregman divergence
 V_a(b) = r(b) - r(a) - <grad r(a), b - a>, and ``prox(z, g)``, the argmin
-over the feasible set of <g, v> + V_z(v).
+over the feasible set of <g, v> + V_z(v).  ``grad`` and ``blended_prox`` exist
+where a method or a reference test reads them; only the box-simplex
+regularizer has ``value``, which its divergence reads.
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ class ScaledEuclidean:
             raise ValueError("mu must be nonnegative")
         self.mu = mu
 
-    def value(self, v):
-        return 0.5 * self.mu * float(np.dot(v, v))
-
     def grad(self, v):
         return self.mu * v
 
@@ -151,10 +150,6 @@ class NegativeEntropy:
         if scale <= 0:
             raise ValueError("entropy scale must be positive")
         self.scale = scale
-
-    def value(self, v):
-        w = np.maximum(v, 0.0)
-        return self.scale * float(np.sum(np.where(w > 0, w * np.log(np.maximum(w, 1e-300)), 0.0)))
 
     def grad(self, v):
         if np.any(v <= 0):
@@ -190,12 +185,6 @@ class ConjugateRegularizer:
     def __init__(self, problem):
         self.problem = problem
 
-    def value(self, v):
-        return self.problem.fstar(v)
-
-    def grad(self, v):
-        return self.problem.grad_fstar(v)
-
     def divergence(self, a, b):
         q = self.problem
         xa = q.grad_fstar(a)
@@ -218,12 +207,6 @@ class ProductRegularizer:
     def __init__(self, rx, ry):
         self.rx = rx
         self.ry = ry
-
-    def value(self, p: Point):
-        return self.rx.value(p.x) + self.ry.value(p.y)
-
-    def grad(self, p: Point):
-        return Point(self.rx.grad(p.x), self.ry.grad(p.y))
 
     def divergence(self, a: Point, b: Point):
         return self.rx.divergence(a.x, b.x) + self.ry.divergence(a.y, b.y)

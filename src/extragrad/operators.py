@@ -95,7 +95,7 @@ class BoxSimplexInstance:
         if self.b.size != self.m or self.c.size != self.n:
             raise ValueError("b, c dimensions must match A")
         # ell_inf -> ell_inf operator norm: max row ell_1 norm
-        row_l1 = np.asarray(abs(A).sum(axis=1)).ravel()
+        row_l1 = np.asarray(self.abs_A.sum(axis=1)).ravel()
         self.op_norm = float(row_l1.max()) if self.m else 0.0
 
     def operator(self, z: Point) -> Point:

@@ -29,9 +29,9 @@ class ParseError(ValueError):
 
 
 class QuadraticProblem:
-    """f(x) = 1/2 x^T M x + b^T x with SPD M, dense or diagonal, and its conjugate.
+    """f(x) = 1/2 x^T M x + b^T x with SPD M, dense or diagonal, and grad f*.
 
-    f* and grad f* use a factorization of M fixed at construction, so
+    grad f* uses a factorization of M fixed at construction, so
     grad_fstar(grad(x)) == x to numerical precision.  The exact minimizer
     x* = -M^{-1} b is cached at construction.  For diagonal M,
     ``partial_at`` answers a coordinate partial in O(1).
@@ -84,10 +84,6 @@ class QuadraticProblem:
 
     def grad(self, x):
         return (self.M * x if self.diag else self.M @ x) + self.b
-
-    def fstar(self, y):
-        v = y - self.b
-        return 0.5 * float(np.dot(v, self._solve(v)))
 
     def grad_fstar(self, y):
         return self._solve(y - self.b)

@@ -140,7 +140,6 @@ def mirror_prox_sm(g, r, z0, lam, m, T, z_star=None):
         w = r.prox(z, (1.0 / lam) * g(z))
         z_next = r.blended_prox(z, w, g(w), lam, m)
         _check_finite(z_next, t)
-        trace.iterates.append(w)
         if z_star is not None:
             trace.divs_to_opt.append(r.divergence(z_next, z_star))
         z = z_next
@@ -193,17 +192,19 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
 
     Runs K = ceil(log2(eps0/eps)) phases of T = 4*ceil(lam) inner iterations
     with lam = 1 + sqrt(L/mu); each phase halves the function error of the
-    averaged half-iterate.  Only gradient queries are issued.
+    averaged half-iterate, so eps0 must bound f(x0) - f* from above.  By
+    default it is taken from strong convexity at one gradient step from x0.
+    Only gradient queries are issued.
     """
     L, mu = problem.profile.L, problem.profile.mu
     lam = lambda_fenchel(problem.profile)
     T = 4 * int(np.ceil(lam))
     x0 = np.asarray(x0, dtype=float)
     if eps0 is None:
-        # one prox-gradient step gives a lower bound on f
+        # f* >= f(x1) - |grad f(x1)|^2 / (2 mu) by mu-strong convexity
         x1 = x0 - problem.grad(x0) / L
         g1 = problem.grad(x1)
-        lower = problem.f(x1) - 0.5 / L * float(np.dot(g1, g1))
+        lower = problem.f(x1) - 0.5 / mu * float(np.dot(g1, g1))
         eps0 = max(problem.f(x0) - lower, eps)
     K = max(int(np.ceil(np.log2(eps0 / eps))), 0)
     x_phase = x0.copy()

@@ -280,8 +280,7 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
     worst_ineq = -np.inf
     witness = ()
     for x_t, v_t in states:
-        outcomes, v_half, g_v, g_vh = coord_iteration_outcomes(problem, x_t, v_t, lam, p)
-        gf_vh = problem.grad(v_half)
+        outcomes, v_half, g_v, gf_vh = coord_iteration_outcomes(problem, x_t, v_t, lam, p)
         # condition 1: expectation identity against the merged point
         lhs = 0.0
         x_bar = x_t.copy()

@@ -155,6 +155,26 @@ class TestSolve:
         assert run(["solve", "--alg", "mirror-prox", "--instance", mm_manifest,
                     "--iters", "50", "--check", "--out", out]) == 0
 
+    def test_mp_strong_certifies_the_contraction(self, mm_manifest, tmp_path):
+        out = str(tmp_path / "sm")
+        assert run(["solve", "--alg", "mp-strong", "--instance", mm_manifest,
+                    "--iters", "50", "--check", "--out", out]) == 0
+        assert read_summary(out + ".summary.txt")["certificate_pass"] == "1"
+
+    def test_mp_strong_oversized_mono_fails_the_certificate(self, mm_manifest, tmp_path):
+        out = str(tmp_path / "sm")
+        assert run(["solve", "--alg", "mp-strong", "--instance", mm_manifest, "--iters", "5",
+                    "--mono", "1000", "--check", "--out", out]) == 3
+        assert read_summary(out + ".summary.txt")["certificate_pass"] == "0"
+
+    @pytest.mark.parametrize("argv", [["solve", "--alg", "eg-accel"],
+                                      ["verify", "--check", "rel-lip"],
+                                      ["bench", "--alg", "eg-accel"]], ids=" ".join)
+    def test_instance_is_required(self, tmp_path, capsys, argv):
+        assert run(argv + ["--out", str(tmp_path / "o")]) == 64
+        assert capsys.readouterr().err == "usage error: --instance is required for this command\n"
+        assert not os.listdir(tmp_path)
+
     def test_unknown_alg_is_usage_error(self, quad_manifest):
         assert run(["solve", "--alg", "gradient-descent",
                     "--instance", quad_manifest]) == 64

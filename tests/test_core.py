@@ -175,14 +175,6 @@ class TestConjugateOracle:
         with pytest.raises(ValueError):
             QuadraticProblem(np.array([1.0, 0.0]), np.zeros(2))
 
-    def test_fenchel_young_equality(self):
-        oracle = QuadraticProblem(np.array([3.0, 7.0]), np.array([1.0, -2.0]))
-        rng = make_rng(12)
-        for _ in range(50):
-            x = rng.standard_normal(2)
-            y = oracle.grad(x)
-            assert oracle.f(x) + oracle.fstar(y) == pytest.approx(float(x @ y), abs=1e-10)
-
 
 class TestThreePointIdentity:
     @pytest.mark.parametrize("reg,sampler_margin", [

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 module-level UPPER_CASE constant of a library module is read by some library
 module, and every method of a library class is read by some library code.
+A read of ``self.m`` inside class C counts only for ``C.m``.
 
 ``__init__.py`` is left out: its imports are the package's exports.
 """
@@ -66,6 +67,8 @@ def test_library_module_constants_are_read():
     assert {name: consts for name, consts in unread.items() if consts} == {}
 
 
+PERFBENCH_TRACING = SRC.parent.parent / "perfbench" / "tracing.py"
+
 # methods that no library code reads, with the reason each stays
 UNREAD_ON_PURPOSE = {
     "ImplicitIterate.refactor": "perfbench/tracing.py wraps it as the solvers.refactor span",
@@ -81,21 +84,40 @@ def class_methods(source):
 
 
 def attributes_read(source):
-    """Attribute names that ``source`` loads outside any function of the same name,
-    so that a method calling its namesake on another object does not count."""
-    read = set()
+    """(names, methods): the attribute names that ``source`` loads, and the
+    ``Class.method`` of each ``self.method`` it loads inside a class, both
+    outside any function of the same name, so that a method calling its
+    namesake does not count."""
+    names, methods = set(), set()
 
-    def visit(node, enclosing):
-        if isinstance(node, ast.FunctionDef):
+    def visit(node, cls, enclosing):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, ast.FunctionDef):
             enclosing = enclosing | {node.name}
         elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
               and node.attr not in enclosing):
-            read.add(node.attr)
+            if cls and isinstance(node.value, ast.Name) and node.value.id == "self":
+                methods.add(f"{cls}.{node.attr}")
+            else:
+                names.add(node.attr)
         for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
+            visit(child, cls, enclosing)
 
-    visit(ast.parse(source), frozenset())
-    return read
+    visit(ast.parse(source), None, frozenset())
+    return names, methods
+
+
+def unread_methods(sources):
+    """{Class.method: where} for the methods of ``sources`` that none of them reads."""
+    names, methods = set(), set()
+    for s in sources.values():
+        n, m = attributes_read(s)
+        names |= n
+        methods |= m
+    return {method: f"{name} line {line}" for name, s in sources.items()
+            for method, line in class_methods(s).items()
+            if method.split(".")[1] not in names and method not in methods}
 
 
 def test_library_methods_are_read():
@@ -106,11 +128,31 @@ def test_library_methods_are_read():
              "    def value(self): return self.b.value()\n"
              "    def other(self): self.unused = 1\n")
     assert class_methods(probe) == {"A.used": 3, "A.unused": 4, "A.value": 5, "A.other": 6}
-    assert attributes_read(probe) == {"used", "b"}
-    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
-    read = set().union(*(attributes_read(s) for s in sources.values()))
-    unread = {method: f"{name} line {line}" for name, s in sources.items()
-              for method, line in class_methods(s).items() if method.split(".")[1] not in read}
+    assert attributes_read(probe) == (set(), {"A.used", "A.b"})
+    unread = unread_methods({"probe.py": probe})
+    assert unread == {"A.unused": "probe.py line 4", "A.value": "probe.py line 5",
+                      "A.other": "probe.py line 6"}
+    unread = unread_methods({p.name: p.read_text() for p in SRC.glob("*.py")})
     assert {m: where for m, where in unread.items() if m not in UNREAD_ON_PURPOSE} == {}
     # an exception whose method has gained a reader is stale
     assert set(UNREAD_ON_PURPOSE) <= set(unread)
+
+
+def test_self_reads_count_for_their_own_class():
+    # A.shared is read through self inside A; B.shared has no reader of its own
+    probe = ("class A:\n"
+             "    def run(self): return self.shared()\n"
+             "    def shared(self): pass\n"
+             "class B:\n"
+             "    def shared(self): pass\n"
+             "def main(a): a.run()\n")
+    assert attributes_read(probe) == ({"run"}, {"A.shared"})
+    assert unread_methods({"probe.py": probe}) == {"B.shared": "probe.py line 5"}
+
+
+def test_unread_exceptions_are_perfbench_patch_points():
+    # each listed method stays because perfbench/tracing.py patches it by name
+    tracing = PERFBENCH_TRACING.read_text()
+    for method in UNREAD_ON_PURPOSE:
+        cls, name = method.split(".")
+        assert f'{cls}, "{name}",' in tracing, method

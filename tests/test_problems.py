@@ -207,6 +207,22 @@ class TestSerialization:
         with pytest.raises(ParseError):
             load_instance(man)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("%%MatrixMarket matrix array real general\n", 2, "missing size line"),
+        ("%%MatrixMarket matrix coordinate real general\n% note\n\n", 2, "missing size line"),
+        ("%%MatrixMarket matrix coordinate real general\n2 2\n", 2,
+         "coordinate size line needs m n nnz"),
+        ("%%MatrixMarket matrix array real general\n2 2 4\n", 2, "array size line needs m n"),
+        ("%%MatrixMarket matrix array real general\ntwo 2\n", 2, "bad size line 'two 2'"),
+    ])
+    def test_bad_size_line_is_a_parse_error(self, tmp_path, text, line, message):
+        path = str(tmp_path / "s.mtx")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ParseError, match=message) as ei:
+            read_matrix_market(path)
+        assert ei.value.line == line
+
     def test_bad_number_reports_line(self, tmp_path):
         path = str(tmp_path / "v.txt")
         with open(path, "w") as fh:

@@ -9,7 +9,7 @@ from extragrad import (
     eg_accel, general_norm_accel, gen_quadratic, gen_minimax,
     lambda_minimax, NonFiniteIterateError,
 )
-from extragrad import solvers
+from extragrad import cli, solvers
 from extragrad.core import vdot
 
 EUCLID_PAIR = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
@@ -242,9 +242,29 @@ class TestEgAccel:
             prev = e
 
     def test_default_eps0_is_honest(self):
-        prob = gen_quadratic(10, 1.0, 30.0, diag=True, seed=8)
-        x = eg_accel(prob, np.zeros(10), 1e-9)
-        assert prob.error(x) <= 1e-9
+        # the default eps0 bounds f(x0) - f* from above: enough phases run to
+        # halve the true initial error down to eps
+        for seed, eps in ((s, e) for s in range(6) for e in (1e-2, 1e-4)):
+            prob = gen_quadratic(50, 1.0, 1e4, diag=True, seed=seed)
+            phases = []
+            x = eg_accel(prob, np.zeros(50), eps, collect=lambda k, xp: phases.append(k))
+            assert prob.error(x) <= eps
+            assert len(phases) >= np.ceil(np.log2(prob.error(np.zeros(50)) / eps))
+
+    @pytest.mark.parametrize("diag", [True, False])
+    def test_explicit_fenchel_game_gives_the_first_phase(self, diag):
+        # mirror prox on min_x max_y <y, x> - f*(y) + mu/2 |x|^2 from (x0, grad f(x0)),
+        # read back in v = grad f*(y), is the phase eg_accel runs implicitly
+        for seed in range(3):
+            prob = gen_quadratic(12, 1.0, 50.0, diag=diag, seed=seed)
+            x0 = make_rng(seed).standard_normal(12)
+            lam = 1.0 + np.sqrt(50.0)
+            T = 4 * int(np.ceil(lam))
+            trace = mirror_prox(*cli._fenchel_pair(prob), Point(x0, prob.grad(x0)), lam, T)
+            assert len(trace.iterates) == T
+            mean = sum(prob.grad_fstar(w.y) for w in trace.iterates) / T
+            phase = eg_accel(prob, x0, 0.5, eps0=1.0)
+            assert np.linalg.norm(mean - phase) <= 1e-12 * np.linalg.norm(phase)
 
     def test_default_eps0_costs_two_gradients(self, monkeypatch):
         prob = gen_quadratic(10, 1.0, 30.0, diag=True, seed=8)

@@ -17,6 +17,11 @@ from extragrad.verify import (
 BOX_PAIR_DOMAIN = ProductSet(Box(-np.ones(2), np.ones(2)),
                              Box(-np.ones(2), np.ones(2)))
 EUCLID_PAIR = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
+FLAT_PAIR = ProductRegularizer(ScaledEuclidean(0.0), ScaledEuclidean(0.0))  # V = 0
+
+
+def zero_operator(z):
+    return 0.0 * z
 
 
 def read_witness(path):
@@ -95,6 +100,20 @@ class TestRelativeLipschitzness:
         assert loose.passed and tight.passed
         assert loose.worst == tight.worst  # same samples, same ratio
 
+    def test_vanishing_divergence_with_a_moving_operator_is_a_violation(self):
+        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=8)
+        rep = check_relative_lipschitzness(rotation_game, FLAT_PAIR, 1e6, sampler)
+        assert not rep.passed
+        assert rep.worst == np.inf
+        z, w, u = rep.witness
+        assert (rotation_game(w) - rotation_game(z)).dot(w - u) > 1e-9
+
+    def test_vanishing_divergence_with_a_zero_operator_is_skipped(self):
+        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=8)
+        rep = check_relative_lipschitzness(zero_operator, FLAT_PAIR, 1.0, sampler)
+        assert rep.n_tested == rep.n_skipped == 50
+        assert rep.witness == ()
+
 
 class TestStrongMonotonicity:
     def test_identity_operator_is_exactly_one(self):
@@ -112,6 +131,12 @@ class TestStrongMonotonicity:
             TripleSampler(BOX_PAIR_DOMAIN, count=200, seed=7))
         assert not rep.passed
         assert rep.worst < 0.01
+
+    def test_vanishing_divergence_is_skipped(self):
+        rep = check_strong_monotonicity(
+            rotation_game, FLAT_PAIR, 1.0, TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=9))
+        assert rep.n_tested == rep.n_skipped == 50
+        assert rep.witness == ()
 
 
 class TestRegretCertificate:
