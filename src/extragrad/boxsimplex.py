@@ -1,8 +1,9 @@
 """Box-simplex bilinear games end to end.
 
 Preprocessing, the coupled box-entropy regularizer with its alternating
-minimization prox, mirror prox with backtracking lam capped at 3, the
-duality-gap oracle, and the reduction from box-constrained ell_inf regression.
+minimization prox, mirror prox with backtracking lam capped at 3 that
+restarts from its average whenever the duality gap halves, the duality-gap
+oracle, and the reduction from box-constrained ell_inf regression.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .solvers import SolverTrace
 LAMBDA_BOX_SIMPLEX = 3.0  # the cap on lam: a step at 3 passes the local test
 LAMBDA_SHRINK = 0.8  # lam <- 0.8 lam after an accepted step
 LAMBDA_GROW = 2.0    # lam <- min(2 lam, cap) after a rejected try
+RESTART_FACTOR = 0.5  # restart once the epoch's average has halved its start's gap
 ENTROPY_SCALE_FACTOR = 10.0
 
 Y_FLOOR = 1e-300  # multiplicative updates cannot hit exact zero, underflow can
@@ -80,6 +82,17 @@ class ShermanRegularizer:
     def _divergence(self, a: Point, b: Point, ta: ZTerms, value_a: float, value_b: float):
         """The divergence from a to b, given z_terms(a), r(a) and r(b)."""
         return value_b - value_a - self._grad(ta).dot(b - a)
+
+    def _max_divergence(self, z: Point, t: ZTerms, value_z: float) -> float:
+        """D(z) = max_u V_z(u) over box x simplex, given z_terms(z) and r(z).
+
+        r is convex, since alpha = 10 ||A|| >= 10 ||A_i||_1, so V_z is too and
+        its maximum is at a vertex (s, e_i) with s in {-1, 1}^n, where r = ||A_i||_1:
+            D(z) = max_i (||A_i||_1 - d_{y_i} r(z)) + ||grad_x r(z)||_1 - r(z) + <grad r(z), z>.
+        """
+        g = self._grad(t)
+        return (float(np.max(self.inst.row_l1 - g.y)) + float(np.abs(g.x).sum())
+                - value_z + g.dot(z))
 
     def z_terms(self, z: Point) -> ZTerms:
         inst = self.inst
@@ -256,7 +269,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
                       max_iters: int | None = None,
                       certify: bool = False):
     """Mirror prox in the coupled regularizer from z0 = (0, uniform), with
-    backtracking lam capped at 3.
+    backtracking lam capped at 3, in epochs that restart from their average.
 
     A try at lam from z computes w = Prox_z(g(z)/lam), z' = Prox_z(g(w)/lam)
     and passes the local test when the local relative-Lipschitz inequality
@@ -266,14 +279,24 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     doubles, up to 3, after a failed try, which is redone from the same z.
     A try at lam = 3 is always accepted.
 
-    Returns (x, y, gap, trace) for the average of the accepted w_t weighted
-    by 1/lam_t, the one of least duality gap; the exact gap of the average
-    is the stopping test.  ``trace.gaps`` and ``trace.lams`` hold the gap of
-    the average and the lam of each accepted step.  The summary's
-    ``gap_bound_ok`` tells whether every such gap stayed within the bound
-        (||A|| (1 + 10 log m) + sum delta + sum_t max(0, lhs_t - rhs_t) / lam_t)
-        / sum_t 1/lam_t
-    that the accepted steps prove, with delta the prox gaps (below).
+    An epoch starts at a point z_r, the first at z0, and averages its own
+    accepted w_t weighted by 1/lam_t.  After each accepted step the exact
+    duality gap of that average is the stopping test; once it is at most
+    half the gap of z_r, the next epoch starts at the average, with its sums
+    zeroed and lam carried on.  A game is a linear program, so its gap grows
+    linearly with the distance to the solutions, and halving epochs give a
+    linear rate.  A solve makes one ``duality_gap`` call per accepted step
+    and one for z0.
+
+    Returns (x, y, gap, trace) for the epoch average of least duality gap
+    over all epochs.  ``trace.gaps`` and ``trace.lams`` hold the gap of the
+    average and the lam of each accepted step, and the summary's
+    ``restarts`` the number of epochs after the first.  ``gap_bound_ok``
+    tells whether every such gap stayed within the bound
+        (D(z_r) + sum delta + sum_t max(0, lhs_t - rhs_t) / lam_t) / sum_t 1/lam_t
+    that the accepted steps of its epoch prove, with sums over the epoch,
+    delta the prox gaps (below) and D(z_r) = max_u V_{z_r}(u), which is
+    ||A|| (1 + 10 log m) at z0.
 
     ``certify`` checks the paper's claim that a step at lam = 3 passes the
     local test from every point: from each accepted step's z it also makes
@@ -286,21 +309,21 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     iterates.
 
     Each prox call of a try at lam stops at gap eps / (8 lam), but no tighter
-    than a prox called on its own.  The calls of the accepted steps then add
-    at most eps / 4 to the gap bound; the sum of their gaps is
-    ``trace.summary["prox_gap_sum"]``.
+    than a prox called on its own.  The calls of an epoch's accepted steps
+    then add at most eps / 4 to its gap bound; the sum of their gaps over
+    all epochs is ``trace.summary["prox_gap_sum"]``.
     """
     cap = LAMBDA_BOX_SIMPLEX
     reg = ShermanRegularizer(inst)
     tol_floor = reg.tol
     budget = iteration_budget(inst, eps) if max_iters is None else max_iters
     tol_rl = 1e-8 * max(1.0, inst.op_norm)
-    # max_u V_{z0}(u) <= ||A|| (1 + 10 log m) over box x simplex
-    v0_max = inst.op_norm * (1.0 + ENTROPY_SCALE_FACTOR * np.log(max(inst.m, 1)))
     z = Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m))
     z0 = z
     zt = reg.z_terms(z)  # afterwards each z's terms come from the prox that made it
     value_z = reg._value(z.y, zt)
+    d_start = reg._max_divergence(z, zt, value_z)  # ||A|| (1 + 10 log m) at z0
+    gap_start = duality_gap(inst, z.x, z.y)
     x_acc = np.zeros(inst.n)
     y_acc = np.zeros(inst.m)
     weight = 0.0
@@ -312,8 +335,8 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
                  stability_lo=1.0, stability_hi=1.0)
     best = None
     lam = cap
-    t = retries = 0
-    prox_gap_sum = excess = 0.0
+    t = retries = restarts = 0
+    prox_gap_sum = epoch_delta = excess = 0.0
     while t < budget:
         gz = inst.operator(z)
         while True:  # tries from z until one passes the local test or lam = cap
@@ -333,6 +356,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
             s["gamma_inf_max"] = max(s["gamma_inf_max"], at_cap.gamma_inf)
             trace.regrets.append(at_cap.margin)
         prox_gap_sum += step.delta
+        epoch_delta += step.delta
         excess += max(0.0, step.margin) / lam
         x_acc += step.w.x / lam
         y_acc += step.w.y / lam
@@ -342,23 +366,34 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
         xb, yb = x_acc / weight, y_acc / weight
         gap = duality_gap(inst, xb, yb)
         trace.gaps.append(gap)
-        if not gap <= (v0_max + prox_gap_sum + excess) / weight:
+        if not gap <= (d_start + epoch_delta + excess) / weight:
             s["gap_bound_ok"] = False
         if best is None or gap < best[2]:
             best = (xb, yb, gap)
         if gap <= eps:
             break
-        z, zt, value_z = step.z_next, step.terms_next, step.value_next
+        if gap <= RESTART_FACTOR * gap_start:  # restart from the average, lam carried on
+            z = Point(xb, yb)
+            zt = reg.z_terms(z)
+            value_z = reg._value(z.y, zt)
+            d_start = reg._max_divergence(z, zt, value_z)
+            gap_start = gap
+            x_acc[:] = 0.0
+            y_acc[:] = 0.0
+            weight = epoch_delta = excess = 0.0
+            restarts += 1
+        else:
+            z, zt, value_z = step.z_next, step.terms_next, step.value_next
         lam *= LAMBDA_SHRINK
     else:
         if best is None:  # a zero budget answers with z0 itself
-            best = (z0.x, z0.y, duality_gap(inst, z0.x, z0.y))
+            best = (z0.x, z0.y, gap_start)
         if not best[2] <= eps:  # only z0 can already meet eps here; NaN gaps warn
             warnings.warn(
                 f"box-simplex budget of {budget} iterations exhausted; "
                 f"best gap {best[2]:.3e} > eps {eps:.3e}", RuntimeWarning)
     xb, yb, gap = best
     s.update({"algorithm": "box-simplex", "iterations": t, "retries": retries,
-              "lam_min": min(trace.lams, default=cap), "lam_max": cap,
+              "restarts": restarts, "lam_min": min(trace.lams, default=cap), "lam_max": cap,
               "gap": gap, "budget": budget, "prox_gap_sum": prox_gap_sum})
     return xb, yb, gap, trace

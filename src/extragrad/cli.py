@@ -326,7 +326,8 @@ def _solve_box_simplex(problem, args):
     s = trace.summary
     rows = [{"iter": t, "gap": gp} for t, gp in enumerate(trace.gaps)]
     summary = {"eps": eps, "gap": gap, "iterations": s["iterations"], "retries": s["retries"],
-               "lam_min": s["lam_min"], "budget": s["budget"], "prox_gap_sum": s["prox_gap_sum"]}
+               "restarts": s["restarts"], "lam_min": s["lam_min"], "budget": s["budget"],
+               "prox_gap_sum": s["prox_gap_sum"]}
     if args.check:
         summary.update((k, s[k]) for k in BOX_SIMPLEX_FLAGS)
         if not all(s[k] for k in BOX_SIMPLEX_FLAGS):
@@ -469,7 +470,8 @@ def _bench_eg_coord(problem, args):
 def _bench_box_simplex(problem, args):
     eps = _or(args.eps, 1e-2 * max(problem.op_norm, 1.0))
     _, _, gap, trace = solve_box_simplex(problem, eps, max_iters=args.iters)
-    s = trace.summary  # an accepted step queries z and w, a rejected try only w
+    # an accepted step queries z and w, a rejected try only w; a restart queries nothing
+    s = trace.summary
     return s["iterations"], 2 * s["iterations"] + s["retries"], gap
 
 

@@ -79,6 +79,7 @@ class BoxSimplexInstance:
     A and |A| are stored in compressed-row form.  ``At`` and ``abs_At`` are
     their transposes, built once: compressed-column views on the same arrays,
     since building a transpose per product costs several times the product.
+    ``row_l1`` holds the row sums ||A_i||_1.
     """
 
     kind = "box-simplex"
@@ -95,8 +96,8 @@ class BoxSimplexInstance:
         if self.b.size != self.m or self.c.size != self.n:
             raise ValueError("b, c dimensions must match A")
         # ell_inf -> ell_inf operator norm: max row ell_1 norm
-        row_l1 = np.asarray(self.abs_A.sum(axis=1)).ravel()
-        self.op_norm = float(row_l1.max()) if self.m else 0.0
+        self.row_l1 = np.asarray(self.abs_A.sum(axis=1)).ravel()
+        self.op_norm = float(self.row_l1.max()) if self.m else 0.0
 
     def operator(self, z: Point) -> Point:
         return Point(self.At @ z.y + self.c, self.b - self.A @ z.x)

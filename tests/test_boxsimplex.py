@@ -1,5 +1,6 @@
 """Box-simplex games: coupled regularizer, preprocessing, certified solve."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -201,6 +202,33 @@ class TestProxGap:
                 assert np.array_equal(a, b)
 
 
+class TestMaxDivergence:
+    def test_matches_the_largest_vertex_divergence(self):
+        for seed in range(20):
+            inst = gen_box_simplex(4, 3, 0.8, seed=seed)
+            reg = ShermanRegularizer(inst)
+            rng = make_rng(seed)
+            z = sample_domain(inst, rng)
+            zt = reg.z_terms(z)
+            d = reg._max_divergence(z, zt, reg._value(z.y, zt))
+            vertices = [Point(np.array(s), np.eye(inst.m)[i])
+                        for s in itertools.product((-1.0, 1.0), repeat=inst.n)
+                        for i in range(inst.m)]
+            assert d == pytest.approx(max(reg.divergence(z, u) for u in vertices), rel=1e-12)
+            for _ in range(500):
+                u = Point(rng.uniform(-1.0, 1.0, inst.n), rng.dirichlet(np.full(inst.m, 0.2)))
+                assert reg.divergence(z, u) <= d
+
+    def test_at_z0_it_is_the_initial_divergence_bound(self):
+        inst = gen_box_simplex(50, 40, 0.5, seed=0)
+        reg = ShermanRegularizer(inst)
+        z0 = Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m))
+        zt = reg.z_terms(z0)
+        bound = inst.op_norm * (1.0 + ENTROPY_SCALE_FACTOR * np.log(inst.m))
+        assert reg._max_divergence(z0, zt, reg._value(z0.y, zt)) == pytest.approx(
+            bound, rel=1e-12)
+
+
 class TestTransposes:
     def test_transposes_share_storage(self):
         inst = small_instance(seed=30)
@@ -290,6 +318,42 @@ def tries_of(trace):
         lam *= LAMBDA_SHRINK
     assert sum(not ok for _, ok in tries) == trace.summary["retries"]
     return tries
+
+
+def record_tries(monkeypatch):
+    """Wraps boxsimplex._mirror_prox_try; returns the list of (lam, z, step) of
+    its calls, filled as they happen."""
+    calls = []
+    try_ = boxsimplex._mirror_prox_try
+
+    def recording(reg, z, gz, zt, value_z, lam, tol):
+        step = try_(reg, z, gz, zt, value_z, lam, tol)
+        calls.append((lam, z, step))
+        return step
+
+    monkeypatch.setattr(boxsimplex, "_mirror_prox_try", recording)
+    return calls
+
+
+def epochs_of(trace, calls):
+    """The accepted tries of an uncertified solve as epochs [(z_r, [(lam, step)])]:
+    a step starts an epoch when its z is not the z' of the step before it."""
+    accepted = [call for call, (_, ok) in zip(calls, tries_of(trace)) if ok]
+    assert len(accepted) == len(trace.lams)
+    epochs = []
+    for k, (lam, z, step) in enumerate(accepted):
+        if k == 0 or z is not accepted[k - 1][2].z_next:
+            epochs.append((z, []))
+        epochs[-1][1].append((lam, step))
+    return epochs
+
+
+def weighted_average(steps):
+    """The 1/lam-weighted average of the w of (lam, step) pairs."""
+    weights = np.array([1.0 / lam for lam, _ in steps])
+    x = sum(wt * step.w.x for wt, (_, step) in zip(weights, steps)) / weights.sum()
+    y = sum(wt * step.w.y for wt, (_, step) in zip(weights, steps)) / weights.sum()
+    return x, y
 
 
 class TestSolve:
@@ -447,19 +511,71 @@ class TestSolve:
         assert s["gamma_inf_max"] == max(step.gamma_inf for step in at_cap)
 
     def test_answer_is_the_one_over_lam_weighted_average(self, monkeypatch):
-        calls = record_prox_calls(monkeypatch)
+        # the answer averages the accepted w_t of its own epoch only
+        calls = record_tries(monkeypatch)
         inst = gen_box_simplex(12, 10, 0.5, seed=18)
         x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm)
-        # the first prox call of each accepted try outputs w_t
-        ws = [calls[2 * k][0] for k, (_, accepted) in enumerate(tries_of(trace)) if accepted]
-        weights = 1.0 / np.array(trace.lams)
+        epochs = epochs_of(trace, calls)
         t = int(np.argmin(trace.gaps)) + 1
-        assert len(ws) == len(trace.lams) and t > 1
-        x_avg = sum(wt * w.x for wt, w in zip(weights[:t], ws)) / weights[:t].sum()
-        y_avg = sum(wt * w.y for wt, w in zip(weights[:t], ws)) / weights[:t].sum()
+        ends = np.cumsum([len(steps) for _, steps in epochs])
+        r = int(np.searchsorted(ends, t))  # the epoch that holds step t
+        assert r >= 1 and len(epochs) == trace.summary["restarts"] + 1
+        steps = epochs[r][1][:t - (ends[r] - len(epochs[r][1]))]
+        x_avg, y_avg = weighted_average(steps)
         assert np.allclose(x, x_avg, rtol=1e-12, atol=1e-15)
         assert np.allclose(y, y_avg, rtol=1e-12, atol=1e-15)
         assert gap == duality_gap(inst, x, y)
+
+    def test_restarts_when_the_epoch_average_halves_its_start_gap(self, monkeypatch):
+        calls = record_tries(monkeypatch)
+        inst = gen_box_simplex(50, 40, 0.5, seed=0)
+        x, y, gap, trace = solve_box_simplex(inst, 1e-3 * inst.op_norm)
+        epochs = epochs_of(trace, calls)
+        assert len(epochs) == trace.summary["restarts"] + 1 >= 4
+        z0 = epochs[0][0]
+        assert np.array_equal(z0.x, np.zeros(inst.n))
+        assert np.array_equal(z0.y, np.full(inst.m, 1.0 / inst.m))
+        starts = [duality_gap(inst, z.x, z.y) for z, _ in epochs]
+        gaps = iter(trace.gaps)
+        for r, (_, steps) in enumerate(epochs):
+            epoch_gaps = [next(gaps) for _ in steps]
+            # no earlier average of the epoch halved its start's gap
+            assert all(g > 0.5 * starts[r] for g in epoch_gaps[:-1])
+            if r + 1 < len(epochs):
+                # the next epoch starts at this one's last average, of that gap
+                z_next = epochs[r + 1][0]
+                x_avg, y_avg = weighted_average(steps)
+                assert np.allclose(z_next.x, x_avg, rtol=1e-12, atol=1e-15)
+                assert np.allclose(z_next.y, y_avg, rtol=1e-12, atol=1e-15)
+                assert starts[r + 1] == epoch_gaps[-1] <= 0.5 * starts[r]
+
+    @pytest.mark.parametrize("certify, max_iters", [(False, None), (True, None), (False, 0)])
+    def test_one_gap_per_step_and_one_for_z0(self, monkeypatch, certify, max_iters):
+        counted = []
+        gap_ = boxsimplex.duality_gap
+        monkeypatch.setattr(boxsimplex, "duality_gap",
+                            lambda inst, x, y: counted.append(1) or gap_(inst, x, y))
+        inst = gen_box_simplex(12, 10, 0.5, seed=18)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # a zero budget runs out
+            x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm,
+                                                 max_iters=max_iters, certify=certify)
+        s = trace.summary
+        assert (s["restarts"] >= 1) == (max_iters is None)
+        assert len(counted) == s["iterations"] + 1
+
+    def test_restarts_make_the_rate_linear(self):
+        # criterion 06 seed 0; without restarts 1e-2 ||A|| takes 1699 steps and
+        # 1e-4 ||A|| takes 170086
+        inst = gen_box_simplex(50, 40, 0.5, seed=0)
+        steps = {}
+        for tol in (1e-2, 1e-4):
+            eps = tol * inst.op_norm
+            x, y, gap, trace = solve_box_simplex(inst, eps, certify=True)
+            s = trace.summary
+            assert gap <= eps and s["gap_bound_ok"] and s["stability_ok"] and s["local_rl_ok"]
+            steps[tol] = s["iterations"]
+        assert steps[1e-4] <= 3 * steps[1e-2]
 
     def test_lam_cap_is_never_passed(self, monkeypatch, tmp_path):
         # at a cap of 1e-3 every step is far too long, so the certificate fails
@@ -484,7 +600,7 @@ class TestSolve:
 
     def test_linf_backtracking_keeps_steps_few(self):
         # the 16 instances of the linf-reg benchmark workload at seed 0; a fixed
-        # lam = 3 takes 11991 steps there
+        # lam = 3 takes 11991 steps there, backtracking without restarts 724
         iterations = retries = 0
         for j in range(16):
             rng = make_rng(100 + j)
@@ -494,8 +610,8 @@ class TestSolve:
             assert gap <= 0.07 * inst.op_norm
             iterations += trace.summary["iterations"]
             retries += trace.summary["retries"]
-        assert iterations <= 1500
-        assert retries <= 0.5 * iterations
+        assert iterations <= 600
+        assert retries <= 0.25 * iterations
 
     def test_linf_prox_takes_about_one_round(self, monkeypatch):
         # the 16 instances of the linf-reg benchmark workload at seed 0

@@ -330,6 +330,14 @@ class TestSolve:
         assert (summary["gap_bound_ok"], summary["stability_ok"],
                 summary["local_rl_ok"]) == ("0", "1", "1")
 
+    def test_box_simplex_summary_reports_restarts(self, tmp_path):
+        manifest, out = str(tmp_path / "g.manifest"), str(tmp_path / "bs")
+        assert run(["gen", "box-simplex", "m=50", "n=40", "density=0.5",
+                    "--seed", "0", "--out", manifest]) == 0
+        assert run(["solve", "--alg", "box-simplex", "--instance", manifest,
+                    "--out", out]) == 0
+        assert int(read_summary(out + ".summary.txt")["restarts"]) >= 1
+
 
 class TestVerify:
     def test_rel_lip_passes(self, quad_manifest, tmp_path):
