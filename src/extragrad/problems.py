@@ -4,11 +4,22 @@ Matrices go to disk in Matrix Market coordinate/array format, vectors as one
 decimal per line, and a key=value manifest ties the pieces together.  All
 reals are serialized with ``repr``, the shortest decimal that round-trips, so
 regenerating with a fixed seed is byte-identical across platforms.
+
+A vector, or a matrix body after its header and size line, is read by one
+``np.loadtxt`` call: coordinate lines as (int64, int64, float64) records,
+array values and vectors as one float64 per line.  That result is kept only
+when it has the count the size line declares (one value per line for a
+vector) and every value is finite.  In every other case -- a comment or a
+ragged line in the body, a wrong count, a NaN, anything the C parser
+rejects -- the line-by-line reader reads the file again and decides, so it
+alone defines what is accepted and every ``ParseError``.  What the C parser
+takes, the line-by-line reader takes too, with the same doubles.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +63,10 @@ class QuadraticProblem:
                 self._chol = np.linalg.cholesky(M)
             except np.linalg.LinAlgError as e:
                 raise ValueError("M must be positive definite") from e
+            # cholesky and eigvalsh read one triangle of M and grad all of it, so
+            # M and its transpose may differ by rounding only
+            if np.abs(M - M.T).max(initial=0.0) > 1e-12 * np.abs(M).max(initial=0.0):
+                raise ValueError("M must be symmetric")
         self.b = np.asarray(b, dtype=float)
         self.d = self.b.size
         if mu is None or L is None:
@@ -83,7 +98,9 @@ class QuadraticProblem:
         return 0.5 * float(np.dot(x, Mx)) + float(np.dot(self.b, x))
 
     def grad(self, x):
-        return (self.M * x if self.diag else self.M @ x) + self.b
+        g = self.M * x if self.diag else self.M @ x
+        g += self.b
+        return g
 
     def grad_fstar(self, y):
         return self._solve(y - self.b)
@@ -193,7 +210,28 @@ def _parse_values(path, entries, what):
     return vals
 
 
+_COORDINATE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+
+
+def _loadtxt(fh, dtype, ndmin):
+    """The rest of ``fh`` by numpy's C parser, with no comment character."""
+    with warnings.catch_warnings():  # an empty body is the count check's to judge
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(fh, dtype=dtype, comments=None, ndmin=ndmin)
+
+
 def read_vector(path):
+    try:
+        with open(path) as fh:
+            vals = _loadtxt(fh, np.float64, 2)  # "1 2" on one line is a (1, 2) row
+        if vals.shape[1:] == (1,) and np.isfinite(vals).all():
+            return vals[:, 0]
+    except ValueError:
+        pass
+    return _read_vector_lines(path)
+
+
+def _read_vector_lines(path):
     with open(path) as fh:
         entries = [(ln, s.strip()) for ln, s in enumerate(fh, 1) if s.strip()]
     return _parse_values(path, entries, "bad number")
@@ -219,6 +257,36 @@ def write_matrix_market(path, A):
 
 
 def read_matrix_market(path):
+    A = _read_matrix_market_fast(path)
+    return _read_matrix_market_lines(path) if A is None else A
+
+
+def _read_matrix_market_fast(path):
+    """The matrix by numpy's C parser, or None where the line-by-line reader decides."""
+    try:
+        with open(path) as fh:
+            header, size = fh.readline(), fh.readline()
+            while size and (not size.strip() or size.startswith("%")):
+                size = fh.readline()
+            if not header.startswith("%%MatrixMarket"):
+                return None
+            dims = [int(p) for p in size.split()]
+            if "coordinate" in header.split():
+                m, n, nnz = dims
+                e = _loadtxt(fh, _COORDINATE, 1)
+                if e.shape == (nnz,) and np.isfinite(e["v"]).all():
+                    return sp.csr_matrix((e["v"], (e["i"] - 1, e["j"] - 1)), shape=(m, n))
+            else:
+                m, n = dims
+                vals = _loadtxt(fh, np.float64, 2)
+                if vals.shape == (m * n, 1) and np.isfinite(vals).all():
+                    return vals.reshape((n, m)).T
+    except ValueError:
+        pass
+    return None
+
+
+def _read_matrix_market_lines(path):
     with open(path) as fh:
         lines = fh.readlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
@@ -364,6 +432,9 @@ def _build_instance(manifest_path, man):
             M = M.toarray()
         b = read_vector(os.path.join(base, man["b"]))
         if int(man.get("diag", 0)):  # a d x 1 column, or the dense d x d of older manifests
+            if M.shape[1] != 1 and not np.array_equal(M, np.diag(np.diag(M))):
+                raise ParseError(manifest_path, 1, "diag=1 needs M as a d x 1 column or a "
+                                 "diagonal d x d matrix")
             M = M.ravel() if M.shape[1] == 1 else np.diag(M)
         inst = QuadraticProblem(M, b, mu=float(man["mu"]), L=float(man["L"]))
         (lo, hi), mu, L = inst.spectrum_extremes(), inst.profile.mu, inst.profile.L

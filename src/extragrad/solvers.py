@@ -194,7 +194,8 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
     with lam = 1 + sqrt(L/mu); each phase halves the function error of the
     averaged half-iterate, so eps0 must bound f(x0) - f* from above.  By
     default it is taken from strong convexity at one gradient step from x0.
-    Only gradient queries are issued.
+    Only gradient queries are issued; each must return a new array, which
+    the loop overwrites.
     """
     L, mu = problem.profile.L, problem.profile.mu
     lam = lambda_fenchel(problem.profile)
@@ -208,18 +209,26 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
         eps0 = max(problem.f(x0) - lower, eps)
     K = max(int(np.ceil(np.log2(eps0 / eps))), 0)
     x_phase = x0.copy()
+    # the steps below write into these, with the same arithmetic in the same order
+    x_half, v_half, step = np.empty_like(x0), np.empty_like(x0), np.empty_like(x0)
     for k in range(K):
         x = x_phase.copy()
         v = x_phase.copy()
         v_sum = np.zeros_like(x)
         for t in range(T):
             gv = problem.grad(v)
-            x_half = x - gv / (mu * lam)
-            v_half = v + (x - v) / lam
+            gv /= mu * lam
+            np.subtract(x, gv, out=x_half)  # x_half = x - gv / (mu lam)
+            np.subtract(x, v, out=step)
+            step /= lam
+            np.add(v, step, out=v_half)  # v_half = v + (x - v) / lam
             v_sum += v_half
             gvh = problem.grad(v_half)
-            x = x - gvh / (mu * lam)
-            v = v + (x_half - v_half) / lam
+            gvh /= mu * lam
+            x -= gvh  # x = x - gvh / (mu lam)
+            np.subtract(x_half, v_half, out=step)
+            step /= lam
+            v += step  # v = v + (x_half - v_half) / lam
         x_phase = v_sum / T
         _check_finite(x_phase, k)
         if collect is not None:

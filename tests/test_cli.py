@@ -244,6 +244,16 @@ class TestSolve:
                     "--out", str(tmp_path / "o")]) == 4
         assert message in capsys.readouterr().err
 
+    def test_asymmetric_m_is_parse_error(self, tmp_path, capsys):
+        out = str(tmp_path / "q.manifest")
+        assert run(["gen", "quadratic", "d=2", "mu=2", "L=3", "diag=0", "--out", out]) == 0
+        with open(str(tmp_path / "q.M.mtx"), "w") as fh:  # [[2, 5], [0, 3]], column-major
+            fh.write("%%MatrixMarket matrix array real general\n2 2\n2.0\n0.0\n5.0\n3.0\n")
+        assert run(["solve", "--alg", "eg-accel", "--instance", out,
+                    "--out", str(tmp_path / "o")]) == 4
+        assert "M must be symmetric" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "o.summary.txt"))
+
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "0"), ("--eps", "nan"), ("--eps", "-1"), ("--iters", "-3"),
     ])

@@ -175,6 +175,19 @@ class TestConjugateOracle:
         with pytest.raises(ValueError):
             QuadraticProblem(np.array([1.0, 0.0]), np.zeros(2))
 
+    def test_rejects_asymmetric_matrix(self):
+        # cholesky sees [[2, 0], [0, 3]], while grad uses all of M, whose
+        # symmetric part [[2, 2.5], [2.5, 3]] is indefinite
+        with pytest.raises(ValueError, match="M must be symmetric"):
+            QuadraticProblem(np.array([[2.0, 5.0], [0.0, 3.0]]), np.zeros(2))
+
+    def test_accepts_asymmetry_from_rounding(self):
+        Q = np.linalg.qr(make_rng(12).standard_normal((6, 6)))[0]
+        M = (Q * np.linspace(1.0, 9.0, 6)) @ Q.T
+        assert not np.array_equal(M, M.T)
+        oracle = QuadraticProblem(M, np.zeros(6))
+        assert oracle.profile.mu == pytest.approx(1.0) and oracle.profile.L == pytest.approx(9.0)
+
 
 class TestThreePointIdentity:
     @pytest.mark.parametrize("reg,sampler_margin", [

@@ -156,6 +156,23 @@ class TestSerialization:
         assert back.diag and np.array_equal(back.M, [2.0, 0.5, 7.25])
         assert np.array_equal(back.b, [1.0, -1.0, 0.5])
 
+    @pytest.mark.parametrize("diag, values, message", [
+        (1, "2.0\n0.0\n0.0\n0.0\n0.5\n0.0\n1.0\n0.0\n7.25\n", "diag=1 needs M as a d x 1"),
+        (0, "2.0\n0.0\n0.0\n0.0\n0.5\n0.0\n1.0\n0.0\n7.25\n", "M must be symmetric"),
+    ])
+    def test_m_read_wrongly_is_a_parse_error(self, tmp_path, diag, values, message):
+        # np.diag would drop the off-diagonal 1.0, and cholesky reads one triangle
+        with open(str(tmp_path / "q.M.mtx"), "w") as fh:
+            fh.write("%%MatrixMarket matrix array real general\n3 3\n" + values)
+        with open(str(tmp_path / "q.b.txt"), "w") as fh:
+            fh.write("1.0\n-1.0\n0.5\n")
+        man = str(tmp_path / "q.manifest")
+        write_manifest(man, {"kind": "quadratic", "diag": diag, "d": 3, "M": "q.M.mtx",
+                             "b": "q.b.txt", "mu": "0.5", "L": "7.25"})
+        with pytest.raises(ParseError, match=message) as ei:
+            load_instance(man)
+        assert ei.value.path == man and ei.value.line == 1
+
     @pytest.mark.parametrize("diag", [True, False])
     @pytest.mark.parametrize("key, value", [("mu", 1e-300), ("mu", 5.0), ("L", 40.0)])
     def test_mu_and_l_must_match_the_spectrum(self, tmp_path, diag, key, value):
