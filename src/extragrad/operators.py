@@ -29,27 +29,23 @@ def make_rng(seed: int) -> np.random.Generator:
 class SmoothnessProfile:
     """Smoothness/strong-convexity constants of an objective.
 
-    L_i holds per-coordinate smoothnesses when available; s_half caches
-    sum_i sqrt(L_i), the normalization of the sampling distribution used by
-    the coordinate method.
+    L_i holds the per-coordinate smoothnesses; s_half is sum_i sqrt(L_i), the
+    normalization of the sampling distribution used by the coordinate method.
     """
 
     L: float
     mu: float
-    L_i: np.ndarray | None = None
+    L_i: np.ndarray
 
     def __post_init__(self):
         if not (0 < self.mu <= self.L < np.inf):
             raise ValueError("need 0 < mu <= L, both finite")
-        if self.L_i is not None:
-            self.L_i = np.asarray(self.L_i, dtype=float)
-            if np.any(self.L_i <= 0):
-                raise ValueError("coordinate smoothnesses must be positive")
+        self.L_i = np.asarray(self.L_i, dtype=float)
+        if np.any(self.L_i <= 0):
+            raise ValueError("coordinate smoothnesses must be positive")
 
     @property
     def s_half(self) -> float:
-        if self.L_i is None:
-            raise ValueError("no per-coordinate smoothnesses available")
         return float(np.sum(np.sqrt(self.L_i)))
 
     def coord_probabilities(self) -> np.ndarray:
@@ -58,8 +54,6 @@ class SmoothnessProfile:
 
 def lambda_fenchel(profile: SmoothnessProfile) -> float:
     """Relative Lipschitzness constant of the primal-dual smooth game."""
-    if profile.mu <= 0:
-        raise ValueError("mu must be positive")
     return 1.0 + np.sqrt(profile.L / profile.mu)
 
 

@@ -183,10 +183,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_vector(path, v):
+_BLOCK = 1024  # lines per write: one block's strings are all the memory a file takes
+
+
+def _write_lines(path, head, fmt, *columns):
+    """``head``, then ``fmt`` of each row of the equal-length arrays ``columns``.
+
+    Rows come from ``tolist()``: ``repr`` of a numpy scalar is a different string.
+    """
     with open(path, "w", newline="\n") as fh:
-        for x in v:
-            fh.write(_fmt(x) + "\n")
+        fh.write(head)
+        for k in range(0, len(columns[0]), _BLOCK):
+            rows = zip(*(c[k:k + _BLOCK].tolist() for c in columns))
+            fh.write("".join([fmt.format(*row) for row in rows]))
+
+
+def write_vector(path, v):
+    _write_lines(path, "", "{!r}\n", np.asarray(v, dtype=float))
 
 
 def _reject_nonfinite(path, values, entries):
@@ -239,21 +252,16 @@ def _read_vector_lines(path):
 
 def write_matrix_market(path, A):
     """Matrix Market writer with shortest round-trip decimals."""
-    with open(path, "w", newline="\n") as fh:
-        if sp.issparse(A):
-            A = A.tocoo()
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            fh.write(f"{A.shape[0]} {A.shape[1]} {A.nnz}\n")
-            order = np.lexsort((A.col, A.row))
-            for i, j, v in zip(A.row[order], A.col[order], A.data[order]):
-                fh.write(f"{i + 1} {j + 1} {_fmt(v)}\n")
-        else:
-            A = np.atleast_2d(np.asarray(A, dtype=float))
-            fh.write("%%MatrixMarket matrix array real general\n")
-            fh.write(f"{A.shape[0]} {A.shape[1]}\n")
-            for j in range(A.shape[1]):
-                for i in range(A.shape[0]):
-                    fh.write(_fmt(A[i, j]) + "\n")
+    if sp.issparse(A):
+        A = A.tocoo()
+        order = np.lexsort((A.col, A.row))
+        _write_lines(path, "%%MatrixMarket matrix coordinate real general\n"
+                     f"{A.shape[0]} {A.shape[1]} {A.nnz}\n", "{} {} {!r}\n",
+                     A.row[order] + 1, A.col[order] + 1, np.asarray(A.data[order], dtype=float))
+    else:
+        A = np.atleast_2d(np.asarray(A, dtype=float))
+        _write_lines(path, "%%MatrixMarket matrix array real general\n"
+                     f"{A.shape[0]} {A.shape[1]}\n", "{!r}\n", A.ravel(order="F"))
 
 
 def read_matrix_market(path):
@@ -303,6 +311,8 @@ def _read_matrix_market_lines(path):
         dims = [int(p) for p in parts]
     except ValueError:
         raise ParseError(path, ln0, f"bad size line {size!r}") from None
+    if any(k < 0 for k in dims):
+        raise ParseError(path, ln0, f"negative size in {size!r}")
     entries = body[1:]
     if coordinate:
         if len(dims) != 3:
@@ -320,6 +330,8 @@ def _read_matrix_market_lines(path):
                 data.append(float(p[2]))
             except (IndexError, ValueError):
                 raise ParseError(path, ln, f"bad coordinate entry {s!r}") from None
+            if not (0 <= rows[-1] < m and 0 <= cols[-1] < n):
+                raise ParseError(path, ln, f"index ({p[0]}, {p[1]}) outside the {m} x {n} matrix")
         data = np.array(data)
         _reject_nonfinite(path, data, entries)
         return sp.csr_matrix((data, (rows, cols)), shape=(m, n))

@@ -22,16 +22,15 @@ class SolverTrace:
 
     iterates: list = field(default_factory=list)
     regrets: list = field(default_factory=list)       # <g(w_t), w_t - u>
-    divs_to_opt: list = field(default_factory=list)   # V^r_{z_t}(z*) when known
+    divs_to_opt: list = field(default_factory=list)   # V^r_{z_t}(z*)
     potentials: list = field(default_factory=list)    # dual-extrapolation Phi_t
-    telescope_slack: list = field(default_factory=list)
     f_errors: list = field(default_factory=list)
     gaps: list = field(default_factory=list)
     lams: list = field(default_factory=list)         # step size lam_t per step
     summary: dict = field(default_factory=dict)
 
     def cum_regret(self):
-        return float(np.sum(self.regrets)) if self.regrets else 0.0
+        return float(np.sum(self.regrets))
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -49,48 +48,36 @@ def _check_finite(z, t):
 # ---------------------------------------------------------------------------
 
 
-def mirror_prox(g, r, z0, lam, T, u=None):
+def mirror_prox(g, r, z0, lam, T, u):
     """Mirror prox: w_t = Prox_{z_t}(g(z_t)/lam), z_{t+1} = Prox_{z_t}(g(w_t)/lam).
 
-    With a comparator u supplied the trace records the instantaneous regret
-    <g(w_t), w_t - u> and the telescoping slack
-    V_{z_t}(u) - V_{z_{t+1}}(u) - <g(w_t), w_t - u>/lam, which is nonnegative
-    up to rounding whenever (g, r) is lam-relatively Lipschitz.  Each V_{z_t}(u)
-    is computed once, so T steps make T + 1 divergence calls.
+    The trace records the instantaneous regret <g(w_t), w_t - u> against the
+    comparator u; their sum is at most lam * V_{z0}(u) whenever (g, r) is
+    lam-relatively Lipschitz.  T steps make one divergence call, for that bound.
     """
     trace = SolverTrace()
     z = z0
-    if u is not None:
-        div_z0 = div_z = r.divergence(z0, u)
     for t in range(T):
         gz = g(z)
         w = r.prox(z, (1.0 / lam) * gz)
         gw = g(w)
-        z_next = r.prox(z, (1.0 / lam) * gw)
+        z = r.prox(z, (1.0 / lam) * gw)
         _check_finite(w, t)
-        _check_finite(z_next, t)
+        _check_finite(z, t)
         trace.iterates.append(w)
-        if u is not None:
-            regret = vdot(gw, w - u)
-            div_next = r.divergence(z_next, u)
-            trace.regrets.append(regret)
-            trace.telescope_slack.append(div_z - div_next - regret / lam)
-            div_z = div_next
-        z = z_next
-    trace.summary = {"algorithm": "mirror-prox", "iterations": T, "lam": lam,
-                     "final": z}
-    if u is not None:
-        trace.summary["regret_bound"] = lam * div_z0
-        trace.summary["cum_regret"] = trace.cum_regret()
+        trace.regrets.append(vdot(gw, w - u))
+    trace.summary = {"algorithm": "mirror-prox", "iterations": T, "lam": lam, "final": z,
+                     "regret_bound": lam * r.divergence(z0, u)}
     return trace
 
 
-def dual_extrapolation(g, r, z_bar, lam, T, u=None):
+def dual_extrapolation(g, r, z_bar, lam, T, u):
     """Dual extrapolation: lazy mirror prox driven by the dual state s_t.
 
     The trace records the potential
     Phi_t = (1/lam) sum_{k<t} <g(w_k), w_k - zbar> - <s_t, z_t - zbar> - V_{zbar}(z_t),
-    which is nonincreasing in t under relative Lipschitzness.
+    which is nonincreasing in t under relative Lipschitzness, and the regret
+    <g(w_t), w_t - u> against the comparator u.
     """
     trace = SolverTrace()
     s = 0.0 * g(z_bar)  # zero dual state with matching shape
@@ -110,23 +97,19 @@ def dual_extrapolation(g, r, z_bar, lam, T, u=None):
         regret_vs_base += step_regret
         trace.iterates.append(w)
         trace.potentials.append(phi)
-        if u is not None:
-            trace.regrets.append(vdot(gw, w - u))
+        trace.regrets.append(vdot(gw, w - u))
         z = z_next
-    trace.summary = {"algorithm": "dual-ex", "iterations": T, "lam": lam,
-                     "final": z}
-    if u is not None:
-        trace.summary["regret_bound"] = lam * r.divergence(z_bar, u)
-        trace.summary["cum_regret"] = trace.cum_regret()
+    trace.summary = {"algorithm": "dual-ex", "iterations": T, "lam": lam, "final": z,
+                     "regret_bound": lam * r.divergence(z_bar, u)}
     return trace
 
 
-def mirror_prox_sm(g, r, z0, lam, m, T, z_star=None):
+def mirror_prox_sm(g, r, z0, lam, m, T, z_star):
     """Strongly-monotone mirror prox with the blended second prox step.
 
     z_{t+1} minimizes <g(w_t)/lam, z> + V_{z_t}(z) + (m/lam) V_{w_t}(z); the
-    regularizer must supply this blended prox in closed form.  When the VI
-    solution z* is given, the trace records V_{z_t}(z*), which contracts by
+    regularizer must supply this blended prox in closed form.  The trace
+    records V_{z_t}(z*) for the VI solution z*, which contracts by
     (1 + m/lam)^{-1} per iteration.
     """
     blocks = (r.rx, r.ry) if isinstance(r, ProductRegularizer) else (r,)
@@ -134,21 +117,16 @@ def mirror_prox_sm(g, r, z0, lam, m, T, z_star=None):
         raise TypeError("regularizer lacks a closed-form blended prox")
     trace = SolverTrace()
     z = z0
-    if z_star is not None:
-        trace.divs_to_opt.append(r.divergence(z, z_star))
+    trace.divs_to_opt.append(r.divergence(z, z_star))
     for t in range(T):
         w = r.prox(z, (1.0 / lam) * g(z))
-        z_next = r.blended_prox(z, w, g(w), lam, m)
-        _check_finite(z_next, t)
-        if z_star is not None:
-            trace.divs_to_opt.append(r.divergence(z_next, z_star))
-        z = z_next
-    trace.summary = {"algorithm": "mp-strong", "iterations": T, "lam": lam,
-                     "m": m, "final": z}
-    if z_star is not None:
-        trace.summary["contraction_bound"] = (
-            (1.0 + m / lam) ** (-T) * trace.divs_to_opt[0])
-        trace.summary["final_div"] = trace.divs_to_opt[-1]
+        z = r.blended_prox(z, w, g(w), lam, m)
+        _check_finite(z, t)
+        trace.divs_to_opt.append(r.divergence(z, z_star))
+    trace.summary = {"algorithm": "mp-strong", "iterations": T, "lam": lam, "m": m,
+                     "final": z,
+                     "contraction_bound": (1.0 + m / lam) ** (-T) * trace.divs_to_opt[0],
+                     "final_div": trace.divs_to_opt[-1]}
     return trace
 
 
@@ -322,8 +300,6 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
     Returns (x, info) with the query and iteration counts.
     """
     prof = problem.profile
-    if prof.L_i is None:
-        raise ValueError("per-coordinate smoothnesses required")
     mu = prof.mu
     lam = lambda_coord(prof)
     a01, a11 = 1.0 / lam - 1.0 / lam**2, 1.0 - 1.0 / lam + 1.0 / lam**2

@@ -191,11 +191,11 @@ def coord_iteration_outcomes(problem, x_t, v_t, lam, p):
     return outcomes, v_half, g_v, g_vh
 
 
-def coord_trajectory(problem, x0, steps, seed=0, lam=None, p=None):
-    """Explicit randomized-coordinate trajectory; returns the visited (x, v) states."""
+def coord_trajectory(problem, x0, steps, seed=0, p=None):
+    """Explicit randomized-coordinate trajectory at lam = lambda_coord(profile),
+    sampling by ``p`` (default p_i ~ sqrt(L_i)); returns the visited (x, v) states."""
     prof = problem.profile
-    if lam is None:
-        lam = lambda_coord(prof)
+    lam = lambda_coord(prof)
     if p is None:
         p = prof.coord_probabilities()
     mu = prof.mu

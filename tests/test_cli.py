@@ -254,6 +254,22 @@ class TestSolve:
         assert "M must be symmetric" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "o.summary.txt"))
 
+    def test_huge_coordinate_index_is_parse_error(self, bs_manifest, tmp_path, capsys):
+        apath = str(tmp_path / "bs.A.mtx")
+        with open(apath) as fh:
+            lines = fh.readlines()
+        lines[2] = "99999999999999999999 " + lines[2].split(" ", 1)[1]
+        with open(apath, "w") as fh:
+            fh.writelines(lines)
+        out = str(tmp_path / "o")
+        assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                    "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"I/O error: {apath}:3: index (99999999999999999999, "
+                                f"{lines[2].split()[1]}) outside the 8 x 6 matrix\n")
+        assert not os.path.exists(out + ".summary.txt")
+
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "0"), ("--eps", "nan"), ("--eps", "-1"), ("--iters", "-3"),
     ])

@@ -53,8 +53,7 @@ class TestEstimators:
         lam = lambda_coord(prob.profile)
         p = prob.profile.coord_probabilities()
         states = []
-        for x_t, v_t in coord_trajectory(prob, np.ones(4), 30, seed=9,
-                                         lam=lam, p=p):
+        for x_t, v_t in coord_trajectory(prob, np.ones(4), 30, seed=9, p=p):
             states.append((x_t, v_t))
         u = (prob.x_star, prob.x_star)
         report = check_estimator_conditions(prob, states, u, lam, p)
@@ -67,8 +66,7 @@ class TestEstimators:
         prob = gen_quadratic(4, 1.0, 400.0, diag=True, seed=10)
         lam = lambda_coord(prob.profile)
         p_bad = prob.profile.L_i / prob.profile.L_i.sum()
-        states = list(coord_trajectory(prob, np.ones(4), 30, seed=11,
-                                       lam=lam, p=p_bad))
+        states = list(coord_trajectory(prob, np.ones(4), 30, seed=11, p=p_bad))
         report = check_estimator_conditions(prob, states, (prob.x_star, prob.x_star),
                                             lam, p_bad)
         assert report.worst > lam * (1 + 1e-6) + 1e-9
@@ -78,7 +76,7 @@ class TestEstimators:
         prob = gen_quadratic(20, 1.0, 5.0, diag=True, seed=12)
         lam = lambda_coord(prob.profile)
         p = prob.profile.coord_probabilities()
-        states = list(coord_trajectory(prob, np.zeros(20), 2, seed=0, lam=lam, p=p))
+        states = list(coord_trajectory(prob, np.zeros(20), 2, seed=0, p=p))
         with pytest.raises(ValueError):
             check_estimator_conditions(prob, states, (prob.x_star, prob.x_star),
                                        lam, p)

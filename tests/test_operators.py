@@ -13,9 +13,9 @@ from extragrad import (
 class TestSmoothnessProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
-            SmoothnessProfile(L=1.0, mu=2.0)
+            SmoothnessProfile(L=1.0, mu=2.0, L_i=[1.0])
         with pytest.raises(ValueError):
-            SmoothnessProfile(L=1.0, mu=0.0)
+            SmoothnessProfile(L=1.0, mu=0.0, L_i=[1.0])
         with pytest.raises(ValueError):
             SmoothnessProfile(L=4.0, mu=1.0, L_i=[1.0, -1.0])
 
@@ -29,9 +29,9 @@ class TestSmoothnessProfile:
 
 class TestLambdaFormulas:
     def test_lambda_fenchel_values(self):
-        assert lambda_fenchel(SmoothnessProfile(4.0, 1.0)) == pytest.approx(3.0)
-        assert lambda_fenchel(SmoothnessProfile(7.0, 7.0)) == pytest.approx(2.0)
-        assert lambda_fenchel(SmoothnessProfile(100.0, 1.0)) == pytest.approx(11.0)
+        assert lambda_fenchel(SmoothnessProfile(4.0, 1.0, [1.0, 4.0])) == pytest.approx(3.0)
+        assert lambda_fenchel(SmoothnessProfile(7.0, 7.0, [7.0])) == pytest.approx(2.0)
+        assert lambda_fenchel(SmoothnessProfile(100.0, 1.0, [1.0, 100.0])) == pytest.approx(11.0)
 
     def test_lambda_minimax_values(self):
         # bilinear coupling only

@@ -1,5 +1,6 @@
 """Instance generation, exact solutions, and serialization round-trips."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -231,11 +232,29 @@ class TestSerialization:
          "coordinate size line needs m n nnz"),
         ("%%MatrixMarket matrix array real general\n2 2 4\n", 2, "array size line needs m n"),
         ("%%MatrixMarket matrix array real general\ntwo 2\n", 2, "bad size line 'two 2'"),
+        ("%%MatrixMarket matrix array real general\n-2 -1\n1\n2\n", 2,
+         "negative size in '-2 -1'"),
+        ("%%MatrixMarket matrix coordinate real general\n-2 3 0\n", 2,
+         "negative size in '-2 3 0'"),
     ])
     def test_bad_size_line_is_a_parse_error(self, tmp_path, text, line, message):
         path = str(tmp_path / "s.mtx")
         with open(path, "w") as fh:
             fh.write(text)
+        with pytest.raises(ParseError, match=message) as ei:
+            read_matrix_market(path)
+        assert ei.value.line == line
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("2 3 1\n0 1 1.5\n", 3, r"index \(0, 1\) outside the 2 x 3 matrix"),
+        ("2 3 2\n1 1 1.5\n2 4 1.5\n", 4, r"index \(2, 4\) outside the 2 x 3 matrix"),
+        ("2 3 1\n99999999999999999999 1 1.5\n", 3,
+         r"index \(99999999999999999999, 1\) outside the 2 x 3 matrix"),
+    ])
+    def test_bad_coordinate_index_is_a_parse_error(self, tmp_path, text, line, message):
+        path = str(tmp_path / "c.mtx")
+        with open(path, "w") as fh:
+            fh.write("%%MatrixMarket matrix coordinate real general\n" + text)
         with pytest.raises(ParseError, match=message) as ei:
             read_matrix_market(path)
         assert ei.value.line == line
@@ -260,3 +279,38 @@ class TestSerialization:
             fh.write("no separator here\n")
         with pytest.raises(ParseError):
             read_manifest(path)
+
+
+# SHA-256 of every file save_instance writes for these instances, taken before the
+# writers built each file as one string; a writer that changes a byte fails here
+# even when its output still reads back to the same arrays.
+GOLDEN = {
+    "bs.A.mtx": "357525f26494caca9e65a267ef09da41a5fd9dd762fa3bf751f77185cf91ef3d",
+    "bs.b.txt": "90d54e253bcbd52c039caea59de51939a1b7b9d17564aef4986106ffa5927261",
+    "bs.c.txt": "b8959a5c58beb84c92f5b6b0ebc8df34466473d046777747e45f29fe5d503ee4",
+    "bs.manifest": "bc9b19b5f4350c7ed2807bb2d6b1b3f646dc18d618929e4e6ada14334f205a4f",
+    "dense.M.mtx": "eb900eeb2e058fa5cc68d5cd164f889e6eb32570f5dd5a2bcfdada6a1d8b4d82",
+    "dense.b.txt": "d73d93b8ae7b2de988c4caf3289266d1f94ad9021453e16971481e3e7ed43225",
+    "dense.manifest": "660e253a2cbce08428f498f2977bcd30e21a6ee1173ef644cfe9eb351a0c3fb7",
+    "diag.M.mtx": "26949bc5702b5e471f1ac69689b4e8362155ae78e185b612a0c6f0496dd45c69",
+    "diag.b.txt": "e94e5f8c3ccfd0c1aaebaad03b103f98205b737b81d3c5cc7c2d06312f233859",
+    "diag.manifest": "318868719a4b4a06212b24077ceb58c9c84356d9f9418f0e2b98f22dbb3e6710",
+    "mm.C.mtx": "c088cf26678237123db8fedbdc1c74a70f2863ee2a1121309030908f6b8f139b",
+    "mm.manifest": "57fd4c6aba9b5487980cd04200fbc4ef38d7d7d0191fd67b862700d0af1eeae1",
+    "mm.q.txt": "745474e33872b7a20ac625b53c09be200005325ea2a60ef1b5c3a402a2dc43f7",
+    "mm.r.txt": "ccb3095dbca18f729c440a6304397b53b51491508afbd600f07619482473356f",
+}
+
+
+def test_saved_files_match_golden_digests(tmp_path):
+    instances = {
+        "dense": gen_quadratic(6, 1.0, 100.0, diag=False, seed=3),
+        "diag": gen_quadratic(7, 0.5, 20.0, diag=True, seed=4),
+        "bs": gen_box_simplex(9, 7, 0.3, seed=5),
+        "mm": gen_minimax(5, 4, 1.0, 2.0, 3.0, seed=6),
+    }
+    for stem, inst in instances.items():
+        save_instance(inst, str(tmp_path / (stem + ".manifest")))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in os.listdir(tmp_path)}
+    assert digests == GOLDEN

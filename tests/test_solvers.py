@@ -23,13 +23,13 @@ def rotation_game(z):
 class TestMirrorProx:
     def test_zero_operator_fixed_point(self):
         z0 = Point([1.0, -2.0], [0.5])
-        trace = mirror_prox(lambda z: 0.0 * z, EUCLID_PAIR, z0, 1.0, 5)
+        trace = mirror_prox(lambda z: 0.0 * z, EUCLID_PAIR, z0, 1.0, 5, u=z0)
         for w in trace.iterates:
             assert np.allclose(w.x, z0.x) and np.allclose(w.y, z0.y)
 
     def test_hand_simulated_rotation_step(self):
         z0 = Point([1.0], [1.0])
-        trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, 1)
+        trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, 1, u=z0)
         w0 = trace.iterates[0]
         z1 = trace.summary["final"]
         assert np.allclose(w0.x, [0.0]) and np.allclose(w0.y, [2.0])
@@ -63,37 +63,37 @@ class TestMirrorProx:
         T = 10
         monkeypatch.setattr(ProductRegularizer, "divergence", counting)
         trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, T, u=u)
-        assert len(calls) == T + 1
-        # the same values as computing V_{z_t}(u) afresh at every use
+        assert len(calls) == 1  # V_{z0}(u), for the regret bound
         monkeypatch.setattr(ProductRegularizer, "divergence", divergence)
-        z, slack = z0, []
-        for w in trace.iterates:
-            z_next = EUCLID_PAIR.prox(z, rotation_game(w))
-            regret = rotation_game(w).dot(w - u)
-            slack.append(EUCLID_PAIR.divergence(z, u) - EUCLID_PAIR.divergence(z_next, u)
-                         - regret / 1.0)
-            z = z_next
-        assert trace.telescope_slack == slack
         assert trace.summary["regret_bound"] == 1.0 * EUCLID_PAIR.divergence(z0, u)
+        assert trace.regrets == [rotation_game(w).dot(w - u) for w in trace.iterates]
 
     def test_telescoping_slack_nonnegative(self):
         z0 = Point([1.0, 0.3], [-0.4, 0.2])
         u = Point(np.zeros(2), np.zeros(2))
         trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, 40, u=u)
-        assert min(trace.telescope_slack) >= -1e-9
+        zs = [z0]
+        for w in trace.iterates:  # z_{t+1} = Prox_{z_t}(g(w_t) / lam), replayed
+            zs.append(EUCLID_PAIR.prox(zs[-1], rotation_game(w)))
+        final = trace.summary["final"]
+        assert np.array_equal(zs[-1].x, final.x) and np.array_equal(zs[-1].y, final.y)
+        # V_{z_t}(u) - V_{z_{t+1}}(u) - <g(w_t), w_t - u> / lam, per step
+        slack = [EUCLID_PAIR.divergence(z, u) - EUCLID_PAIR.divergence(z_next, u) - regret / 1.0
+                 for z, z_next, regret in zip(zs, zs[1:], trace.regrets)]
+        assert len(slack) == 40 and min(slack) >= -1e-9
 
     def test_nonfinite_iterate_aborts(self):
         def blowup(z):
             return Point([np.nan], [np.nan])
 
         with pytest.raises(NonFiniteIterateError):
-            mirror_prox(blowup, EUCLID_PAIR, Point([1.0], [1.0]), 1.0, 3)
+            mirror_prox(blowup, EUCLID_PAIR, Point([1.0], [1.0]), 1.0, 3, u=Point([0.0], [0.0]))
 
 
 class TestDualExtrapolation:
     def test_zero_operator_stays_at_base(self):
         z_bar = Point([0.7], [-0.1])
-        trace = dual_extrapolation(lambda z: 0.0 * z, EUCLID_PAIR, z_bar, 1.0, 5)
+        trace = dual_extrapolation(lambda z: 0.0 * z, EUCLID_PAIR, z_bar, 1.0, 5, u=z_bar)
         for w in trace.iterates:
             assert np.allclose(w.x, z_bar.x) and np.allclose(w.y, z_bar.y)
 
@@ -116,7 +116,7 @@ class TestDualExtrapolation:
 
         z_bar = Point([0.3, -0.2], [0.5, 0.1])
         r = Counting(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
-        trace = dual_extrapolation(rotation_game, r, z_bar, 2.0, 10)
+        trace = dual_extrapolation(rotation_game, r, z_bar, 2.0, 10, u=z_bar)
         # z_0, then w_t and z_{t+1} = Prox_zbar(s_{t+1}) per step; z_{t+1} is reused
         assert len(calls) == 2 * 10 + 1
         s = sum((rotation_game(w) for w in trace.iterates), Point([0.0, 0.0], [0.0, 0.0]))
@@ -128,9 +128,9 @@ class TestDualExtrapolation:
         calls = []
         monkeypatch.setattr(solvers, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
         z_bar = Point([0.3, -0.2], [0.5, 0.1])
-        dual_extrapolation(rotation_game, EUCLID_PAIR, z_bar, 2.0, 10)
-        # <g(w_t), w_t - zbar> and <s_{t+1}, z_{t+1} - zbar> per step
-        assert len(calls) == 2 * 10
+        dual_extrapolation(rotation_game, EUCLID_PAIR, z_bar, 2.0, 10, u=z_bar)
+        # <g(w_t), w_t - zbar>, <s_{t+1}, z_{t+1} - zbar> and <g(w_t), w_t - u> per step
+        assert len(calls) == 3 * 10
 
 
 class TestStronglyMonotone:
@@ -172,11 +172,12 @@ class TestStronglyMonotone:
                 return 0.0
 
         with pytest.raises(TypeError):
-            mirror_prox_sm(lambda z: z, NoBlend(), np.zeros(1), 1.0, 1.0, 1)
+            mirror_prox_sm(lambda z: z, NoBlend(), np.zeros(1), 1.0, 1.0, 1, np.zeros(1))
         # a product is only as blendable as its blocks; entropy has no closed form
         no_blend_y = ProductRegularizer(ScaledEuclidean(1.0), NegativeEntropy(1.0))
         with pytest.raises(TypeError):
-            mirror_prox_sm(lambda z: z, no_blend_y, Point([0.0], [0.5, 0.5]), 1.0, 1.0, 1)
+            mirror_prox_sm(lambda z: z, no_blend_y, Point([0.0], [0.5, 0.5]), 1.0, 1.0, 1,
+                           Point([0.0], [0.5, 0.5]))
 
 
 class TestBaseline:
@@ -260,7 +261,8 @@ class TestEgAccel:
             x0 = make_rng(seed).standard_normal(12)
             lam = 1.0 + np.sqrt(50.0)
             T = 4 * int(np.ceil(lam))
-            trace = mirror_prox(*cli._fenchel_pair(prob), Point(x0, prob.grad(x0)), lam, T)
+            z0 = Point(x0, prob.grad(x0))
+            trace = mirror_prox(*cli._fenchel_pair(prob), z0, lam, T, u=z0)
             assert len(trace.iterates) == T
             mean = sum(prob.grad_fstar(w.y) for w in trace.iterates) / T
             phase = eg_accel(prob, x0, 0.5, eps0=1.0)
