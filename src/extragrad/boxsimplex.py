@@ -100,7 +100,7 @@ class ShermanRegularizer:
         atz_y = inst.abs_At @ zy
         return ZTerms(zy, atz_y, inst.abs_A @ (z.x**2), np.log(zy), 2.0 * atz_y * z.x)
 
-    def prox(self, z: Point, g: Point, zt: ZTerms | None = None):
+    def prox(self, z: Point, g: Point, zt: ZTerms):
         """argmin_u <g, u> + V_z(u) over [-1,1]^n x simplex by alternating exact
         block minimization, until the output's optimality gap is at most tol.
 
@@ -111,15 +111,13 @@ class ShermanRegularizer:
         with h_x = g_x - grad_zx + 2 (|A|^T w_y) w_x and
         h_y = gamma + alpha (log max(w_y, floor) - log zy).  |A|^T w_y is also
         the next round's curvature, so the test costs one product per call.
-        ``zt`` passes ``z_terms(z)`` in when several calls share z.  The
+        ``zt`` is ``z_terms(z)``, which the calls from one z share.  The
         round's products of its own output make ``last_terms``, which equals
         ``z_terms`` of the output.
         """
         inst = self.inst
         alpha = self.alpha
         tol = self.tol
-        if zt is None:
-            zt = self.z_terms(z)
         lin_x = g.x - zt.grad_zx
         neg_lin_x = -lin_x
         gamma, logw, h_y = self._gamma, self._logw, self._h_y

@@ -132,13 +132,13 @@ class MinimaxInstance:
 
     kind = "minimax"
 
-    def __init__(self, mu_x, mu_y, C, q=None, r=None):
+    def __init__(self, mu_x, mu_y, C, q, r):
         self.C = np.asarray(C, dtype=float)
         n, m = self.C.shape
         self.mu_x = float(mu_x)
         self.mu_y = float(mu_y)
-        self.q = np.zeros(n) if q is None else np.asarray(q, dtype=float)
-        self.r = np.zeros(m) if r is None else np.asarray(r, dtype=float)
+        self.q = np.asarray(q, dtype=float)
+        self.r = np.asarray(r, dtype=float)
         if self.q.shape != (n,) or self.r.shape != (m,):
             raise ValueError(f"q and r must have {n} and {m} entries for a {n}x{m} C")
         sigma = float(np.linalg.svd(self.C, compute_uv=False)[0]) if self.C.size else 0.0

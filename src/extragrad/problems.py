@@ -50,7 +50,7 @@ class QuadraticProblem:
 
     kind = "quadratic"
 
-    def __init__(self, M, b, mu=None, L=None):
+    def __init__(self, M, b, mu, L):
         M = np.asarray(M, dtype=float)
         self.diag = M.ndim == 1
         self.M = M
@@ -69,10 +69,6 @@ class QuadraticProblem:
                 raise ValueError("M must be symmetric")
         self.b = np.asarray(b, dtype=float)
         self.d = self.b.size
-        if mu is None or L is None:
-            lo, hi = self.spectrum_extremes()
-            mu = lo if mu is None else mu
-            L = hi if L is None else L
         L_i = self.M.copy() if self.diag else np.diag(self.M).copy()
         self.profile = SmoothnessProfile(L=L, mu=mu, L_i=L_i)
         self.x_star = self.grad_fstar(np.zeros(self.d))
@@ -179,10 +175,6 @@ def gen_minimax(n, m, mu_x, mu_y, coupling, seed=0) -> MinimaxInstance:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 _BLOCK = 1024  # lines per write: one block's strings are all the memory a file takes
 
 
@@ -269,15 +261,23 @@ def read_matrix_market(path):
     return _read_matrix_market_lines(path) if A is None else A
 
 
+def _size_line(fh):
+    """The number and stripped text of the first line after the header that is
+    neither blank nor a comment, or (None, "") at the end of the file."""
+    for ln, s in enumerate(iter(fh.readline, ""), 2):
+        if s.strip() and not s.startswith("%"):
+            return ln, s.strip()
+    return None, ""
+
+
 def _read_matrix_market_fast(path):
     """The matrix by numpy's C parser, or None where the line-by-line reader decides."""
     try:
         with open(path) as fh:
-            header, size = fh.readline(), fh.readline()
-            while size and (not size.strip() or size.startswith("%")):
-                size = fh.readline()
+            header = fh.readline()
             if not header.startswith("%%MatrixMarket"):
                 return None
+            _, size = _size_line(fh)
             dims = [int(p) for p in size.split()]
             if "coordinate" in header.split():
                 m, n, nnz = dims
@@ -296,16 +296,15 @@ def _read_matrix_market_fast(path):
 
 def _read_matrix_market_lines(path):
     with open(path) as fh:
-        lines = fh.readlines()
-    if not lines or not lines[0].startswith("%%MatrixMarket"):
-        raise ParseError(path, 1, "missing MatrixMarket header")
-    header = lines[0].split()
-    coordinate = "coordinate" in header
-    body = [(ln, s.strip()) for ln, s in enumerate(lines[1:], 2)
-            if s.strip() and not s.startswith("%")]
-    if not body:
-        raise ParseError(path, 2, "missing size line")
-    ln0, size = body[0]
+        header = fh.readline()
+        if not header.startswith("%%MatrixMarket"):
+            raise ParseError(path, 1, "missing MatrixMarket header")
+        ln0, size = _size_line(fh)
+        if not size:
+            raise ParseError(path, 2, "missing size line")
+        entries = [(ln, s.strip()) for ln, s in enumerate(fh, ln0 + 1)
+                   if s.strip() and not s.startswith("%")]
+    coordinate = "coordinate" in header.split()
     parts = size.split()
     try:
         dims = [int(p) for p in parts]
@@ -313,7 +312,6 @@ def _read_matrix_market_lines(path):
         raise ParseError(path, ln0, f"bad size line {size!r}") from None
     if any(k < 0 for k in dims):
         raise ParseError(path, ln0, f"negative size in {size!r}")
-    entries = body[1:]
     if coordinate:
         if len(dims) != 3:
             raise ParseError(path, ln0, "coordinate size line needs m n nnz")
@@ -352,7 +350,7 @@ def write_manifest(path, entries: dict):
             if isinstance(v, (bool, np.bool_)):
                 v = int(v)
             elif isinstance(v, (float, np.floating)):
-                v = _fmt(v)
+                v = repr(float(v))
             fh.write(f"{k}={v}\n")
 
 
@@ -370,56 +368,35 @@ def read_manifest(path) -> dict:
     return out
 
 
+# The data files of each kind, matrix first, by manifest key.  A key's file is
+# <stem>.<key>.mtx for the matrix and <stem>.<key>.txt for a vector.
+DATA_FILES = {"quadratic": ("M", "b"), "box-simplex": ("A", "b", "c"), "minimax": ("C", "q", "r")}
+
+
 def save_instance(problem, manifest_path):
     """Write a problem and its manifest; paths are relative to the manifest."""
+    if isinstance(problem, QuadraticProblem):
+        dims = {"diag": int(problem.diag), "d": problem.d}
+        M = problem.M.reshape(-1, 1) if problem.diag else problem.M  # diagonal as a column
+        arrays, scalars = (M, problem.b), {"mu": problem.profile.mu, "L": problem.profile.L}
+    elif isinstance(problem, BoxSimplexInstance):
+        dims = {"m": problem.m, "n": problem.n}
+        arrays, scalars = (problem.A, problem.b, problem.c), {}
+    elif isinstance(problem, MinimaxInstance):
+        dims = {"n": problem.C.shape[0], "m": problem.C.shape[1]}
+        arrays = (problem.C, problem.q, problem.r)
+        scalars = {"mu_x": problem.mu_x, "mu_y": problem.mu_y}
+    else:
+        raise TypeError(f"cannot serialize {type(problem).__name__}")
     base = os.path.dirname(os.path.abspath(manifest_path))
     stem = os.path.splitext(os.path.basename(manifest_path))[0]
     os.makedirs(base, exist_ok=True)
-    if isinstance(problem, QuadraticProblem):
-        mfile, bfile = stem + ".M.mtx", stem + ".b.txt"
-        M = problem.M.reshape(-1, 1) if problem.diag else problem.M  # diagonal as a column
-        write_matrix_market(os.path.join(base, mfile), M)
-        write_vector(os.path.join(base, bfile), problem.b)
-        write_manifest(manifest_path, {
-            "kind": "quadratic",
-            "diag": int(problem.diag),
-            "d": problem.d,
-            "M": mfile,
-            "b": bfile,
-            "mu": _fmt(problem.profile.mu),
-            "L": _fmt(problem.profile.L),
-        })
-    elif isinstance(problem, BoxSimplexInstance):
-        afile, bfile, cfile = stem + ".A.mtx", stem + ".b.txt", stem + ".c.txt"
-        write_matrix_market(os.path.join(base, afile), problem.A)
-        write_vector(os.path.join(base, bfile), problem.b)
-        write_vector(os.path.join(base, cfile), problem.c)
-        write_manifest(manifest_path, {
-            "kind": "box-simplex",
-            "m": problem.m,
-            "n": problem.n,
-            "A": afile,
-            "b": bfile,
-            "c": cfile,
-        })
-    elif isinstance(problem, MinimaxInstance):
-        cfile = stem + ".C.mtx"
-        qfile, rfile = stem + ".q.txt", stem + ".r.txt"
-        write_matrix_market(os.path.join(base, cfile), problem.C)
-        write_vector(os.path.join(base, qfile), problem.q)
-        write_vector(os.path.join(base, rfile), problem.r)
-        write_manifest(manifest_path, {
-            "kind": "minimax",
-            "n": problem.C.shape[0],
-            "m": problem.C.shape[1],
-            "C": cfile,
-            "q": qfile,
-            "r": rfile,
-            "mu_x": _fmt(problem.mu_x),
-            "mu_y": _fmt(problem.mu_y),
-        })
-    else:
-        raise TypeError(f"cannot serialize {type(problem).__name__}")
+    files = {}
+    for k, (key, array) in enumerate(zip(DATA_FILES[problem.kind], arrays)):
+        files[key] = f"{stem}.{key}.{'txt' if k else 'mtx'}"
+        (write_vector if k else write_matrix_market)(os.path.join(base, files[key]), array)
+    write_manifest(manifest_path, {"kind": problem.kind, **dims, **files,
+                                   **{key: float(v) for key, v in scalars.items()}})
     return manifest_path
 
 
@@ -435,41 +412,54 @@ def load_instance(manifest_path):
         raise ParseError(manifest_path, 1, str(e)) from None
 
 
+def _check_size_line(path, bound):
+    """ParseError at the size line if its m or n exceeds ``bound``.
+
+    No kind's matrix is longer or wider than its longest vector, so a larger
+    size is wrong; rejecting it before the body is read allocates nothing
+    from it.  A size line that is not numbers is the reader's to reject.
+    """
+    with open(path) as fh:
+        fh.readline()
+        ln, size = _size_line(fh)
+    try:
+        dims = [int(p) for p in size.split()]
+    except ValueError:
+        return
+    if max(dims[:2], default=0) > bound:
+        raise ParseError(path, ln, f"size line {size!r} exceeds {bound}, "
+                         "the longest vector of the instance")
+
+
 def _build_instance(manifest_path, man):
-    base = os.path.dirname(os.path.abspath(manifest_path))
     kind = man.get("kind")
+    if kind not in DATA_FILES:
+        raise ParseError(manifest_path, 1, f"unknown instance kind {kind!r}")
+    base = os.path.dirname(os.path.abspath(manifest_path))
+    mpath, *vpaths = [os.path.join(base, man[key]) for key in DATA_FILES[kind]]
+    vectors = [read_vector(path) for path in vpaths]
+    _check_size_line(mpath, max(v.size for v in vectors))
+    A = read_matrix_market(mpath)
+    if kind != "box-simplex" and sp.issparse(A):  # only box-simplex games keep A sparse
+        A = A.toarray()
     if kind == "quadratic":
-        M = read_matrix_market(os.path.join(base, man["M"]))
-        if sp.issparse(M):
-            M = M.toarray()
-        b = read_vector(os.path.join(base, man["b"]))
         if int(man.get("diag", 0)):  # a d x 1 column, or the dense d x d of older manifests
-            if M.shape[1] != 1 and not np.array_equal(M, np.diag(np.diag(M))):
+            if A.shape[1] != 1 and not np.array_equal(A, np.diag(np.diag(A))):
                 raise ParseError(manifest_path, 1, "diag=1 needs M as a d x 1 column or a "
                                  "diagonal d x d matrix")
-            M = M.ravel() if M.shape[1] == 1 else np.diag(M)
-        inst = QuadraticProblem(M, b, mu=float(man["mu"]), L=float(man["L"]))
+            A = A.ravel() if A.shape[1] == 1 else np.diag(A)
+        inst = QuadraticProblem(A, *vectors, float(man["mu"]), float(man["L"]))
         (lo, hi), mu, L = inst.spectrum_extremes(), inst.profile.mu, inst.profile.L
         if max(abs(mu - lo), abs(L - hi)) > 1e-9 * L:  # a wrong mu or L mis-sets lam
             raise ParseError(manifest_path, 1, f"mu={mu!r} and L={L!r} disagree with the "
                              f"extreme eigenvalues {lo!r} and {hi!r} of M")
         dims, keys = (inst.d,), ("d",)
     elif kind == "box-simplex":
-        A = read_matrix_market(os.path.join(base, man["A"]))
-        b = read_vector(os.path.join(base, man["b"]))
-        c = read_vector(os.path.join(base, man["c"]))
-        inst = BoxSimplexInstance(A, b, c)
+        inst = BoxSimplexInstance(A, *vectors)
         dims, keys = (inst.m, inst.n), ("m", "n")
-    elif kind == "minimax":
-        C = read_matrix_market(os.path.join(base, man["C"]))
-        if sp.issparse(C):
-            C = C.toarray()
-        q = read_vector(os.path.join(base, man["q"]))
-        r = read_vector(os.path.join(base, man["r"]))
-        inst = MinimaxInstance(float(man["mu_x"]), float(man["mu_y"]), C, q, r)
-        dims, keys = inst.C.shape, ("n", "m")
     else:
-        raise ParseError(manifest_path, 1, f"unknown instance kind {kind!r}")
+        inst = MinimaxInstance(float(man["mu_x"]), float(man["mu_y"]), A, *vectors)
+        dims, keys = inst.C.shape, ("n", "m")
     if tuple(dims) != tuple(int(man[key]) for key in keys):
         raise ParseError(manifest_path, 1, "dimensions disagree with data files")
     return inst

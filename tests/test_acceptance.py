@@ -234,7 +234,7 @@ def test_criterion_10_property_suites():
     # divergence identity V^{f*}_{grad f(a)}(grad f(b)) = V^f_b(a)
     M = np.array([1.0, 2.5, 4.0])
     L = 4.0
-    oracle = QuadraticProblem(M, np.zeros(3))
+    oracle = QuadraticProblem(M, np.zeros(3), 1.0, L)
     creg = ConjugateRegularizer(oracle)
     pa, pb = rng.standard_normal((N, 3)), rng.standard_normal((N, 3))
     ya, yb = pa * M, pb * M

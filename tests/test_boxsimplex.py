@@ -69,7 +69,7 @@ class TestShermanRegularizer:
         reg = ShermanRegularizer(inst)
         rng = make_rng(5)
         z = sample_domain(inst, rng)
-        out = reg.prox(z, Point(np.zeros(inst.n), np.zeros(inst.m)))
+        out = reg.prox(z, Point(np.zeros(inst.n), np.zeros(inst.m)), reg.z_terms(z))
         assert np.allclose(out.x, z.x, atol=1e-8)
         assert np.allclose(out.y, z.y, atol=1e-8)
 
@@ -97,7 +97,7 @@ class TestShermanRegularizer:
         reg = ShermanRegularizer(inst)
         z = Point(np.array([0.3]), np.array([1.0]))
         g = Point(np.array([0.5]), np.array([0.0]))
-        out = reg.prox(z, g)
+        out = reg.prox(z, g, reg.z_terms(z))
         grid = np.linspace(-1.0, 1.0, 10001)
         objective = [g.x[0] * x
                      + reg.divergence(Point(np.array([x]), np.array([1.0])), z)
@@ -112,7 +112,7 @@ class TestShermanRegularizer:
         for _ in range(20):
             z = sample_domain(inst, rng)
             g = Point(0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(4))
-            w = reg.prox(z, g)
+            w = reg.prox(z, g, reg.z_terms(z))
             gr = reg.grad(w) - reg.grad(z) + g
             for _ in range(10):
                 u = sample_domain(inst, rng)
@@ -161,7 +161,7 @@ class TestProxGap:
             g = Point(rng.standard_normal(inst.n), rng.standard_normal(inst.m))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                w = reg.prox(z, g)
+                w = reg.prox(z, g, reg.z_terms(z))
             assert reg.last_gap == pytest.approx(self.lp_gap(reg, z, g, w), rel=1e-9)
 
     def test_default_tol_bounds_the_gap(self):
@@ -171,7 +171,7 @@ class TestProxGap:
         for _ in range(10):
             z = sample_domain(inst, rng)
             g = Point(rng.standard_normal(inst.n), rng.standard_normal(inst.m))
-            w = reg.prox(z, g)
+            w = reg.prox(z, g, reg.z_terms(z))
             assert reg.last_gap <= 1e-10 * max(inst.op_norm, 1.0)
             assert self.lp_gap(reg, z, g, w) <= 1e-8 * max(inst.op_norm, 1.0)
 
@@ -185,7 +185,7 @@ class TestProxGap:
             for _ in range(2):  # two calls from one z, as in an iteration
                 g = Point(0.3 * rng.standard_normal(inst.n),
                           0.3 * rng.standard_normal(inst.m))
-                a, b = shared.prox(z, g, zt), alone.prox(z, g)
+                a, b = shared.prox(z, g, zt), alone.prox(z, g, alone.z_terms(z))
                 assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
                 assert shared.last_gap == alone.last_gap
                 assert shared.last_rounds == alone.last_rounds
@@ -197,7 +197,7 @@ class TestProxGap:
         for _ in range(10):
             z = sample_domain(inst, rng)
             g = Point(0.3 * rng.standard_normal(inst.n), 0.3 * rng.standard_normal(inst.m))
-            w = reg.prox(z, g)
+            w = reg.prox(z, g, reg.z_terms(z))
             for a, b in zip(reg.last_terms, reg.z_terms(w)):
                 assert np.array_equal(a, b)
 
@@ -254,7 +254,7 @@ class TestProxXUpdate:
         z = Point(np.array([0.2, -0.4, 0.9, 0.1]), np.array([0.5, 0.3, 0.2]))
         g = Point(np.array([0.7, 0.3, -5.0, -0.2]), np.array([0.1, -0.2, 0.05]))
         with pytest.warns(RuntimeWarning, match="alternating prox stopped"):
-            out = reg.prox(z, g)
+            out = reg.prox(z, g, reg.z_terms(z))
         # one round from y = z.y, in the where / nan_to_num / clip form
         a_coef = np.abs(A).T @ z.y
         lin_x = g.x - 2.0 * a_coef * z.x

@@ -2,6 +2,8 @@
 
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import extragrad
 from extragrad import boxsimplex
 from extragrad.cli import main, TRACE_HEADER
 from extragrad.operators import BoxSimplexInstance
@@ -201,15 +204,24 @@ class TestSolve:
         ("b=quad.b.txt", "", "missing key 'b'"),
         ("L=50.0", "L=inf", "need 0 < mu <= L, both finite"),
         ("d=8", "d=3", "dimensions disagree with data files"),
+        ("A=bs.A.mtx", "", "missing key 'A'"),
+        ("c=bs.c.txt", "", "missing key 'c'"),
+        ("C=mm.C.mtx", "", "missing key 'C'"),
+        ("r=mm.r.txt", "", "missing key 'r'"),
     ])
-    def test_bad_manifest_is_parse_error(self, quad_manifest, tmp_path, capsys,
-                                         old, new, message):
-        with open(quad_manifest) as fh:
-            text = fh.read()
-        assert old in text
-        with open(quad_manifest, "w") as fh:
-            fh.write(text.replace(old, new))
-        assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
+    def test_bad_manifest_is_parse_error(self, quad_manifest, bs_manifest, mm_manifest,
+                                         tmp_path, capsys, old, new, message):
+        algs = {quad_manifest: "eg-accel", bs_manifest: "box-simplex",
+                mm_manifest: "mirror-prox"}
+        texts = {}
+        for path in algs:
+            with open(path) as fh:
+                texts[path] = fh.read()
+        [manifest] = [path for path, text in texts.items() if old in text]
+        with open(manifest, "w") as fh:
+            fh.write(texts[manifest].replace(old, new))
+        capsys.readouterr()
+        assert run(["solve", "--alg", algs[manifest], "--instance", manifest,
                     "--out", str(tmp_path / "m")]) == 4
         assert message in capsys.readouterr().err
 
@@ -268,6 +280,26 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err == (f"I/O error: {apath}:3: index (99999999999999999999, "
                                 f"{lines[2].split()[1]}) outside the 8 x 6 matrix\n")
+        assert not os.path.exists(out + ".summary.txt")
+
+    @pytest.mark.parametrize("rows", ["99999999999999999999", "3000000000"])
+    def test_size_past_the_longest_vector_is_parse_error(self, bs_manifest, tmp_path, capsys,
+                                                         rows):
+        # past int64, csr_matrix overflowed; at 3e9 rows, scipy asked for a 22 GiB indptr
+        apath = str(tmp_path / "bs.A.mtx")
+        with open(apath) as fh:
+            lines = fh.readlines()
+        size = f"{rows} " + lines[1].split(" ", 1)[1]
+        lines[1] = size
+        with open(apath, "w") as fh:
+            fh.writelines(lines)
+        out = str(tmp_path / "o")
+        assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                    "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"I/O error: {apath}:2: size line {size.strip()!r} exceeds 8, "
+                                "the longest vector of the instance\n")
         assert not os.path.exists(out + ".summary.txt")
 
     @pytest.mark.parametrize("flag, value", [
@@ -475,6 +507,32 @@ class TestUsage:
     def test_unknown_flag_is_usage_error(self, quad_manifest):
         assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
                     "--bogus-flag", "1"]) == 64
+
+
+def test_module_process_exits_with_the_documented_code(tmp_path):
+    # python -m extragrad.cli: main's return value becomes the process's exit code
+    src = os.path.dirname(os.path.dirname(os.path.abspath(extragrad.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def process(*argv):
+        done = subprocess.run([sys.executable, "-m", "extragrad.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert "Traceback" not in done.stderr
+        return done
+
+    manifest = str(tmp_path / "bs.manifest")
+    assert process("gen", "box-simplex", "m=3", "n=2", "--out", manifest).returncode == 0
+    apath = str(tmp_path / "bs.A.mtx")
+    with open(apath, "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate real general\n"
+                 "99999999999999999999 2 1\n1 1 1.5\n")
+    done = process("solve", "--alg", "box-simplex", "--instance", manifest,
+                   "--out", str(tmp_path / "o"))
+    assert done.returncode == 4
+    assert done.stderr.startswith(f"I/O error: {apath}:2: ") and done.stderr.count("\n") == 1
+    assert process("solve", "--alg", "box-simplex", "--instance", manifest,
+                   "--bogus-flag", "1").returncode == 64
 
 
 # The instance kinds each (command, id) runs on; every other pair is a usage error.

@@ -66,7 +66,7 @@ class TestDivergence:
 
     def test_dual_divergence_identity(self):
         # f(x) = 1/2 * 2 x^2; V^{f*}_{f'(1)}(f'(3)) equals V^f_3(1) = 4
-        oracle = QuadraticProblem(np.array([2.0]), np.zeros(1))
+        oracle = QuadraticProblem(np.array([2.0]), np.zeros(1), 2.0, 2.0)
         reg = ConjugateRegularizer(oracle)
         lhs = reg.divergence(np.array([2.0]), np.array([6.0]))
         x1, x3 = np.array([1.0]), np.array([3.0])
@@ -75,7 +75,7 @@ class TestDivergence:
         assert rhs == pytest.approx(4.0, abs=1e-12)
         # dense M, through the Cholesky solves: both equal 1/2 (x1-x3)^T M (x1-x3)
         M = np.array([[2.0, 1.0], [1.0, 3.0]])
-        dense = QuadraticProblem(M, np.array([0.5, -1.0]))
+        dense = QuadraticProblem(M, np.array([0.5, -1.0]), *np.linalg.eigvalsh(M))
         x1, x3 = np.array([1.0, -2.0]), np.array([3.0, 0.5])
         lhs = ConjugateRegularizer(dense).divergence(dense.grad(x1), dense.grad(x3))
         rhs = dense.f(x1) - dense.f(x3) - float(dense.grad(x3) @ (x1 - x3))
@@ -97,7 +97,8 @@ class TestDivergence:
 
     def test_nonnegativity_sampled(self):
         rng = make_rng(7)
-        oracle = QuadraticProblem(np.exp(rng.uniform(0, 2, size=5)), np.zeros(5))
+        M = np.exp(rng.uniform(0, 2, size=5))
+        oracle = QuadraticProblem(M, np.zeros(5), M.min(), M.max())
         regs = [ScaledEuclidean(0.7), ConjugateRegularizer(oracle)]
         for reg in regs:
             for _ in range(200):
@@ -152,18 +153,19 @@ class TestProx:
 
 class TestConjugateOracle:
     def test_identity_quadratic(self):
-        oracle = QuadraticProblem(np.eye(2), np.zeros(2))
+        oracle = QuadraticProblem(np.eye(2), np.zeros(2), 1.0, 1.0)
         assert np.allclose(oracle.grad_fstar(np.array([5.0, -1.0])), [5.0, -1.0])
 
     def test_diagonal_inverse(self):
-        oracle = QuadraticProblem(np.array([2.0, 4.0]), np.zeros(2))
+        oracle = QuadraticProblem(np.array([2.0, 4.0]), np.zeros(2), 2.0, 4.0)
         assert np.allclose(oracle.grad_fstar(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_gradients_are_inverse_maps(self):
         rng = make_rng(11)
         B = rng.standard_normal((5, 5))
         M = B @ B.T + 5 * np.eye(5)
-        oracle = QuadraticProblem(M, rng.standard_normal(5))
+        ev = np.linalg.eigvalsh(M)
+        oracle = QuadraticProblem(M, rng.standard_normal(5), ev[0], ev[-1])
         for _ in range(20):
             x = rng.standard_normal(5)
             back = oracle.grad_fstar(oracle.grad(x))
@@ -171,22 +173,22 @@ class TestConjugateOracle:
 
     def test_rejects_indefinite_matrix(self):
         with pytest.raises(ValueError):
-            QuadraticProblem(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2))
+            QuadraticProblem(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros(2), 1.0, 1.0)
         with pytest.raises(ValueError):
-            QuadraticProblem(np.array([1.0, 0.0]), np.zeros(2))
+            QuadraticProblem(np.array([1.0, 0.0]), np.zeros(2), 1.0, 1.0)
 
     def test_rejects_asymmetric_matrix(self):
         # cholesky sees [[2, 0], [0, 3]], while grad uses all of M, whose
         # symmetric part [[2, 2.5], [2.5, 3]] is indefinite
         with pytest.raises(ValueError, match="M must be symmetric"):
-            QuadraticProblem(np.array([[2.0, 5.0], [0.0, 3.0]]), np.zeros(2))
+            QuadraticProblem(np.array([[2.0, 5.0], [0.0, 3.0]]), np.zeros(2), 2.0, 3.0)
 
     def test_accepts_asymmetry_from_rounding(self):
         Q = np.linalg.qr(make_rng(12).standard_normal((6, 6)))[0]
         M = (Q * np.linspace(1.0, 9.0, 6)) @ Q.T
         assert not np.array_equal(M, M.T)
-        oracle = QuadraticProblem(M, np.zeros(6))
-        assert oracle.profile.mu == pytest.approx(1.0) and oracle.profile.L == pytest.approx(9.0)
+        oracle = QuadraticProblem(M, np.zeros(6), 1.0, 9.0)
+        assert oracle.spectrum_extremes() == pytest.approx((1.0, 9.0))
 
 
 class TestThreePointIdentity:

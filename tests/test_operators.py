@@ -94,7 +94,7 @@ class TestBoxSimplexInstance:
 
 class TestMinimaxInstance:
     def test_decoupled_operator(self):
-        inst = MinimaxInstance(2.0, 3.0, np.zeros((2, 2)))
+        inst = MinimaxInstance(2.0, 3.0, np.zeros((2, 2)), np.zeros(2), np.zeros(2))
         out = inst.operator(Point([1.0, -1.0], [0.5, 0.5]))
         assert np.allclose(out.x, [2.0, -2.0])
         assert np.allclose(out.y, [1.5, 1.5])
@@ -134,7 +134,7 @@ class TestMinimaxInstance:
 
     def test_strong_monotonicity_sampled(self):
         rng = make_rng(6)
-        inst = MinimaxInstance(1.0, 2.0, rng.standard_normal((3, 2)))
+        inst = MinimaxInstance(1.0, 2.0, rng.standard_normal((3, 2)), np.zeros(3), np.zeros(2))
         r = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(2.0))
         for _ in range(200):
             z = Point(rng.standard_normal(3), rng.standard_normal(2))

@@ -85,7 +85,7 @@ class TestGenBoxSimplex:
 
 class TestExactSolution:
     def test_identity_quadratic(self):
-        prob = QuadraticProblem(np.eye(2), np.array([-1.0, -1.0]))
+        prob = QuadraticProblem(np.eye(2), np.array([-1.0, -1.0]), 1.0, 1.0)
         x, val = prob.x_star, prob.f_star
         assert np.allclose(x, [1.0, 1.0])
         assert val == pytest.approx(prob.f(np.array([1.0, 1.0])))
@@ -133,6 +133,14 @@ class TestSerialization:
             assert np.array_equal(back.M, prob.M)
             assert np.array_equal(back.b, prob.b)
             assert back.profile.mu == prob.profile.mu
+            # M stored in coordinate format loads as the same dense array
+            mpath = str(tmp_path / f"q{int(diag)}.M.mtx")
+            write_matrix_market(mpath, sp.csr_matrix(read_matrix_market(mpath)))
+            with open(mpath) as fh:
+                assert "coordinate" in fh.readline()
+            coo = load_instance(man)
+            assert coo.diag == diag and type(coo.M) is np.ndarray
+            assert np.array_equal(coo.M, back.M)
 
     def test_diagonal_written_as_column(self, tmp_path):
         prob = gen_quadratic(50, 1.0, 1e3, diag=True, seed=15)
@@ -202,6 +210,13 @@ class TestSerialization:
         back = load_instance(man)
         assert np.array_equal(back.C, inst.C)
         assert back.mu_x == inst.mu_x and back.mu_y == inst.mu_y
+        # C stored in coordinate format loads as the same dense array
+        cpath = str(tmp_path / "mm.C.mtx")
+        write_matrix_market(cpath, sp.csr_matrix(inst.C))
+        with open(cpath) as fh:
+            assert "coordinate" in fh.readline()
+        coo = load_instance(man)
+        assert type(coo.C) is np.ndarray and np.array_equal(coo.C, back.C)
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         paths = []

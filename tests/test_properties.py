@@ -49,7 +49,7 @@ def test_entropy_prox_stays_on_simplex(weights, g):
 def test_conjugate_gradients_invert(x, diag):
     # the same spectrum as a diagonal M and as a dense M = Q diag(.) Q^T
     for M in (diag, (ROTATION * diag) @ ROTATION.T):
-        oracle = QuadraticProblem(M, np.zeros(4))
+        oracle = QuadraticProblem(M, np.zeros(4), diag.min(), diag.max())
         back = oracle.grad_fstar(oracle.grad(x))
         assert np.allclose(back, x, atol=1e-9)
 

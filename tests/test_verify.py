@@ -79,7 +79,7 @@ class TestRelativeLipschitzness:
 
     def test_fenchel_game_passes_paper_constant(self):
         # L = 4, mu = 1: lam = L/sqrt(L mu) + sqrt(L/mu) - ... = 3 via the formula
-        oracle = QuadraticProblem(np.array([1.0, 4.0]), np.zeros(2))
+        oracle = QuadraticProblem(np.array([1.0, 4.0]), np.zeros(2), 1.0, 4.0)
         prof = SmoothnessProfile(4.0, 1.0, [1.0, 4.0])
         lam = lambda_fenchel(prof)
         assert lam == pytest.approx(3.0)
