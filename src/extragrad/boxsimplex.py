@@ -202,7 +202,7 @@ def linf_regression_reduction(A, b) -> BoxSimplexInstance:
 
 def duality_gap(inst: BoxSimplexInstance, x, y) -> float:
     """max_{y'} f(x, y') - min_{x'} f(x', y), both best responses in closed form."""
-    best_y = float(np.max(inst.A @ x - inst.b)) + float(inst.c @ x)
+    best_y = float(np.max(inst.A_op @ x - inst.b)) + float(inst.c @ x)
     aty_c = inst.At @ y + inst.c
     best_x = -float(np.abs(aty_c).sum()) - float(inst.b @ y)
     return best_y - best_x

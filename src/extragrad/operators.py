@@ -67,34 +67,50 @@ def lambda_coord(profile: SmoothnessProfile) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _dense_products(m: int, n: int, nnz: int) -> bool:
+    """Whether dense products beat compressed-row ones for an m x n matrix
+    with nnz stored entries.
+
+    Measured per (A x, A^T y) pair on a 2-vCPU x86 machine (numpy 2.4, scipy
+    1.17, OpenBLAS): dense about 4 + 3.6e-4 m n us, compressed-row about
+    13 + 2.1e-3 nnz us; the constants are the per-call overhead.
+    """
+    return 4.0 + 3.6e-4 * m * n < 13.0 + 2.1e-3 * nnz
+
+
 class BoxSimplexInstance:
     """Bilinear game min_{x in [-1,1]^n} max_{y in simplex} y^T A x - b^T y + c^T x.
 
-    A and |A| are stored in compressed-row form.  ``At`` and ``abs_At`` are
-    their transposes, built once: compressed-column views on the same arrays,
-    since building a transpose per product costs several times the product.
-    ``row_l1`` holds the row sums ||A_i||_1.
+    ``A`` is the game's matrix in compressed-row form.  The products use
+    ``A_op``, ``At``, ``abs_A`` and ``abs_At``: A, A^T, |A| and |A|^T, dense
+    where ``_dense_products`` says a dense product is cheaper and compressed-row
+    otherwise.  Each transpose is a view on its matrix's arrays (a
+    compressed-column view of a sparse one), built once, since building a
+    transpose per product costs several times the product.  ``row_l1`` holds
+    the row sums ||A_i||_1.
     """
 
     kind = "box-simplex"
 
     def __init__(self, A, b, c):
         A = sp.csr_matrix(A, dtype=float)
+        abs_A = sp.csr_matrix(abs(A))
         self.A = A
-        self.abs_A = sp.csr_matrix(abs(A))
-        self.At = A.T
-        self.abs_At = self.abs_A.T
         self.b = np.asarray(b, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.m, self.n = A.shape
         if self.b.size != self.m or self.c.size != self.n:
             raise ValueError("b, c dimensions must match A")
         # ell_inf -> ell_inf operator norm: max row ell_1 norm
-        self.row_l1 = np.asarray(self.abs_A.sum(axis=1)).ravel()
+        self.row_l1 = np.asarray(abs_A.sum(axis=1)).ravel()
         self.op_norm = float(self.row_l1.max()) if self.m else 0.0
+        if _dense_products(self.m, self.n, A.nnz):
+            A, abs_A = A.toarray(), abs_A.toarray()
+        self.A_op, self.abs_A = A, abs_A
+        self.At, self.abs_At = A.T, abs_A.T
 
     def operator(self, z: Point) -> Point:
-        return Point(self.At @ z.y + self.c, self.b - self.A @ z.x)
+        return Point(self.At @ z.y + self.c, self.b - self.A_op @ z.x)
 
 
 # ---------------------------------------------------------------------------

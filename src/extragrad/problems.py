@@ -289,7 +289,7 @@ def _read_matrix_market_fast(path):
                 vals = _loadtxt(fh, np.float64, 2)
                 if vals.shape == (m * n, 1) and np.isfinite(vals).all():
                     return vals.reshape((n, m)).T
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: a size past int64
         pass
     return None
 
@@ -312,6 +312,8 @@ def _read_matrix_market_lines(path):
         raise ParseError(path, ln0, f"bad size line {size!r}") from None
     if any(k < 0 for k in dims):
         raise ParseError(path, ln0, f"negative size in {size!r}")
+    if max(dims, default=0) > np.iinfo(np.int64).max:  # no array has that size
+        raise ParseError(path, ln0, f"size past the int64 range in {size!r}")
     if coordinate:
         if len(dims) != 3:
             raise ParseError(path, ln0, "coordinate size line needs m n nnz")

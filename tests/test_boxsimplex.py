@@ -6,13 +6,14 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
 from extragrad import (
     Point, Simplex, make_rng, gen_box_simplex, BoxSimplexInstance,
     solve_box_simplex, duality_gap, preprocess, linf_regression_reduction,
     iteration_budget, ShermanRegularizer,
 )
-from extragrad import boxsimplex, cli
+from extragrad import boxsimplex, cli, operators
 from extragrad.boxsimplex import (LAMBDA_BOX_SIMPLEX, LAMBDA_GROW, LAMBDA_SHRINK,
                                   ENTROPY_SCALE_FACTOR)
 
@@ -229,17 +230,59 @@ class TestMaxDivergence:
             bound, rel=1e-12)
 
 
-class TestTransposes:
-    def test_transposes_share_storage(self):
-        inst = small_instance(seed=30)
-        assert np.shares_memory(inst.At.data, inst.A.data)
-        assert np.shares_memory(inst.abs_At.data, inst.abs_A.data)
+def storage(M):
+    """The array that holds M's values: M itself if dense, its data if sparse."""
+    return M.data if sp.issparse(M) else M
 
-    def test_transposed_products_match(self):
-        inst = small_instance(seed=31)
-        y = Simplex(inst.m).sample(make_rng(32), 1e-2)
-        assert np.array_equal(inst.At @ y, inst.A.T @ y)
-        assert np.array_equal(inst.abs_At @ y, inst.abs_A.T @ y)
+
+def each_storage(monkeypatch, seed):
+    """One 6x5 game built with its product operands dense, then compressed-row."""
+    out = []
+    for dense in (True, False):
+        monkeypatch.setattr(operators, "_dense_products", lambda m, n, nnz: dense)
+        inst = small_instance(seed=seed)
+        assert sp.issparse(inst.At) != dense
+        out.append(inst)
+    return out
+
+
+class TestTransposes:
+    def test_transposes_share_storage(self, monkeypatch):
+        for inst in each_storage(monkeypatch, 30):
+            assert np.shares_memory(storage(inst.At), storage(inst.A_op))
+            assert np.shares_memory(storage(inst.abs_At), storage(inst.abs_A))
+
+    def test_transposed_products_match(self, monkeypatch):
+        for inst in each_storage(monkeypatch, 31):
+            y = Simplex(inst.m).sample(make_rng(32), 1e-2)
+            assert np.array_equal(inst.At @ y, inst.A_op.T @ y)
+            assert np.array_equal(inst.abs_At @ y, inst.abs_A.T @ y)
+
+
+def solve_parity_instances():
+    """Criterion 06's ten certified solves and the sixteen seed-0 linf-reg solves."""
+    out = []
+    for seed in range(10):
+        inst = gen_box_simplex(50, 40, 0.5, seed=seed)
+        out.append((inst, solve_box_simplex(inst, 0.01 * inst.op_norm, certify=True)))
+    for j in range(16):
+        rng = make_rng(100 + j)
+        A, b = rng.standard_normal((10, 5)), rng.standard_normal(10)
+        inst = linf_regression_reduction(A, b)
+        out.append((inst, solve_box_simplex(inst, 0.07 * inst.op_norm)))
+    return out
+
+
+def test_dense_and_sparse_products_take_the_same_steps(monkeypatch):
+    dense = solve_parity_instances()
+    monkeypatch.setattr(operators, "_dense_products", lambda m, n, nnz: False)
+    csr = solve_parity_instances()
+    flags = ("iterations", "retries", "restarts", "gap_bound_ok", "stability_ok", "local_rl_ok")
+    for (inst_d, (_, _, gap_d, trace_d)), (inst_s, (_, _, gap_s, trace_s)) in zip(dense, csr):
+        assert isinstance(inst_d.A_op, np.ndarray) and sp.issparse(inst_s.A_op)
+        sd, ss = trace_d.summary, trace_s.summary
+        assert [sd.get(k) for k in flags] == [ss.get(k) for k in flags]
+        assert gap_d == pytest.approx(gap_s, rel=1e-12, abs=0.0)
 
 
 class TestProxXUpdate:

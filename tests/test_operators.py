@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from extragrad import (
     Point, make_rng, SmoothnessProfile, lambda_fenchel, lambda_coord,
     lambda_minimax, BoxSimplexInstance, MinimaxProfile, MinimaxInstance,
-    AliasTable, ScaledEuclidean, ProductRegularizer,
+    AliasTable, ScaledEuclidean, ProductRegularizer, gen_box_simplex,
+    linf_regression_reduction,
 )
 
 
@@ -90,6 +92,25 @@ class TestBoxSimplexInstance:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             BoxSimplexInstance(np.zeros((2, 2)), np.zeros(3), np.zeros(2))
+
+    @pytest.mark.parametrize("make, dense", [
+        (lambda: linf_regression_reduction(make_rng(100).standard_normal((10, 5)),
+                                           make_rng(101).standard_normal(10)), True),
+        (lambda: gen_box_simplex(50, 40, 0.5, seed=0), True),
+        (lambda: gen_box_simplex(400, 300, 0.01, seed=0), False),
+        (lambda: gen_box_simplex(2000, 1500, 0.01, seed=0), False),
+    ], ids=["linf 10x5 stacked", "50x40 at 50%", "400x300 at 1%", "2000x1500 at 1%"])
+    def test_product_storage_follows_size_and_density(self, make, dense):
+        inst = make()
+        assert sp.issparse(inst.A) and inst.A.format == "csr"
+        operands = (inst.A_op, inst.At, inst.abs_A, inst.abs_At)
+        if dense:
+            assert all(isinstance(M, np.ndarray) for M in operands)
+            assert np.array_equal(inst.A_op, inst.A.toarray())
+            assert np.array_equal(inst.abs_A, abs(inst.A).toarray())
+        else:
+            assert all(sp.issparse(M) for M in operands)
+            assert inst.A_op is inst.A
 
 
 class TestMinimaxInstance:

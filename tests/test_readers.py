@@ -127,6 +127,8 @@ MATRICES = {
     "coordinate index zero": COO + "2 3 1\n0 1 1.5\n",
     "coordinate index past the shape": COO + "2 3 1\n3 1 1.5\n",
     "coordinate huge index": COO + "2 3 1\n99999999999999999999 1 1.5\n",
+    "coordinate size past int64": COO + "99999999999999999999 2 1\n1 1 1.5\n",
+    "coordinate count past int64": COO + "2 3 9223372036854775808\n1 1 1.5\n",
     "coordinate duplicates": COO + "2 3 2\n1 1 1.0\n1 1 2.0\n",
     "coordinate unsorted": COO + "2 3 2\n2 3 1.0\n1 1 2.0\n",
     "coordinate negative zero": COO + "2 3 1\n1 1 -0.0\n",
@@ -147,6 +149,7 @@ MATRICES = {
     "array empty body": ARR + "2 2\n",
     "array no values": ARR + "0 3\n",
     "array negative dimensions": ARR + "-2 -1\n1\n2\n",
+    "array size past int64": ARR + "1 99999999999999999999\n1\n",
     "missing header": "2 2\n1\n2\n3\n4\n",
     "missing size line": ARR,
     "bad size line": ARR + "two 2\n",
@@ -164,6 +167,19 @@ def test_odd_input_matches_the_line_reader(tmp_path, matrix, text):
     with open(path, "w", newline="") as fh:  # keep CR and CRLF as written
         fh.write(text)
     assert_parity(path, matrix)
+
+
+@pytest.mark.parametrize("size", ["99999999999999999999 2 1", "3 9223372036854775808 1",
+                                  "3 2 99999999999999999999"])
+def test_size_past_int64_is_parse_error(tmp_path, size):
+    # called directly, not through load_instance and its longest-vector bound
+    path = str(tmp_path / "A.mtx")
+    with open(path, "w") as fh:
+        fh.write(COO + "% a comment\n" + size + "\n1 1 1.5\n")
+    with pytest.raises(ParseError) as err:
+        problems.read_matrix_market(path)
+    assert err.value.path == path and err.value.line == 3
+    assert str(err.value) == f"{path}:3: size past the int64 range in {size!r}"
 
 
 def test_corpus_reaches_both_outcomes(tmp_path):
