@@ -454,11 +454,13 @@ def _bench_baseline(problem, args):
 
 
 def _bench_eg_accel(problem, args):
-    counted, queries = copy.copy(problem), []  # the problem, its gradient calls counted
-    counted.grad = lambda x: queries.append(x.size) or problem.grad(x)
+    # the problem with its gradient points counted: 1 per 1-D call, 1 per stacked row
+    counted, points = copy.copy(problem), []
+    counted.grad = lambda x: points.append(1 if x.ndim == 1 else len(x)) or problem.grad(x)
     x = eg_accel(counted, np.zeros(problem.d), _or(args.eps, 1e-6))
     # 2 gradient queries per inner iteration, after the 2 that estimate eps0
-    return (len(queries) - 2) // 2, len(queries), problem.error(x)
+    queries = sum(points)
+    return (queries - 2) // 2, queries, problem.error(x)
 
 
 def _bench_eg_coord(problem, args):

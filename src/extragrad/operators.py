@@ -212,6 +212,7 @@ class AliasTable:
         for i in large + small:
             self.prob[i] = 1.0
 
-    def draw(self, rng: np.random.Generator) -> int:
-        i = int(rng.integers(self.prob.size))
-        return i if rng.random() < self.prob[i] else int(self.alias[i])
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` independent draws as one int64 array."""
+        i = rng.integers(self.prob.size, size=size)
+        return np.where(rng.random(size) < self.prob[i], i, self.alias[i])

@@ -172,8 +172,10 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
     with lam = 1 + sqrt(L/mu); each phase halves the function error of the
     averaged half-iterate, so eps0 must bound f(x0) - f* from above.  By
     default it is taken from strong convexity at one gradient step from x0.
-    Only gradient queries are issued; each must return a new array, which
-    the loop overwrites.
+    Only gradient queries are issued.  A step's two queries, at v and at
+    v_half, are both fixed before either is answered, so one ``grad`` call on
+    the two stacked rows answers them; each call must return a new array,
+    which the loop overwrites.
     """
     L, mu = problem.profile.L, problem.profile.mu
     lam = lambda_fenchel(problem.profile)
@@ -187,23 +189,25 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
         eps0 = max(problem.f(x0) - lower, eps)
     K = max(int(np.ceil(np.log2(eps0 / eps))), 0)
     x_phase = x0.copy()
-    # the steps below write into these, with the same arithmetic in the same order
-    x_half, v_half, step = np.empty_like(x0), np.empty_like(x0), np.empty_like(x0)
+    # the steps below write into these, with the same arithmetic in the same order;
+    # v and v_half are the rows of one array, so a step queries both without a copy
+    x_half, step = np.empty_like(x0), np.empty_like(x0)
+    v_rows = np.empty((2,) + x0.shape)
+    v, v_half = v_rows
     for k in range(K):
         x = x_phase.copy()
-        v = x_phase.copy()
+        v[:] = x_phase
         v_sum = np.zeros_like(x)
         for t in range(T):
-            gv = problem.grad(v)
-            gv /= mu * lam
-            np.subtract(x, gv, out=x_half)  # x_half = x - gv / (mu lam)
             np.subtract(x, v, out=step)
             step /= lam
             np.add(v, step, out=v_half)  # v_half = v + (x - v) / lam
+            g = problem.grad(v_rows)
+            g /= mu * lam
+            gv, gvh = g
+            np.subtract(x, gv, out=x_half)  # x_half = x - grad f(v) / (mu lam)
             v_sum += v_half
-            gvh = problem.grad(v_half)
-            gvh /= mu * lam
-            x -= gvh  # x = x - gvh / (mu lam)
+            x -= gvh  # x = x - grad f(v_half) / (mu lam)
             np.subtract(x_half, v_half, out=step)
             step /= lam
             v += step  # v = v + (x_half - v_half) / lam
@@ -231,17 +235,16 @@ def general_norm_accel(problem, rx, x0, eps, T=None):
         err0 = max(problem.error(x0), eps)
         T = int(np.ceil(4 * np.sqrt(L / mu) * np.log(max(2 * L / mu * err0 / eps, np.e))))
 
-    def grad_h(v):
-        return problem.grad(v) - rx.grad(v)
-
     x, v = x0.copy(), x0.copy()
     for t in range(T):
-        # w_t = Prox_{z_t}(g(z_t)/lam); y-block prox reduces to a v-space mix
-        gx = grad_h(v) + rx.grad(x)
-        x_half = rx.prox(x, gx / lam)
+        # grad f at v and at v_half, both fixed before the step: one stacked call
         v_half = (1.0 - 1.0 / lam) * v + x / lam
+        gf_v, gf_vh = problem.grad(np.stack([v, v_half]))
+        # w_t = Prox_{z_t}(g(z_t)/lam); y-block prox reduces to a v-space mix
+        gx = gf_v - rx.grad(v) + rx.grad(x)
+        x_half = rx.prox(x, gx / lam)
         # blended second step against w_t
-        gx_w = grad_h(v_half) + rx.grad(x_half)
+        gx_w = gf_vh - rx.grad(v_half) + rx.grad(x_half)
         gy_w = v_half - x_half
         x = rx.blended_prox(x, x_half, gx_w, lam, m)
         v = (v + (m / lam) * v_half - gy_w / lam) / (1.0 + m / lam)
@@ -283,7 +286,8 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
     steps maintained implicitly as (p, q, B), and uses two generalized partial
     derivative queries per inner iteration.  Each phase runs T = 4*ceil(lam)
     iterations and restarts from the average of its half-iterates, the form the
-    halving guarantee is stated for.
+    halving guarantee is stated for.  A phase draws its T coordinates up front,
+    in one alias-table call.
 
     Every step costs O(1).  The iterate matrix A = [[1, a01], [0, a11]] keeps
     B_t = [[1, beta], [0, gamma]] from B_0 = I, so x = p and v = beta p + gamma q;
@@ -322,11 +326,10 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
         beta, gamma = 0.0, 1.0
         s_a = s_b = 0.0
         c = np.zeros_like(x0)
-        for t in range(T):
+        draws = alias.draw(rng, T)
+        for i, p_i in zip(draws.tolist(), p_dist[draws].tolist()):
             s_a += 1.0 / lam + (1.0 - 1.0 / lam) * beta
             s_b += (1.0 - 1.0 / lam) * gamma
-            i = alias.draw(rng)
-            p_i = p_dist[i]
             x_i = p[i]
             v_i = beta * x_i + gamma * q[i]
             vh_i = (1.0 - 1.0 / lam) * v_i + x_i / lam

@@ -16,7 +16,7 @@ import extragrad
 from extragrad import boxsimplex
 from extragrad.cli import main, TRACE_HEADER
 from extragrad.operators import BoxSimplexInstance
-from extragrad.problems import load_instance
+from extragrad.problems import QuadraticProblem, load_instance
 
 
 def run(argv):
@@ -498,6 +498,22 @@ class TestBench:
         with open(out + ".csv") as fh:
             row = dict(zip(*[line.split(",") for line in fh.read().splitlines()]))
         assert int(row["queries"]) == len(calls) > 2 * int(row["iterations"])
+
+
+    def test_eg_accel_queries_count_gradient_points(self, quad_manifest, tmp_path,
+                                                     monkeypatch):
+        # a stacked call answers one query per row
+        points = []
+        grad = QuadraticProblem.grad
+        monkeypatch.setattr(QuadraticProblem, "grad", lambda self, x: points.append(
+            1 if x.ndim == 1 else len(x)) or grad(self, x))
+        out = str(tmp_path / "bench")
+        assert run(["bench", "--alg", "eg-accel", "--instance", quad_manifest,
+                    "--eps", "1e-4", "--out", out]) == 0
+        with open(out + ".csv") as fh:
+            row = dict(zip(*[line.split(",") for line in fh.read().splitlines()]))
+        assert int(row["iterations"]) > 0
+        assert int(row["queries"]) == sum(points) == 2 + 2 * int(row["iterations"])
 
 
 class TestUsage:

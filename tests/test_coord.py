@@ -114,8 +114,7 @@ class TestConvergence:
             x_phase = np.zeros(d)
             for _ in range(K):
                 x, v, v_sum = x_phase.copy(), x_phase.copy(), np.zeros(d)
-                for _ in range(T):
-                    i = alias.draw(rng)
+                for i in alias.draw(rng, T):
                     v_half = (1.0 - 1.0 / lam) * v + x / lam
                     v_sum += v_half
                     g_v, g_vh = prob.partial_at(i, v[i]), prob.partial_at(i, v_half[i])

@@ -178,11 +178,12 @@ class TestAliasTable:
         rng = make_rng(123)
         counts = np.zeros(4)
         n = 40000
-        for _ in range(n):
-            counts[table.draw(rng)] += 1
+        draws = table.draw(rng, n)
+        assert draws.dtype == np.int64 and draws.shape == (n,)
+        np.add.at(counts, draws, 1)
         assert np.max(np.abs(counts / n - p)) < 0.01
 
     def test_degenerate_distribution(self):
         table = AliasTable([0.0, 1.0])
         rng = make_rng(0)
-        assert all(table.draw(rng) == 1 for _ in range(50))
+        assert all(table.draw(rng, 50) == 1)

@@ -12,6 +12,7 @@ from extragrad import (
     save_instance, load_instance, BoxSimplexInstance,
     MinimaxInstance, make_rng,
 )
+from extragrad import problems
 from extragrad.problems import (
     read_matrix_market, read_vector,
     write_matrix_market, write_vector, read_manifest, write_manifest,
@@ -58,6 +59,35 @@ class TestGenQuadratic:
         dense = gen_quadratic(5, 1.0, 5.0, diag=False, seed=5)
         with pytest.raises(ValueError, match="diagonal M"):
             dense.partial_at(0, x[0])
+
+
+class TestGrad:
+    # above the size bound each row takes its own product with M
+    SIZES = [1, 2, 3, 200, 501]
+
+    @pytest.mark.parametrize("diag", [True, False])
+    @pytest.mark.parametrize("d", SIZES)
+    def test_stacked_rows_match_one_call_per_row(self, diag, d):
+        prob = gen_quadratic(d, 1.0, 1.0 if d == 1 else 50.0, diag=diag, seed=d)
+        for k in (1, 2, 3):
+            X = make_rng(k).standard_normal((k, d))
+            G = prob.grad(X)
+            assert G.shape == (k, d) and not np.shares_memory(G, X)
+            for x, g in zip(X, G):
+                one = prob.grad(x)
+                assert np.max(np.abs(g - one)) <= 1e-14 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("diag", [True, False])
+    @pytest.mark.parametrize("d", SIZES)
+    def test_one_row_is_M_x_plus_b(self, diag, d):
+        prob = gen_quadratic(d, 1.0, 1.0 if d == 1 else 50.0, diag=diag, seed=d)
+        x = make_rng(0).standard_normal(d)
+        Mx = prob.M * x if diag else prob.M @ x
+        assert np.array_equal(prob.grad(x), Mx + prob.b)
+
+    def test_size_bound_splits_the_grid(self):
+        assert problems._stacked_product(200) and problems._stacked_product(500)
+        assert not problems._stacked_product(501)
 
 
 class TestGenBoxSimplex:

@@ -274,14 +274,44 @@ class TestEgAccel:
         grad = prob.grad
 
         def counting_grad(x):
-            calls.append(x)
+            calls.append(x.shape)
             return grad(x)
 
         monkeypatch.setattr(prob, "grad", counting_grad)
         phases = []
         eg_accel(prob, np.zeros(10), 1e-9, collect=lambda k, x: phases.append(k))
         T = 4 * int(np.ceil(1.0 + np.sqrt(30.0)))
-        assert len(calls) == 2 + 2 * len(phases) * T
+        # one gradient point per 1-D call, one per row of a stacked call
+        points = [1 if len(shape) == 1 else shape[0] for shape in calls]
+        assert sum(points) == 2 + 2 * len(phases) * T
+        # the 2 that estimate eps0, then one call on 2 rows per inner iteration
+        assert calls[:2] == [(10,), (10,)]
+        assert calls[2:] == [(2, 10)] * (len(phases) * T)
+
+    @pytest.mark.parametrize("diag", [True, False])
+    def test_matches_the_two_query_loop(self, diag):
+        # the stacked query changes only rounding: every phase iterate matches
+        # a loop that asks grad f at v and at v_half in two 1-D calls
+        for seed, d in ((0, 2), (1, 30), (2, 200)):
+            prob = gen_quadratic(d, 1.0, 400.0, diag=diag, seed=seed)
+            x0 = make_rng(seed).standard_normal(d)
+            mu = prob.profile.mu
+            lam = 1.0 + np.sqrt(prob.profile.L / mu)
+            T = 4 * int(np.ceil(lam))
+            phases = []
+            eg_accel(prob, x0, 1e-8, eps0=1.0, collect=lambda k, xp: phases.append(xp))
+            x_phase = x0.copy()
+            for got in phases:
+                x, v, v_sum = x_phase.copy(), x_phase.copy(), np.zeros(d)
+                for _ in range(T):
+                    v_half = v + (x - v) / lam
+                    x_half = x - prob.grad(v) / (mu * lam)
+                    v_sum += v_half
+                    x = x - prob.grad(v_half) / (mu * lam)
+                    v = v + (x_half - v_half) / lam
+                x_phase = v_sum / T
+                assert np.max(np.abs(got - x_phase)) <= 1e-12 * np.max(np.abs(x_phase))
+            assert len(phases) == int(np.ceil(np.log2(1e8)))
 
 
 class TestGeneralNorm:
@@ -303,3 +333,23 @@ class TestGeneralNorm:
         prob = gen_quadratic(8, 1.0, 16.0, diag=True, seed=11)
         x = general_norm_accel(prob, ScaledEuclidean(1.0), np.zeros(8), 1e-10)
         assert prob.error(x) <= 1e-10
+
+    @pytest.mark.parametrize("diag", [True, False])
+    def test_matches_the_two_query_loop(self, diag):
+        # the stacked query changes only rounding: the answer matches a loop
+        # that asks grad f at v and at v_half in two 1-D calls
+        prob = gen_quadratic(30, 1.0, 400.0, diag=diag, seed=12)
+        mu = prob.profile.mu
+        lam, rx = 1.0 + np.sqrt(prob.profile.L / mu), ScaledEuclidean(mu)
+        x0 = make_rng(12).standard_normal(30)
+        for T in (1, 2, 40):
+            x, v = x0.copy(), x0.copy()
+            for _ in range(T):
+                x_half = rx.prox(x, (prob.grad(v) - rx.grad(v) + rx.grad(x)) / lam)
+                v_half = (1.0 - 1.0 / lam) * v + x / lam
+                gx_w = prob.grad(v_half) - rx.grad(v_half) + rx.grad(x_half)
+                x_next = rx.blended_prox(x, x_half, gx_w, lam, 1.0)
+                v = (v + v_half / lam - (v_half - x_half) / lam) / (1.0 + 1.0 / lam)
+                x = x_next
+            got = general_norm_accel(prob, rx, x0, 1e-8, T=T)
+            assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
