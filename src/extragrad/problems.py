@@ -39,19 +39,6 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _stacked_product(d: int) -> bool:
-    """Whether one product of a dense d x d matrix with two stacked rows beats
-    two matrix-vector products.
-
-    Measured on a 2-vCPU x86 machine (numpy 2.4, OpenBLAS 0.3.31): the stacked
-    product takes about half the time of two up to d = 600.  With one BLAS
-    thread it is 4-9% slower from d = 620 on; with two it is slower from
-    d = 700 on, where the matrix-vector product runs threaded.  The bound
-    keeps a margin below that edge.
-    """
-    return d <= 500
-
-
 class QuadraticProblem:
     """f(x) = 1/2 x^T M x + b^T x with SPD M, dense or diagonal, and grad f*.
 
@@ -110,18 +97,11 @@ class QuadraticProblem:
         """grad f at x of shape (d,), or at each row of x of shape (k, d), as a
         new array of x's shape.
 
-        Rows answer several queries in one product with M (see
-        ``_stacked_product``); each row's gradient equals its own 1-D call up
-        to rounding, and a 1-D call is bit-identical to ``M @ x + b``.
+        Rows answer several queries in one product with M; each row's gradient
+        equals its own 1-D call up to rounding, and a 1-D call is bit-identical
+        to ``M @ x + b``.
         """
-        if self.diag:
-            g = self.M * x
-        elif x.ndim == 1 or _stacked_product(self.d):
-            g = x @ self.M.T
-        else:
-            g = np.empty_like(x)
-            for row, out in zip(x, g):
-                np.matmul(self.M, row, out=out)
+        g = self.M * x if self.diag else x @ self.M.T
         g += self.b  # b broadcasts over rows
         return g
 

@@ -12,7 +12,6 @@ from extragrad import (
     save_instance, load_instance, BoxSimplexInstance,
     MinimaxInstance, make_rng,
 )
-from extragrad import problems
 from extragrad.problems import (
     read_matrix_market, read_vector,
     write_matrix_market, write_vector, read_manifest, write_manifest,
@@ -62,7 +61,7 @@ class TestGenQuadratic:
 
 
 class TestGrad:
-    # above the size bound each row takes its own product with M
+    # 501 is past d ≈ 500, where one stacked product stops beating two 1-D ones
     SIZES = [1, 2, 3, 200, 501]
 
     @pytest.mark.parametrize("diag", [True, False])
@@ -84,10 +83,6 @@ class TestGrad:
         x = make_rng(0).standard_normal(d)
         Mx = prob.M * x if diag else prob.M @ x
         assert np.array_equal(prob.grad(x), Mx + prob.b)
-
-    def test_size_bound_splits_the_grid(self):
-        assert problems._stacked_product(200) and problems._stacked_product(500)
-        assert not problems._stacked_product(501)
 
 
 class TestGenBoxSimplex:
