@@ -174,8 +174,9 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
     default it is taken from strong convexity at one gradient step from x0.
     Only gradient queries are issued.  A step's two queries, at v and at
     v_half, are both fixed before either is answered, so one ``grad`` call on
-    the two stacked rows answers them; each call must return a new array,
-    which the loop overwrites.
+    the two stacked rows answers them.  The rest of the step is linear: the
+    rows (x, v_sum, v, v_half) of the next step are ``MIX`` times the rows
+    (x, v_sum, v, v_half, grad f(v), grad f(v_half)) of this one.
     """
     L, mu = problem.profile.L, problem.profile.mu
     lam = lambda_fenchel(problem.profile)
@@ -188,30 +189,25 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
         lower = problem.f(x1) - 0.5 / mu * float(np.dot(g1, g1))
         eps0 = max(problem.f(x0) - lower, eps)
     K = max(int(np.ceil(np.log2(eps0 / eps))), 0)
+    # x' = x - s g_vh, v_sum' = v_sum + v_half and v' = v + c (x - s g_v - v_half),
+    # with v_half = c x + (1 - c) v
+    c, s = 1.0 / lam, 1.0 / (mu * lam)
+    a = c * (1.0 - c)
+    MIX = np.array([[1.0, 0.0, 0.0, 0.0, 0.0, -s],
+                    [0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+                    [a, 0.0, 1.0 - a, 0.0, -c * s, 0.0],
+                    np.zeros(6)])
+    MIX[3] = c * MIX[0] + (1.0 - c) * MIX[2]  # v_half' = c x' + (1 - c) v'
+    W, W_next = np.empty((2, 6) + x0.shape)  # two buffers, swapped every step
     x_phase = x0.copy()
-    # the steps below write into these, with the same arithmetic in the same order;
-    # v and v_half are the rows of one array, so a step queries both without a copy
-    x_half, step = np.empty_like(x0), np.empty_like(x0)
-    v_rows = np.empty((2,) + x0.shape)
-    v, v_half = v_rows
     for k in range(K):
-        x = x_phase.copy()
-        v[:] = x_phase
-        v_sum = np.zeros_like(x)
+        W[:4] = x_phase  # x = v = v_half = x_phase
+        W[1] = 0.0
         for t in range(T):
-            np.subtract(x, v, out=step)
-            step /= lam
-            np.add(v, step, out=v_half)  # v_half = v + (x - v) / lam
-            g = problem.grad(v_rows)
-            g /= mu * lam
-            gv, gvh = g
-            np.subtract(x, gv, out=x_half)  # x_half = x - grad f(v) / (mu lam)
-            v_sum += v_half
-            x -= gvh  # x = x - grad f(v_half) / (mu lam)
-            np.subtract(x_half, v_half, out=step)
-            step /= lam
-            v += step  # v = v + (x_half - v_half) / lam
-        x_phase = v_sum / T
+            W[4:] = problem.grad(W[2:4])
+            np.matmul(MIX, W, out=W_next[:4])
+            W, W_next = W_next, W
+        x_phase = W[1] / T
         _check_finite(x_phase, k)
         if collect is not None:
             collect(k, x_phase)

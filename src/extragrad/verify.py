@@ -182,8 +182,7 @@ def coord_iteration_outcomes(problem, x_t, v_t, lam, p):
     """
     mu = problem.profile.mu
     v_half = (1.0 - 1.0 / lam) * v_t + x_t / lam
-    g_v = problem.grad(v_t)
-    g_vh = problem.grad(v_half)
+    g_v, g_vh = problem.grad(np.stack([v_t, v_half]))
     outcomes = []
     for i in range(x_t.size):
         x_half, x_next, v_next = coord_step(x_t, v_t, i, g_v[i], g_vh[i], lam, mu, p[i])
@@ -206,8 +205,7 @@ def coord_trajectory(problem, x0, steps, seed=0, p=None):
     for _ in range(steps - 1):
         i = int(rng.choice(p.size, p=p))
         v_half = (1.0 - 1.0 / lam) * v + x / lam
-        g_v = problem.grad(v)
-        g_vh = problem.grad(v_half)
+        g_v, g_vh = problem.grad(np.stack([v, v_half]))
         _, x, v = coord_step(x, v, i, g_v[i], g_vh[i], lam, mu, p[i])
         states.append((x, v))
     return states

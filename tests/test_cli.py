@@ -348,6 +348,27 @@ class TestSolve:
         assert err.startswith("run failed: non-finite iterate") and err.count("\n") == 1
         assert not os.path.exists(out + ".summary.txt")
 
+    def test_eg_accel_gradient_turning_non_finite_is_exit_3(self, quad_manifest, tmp_path,
+                                                             capsys, monkeypatch):
+        grad = QuadraticProblem.grad
+        calls = []
+
+        def failing_grad(self, x):
+            # one entry turns NaN in the middle of the first phase
+            calls.append(None)
+            g = grad(self, x)
+            if len(calls) == 10:
+                g[0, 2] = np.nan
+            return g
+
+        monkeypatch.setattr(QuadraticProblem, "grad", failing_grad)
+        out = str(tmp_path / "d")
+        assert run(["solve", "--alg", "eg-accel", "--eps0", "1", "--eps", "1e-6",
+                    "--instance", quad_manifest, "--out", out]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: non-finite iterate at t=0")
+        assert not os.path.exists(out + ".summary.txt")
+
     @pytest.mark.parametrize("alg", ["baseline", "eg-accel", "eg-gennorm", "eg-coord"])
     def test_check_without_certificate_is_usage_error(self, quad_manifest, tmp_path,
                                                       capsys, alg):

@@ -290,16 +290,19 @@ class TestEgAccel:
 
     @pytest.mark.parametrize("diag", [True, False])
     def test_matches_the_two_query_loop(self, diag):
-        # the stacked query changes only rounding: every phase iterate matches
-        # a loop that asks grad f at v and at v_half in two 1-D calls
-        for seed, d in ((0, 2), (1, 30), (2, 200)):
-            prob = gen_quadratic(d, 1.0, 400.0, diag=diag, seed=seed)
+        # the stacked query and the one-product step change only rounding: every
+        # phase iterate matches a loop that asks grad f at v and at v_half in two
+        # 1-D calls and moves each vector on its own; the last case is the regime
+        # of the smooth benchmark workload, 20 phases of 404 steps
+        for seed, d, kappa, K in ((0, 2, 400.0, 27), (1, 30, 400.0, 27),
+                                  (2, 200, 400.0, 27), (3, 200, 1e4, 20)):
+            prob = gen_quadratic(d, 1.0, kappa, diag=diag, seed=seed)
             x0 = make_rng(seed).standard_normal(d)
             mu = prob.profile.mu
             lam = 1.0 + np.sqrt(prob.profile.L / mu)
             T = 4 * int(np.ceil(lam))
             phases = []
-            eg_accel(prob, x0, 1e-8, eps0=1.0, collect=lambda k, xp: phases.append(xp))
+            eg_accel(prob, x0, 2.0 ** -K, eps0=1.0, collect=lambda k, xp: phases.append(xp))
             x_phase = x0.copy()
             for got in phases:
                 x, v, v_sum = x_phase.copy(), x_phase.copy(), np.zeros(d)
@@ -311,7 +314,45 @@ class TestEgAccel:
                     v = v + (x_half - v_half) / lam
                 x_phase = v_sum / T
                 assert np.max(np.abs(got - x_phase)) <= 1e-12 * np.max(np.abs(x_phase))
-            assert len(phases) == int(np.ceil(np.log2(1e8)))
+            assert len(phases) == K
+        assert (lam, T) == (101.0, 404)  # the last case's phases
+
+    def test_read_only_gradients(self, monkeypatch):
+        # the loop copies the oracle's answer and never writes into it
+        for diag in (True, False):
+            prob = gen_quadratic(20, 1.0, 100.0, diag=diag, seed=12)
+            want = eg_accel(prob, np.zeros(20), 1e-8)
+            grad = prob.grad
+
+            def frozen_grad(x):
+                g = grad(x)
+                g.setflags(write=False)
+                return g
+
+            monkeypatch.setattr(prob, "grad", frozen_grad)
+            assert np.array_equal(eg_accel(prob, np.zeros(20), 1e-8), want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_mid_phase_raises(self, monkeypatch, bad):
+        prob = gen_quadratic(10, 1.0, 30.0, diag=False, seed=13)
+        T = 4 * int(np.ceil(1.0 + np.sqrt(30.0)))
+        grad = prob.grad
+        calls = []
+
+        def failing_grad(x):
+            # one entry of one row turns bad half-way through the second phase
+            calls.append(None)
+            g = grad(x)
+            if len(calls) == T + T // 2:
+                g[-1, 3] = bad
+            return g
+
+        monkeypatch.setattr(prob, "grad", failing_grad)
+        phases = []
+        with pytest.raises(NonFiniteIterateError, match="t=1"):
+            eg_accel(prob, np.zeros(10), 1e-8, eps0=1.0,
+                     collect=lambda k, xp: phases.append(k))
+        assert phases == [0] and len(calls) == 2 * T
 
 
 class TestGeneralNorm:
