@@ -559,7 +559,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # a non-finite value is reported once, by its check
+            return COMMANDS[args.command](args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,15 +5,17 @@ decimal per line, and a key=value manifest ties the pieces together.  All
 reals are serialized with ``repr``, the shortest decimal that round-trips, so
 regenerating with a fixed seed is byte-identical across platforms.
 
-A vector, or a matrix body after its header and size line, is read by one
-``np.loadtxt`` call: coordinate lines as (int64, int64, float64) records,
-array values and vectors as one float64 per line.  That result is kept only
-when it has the count the size line declares (one value per line for a
-vector) and every value is finite.  In every other case -- a comment or a
-ragged line in the body, a wrong count, a NaN, anything the C parser
-rejects -- the line-by-line reader reads the file again and decides, so it
-alone defines what is accepted and every ``ParseError``.  What the C parser
-takes, the line-by-line reader takes too, with the same doubles.
+A matrix's header and size line are read and checked first, by
+``_read_size_line``.  A vector, or a matrix body, is then read from the same
+open file by one ``np.loadtxt`` call: coordinate lines as (int64, int64,
+float64) records, array values and vectors as one float64 per line.  That
+result is kept only when it has the count the size line declares (one value
+per line for a vector) and every value is finite.  In every other case -- a
+comment or a ragged line in the body, a wrong count, a NaN, anything the C
+parser rejects -- the line-by-line reader reads the file again from its start
+and decides, so it alone defines what is accepted and every ``ParseError``.
+What the C parser takes, the line-by-line reader takes too, with the same
+doubles.
 """
 
 from __future__ import annotations
@@ -233,19 +235,24 @@ def _loadtxt(fh, dtype, ndmin):
 
 
 def read_vector(path):
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             vals = _loadtxt(fh, np.float64, 2)  # "1 2" on one line is a (1, 2) row
-        if vals.shape[1:] == (1,) and np.isfinite(vals).all():
-            return vals[:, 0]
-    except ValueError:
-        pass
-    return _read_vector_lines(path)
+            if vals.shape[1:] == (1,) and np.isfinite(vals).all():
+                return vals[:, 0]
+        except ValueError:
+            pass
+        fh.seek(0)
+        return _vector_lines(path, fh)
 
 
 def _read_vector_lines(path):
     with open(path) as fh:
-        entries = [(ln, s.strip()) for ln, s in enumerate(fh, 1) if s.strip()]
+        return _vector_lines(path, fh)
+
+
+def _vector_lines(path, fh):
+    entries = [(ln, s.strip()) for ln, s in enumerate(fh, 1) if s.strip()]
     return _parse_values(path, entries, "bad number")
 
 
@@ -264,29 +271,16 @@ def write_matrix_market(path, A):
 
 
 def read_matrix_market(path):
-    A = _read_matrix_market_fast(path)
-    return _read_matrix_market_lines(path) if A is None else A
+    return _read_matrix_market(path)
 
 
-def _size_line(fh):
-    """The number and stripped text of the first line after the header that is
-    neither blank nor a comment, or (None, "") at the end of the file."""
-    for ln, s in enumerate(iter(fh.readline, ""), 2):
-        if s.strip() and not s.startswith("%"):
-            return ln, s.strip()
-    return None, ""
-
-
-def _read_matrix_market_fast(path):
-    """The matrix by numpy's C parser, or None where the line-by-line reader decides."""
-    try:
-        with open(path) as fh:
-            header = fh.readline()
-            if not header.startswith("%%MatrixMarket"):
-                return None
-            _, size = _size_line(fh)
-            dims = [int(p) for p in size.split()]
-            if "coordinate" in header.split():
+def _read_matrix_market(path, bound=None):
+    """The matrix by numpy's C parser, or by the line-by-line reader where that
+    result is not plainly right; ``bound`` is as for ``_read_size_line``."""
+    with open(path) as fh:
+        _, _, dims, coordinate = _read_size_line(path, fh, bound)
+        try:
+            if coordinate:
                 m, n, nnz = dims
                 e = _loadtxt(fh, _COORDINATE, 1)
                 if e.shape == (nnz,) and np.isfinite(e["v"]).all():
@@ -296,34 +290,56 @@ def _read_matrix_market_fast(path):
                 vals = _loadtxt(fh, np.float64, 2)
                 if vals.shape == (m * n, 1) and np.isfinite(vals).all():
                     return vals.reshape((n, m)).T
-    except (ValueError, OverflowError):  # OverflowError: a size past int64
-        pass
-    return None
+        except ValueError:
+            pass
+        fh.seek(0)  # decoded from the start again, as a new open would, so errors match
+        return _matrix_lines(path, fh)
 
 
 def _read_matrix_market_lines(path):
     with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("%%MatrixMarket"):
-            raise ParseError(path, 1, "missing MatrixMarket header")
-        ln0, size = _size_line(fh)
-        if not size:
-            raise ParseError(path, 2, "missing size line")
-        entries = [(ln, s.strip()) for ln, s in enumerate(fh, ln0 + 1)
-                   if s.strip() and not s.startswith("%")]
-    coordinate = "coordinate" in header.split()
-    parts = size.split()
+        return _matrix_lines(path, fh)
+
+
+def _read_size_line(path, fh, bound=None):
+    """(size line number, its text, its integers, whether coordinate) of the
+    Matrix Market file ``fh``, checked, with ``fh`` left at the body.
+
+    ``bound`` is the instance's longest vector, where there is one: no kind's
+    matrix is longer or wider, so a larger m or n allocates nothing.
+    """
+    header = fh.readline()
+    if not header.startswith("%%MatrixMarket"):
+        raise ParseError(path, 1, "missing MatrixMarket header")
+    for ln, s in enumerate(iter(fh.readline, ""), 2):
+        if s.strip() and not s.startswith("%"):
+            break
+    else:
+        raise ParseError(path, 2, "missing size line")
+    size = s.strip()
     try:
-        dims = [int(p) for p in parts]
+        dims = [int(p) for p in size.split()]
     except ValueError:
-        raise ParseError(path, ln0, f"bad size line {size!r}") from None
+        raise ParseError(path, ln, f"bad size line {size!r}") from None
+    if bound is not None and max(dims[:2]) > bound:
+        raise ParseError(path, ln, f"size line {size!r} exceeds {bound}, "
+                         "the longest vector of the instance")
     if any(k < 0 for k in dims):
-        raise ParseError(path, ln0, f"negative size in {size!r}")
-    if max(dims, default=0) > np.iinfo(np.int64).max:  # no array has that size
-        raise ParseError(path, ln0, f"size past the int64 range in {size!r}")
+        raise ParseError(path, ln, f"negative size in {size!r}")
+    if max(dims) > np.iinfo(np.int64).max:  # no array has that size
+        raise ParseError(path, ln, f"size past the int64 range in {size!r}")
+    coordinate = "coordinate" in header.split()
+    if len(dims) != (3 if coordinate else 2):
+        raise ParseError(path, ln, "coordinate size line needs m n nnz" if coordinate
+                         else "array size line needs m n")
+    return ln, size, dims, coordinate
+
+
+def _matrix_lines(path, fh):
+    ln0, size, dims, coordinate = _read_size_line(path, fh)
+    entries = [(ln, s.strip()) for ln, s in enumerate(fh, ln0 + 1)
+               if s.strip() and not s.startswith("%")]
     if coordinate:
-        if len(dims) != 3:
-            raise ParseError(path, ln0, "coordinate size line needs m n nnz")
         m, n, nnz = dims
         if len(entries) != nnz:
             last = entries[-1][0] if entries else ln0
@@ -345,8 +361,6 @@ def _read_matrix_market_lines(path):
             return sp.csr_matrix((data, (rows, cols)), shape=(m, n))
         except ValueError as e:  # scipy cannot index or allocate m + 1 row pointers
             raise ParseError(path, ln0, f"size line {size!r} too large: {e}") from None
-    if len(dims) != 2:
-        raise ParseError(path, ln0, "array size line needs m n")
     m, n = dims
     if len(entries) != m * n:
         last = entries[-1][0] if entries else ln0
@@ -424,25 +438,6 @@ def load_instance(manifest_path):
         raise ParseError(manifest_path, 1, str(e)) from None
 
 
-def _check_size_line(path, bound):
-    """ParseError at the size line if its m or n exceeds ``bound``.
-
-    No kind's matrix is longer or wider than its longest vector, so a larger
-    size is wrong; rejecting it before the body is read allocates nothing
-    from it.  A size line that is not numbers is the reader's to reject.
-    """
-    with open(path) as fh:
-        fh.readline()
-        ln, size = _size_line(fh)
-    try:
-        dims = [int(p) for p in size.split()]
-    except ValueError:
-        return
-    if max(dims[:2], default=0) > bound:
-        raise ParseError(path, ln, f"size line {size!r} exceeds {bound}, "
-                         "the longest vector of the instance")
-
-
 def _build_instance(manifest_path, man):
     kind = man.get("kind")
     if kind not in DATA_FILES:
@@ -450,8 +445,7 @@ def _build_instance(manifest_path, man):
     base = os.path.dirname(os.path.abspath(manifest_path))
     mpath, *vpaths = [os.path.join(base, man[key]) for key in DATA_FILES[kind]]
     vectors = [read_vector(path) for path in vpaths]
-    _check_size_line(mpath, max(v.size for v in vectors))
-    A = read_matrix_market(mpath)
+    A = _read_matrix_market(mpath, max(v.size for v in vectors))
     if kind != "box-simplex" and sp.issparse(A):  # only box-simplex games keep A sparse
         A = A.toarray()
     if kind == "quadratic":

@@ -80,7 +80,7 @@ def dual_extrapolation(g, r, z_bar, lam, T, u):
     <g(w_t), w_t - u> against the comparator u.
     """
     trace = SolverTrace()
-    s = 0.0 * g(z_bar)  # zero dual state with matching shape
+    s = 0.0 * z_bar  # zero dual state
     z = r.prox(z_bar, s)
     regret_vs_base = 0.0
     for t in range(T):

@@ -282,23 +282,29 @@ class TestSolve:
                                 f"{lines[2].split()[1]}) outside the 8 x 6 matrix\n")
         assert not os.path.exists(out + ".summary.txt")
 
-    @pytest.mark.parametrize("rows", ["99999999999999999999", "3000000000"])
-    def test_size_past_the_longest_vector_is_parse_error(self, bs_manifest, tmp_path, capsys,
-                                                         rows):
-        # past int64, csr_matrix overflowed; at 3e9 rows, scipy asked for a 22 GiB indptr
-        apath = str(tmp_path / "bs.A.mtx")
-        with open(apath) as fh:
+    @pytest.mark.parametrize("alg, rows, cols", [
+        pytest.param("box-simplex", "99999999999999999999", "6", id="99999999999999999999"),
+        pytest.param("box-simplex", "3000000000", "6", id="3000000000"),
+        pytest.param("eg-accel", "3000000000", "1", id="quadratic-array"),
+        pytest.param("box-simplex", "3000000000", "-6", id="oversized-m-negative-n"),
+    ])
+    def test_size_past_the_longest_vector_is_parse_error(self, bs_manifest, quad_manifest,
+                                                         tmp_path, capsys, alg, rows, cols):
+        # past int64, csr_matrix overflowed; at 3e9 rows, scipy asked for a 22 GiB indptr.
+        # The bound is checked before the sign and the int64 range of the size line.
+        manifest = bs_manifest if alg == "box-simplex" else quad_manifest
+        mpath = manifest.replace(".manifest", ".A.mtx" if alg == "box-simplex" else ".M.mtx")
+        with open(mpath) as fh:
             lines = fh.readlines()
-        size = f"{rows} " + lines[1].split(" ", 1)[1]
-        lines[1] = size
-        with open(apath, "w") as fh:
+        size = " ".join([rows, cols, *lines[1].split()[2:]])
+        lines[1] = size + "\n"
+        with open(mpath, "w") as fh:
             fh.writelines(lines)
         out = str(tmp_path / "o")
-        assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
-                    "--out", out]) == 4
+        assert run(["solve", "--alg", alg, "--instance", manifest, "--out", out]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"I/O error: {apath}:2: size line {size.strip()!r} exceeds 8, "
+        assert captured.err == (f"I/O error: {mpath}:2: size line {size!r} exceeds 8, "
                                 "the longest vector of the instance\n")
         assert not os.path.exists(out + ".summary.txt")
 
@@ -570,6 +576,21 @@ def test_module_process_exits_with_the_documented_code(tmp_path):
     assert done.stderr.startswith(f"I/O error: {apath}:2: ") and done.stderr.count("\n") == 1
     assert process("solve", "--alg", "box-simplex", "--instance", manifest,
                    "--bogus-flag", "1").returncode == 64
+    # numpy's overflow warnings would come first on stderr without main's errstate
+    quad = str(tmp_path / "q.manifest")
+    assert process("gen", "quadratic", "d=8", "--out", quad).returncode == 0
+    done = process("solve", "--alg", "mirror-prox", "--lambda", "1e-300", "--instance", quad,
+                   "--out", str(tmp_path / "d"))
+    assert done.returncode == 3
+    assert done.stderr == "run failed: non-finite iterate at t=0\n"
+    with open(str(tmp_path / "q.b.txt")) as fh:
+        lines = fh.readlines()
+    lines[-1] = "1e308\n"  # finite, but the optimal value overflows
+    with open(str(tmp_path / "q.b.txt"), "w") as fh:
+        fh.writelines(lines)
+    done = process("solve", "--alg", "eg-accel", "--instance", quad, "--out", str(tmp_path / "o"))
+    assert done.returncode == 4
+    assert done.stderr.startswith("I/O error: ") and done.stderr.count("\n") == 1
 
 
 # The instance kinds each (command, id) runs on; every other pair is a usage error.

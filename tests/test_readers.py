@@ -1,10 +1,12 @@
 """The instance readers: numpy's C parser against the line-by-line reader.
 
 `read_matrix_market` and `read_vector` parse a body with one `np.loadtxt`
-call and fall back to the line-by-line reader (`_read_matrix_market_lines`,
-`_read_vector_lines`) whenever that result is not plainly right.  The
-line-by-line reader alone defines what is accepted, so both must give the same
-array, or the same error at the same line, on every input.
+call and fall back to the line-by-line reader (`_matrix_lines`,
+`_vector_lines`, on the same open file) whenever that result is not plainly
+right.  The line-by-line reader alone defines what is accepted, so on every
+input they must give the same array, or the same error at the same line, as
+the reference readers `_read_matrix_market_lines` and `_read_vector_lines`,
+which open the file and read it line by line.
 """
 
 import os
@@ -101,6 +103,9 @@ VECTORS = {
     "no-break space line": "1\n\xa0\n2\n",
     "form feed": "1\x0c\n2\n",
     "hex": "0x10\n",
+    # a decoding error names the byte's offset in its decoded block, which the
+    # fallback matches only by reading the file again from its start
+    "undecodable byte past the first block": b"1.5\n" * 5000 + b"\xff\n",
 }
 
 MATRICES = {
@@ -156,7 +161,18 @@ MATRICES = {
     "coordinate size line of two": COO + "2 2\n",
     "array size line of three": ARR + "2 2 4\n",
     "empty file": "",
+    "coordinate undecodable byte": COO.encode() + b"2 3 1\n1 1 \xff\n",
+    "coordinate undecodable byte past the first block": (COO + "5000 1 5000\n" + "".join(
+        f"{k} 1 1.5\n" for k in range(1, 5001))).encode() + b"\xff\n",
+    "array undecodable byte past the first block": (ARR + "5000 1\n" + "1.5\n" * 5000).encode()
+    + b"\xff\n",
 }
+
+
+def write_raw(path, text):
+    """Text as UTF-8 with CR and CRLF kept as written, or bytes as they are."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode() if isinstance(text, str) else text)
 
 
 @pytest.mark.parametrize("matrix, text", [(False, t) for t in VECTORS.values()]
@@ -164,8 +180,7 @@ MATRICES = {
                          ids=[f"vector {k}" for k in VECTORS] + list(MATRICES))
 def test_odd_input_matches_the_line_reader(tmp_path, matrix, text):
     path = str(tmp_path / "f.txt")
-    with open(path, "w", newline="") as fh:  # keep CR and CRLF as written
-        fh.write(text)
+    write_raw(path, text)
     assert_parity(path, matrix)
 
 
@@ -199,8 +214,7 @@ def test_corpus_reaches_both_outcomes(tmp_path):
     outcomes = []
     for text in MATRICES.values():
         path = str(tmp_path / "f.mtx")
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        write_raw(path, text)
         outcomes.append(outcome(problems._read_matrix_market_lines, path))
     errors = [o for o in outcomes if isinstance(o, tuple)]
     assert 10 <= len(errors) <= len(outcomes) - 10
@@ -209,10 +223,27 @@ def test_corpus_reaches_both_outcomes(tmp_path):
 
 def test_generated_files_take_the_fast_path(tmp_path, monkeypatch):
     # a regression back to the line-by-line reader would pass every other test
-    def refuse(path):
+    def refuse(path, fh):
         raise AssertionError(f"line-by-line reader ran on {path}")
 
-    monkeypatch.setattr(problems, "_read_matrix_market_lines", refuse)
-    monkeypatch.setattr(problems, "_read_vector_lines", refuse)
+    monkeypatch.setattr(problems, "_matrix_lines", refuse)
+    monkeypatch.setattr(problems, "_vector_lines", refuse)
     loaded = {kind: load_instance(man) for kind, man in saved_kinds(str(tmp_path), True).items()}
     assert loaded["box-simplex 2000x1500"].A.shape == (2000, 1500)
+
+
+def test_load_opens_each_file_once(tmp_path, monkeypatch):
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(os.path.basename(path))
+        return open(path, *args, **kwargs)
+
+    manifests = saved_kinds(str(tmp_path))
+    monkeypatch.setattr(problems, "open", counting_open, raising=False)
+    for kind, man in manifests.items():
+        opened.clear()
+        load_instance(man)
+        stem = os.path.basename(man)[:-len(".manifest")]
+        assert sorted(opened) == sorted(f for f in os.listdir(tmp_path)
+                                        if f.startswith(stem + ".")), kind

@@ -124,6 +124,18 @@ class TestDualExtrapolation:
         assert np.allclose(final.x, z_bar.x - s.x / 2.0)
         assert np.allclose(final.y, z_bar.y - s.y / 2.0)
 
+    def test_each_step_queries_the_operator_twice(self):
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return rotation_game(z)
+
+        z_bar = Point([0.3, -0.2], [0.5, 0.1])
+        dual_extrapolation(counting, EUCLID_PAIR, z_bar, 2.0, 10, u=z_bar)
+        # g(z_t) and g(w_t) per step; the zero dual state needs no query
+        assert len(calls) == 2 * 10
+
     def test_each_step_computes_its_regret_against_the_base_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(solvers, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
