@@ -1,0 +1,124 @@
+"""Solver answers pinned bit for bit: SHA-256 of ``x.tobytes()`` and the counts.
+
+The digests were recorded before the dense M was stored on a 64-byte boundary
+and before the coordinate step ran on Python floats; both changes keep every
+bit.  A product with M rounds differently with the number of BLAS threads
+(at d = 400 here), so the dense solves run in a child process at one thread.
+
+Run as a script, ``python tests/test_bit_pins.py DIR`` prints the dense
+digests as JSON, with the instances saved to and loaded from DIR.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+import extragrad
+from extragrad import (
+    ScaledEuclidean, eg_accel, eg_coord_accel, gen_quadratic, general_norm_accel,
+    load_instance, save_instance,
+)
+
+
+def digest(x):
+    return hashlib.sha256(x.tobytes()).hexdigest()
+
+
+# (digest, queries, inner_iterations, phases)
+COORD = {
+    "d50 seed 0": ("85b7961fe43ccbf6a24010426a0b87683447e5c3a72c40ad36035c75fb6b07fd",
+                   23840, 11920, 10),
+    "d50 seed 1": ("79b6ffa955c0d6547e19adfe9d3171f7bf1a1caa76e3b05a065be2997a1eb4ac",
+                   23840, 11920, 10),
+    "d50 seed 2": ("0d0699ebcd7e1ca53062afe7095d3f9ae45fce85d4c942f9248d1cdf5efdbe7d",
+                   23840, 11920, 10),
+    "d1000": ("d8a4908a5aab12c60b072aea698e25528fa2322845ae9d09bc2545b84b329323",
+              112632, 56316, 3),
+}
+
+DENSE = {
+    "eg_accel d30 gen":
+        "f72bd441c740632d118fb5947639242bd66f69e4bbec18273f3cde73cbc9ffaa",
+    "general_norm_accel d30 gen":
+        "f2594cdc24aef8efc6f043923f45751debe2a095c46dbb4bbd5ac6d637adf74f",
+    "eg_accel d30 load":
+        "f72bd441c740632d118fb5947639242bd66f69e4bbec18273f3cde73cbc9ffaa",
+    "general_norm_accel d30 load":
+        "f2594cdc24aef8efc6f043923f45751debe2a095c46dbb4bbd5ac6d637adf74f",
+    "eg_accel d200 gen":
+        "09c049281938d9424bd2cf83b4879688db5262a831d4b08f98badf1ac9d813a8",
+    "general_norm_accel d200 gen":
+        "99f1837d619b5427a3aac303a744125c12acccb8abb76c4aa551aa6732561217",
+    "eg_accel d200 load":
+        "361a0e63a5eab4e6cdeaf2840b57339bdffb1eb9a386b63e242792b8e8e5338c",
+    "general_norm_accel d200 load":
+        "94c9151e56029cad56ec1a67b1fdc5d4cad6d5bdf776d4a5c9357a049551647d",
+    "eg_accel d400 gen":
+        "a6596210d70dd53a61e8108cf97667922e5cf5c6c795a6692929c99ad3d403ac",
+    "general_norm_accel d400 gen":
+        "51442ebfb11ae2b1d072fc826dda6a54f2770a977b29ada0e8bf44a80c8ccb47",
+    "eg_accel d400 load":
+        "ffdc442a0fb3e6a17c8d6485838d3df49db52a61a5b9b305f093f58d6e252c7e",
+    "general_norm_accel d400 load":
+        "1121acd48b878b70807a77db49cc6c0aa14cdee237b9b7187ce4d85770396367",
+}
+
+
+def coord_digests():
+    """Criterion 08(c)'s d = 50 instance at seeds 0-2, and ``smooth``'s d = 1000
+    diagonal instance at seed 0 over three phases."""
+    out = {}
+    prob = gen_quadratic(50, 1.0, 200.0, diag=True, seed=4)
+    runs = [(f"d50 seed {seed}", prob, 1e-4, None, seed) for seed in range(3)]
+    big = gen_quadratic(1000, 1.0, 200.0, diag=True, seed=99)
+    eps0 = big.error(np.zeros(1000))
+    runs.append(("d1000", big, eps0 / 8, eps0, 0))
+    for key, p, eps, e0, seed in runs:
+        x, info = eg_coord_accel(p, np.zeros(p.d), eps, eps0=e0, seed=seed)
+        out[key] = (digest(x), info["queries"], info["inner_iterations"], info["phases"])
+    return out
+
+
+def dense_digests(directory):
+    """eg_accel over four phases and 100 steps of general_norm_accel on dense
+    quadratics with d = 30, 200 and 400, generated and saved then loaded."""
+    out = {}
+    for d in (30, 200, 400):
+        gen = gen_quadratic(d, 1.0, 100.0, diag=False, seed=d)
+        loaded = load_instance(save_instance(gen, os.path.join(directory, f"q{d}.manifest")))
+        for how, p in (("gen", gen), ("load", loaded)):
+            x0 = np.zeros(d)
+            eps0 = p.error(x0)
+            out[f"eg_accel d{d} {how}"] = digest(eg_accel(p, x0, eps0 / 16, eps0=eps0))
+            x = general_norm_accel(p, ScaledEuclidean(1.0), x0, 1e-8, T=100)
+            out[f"general_norm_accel d{d} {how}"] = digest(x)
+    return out
+
+
+def test_coordinate_answers_are_pinned():
+    assert coord_digests() == COORD
+
+
+def test_dense_answers_are_pinned_at_one_blas_thread(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(extragrad.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, __file__, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == DENSE
+
+
+def test_a_no_op_callback_keeps_every_bit():
+    x, info = eg_coord_accel(gen_quadratic(50, 1.0, 200.0, diag=True, seed=4), np.zeros(50),
+                             1e-4, seed=0, callback=lambda i, g_v, g_vh, state: None)
+    assert (digest(x), info["queries"], info["inner_iterations"], info["phases"]) \
+        == COORD["d50 seed 0"]
+
+
+if __name__ == "__main__":
+    print(json.dumps(dense_digests(sys.argv[1])))

@@ -42,6 +42,36 @@ class TestShadowAgreement:
         assert info["shadow_err"] <= 1e-8
 
 
+class TestCallback:
+    def test_floats_and_a_current_iterate_at_every_step(self):
+        prob = gen_quadratic(12, 1.0, 30.0, diag=True, seed=14)
+        lam, mu = lambda_coord(prob.profile), prob.profile.mu
+        p = prob.profile.coord_probabilities()
+        last, steps, moves = None, 0, []
+
+        def check(i, g_v, g_vh, state):
+            nonlocal last, steps
+            now = state.p.copy(), state.q.copy(), state.B.copy()
+            if i is None:
+                assert np.array_equal(now[0], now[1]) and np.array_equal(now[2], np.eye(2))
+            else:
+                steps += 1
+                assert type(g_v) is float and type(g_vh) is float
+                (x, q, B), (x1, q1, B1) = last, now
+                x_i, v_i = x[i], B[0, 1] * x[i] + B[1, 1] * q[i]
+                assert g_v == prob.partial_at(i, v_i)
+                assert g_vh == prob.partial_at(i, (1.0 - 1.0 / lam) * v_i + x_i / lam)
+                # only coordinate i moves, by the step that B1 implies
+                assert set(np.flatnonzero(x1 != x)) <= {i} and set(np.flatnonzero(q1 != q)) <= {i}
+                moves.append(x1[i] != x[i])
+                s1, s2 = g_vh / (mu * lam * p[i]), g_v / (mu * lam**2 * p[i]**2)
+                assert x1[i] == x[i] - s1 and q1[i] == q[i] + (s1 * B1[0, 1] - s2) / B1[1, 1]
+            last = now
+
+        _, info = eg_coord_accel(prob, np.zeros(12), 1e-6, seed=15, callback=check)
+        assert steps == info["inner_iterations"] > 0 and sum(moves) > steps / 2
+
+
 class TestEstimators:
     def test_two_queries_per_iteration(self):
         prob = gen_quadratic(6, 1.0, 10.0, diag=True, seed=6)

@@ -59,6 +59,52 @@ class TestGenQuadratic:
         with pytest.raises(ValueError, match="diagonal M"):
             dense.partial_at(0, x[0])
 
+    def test_partial_oracle_is_a_float_with_the_bits_of_numpy(self):
+        prob = gen_quadratic(9, 1.0, 50.0, diag=True, seed=7)
+        for i, t in enumerate(make_rng(8).standard_normal(9) * 10.0 ** np.arange(-4, 5)):
+            got = prob.partial_at(i, float(t))
+            assert type(got) is float
+            assert got.hex() == float(prob.M[i] * t + prob.b[i]).hex()
+
+
+class TestDenseLayout:
+    """A dense M is stored on a 64-byte boundary, in the order it came in."""
+
+    @staticmethod
+    def misplaced(M, offset, order):
+        # M's values in the given order, starting `offset` bytes past a 64-byte boundary
+        buf = np.empty(M.nbytes + 64 + offset, dtype=np.uint8)
+        start = -buf.ctypes.data % 64 + offset
+        out = np.ndarray(M.shape, M.dtype, buf[start:start + M.nbytes], order=order)
+        out[...] = M
+        return out
+
+    @pytest.mark.parametrize("d", [1, 30, 200, 400])
+    def test_both_construction_paths(self, tmp_path, d):
+        gen = gen_quadratic(d, 1.0, 1.0 if d == 1 else 100.0, diag=False, seed=d)
+        loaded = load_instance(save_instance(gen, str(tmp_path / "q.manifest")))
+        for prob, contiguous in ((gen, "C_CONTIGUOUS"), (loaded, "F_CONTIGUOUS")):
+            assert prob.M.ctypes.data % 64 == 0 and prob.M.flags[contiguous]
+            assert np.array_equal(prob.M, gen.M)
+        if d > 1:  # generated M is C-ordered, read M an F-ordered view
+            assert not gen.M.flags.f_contiguous and not loaded.M.flags.c_contiguous
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("offset", [0, 8, 16, 32, 48])
+    def test_any_placement_is_copied_to_the_boundary(self, order, offset):
+        M = gen_quadratic(12, 1.0, 20.0, diag=False, seed=2).M
+        given = self.misplaced(M, offset, order)
+        prob = QuadraticProblem(given, np.ones(12), 1.0, 20.0)
+        assert prob.M.ctypes.data % 64 == 0 and not np.shares_memory(prob.M, given)
+        assert prob.M.flags[order + "_CONTIGUOUS"] and np.array_equal(prob.M, M)
+        assert prob.M.strides == given.strides
+        x = make_rng(3).standard_normal((2, 12))
+        assert np.array_equal(prob.grad(x), x @ given.T + prob.b)
+
+    def test_diagonal_m_is_kept_as_given(self):
+        M = np.linspace(1.0, 2.0, 5)
+        assert QuadraticProblem(M, np.zeros(5), 1.0, 2.0).M is M
+
 
 class TestGrad:
     # 501 is past d ≈ 500, where one stacked product stops beating two 1-D ones

@@ -197,16 +197,19 @@ def test_size_past_int64_is_parse_error(tmp_path, size):
     assert str(err.value) == f"{path}:3: size past the int64 range in {size!r}"
 
 
-@pytest.mark.parametrize("size", ["9223372036854775807 2 1", "9223372036854775806 2 1"])
+@pytest.mark.parametrize("size", ["9223372036854775807 2 1", "9223372036854775806 2 1",
+                                  "288230376151711744 2 1"])
 def test_size_scipy_cannot_allocate_is_parse_error(tmp_path, size):
-    # within int64, but scipy cannot index or allocate m + 1 row pointers
+    # within int64, but scipy cannot index m + 1 row pointers (ValueError), or
+    # they take 2 EiB, which the allocator refuses at once (MemoryError)
     path = str(tmp_path / "A.mtx")
     with open(path, "w") as fh:
         fh.write(COO + size + "\n1 1 1.5\n")
-    with pytest.raises(ParseError) as err:
-        problems.read_matrix_market(path)
-    assert err.value.path == path and err.value.line == 2
-    assert str(err.value).startswith(f"{path}:2: size line {size!r} too large: ")
+    for read in (problems.read_matrix_market, problems._read_matrix_market_lines):
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert err.value.path == path and err.value.line == 2
+        assert str(err.value).startswith(f"{path}:2: size line {size!r} too large: ")
 
 
 def test_corpus_reaches_both_outcomes(tmp_path):
