@@ -466,7 +466,8 @@ def _bench_eg_accel(problem, args):
 def _bench_eg_coord(problem, args):
     x, info = eg_coord_accel(problem, np.zeros(problem.d), _or(args.eps, 1e-6),
                              seed=args.seed)
-    return info["inner_iterations"], info["queries"], problem.error(x)
+    # 2 partial queries per inner iteration, after the 2d that bound eps0
+    return info["inner_iterations"], info["queries"] + info["bound_queries"], problem.error(x)
 
 
 def _bench_box_simplex(problem, args):

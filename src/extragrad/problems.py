@@ -263,11 +263,6 @@ def read_vector(path):
         return _vector_lines(path, fh)
 
 
-def _read_vector_lines(path):
-    with open(path) as fh:
-        return _vector_lines(path, fh)
-
-
 def _vector_lines(path, fh):
     entries = [(ln, s.strip()) for ln, s in enumerate(fh, 1) if s.strip()]
     return _parse_values(path, entries, "bad number")
@@ -287,11 +282,7 @@ def write_matrix_market(path, A):
                      f"{A.shape[0]} {A.shape[1]}\n", "{!r}\n", A.ravel(order="F"))
 
 
-def read_matrix_market(path):
-    return _read_matrix_market(path)
-
-
-def _read_matrix_market(path, bound=None):
+def read_matrix_market(path, bound=None):
     """The matrix by numpy's C parser, or by the line-by-line reader where that
     result is not plainly right; ``bound`` is as for ``_read_size_line``."""
     with open(path) as fh:
@@ -313,11 +304,6 @@ def _read_matrix_market(path, bound=None):
         except ValueError:
             pass
         fh.seek(0)  # decoded from the start again, as a new open would, so errors match
-        return _matrix_lines(path, fh)
-
-
-def _read_matrix_market_lines(path):
-    with open(path) as fh:
         return _matrix_lines(path, fh)
 
 
@@ -465,7 +451,7 @@ def _build_instance(manifest_path, man):
     base = os.path.dirname(os.path.abspath(manifest_path))
     mpath, *vpaths = [os.path.join(base, man[key]) for key in DATA_FILES[kind]]
     vectors = [read_vector(path) for path in vpaths]
-    A = _read_matrix_market(mpath, max(v.size for v in vectors))
+    A = read_matrix_market(mpath, max(v.size for v in vectors))
     if kind != "box-simplex" and sp.issparse(A):  # only box-simplex games keep A sparse
         A = A.toarray()
     if kind == "quadratic":

@@ -165,30 +165,42 @@ def baseline_unaccelerated(problem, x0, T, eps=None):
     return trace
 
 
+def _initial_error_bound(problem, x0, eps):
+    """max(f(x0) - f*, eps) bounded from above from two gradients: by mu-strong
+    convexity f* >= f(x1) - |grad f(x1)|^2 / (2 mu), with x1 = x0 - grad f(x0) / L."""
+    L, mu = problem.profile.L, problem.profile.mu
+    x1 = x0 - problem.grad(x0) / L
+    g1 = problem.grad(x1)
+    lower = problem.f(x1) - 0.5 / mu * float(np.dot(g1, g1))
+    return max(problem.f(x0) - lower, eps)
+
+
+def _phase_count(problem, x0, eps, eps0):
+    """Phases that halve an error of at most eps0 down to eps, none when eps0 <= eps;
+    eps0 is ``_initial_error_bound`` unless given."""
+    if eps0 is None:
+        eps0 = _initial_error_bound(problem, x0, eps)
+    return max(int(np.ceil(np.log2(eps0 / eps))), 0)
+
+
 def eg_accel(problem, x0, eps, eps0=None, collect=None):
     """Accelerated smooth minimization via mirror prox on the Fenchel game.
 
     Runs K = ceil(log2(eps0/eps)) phases of T = 4*ceil(lam) inner iterations
     with lam = 1 + sqrt(L/mu); each phase halves the function error of the
-    averaged half-iterate, so eps0 must bound f(x0) - f* from above.  By
-    default it is taken from strong convexity at one gradient step from x0.
-    Only gradient queries are issued.  A step's two queries, at v and at
-    v_half, are both fixed before either is answered, so one ``grad`` call on
-    the two stacked rows answers them.  The rest of the step is linear: the
-    rows (x, v_sum, v, v_half) of the next step are ``MIX`` times the rows
-    (x, v_sum, v, v_half, grad f(v), grad f(v_half)) of this one.
+    averaged half-iterate, so eps0 must bound f(x0) - f* from above; by
+    default it is ``_initial_error_bound``.  Only gradient queries are issued.
+    A step's two queries, at v and at v_half, are both fixed before either is
+    answered, so one ``grad`` call on the two stacked rows answers them.  The
+    rest of the step is linear: the rows (x, v_sum, v, v_half) of the next step
+    are ``MIX`` times the rows (x, v_sum, v, v_half, grad f(v), grad f(v_half))
+    of this one.
     """
-    L, mu = problem.profile.L, problem.profile.mu
+    mu = problem.profile.mu
     lam = lambda_fenchel(problem.profile)
     T = 4 * int(np.ceil(lam))
     x0 = np.asarray(x0, dtype=float)
-    if eps0 is None:
-        # f* >= f(x1) - |grad f(x1)|^2 / (2 mu) by mu-strong convexity
-        x1 = x0 - problem.grad(x0) / L
-        g1 = problem.grad(x1)
-        lower = problem.f(x1) - 0.5 / mu * float(np.dot(g1, g1))
-        eps0 = max(problem.f(x0) - lower, eps)
-    K = max(int(np.ceil(np.log2(eps0 / eps))), 0)
+    K = _phase_count(problem, x0, eps, eps0)
     # x' = x - s g_vh, v_sum' = v_sum + v_half and v' = v + c (x - s g_v - v_half),
     # with v_half = c x + (1 - c) v
     c, s = 1.0 / lam, 1.0 / (mu * lam)
@@ -222,13 +234,15 @@ def general_norm_accel(problem, rx, x0, eps, T=None):
     is maintained implicitly as grad h(v), so only grad h = grad f - mu*grad
     omega queries occur.  ``rx`` is the x-block regularizer mu*omega, a
     regularizer with ``grad``, ``prox`` and a closed-form ``blended_prox``.
+    By default T is the theorem's count for f(x0) - f* at most
+    ``_initial_error_bound``.
     """
     L, mu = problem.profile.L, problem.profile.mu
     lam = lambda_fenchel(problem.profile)
     m = 1.0
     x0 = np.asarray(x0, dtype=float)
     if T is None:
-        err0 = max(problem.error(x0), eps)
+        err0 = _initial_error_bound(problem, x0, eps)
         T = int(np.ceil(4 * np.sqrt(L / mu) * np.log(max(2 * L / mu * err0 / eps, np.e))))
 
     x, v = x0.copy(), x0.copy()
@@ -283,7 +297,8 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
     derivative queries per inner iteration.  Each phase runs T = 4*ceil(lam)
     iterations and restarts from the average of its half-iterates, the form the
     halving guarantee is stated for.  A phase draws its T coordinates up front,
-    in one alias-table call.
+    in one alias-table call.  K and eps0 are as in ``eg_accel``; the default's two
+    gradients are 2d partial queries, in ``info["bound_queries"]``.
 
     Every step costs O(1).  The iterate matrix A = [[1, a01], [0, a11]] keeps
     B_t = [[1, beta], [0, gamma]] from B_0 = I, so x = p and v = beta p + gamma q;
@@ -299,7 +314,7 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
     B = I is built (at the start and at every phase restart).
     ``verify.coord_shadow_error`` checks the iterates through it.
 
-    Returns (x, info) with the query and iteration counts.
+    Returns (x, info) with the query, iteration and phase counts.
     """
     prof = problem.profile
     mu, lam = float(prof.mu), float(lambda_coord(prof))
@@ -308,9 +323,7 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
     mu_lam, mu_lam2 = mu * lam, mu * lam**2
     T = 4 * int(np.ceil(lam))
     x0 = np.asarray(x0, dtype=float)
-    if eps0 is None:
-        eps0 = max(problem.error(x0), eps)
-    K = max(int(np.ceil(np.log2(eps0 / eps))), 1)
+    K = _phase_count(problem, x0, eps, eps0)
     p_dist = prof.coord_probabilities()
     alias = AliasTable(p_dist)
     rng = make_rng(seed)
@@ -357,7 +370,6 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
         "queries": queries,
         "inner_iterations": inner_iters,
         "phases": K,
-        "lam": lam,
-        "T": T,
+        "bound_queries": 0 if eps0 is not None else 2 * x0.size,  # two gradients
     }
     return x_final, info

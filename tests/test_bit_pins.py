@@ -4,6 +4,8 @@ The digests were recorded before the dense M was stored on a 64-byte boundary
 and before the coordinate step ran on Python floats; both changes keep every
 bit.  A product with M rounds differently with the number of BLAS threads
 (at d = 400 here), so the dense solves run in a child process at one thread.
+Every run passes the exact initial error as eps0, as the digests were
+recorded: the solvers' own default is a bound from their oracle.
 
 Run as a script, ``python tests/test_bit_pins.py DIR`` prints the dense
 digests as JSON, with the instances saved to and loaded from DIR.
@@ -73,7 +75,8 @@ def coord_digests():
     diagonal instance at seed 0 over three phases."""
     out = {}
     prob = gen_quadratic(50, 1.0, 200.0, diag=True, seed=4)
-    runs = [(f"d50 seed {seed}", prob, 1e-4, None, seed) for seed in range(3)]
+    exact = prob.error(np.zeros(50))
+    runs = [(f"d50 seed {seed}", prob, 1e-4, exact, seed) for seed in range(3)]
     big = gen_quadratic(1000, 1.0, 200.0, diag=True, seed=99)
     eps0 = big.error(np.zeros(1000))
     runs.append(("d1000", big, eps0 / 8, eps0, 0))
@@ -114,8 +117,9 @@ def test_dense_answers_are_pinned_at_one_blas_thread(tmp_path):
 
 
 def test_a_no_op_callback_keeps_every_bit():
-    x, info = eg_coord_accel(gen_quadratic(50, 1.0, 200.0, diag=True, seed=4), np.zeros(50),
-                             1e-4, seed=0, callback=lambda i, g_v, g_vh, state: None)
+    prob = gen_quadratic(50, 1.0, 200.0, diag=True, seed=4)
+    x, info = eg_coord_accel(prob, np.zeros(50), 1e-4, eps0=prob.error(np.zeros(50)), seed=0,
+                             callback=lambda i, g_v, g_vh, state: None)
     assert (digest(x), info["queries"], info["inner_iterations"], info["phases"]) \
         == COORD["d50 seed 0"]
 

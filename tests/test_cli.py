@@ -542,6 +542,25 @@ class TestBench:
         assert int(row["iterations"]) > 0
         assert int(row["queries"]) == sum(points) == 2 + 2 * int(row["iterations"])
 
+    def test_eg_coord_queries_count_partials_and_the_bound(self, quad_manifest, tmp_path,
+                                                           monkeypatch):
+        # two partials per step, and the eps0 bound's two gradients, d partials each
+        points, partials = [], []
+        grad, partial_at = QuadraticProblem.grad, QuadraticProblem.partial_at
+        monkeypatch.setattr(QuadraticProblem, "grad", lambda self, x: points.append(
+            1 if x.ndim == 1 else len(x)) or grad(self, x))
+        monkeypatch.setattr(QuadraticProblem, "partial_at", lambda self, i, t: partials.append(
+            1) or partial_at(self, i, t))
+        out = str(tmp_path / "bench")
+        assert run(["bench", "--alg", "eg-coord", "--instance", quad_manifest,
+                    "--eps", "1e-4", "--out", out]) == 0
+        with open(out + ".csv") as fh:
+            row = dict(zip(*[line.split(",") for line in fh.read().splitlines()]))
+        d = 8
+        assert int(row["iterations"]) > 0 and sum(points) == 2
+        assert int(row["queries"]) == len(partials) + d * sum(points) \
+            == 2 * int(row["iterations"]) + 2 * d
+
 
 class TestUsage:
     def test_no_command_is_usage_error(self):

@@ -139,7 +139,8 @@ class TestConvergence:
         eps = 1e-4
         K = max(int(np.ceil(np.log2(max(prob.error(np.zeros(d)), eps) / eps))), 1)
         for seed in seeds:
-            x_imp, info = eg_coord_accel(prob, np.zeros(d), eps, seed=seed)
+            x_imp, info = eg_coord_accel(prob, np.zeros(d), eps, eps0=prob.error(np.zeros(d)),
+                                         seed=seed)
             alias, rng = AliasTable(p), make_rng(seed)
             x_phase = np.zeros(d)
             for _ in range(K):

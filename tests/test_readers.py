@@ -5,8 +5,8 @@ call and fall back to the line-by-line reader (`_matrix_lines`,
 `_vector_lines`, on the same open file) whenever that result is not plainly
 right.  The line-by-line reader alone defines what is accepted, so on every
 input they must give the same array, or the same error at the same line, as
-the reference readers `_read_matrix_market_lines` and `_read_vector_lines`,
-which open the file and read it line by line.
+that reader run on its own on the freshly opened file (`matrix_lines`,
+`vector_lines` below).
 """
 
 import os
@@ -23,6 +23,16 @@ from extragrad import problems
 COO = "%%MatrixMarket matrix coordinate real general\n"
 ARR = "%%MatrixMarket matrix array real general\n"
 REPR = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e-5, 123456789.0]
+
+
+def matrix_lines(path):
+    with open(path) as fh:
+        return problems._matrix_lines(path, fh)
+
+
+def vector_lines(path):
+    with open(path) as fh:
+        return problems._vector_lines(path, fh)
 
 
 def outcome(read, path):
@@ -51,8 +61,8 @@ def assert_same(fast, slow):
 
 
 def assert_parity(path, matrix):
-    fast, slow = ((problems.read_matrix_market, problems._read_matrix_market_lines) if matrix
-                  else (problems.read_vector, problems._read_vector_lines))
+    fast, slow = ((problems.read_matrix_market, matrix_lines) if matrix
+                  else (problems.read_vector, vector_lines))
     assert_same(outcome(fast, path), outcome(slow, path))
 
 
@@ -205,7 +215,7 @@ def test_size_scipy_cannot_allocate_is_parse_error(tmp_path, size):
     path = str(tmp_path / "A.mtx")
     with open(path, "w") as fh:
         fh.write(COO + size + "\n1 1 1.5\n")
-    for read in (problems.read_matrix_market, problems._read_matrix_market_lines):
+    for read in (problems.read_matrix_market, matrix_lines):
         with pytest.raises(ParseError) as err:
             read(path)
         assert err.value.path == path and err.value.line == 2
@@ -218,7 +228,7 @@ def test_corpus_reaches_both_outcomes(tmp_path):
     for text in MATRICES.values():
         path = str(tmp_path / "f.mtx")
         write_raw(path, text)
-        outcomes.append(outcome(problems._read_matrix_market_lines, path))
+        outcomes.append(outcome(matrix_lines, path))
     errors = [o for o in outcomes if isinstance(o, tuple)]
     assert 10 <= len(errors) <= len(outcomes) - 10
     assert any(o[0] is ParseError for o in errors)

@@ -6,7 +6,7 @@ import pytest
 from extragrad import (
     Point, ScaledEuclidean, NegativeEntropy, ProductRegularizer, make_rng,
     mirror_prox, dual_extrapolation, mirror_prox_sm, baseline_unaccelerated,
-    eg_accel, general_norm_accel, gen_quadratic, gen_minimax,
+    eg_accel, eg_coord_accel, general_norm_accel, gen_quadratic, gen_minimax,
     lambda_minimax, NonFiniteIterateError,
 )
 from extragrad import cli, solvers
@@ -254,15 +254,46 @@ class TestEgAccel:
             assert e <= 0.5 * prev * (1 + 1e-9) + 1e-12
             prev = e
 
-    def test_default_eps0_is_honest(self):
-        # the default eps0 bounds f(x0) - f* from above: enough phases run to
-        # halve the true initial error down to eps
-        for seed, eps in ((s, e) for s in range(6) for e in (1e-2, 1e-4)):
-            prob = gen_quadratic(50, 1.0, 1e4, diag=True, seed=seed)
+    def test_default_eps0_is_honest(self, monkeypatch):
+        # each accelerated method's default start bounds f(x0) - f* from above:
+        # the phase methods run enough phases to halve the true initial error
+        # down to eps, and general_norm_accel at least the theorem's steps for it
+        def phases_of_eg_accel(prob, eps):
             phases = []
             x = eg_accel(prob, np.zeros(50), eps, collect=lambda k, xp: phases.append(k))
-            assert prob.error(x) <= eps
-            assert len(phases) >= np.ceil(np.log2(prob.error(np.zeros(50)) / eps))
+            return x, len(phases), np.ceil(np.log2(prob.error(np.zeros(50)) / eps))
+
+        def phases_of_eg_coord_accel(prob, eps):
+            x, info = eg_coord_accel(prob, np.zeros(50), eps, seed=0)
+            return x, info["phases"], np.ceil(np.log2(prob.error(np.zeros(50)) / eps))
+
+        def steps_of_general_norm_accel(prob, eps):
+            grad, stacked = prob.grad, []  # one stacked grad call per step
+            monkeypatch.setattr(prob, "grad", lambda x: stacked.append(x.ndim == 2) or grad(x))
+            x = general_norm_accel(prob, ScaledEuclidean(1.0), np.zeros(50), eps)
+            theorem = np.ceil(4 * np.sqrt(1e4) * np.log(2 * 1e4 * prob.error(np.zeros(50)) / eps))
+            return x, sum(stacked), theorem
+
+        for run in (phases_of_eg_accel, phases_of_eg_coord_accel, steps_of_general_norm_accel):
+            for seed, eps in ((s, e) for s in range(6) for e in (1e-2, 1e-4)):
+                prob = gen_quadratic(50, 1.0, 1e4, diag=True, seed=seed)
+                x, count, needed = run(prob, eps)
+                assert prob.error(x) <= eps, (run.__name__, seed, eps)
+                assert count >= needed, (run.__name__, seed, eps)
+
+    def test_no_phase_when_eps0_is_at_most_eps(self):
+        # both phase methods share K = max(ceil(log2(eps0/eps)), 0): x0 comes back
+        # untouched, and the default bound's 2d partials are all eg_coord_accel asks
+        prob = gen_quadratic(6, 1.0, 10.0, diag=True, seed=5)
+        x0 = make_rng(5).standard_normal(6)
+        for eps, eps0 in ((1.0, 0.5), (1.0, 1.0), (1e6, None)):
+            phases = []
+            x = eg_accel(prob, x0, eps, eps0=eps0, collect=lambda k, xp: phases.append(k))
+            assert phases == [] and np.array_equal(x, x0)
+            x, info = eg_coord_accel(prob, x0, eps, eps0=eps0, seed=1)
+            assert np.array_equal(x, x0)
+            assert info["phases"] == info["inner_iterations"] == info["queries"] == 0
+            assert info["bound_queries"] == (2 * x0.size if eps0 is None else 0)
 
     @pytest.mark.parametrize("diag", [True, False])
     def test_explicit_fenchel_game_gives_the_first_phase(self, diag):
@@ -406,3 +437,41 @@ class TestGeneralNorm:
                 x = x_next
             got = general_norm_accel(prob, rx, x0, 1e-8, T=T)
             assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+class OracleOnly:
+    """A problem as the paper's accelerated methods may see it: its smoothness
+    profile, f, grad f and the coordinate partials.  Any other attribute
+    (``error``, ``x_star``, ``f_star``, ``grad_fstar``, ...) raises."""
+
+    SEEN = ("profile", "f", "grad", "partial_at")
+
+    def __init__(self, problem):
+        self._problem = problem
+
+    def __getattr__(self, name):
+        if name not in self.SEEN:
+            raise AssertionError(f"solver read {name}")
+        return getattr(self._problem, name)
+
+
+class TestOracleOnly:
+    @pytest.mark.parametrize("diag", [True, False])
+    def test_default_paths_read_only_the_oracle(self, diag):
+        prob = gen_quadratic(10, 1.0, 30.0, diag=diag, seed=3)
+        oracle, x0 = OracleOnly(prob), np.zeros(10)
+        assert np.array_equal(eg_accel(oracle, x0, 1e-6), eg_accel(prob, x0, 1e-6))
+        assert np.array_equal(general_norm_accel(oracle, ScaledEuclidean(1.0), x0, 1e-6),
+                              general_norm_accel(prob, ScaledEuclidean(1.0), x0, 1e-6))
+        if diag:
+            (x, info), (x_ref, info_ref) = (eg_coord_accel(p, x0, 1e-6, seed=4)
+                                            for p in (oracle, prob))
+            assert np.array_equal(x, x_ref) and info == info_ref
+
+    def test_the_baseline_is_exempt(self):
+        # baseline_unaccelerated is criterion 04's reference run, not a method of
+        # the paper: it stops on the true error, which only favours it, and
+        # reports the bound L |x0 - x*|^2 / (2T) that needs x*
+        prob = gen_quadratic(10, 1.0, 30.0, diag=True, seed=3)
+        with pytest.raises(AssertionError, match="solver read error"):
+            baseline_unaccelerated(OracleOnly(prob), np.zeros(10), 5)
