@@ -310,7 +310,8 @@ def _solve_eg_coord(problem, args):
     eps = _or(args.eps, 1e-6)
     x, info = eg_coord_accel(problem, np.zeros(problem.d), eps, eps0=args.eps0,
                              seed=args.seed)
-    summary = {k: info[k] for k in ("queries", "inner_iterations", "phases")}
+    summary = {"queries": info["queries"] + info["bound_queries"],  # as bench counts
+               "inner_iterations": info["inner_iterations"], "phases": info["phases"]}
     return _accuracy(problem, x, eps, [{"iter": 0, "f_err": problem.error(x)}], summary)
 
 

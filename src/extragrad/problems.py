@@ -71,6 +71,7 @@ class QuadraticProblem:
         self.diag = M.ndim == 1
         if not self.diag:
             M = _aligned(M)
+            self._MT = M.T  # bound once, so grad builds no transpose view per call
         self.M = M
         if self.diag:
             if np.any(M <= 0):
@@ -119,7 +120,7 @@ class QuadraticProblem:
         equals its own 1-D call up to rounding, and a 1-D call is bit-identical
         to ``M @ x + b``.
         """
-        g = self.M * x if self.diag else x @ self.M.T
+        g = self.M * x if self.diag else np.dot(x, self._MT)
         g += self.b  # b broadcasts over rows
         return g
 

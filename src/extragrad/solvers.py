@@ -9,6 +9,7 @@ acceleration with implicit O(1) iterate maintenance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -210,16 +211,17 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
                     [a, 0.0, 1.0 - a, 0.0, -c * s, 0.0],
                     np.zeros(6)])
     MIX[3] = c * MIX[0] + (1.0 - c) * MIX[2]  # v_half' = c x' + (1 - c) v'
-    W, W_next = np.empty((2, 6) + x0.shape)  # two buffers, swapped every step
+    W = np.empty((2, 6) + x0.shape)  # W[t % 2] holds step t's six rows
+    # per parity: the query rows (v, v_half), their gradients, all rows, the next four
+    views = [(W[p, 2:4], W[p, 4:], W[p], W[1 - p, :4]) for p in (0, 1)]
     x_phase = x0.copy()
     for k in range(K):
-        W[:4] = x_phase  # x = v = v_half = x_phase
-        W[1] = 0.0
-        for t in range(T):
-            W[4:] = problem.grad(W[2:4])
-            np.matmul(MIX, W, out=W_next[:4])
-            W, W_next = W_next, W
-        x_phase = W[1] / T
+        W[0, :4] = x_phase  # x = v = v_half = x_phase
+        W[0, 1] = 0.0
+        for queries, grads, rows, nxt in islice(cycle(views), T):
+            grads[...] = problem.grad(queries)
+            np.dot(MIX, rows, out=nxt)
+        x_phase = W[T % 2, 1] / T
         _check_finite(x_phase, k)
         if collect is not None:
             collect(k, x_phase)

@@ -423,6 +423,19 @@ class TestSolve:
                     "--out", out]) == 0
         assert int(read_summary(out + ".summary.txt")["restarts"]) >= 1
 
+    def test_eg_coord_solve_counts_the_bound_as_bench_does(self, tmp_path):
+        # without --eps0 the summary's queries include the bound's 2d partials
+        d = 60
+        manifest = str(tmp_path / "q.manifest")
+        assert run(["gen", "quadratic", f"d={d}", "mu=1", "L=200", "diag=1",
+                    "--seed", "3", "--out", manifest]) == 0
+        out = str(tmp_path / "run")
+        assert run(["solve", "--alg", "eg-coord", "--instance", manifest,
+                    "--eps", "1e-5", "--out", out]) == 0
+        summary = read_summary(out + ".summary.txt")
+        assert int(summary["inner_iterations"]) > 0
+        assert int(summary["queries"]) == 2 * int(summary["inner_iterations"]) + 2 * d
+
 
 class TestVerify:
     def test_rel_lip_passes(self, quad_manifest, tmp_path):

@@ -2,12 +2,16 @@
 
 `perfbench/tracing.py` wraps library attributes by name
 (`ImplicitIterate.refactor`, `cli.eg_coord_accel`, ...), so renaming or
-deleting one breaks only traced benchmark runs unless checked here.
+deleting one breaks only traced benchmark runs unless checked here.  The
+gradient layer counts ``QuadraticProblem.grad`` calls, so an ``eg_accel`` step
+must stay one call on its two stacked query rows.
 """
 
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -27,6 +31,41 @@ def test_tracing_installs_and_restores(monkeypatch):
     finally:
         patches.restore()
     assert (cli.eg_coord_accel, solvers.ImplicitIterate.refactor) == originals
+
+
+def test_traced_eg_accel_step_is_one_grad_call_on_two_rows(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    from extragrad import cli, load_instance, problems
+    from extragrad.operators import lambda_fenchel
+
+    d = 12
+    manifest = str(tmp_path / "q.manifest")
+    assert cli.main(["gen", "quadratic", f"d={d}", "mu=1", "L=50", "diag=0",
+                     "--out", manifest]) == 0
+    shapes = []
+
+    def record(grad):
+        def wrapper(self, x):
+            shapes.append(x.shape)
+            return grad(self, x)
+        return wrapper
+
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    out = str(tmp_path / "run")
+    try:
+        tracing.install(patches, tracer)
+        patches.replace(problems.QuadraticProblem, "grad", record)
+        assert cli.main(["solve", "--alg", "eg-accel", "--instance", manifest,
+                         "--eps", "1e-6", "--eps0", "1e3", "--out", out]) == 0
+    finally:
+        patches.restore()
+    with open(out + ".summary.txt") as fh:
+        K = int(dict(line.rstrip("\n").split("=", 1) for line in fh)["phases"])
+    T = 4 * int(np.ceil(lambda_fenchel(load_instance(manifest).profile)))
+    assert K > 0 and tracer.calls["problems.grad"] == K * T == len(shapes)
+    assert set(shapes) == {(2, d)}
 
 
 def test_selftest_passes():

@@ -109,11 +109,24 @@ class TestDenseLayout:
 class TestGrad:
     # 501 is past d ≈ 500, where one stacked product stops beating two 1-D ones
     SIZES = [1, 2, 3, 200, 501]
+    # diag and, for a dense M, its memory order: C as gen_quadratic stores it, F as
+    # load_instance does (the CLI's layout); the first two ids are the diag flag's
+    LAYOUTS = [pytest.param((True, "C"), id="True"), pytest.param((False, "C"), id="False"),
+               pytest.param((False, "F"), id="False-F")]
 
-    @pytest.mark.parametrize("diag", [True, False])
-    @pytest.mark.parametrize("d", SIZES)
-    def test_stacked_rows_match_one_call_per_row(self, diag, d):
+    @staticmethod
+    def problem(d, layout, tmp_path):
+        diag, order = layout
         prob = gen_quadratic(d, 1.0, 1.0 if d == 1 else 50.0, diag=diag, seed=d)
+        if order == "F":
+            prob = load_instance(save_instance(prob, str(tmp_path / "q.manifest")))
+            assert prob.M.flags.f_contiguous and (d == 1 or not prob.M.flags.c_contiguous)
+        return prob
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("d", SIZES)
+    def test_stacked_rows_match_one_call_per_row(self, layout, d, tmp_path):
+        prob = self.problem(d, layout, tmp_path)
         for k in (1, 2, 3):
             X = make_rng(k).standard_normal((k, d))
             G = prob.grad(X)
@@ -122,12 +135,12 @@ class TestGrad:
                 one = prob.grad(x)
                 assert np.max(np.abs(g - one)) <= 1e-14 * np.max(np.abs(one))
 
-    @pytest.mark.parametrize("diag", [True, False])
+    @pytest.mark.parametrize("layout", LAYOUTS)
     @pytest.mark.parametrize("d", SIZES)
-    def test_one_row_is_M_x_plus_b(self, diag, d):
-        prob = gen_quadratic(d, 1.0, 1.0 if d == 1 else 50.0, diag=diag, seed=d)
+    def test_one_row_is_M_x_plus_b(self, layout, d, tmp_path):
+        prob = self.problem(d, layout, tmp_path)
         x = make_rng(0).standard_normal(d)
-        Mx = prob.M * x if diag else prob.M @ x
+        Mx = prob.M * x if prob.diag else prob.M @ x
         assert np.array_equal(prob.grad(x), Mx + prob.b)
 
 
