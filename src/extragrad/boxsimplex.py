@@ -2,8 +2,9 @@
 
 Preprocessing, the coupled box-entropy regularizer with its alternating
 minimization prox, mirror prox with backtracking lam capped at 3 that
-restarts from its average whenever the duality gap halves, the duality-gap
-oracle, and the reduction from box-constrained ell_inf regression.
+restarts from the better of its average and its last iterate whenever the
+duality gap halves, the duality-gap oracle, and the reduction from
+box-constrained ell_inf regression.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .solvers import SolverTrace
 LAMBDA_BOX_SIMPLEX = 3.0  # the cap on lam: a step at 3 passes the local test
 LAMBDA_SHRINK = 0.8  # lam <- 0.8 lam after an accepted step
 LAMBDA_GROW = 2.0    # lam <- min(2 lam, cap) after a rejected try
-RESTART_FACTOR = 0.5  # restart once the epoch's average has halved its start's gap
+RESTART_FACTOR = 0.5  # restart once the average or z' has halved the epoch start's gap
 ENTROPY_SCALE_FACTOR = 10.0
 
 Y_FLOOR = 1e-300  # multiplicative updates cannot hit exact zero, underflow can
@@ -200,12 +201,21 @@ def linf_regression_reduction(A, b) -> BoxSimplexInstance:
     return preprocess(stacked)
 
 
+def _gap_from_operator(inst: BoxSimplexInstance, x, y, g: Point) -> float:
+    """The duality gap at (x, y) given g = operator((x, y)) = (A^T y + c, b - A x).
+
+    max_{y'} f(x, y') = max(A x - b) + c^T x = -min(g_y) + c^T x, with
+    fl(b - A x) = -fl(A x - b) entry by entry, and min_{x'} f(x', y) =
+    -||g_x||_1 - b^T y.
+    """
+    best_y = -float(g.y.min()) + float(inst.c @ x)
+    best_x = -float(np.abs(g.x).sum()) - float(inst.b @ y)
+    return best_y - best_x
+
+
 def duality_gap(inst: BoxSimplexInstance, x, y) -> float:
     """max_{y'} f(x, y') - min_{x'} f(x', y), both best responses in closed form."""
-    best_y = float(np.max(inst.A_op @ x - inst.b)) + float(inst.c @ x)
-    aty_c = inst.At @ y + inst.c
-    best_x = -float(np.abs(aty_c).sum()) - float(inst.b @ y)
-    return best_y - best_x
+    return _gap_from_operator(inst, x, y, inst.operator(Point(x, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +277,8 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
                       max_iters: int | None = None,
                       certify: bool = False):
     """Mirror prox in the coupled regularizer from z0 = (0, uniform), with
-    backtracking lam capped at 3, in epochs that restart from their average.
+    backtracking lam capped at 3, in epochs that restart from the better of
+    their average and their last iterate.
 
     A try at lam from z computes w = Prox_z(g(z)/lam), z' = Prox_z(g(w)/lam)
     and passes the local test when the local relative-Lipschitz inequality
@@ -279,12 +290,16 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
 
     An epoch starts at a point z_r, the first at z0, and averages its own
     accepted w_t weighted by 1/lam_t.  After each accepted step the exact
-    duality gap of that average is the stopping test; once it is at most
-    half the gap of z_r, the next epoch starts at the average, with its sums
-    zeroed and lam carried on.  A game is a linear program, so its gap grows
-    linearly with the distance to the solutions, and halving epochs give a
-    linear rate.  A solve makes one ``duality_gap`` call per accepted step
-    and one for z0.
+    duality gap of that average is the stopping test.  When it misses eps,
+    the step queries g(z'), which the next step needs as its g(z), and reads
+    the exact gap of z' from it.  Once the smaller of the two gaps is at most
+    half the gap of z_r, the next epoch starts at that point (the average on
+    a tie), with its sums zeroed and lam carried on; a start at the average
+    queries g there.  A game is a linear program, so its gap grows linearly
+    with the distance to the solutions, and halving epochs give a linear
+    rate.  A solve makes one ``duality_gap`` call per accepted step and one
+    for z0, and the summary's ``queries`` counts its operator calls, those
+    of ``duality_gap`` included.
 
     Returns (x, y, gap, trace) for the epoch average of least duality gap
     over all epochs.  ``trace.gaps`` and ``trace.lams`` hold the gap of the
@@ -322,6 +337,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     value_z = reg._value(z.y, zt)
     d_start = reg._max_divergence(z, zt, value_z)  # ||A|| (1 + 10 log m) at z0
     gap_start = duality_gap(inst, z.x, z.y)
+    gz = None  # g(z), queried when a step needs it
     x_acc = np.zeros(inst.n)
     y_acc = np.zeros(inst.m)
     weight = 0.0
@@ -334,19 +350,26 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     best = None
     lam = cap
     t = retries = restarts = 0
+    queries = 1  # the gap of z0
     prox_gap_sum = epoch_delta = excess = 0.0
     while t < budget:
-        gz = inst.operator(z)
+        if gz is None:  # z0, or an epoch average restarted from
+            gz = inst.operator(z)
+            queries += 1
         while True:  # tries from z until one passes the local test or lam = cap
             step = _mirror_prox_try(reg, z, gz, zt, value_z, lam,
                                     max(tol_floor, eps / (8.0 * lam)))
+            queries += 1
             if lam >= cap or (step.stable and step.margin <= tol_rl):
                 break
             lam = min(LAMBDA_GROW * lam, cap)
             retries += 1
         if certify:
-            at_cap = step if lam >= cap else _mirror_prox_try(
-                reg, z, gz, zt, value_z, cap, max(tol_floor, eps / (8.0 * cap)))
+            at_cap = step
+            if lam < cap:
+                at_cap = _mirror_prox_try(reg, z, gz, zt, value_z, cap,
+                                          max(tol_floor, eps / (8.0 * cap)))
+                queries += 1
             s["stability_ok"] = s["stability_ok"] and at_cap.stable
             s["local_rl_ok"] = s["local_rl_ok"] and at_cap.margin <= tol_rl
             s["stability_lo"] = min(s["stability_lo"], at_cap.ratio_lo)
@@ -363,35 +386,43 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
         trace.lams.append(lam)
         xb, yb = x_acc / weight, y_acc / weight
         gap = duality_gap(inst, xb, yb)
+        queries += 1
         trace.gaps.append(gap)
         if not gap <= (d_start + epoch_delta + excess) / weight:
             s["gap_bound_ok"] = False
         if best is None or gap < best[2]:
             best = (xb, yb, gap)
-        if gap <= eps:
+        if gap <= eps or t == budget:
             break
-        if gap <= RESTART_FACTOR * gap_start:  # restart from the average, lam carried on
-            z = Point(xb, yb)
-            zt = reg.z_terms(z)
-            value_z = reg._value(z.y, zt)
+        # g(z') is the next step's g(z), and with it z' has an exact gap for free
+        z, zt, value_z = step.z_next, step.terms_next, step.value_next
+        gz = inst.operator(z)
+        queries += 1
+        gap_z = _gap_from_operator(inst, z.x, z.y, gz)
+        from_z = gap_z < gap  # ties go to the average
+        gap_r = gap_z if from_z else gap
+        if gap_r <= RESTART_FACTOR * gap_start:  # restart, lam carried on
+            if not from_z:
+                z = Point(xb, yb)
+                zt = reg.z_terms(z)
+                value_z = reg._value(z.y, zt)
+                gz = None
             d_start = reg._max_divergence(z, zt, value_z)
-            gap_start = gap
+            gap_start = gap_r
             x_acc[:] = 0.0
             y_acc[:] = 0.0
             weight = epoch_delta = excess = 0.0
             restarts += 1
-        else:
-            z, zt, value_z = step.z_next, step.terms_next, step.value_next
         lam *= LAMBDA_SHRINK
-    else:
-        if best is None:  # a zero budget answers with z0 itself
-            best = (z0.x, z0.y, gap_start)
-        if not best[2] <= eps:  # only z0 can already meet eps here; NaN gaps warn
-            warnings.warn(
-                f"box-simplex budget of {budget} iterations exhausted; "
-                f"best gap {best[2]:.3e} > eps {eps:.3e}", RuntimeWarning)
+    if best is None:  # a zero budget answers with z0 itself
+        best = (z0.x, z0.y, gap_start)
+    if not best[2] <= eps:  # the budget ran out; NaN gaps warn too
+        warnings.warn(
+            f"box-simplex budget of {budget} iterations exhausted; "
+            f"best gap {best[2]:.3e} > eps {eps:.3e}", RuntimeWarning)
     xb, yb, gap = best
     s.update({"algorithm": "box-simplex", "iterations": t, "retries": retries,
               "restarts": restarts, "lam_min": min(trace.lams, default=cap), "lam_max": cap,
-              "gap": gap, "budget": budget, "prox_gap_sum": prox_gap_sum})
+              "gap": gap, "budget": budget, "prox_gap_sum": prox_gap_sum,
+              "queries": queries})
     return xb, yb, gap, trace

@@ -474,9 +474,7 @@ def _bench_eg_coord(problem, args):
 def _bench_box_simplex(problem, args):
     eps = _or(args.eps, 1e-2 * max(problem.op_norm, 1.0))
     _, _, gap, trace = solve_box_simplex(problem, eps, max_iters=args.iters)
-    # an accepted step queries z and w, a rejected try only w; a restart queries nothing
-    s = trace.summary
-    return s["iterations"], 2 * s["iterations"] + s["retries"], gap
+    return trace.summary["iterations"], trace.summary["queries"], gap
 
 
 # bench: runner(problem, args) -> (iterations, queries, final error)

@@ -4,7 +4,8 @@
 (`ImplicitIterate.refactor`, `cli.eg_coord_accel`, ...), so renaming or
 deleting one breaks only traced benchmark runs unless checked here.  The
 gradient layer counts ``QuadraticProblem.grad`` calls, so an ``eg_accel`` step
-must stay one call on its two stacked query rows.
+must stay one call on its two stacked query rows, and the operator and gap
+layers count box-simplex calls, which must match the solver's own counts.
 """
 
 import subprocess
@@ -66,6 +67,42 @@ def test_traced_eg_accel_step_is_one_grad_call_on_two_rows(monkeypatch, tmp_path
     T = 4 * int(np.ceil(lambda_fenchel(load_instance(manifest).profile)))
     assert K > 0 and tracer.calls["problems.grad"] == K * T == len(shapes)
     assert set(shapes) == {(2, d)}
+
+
+def test_traced_box_simplex_solve_counts_its_own_operator_calls(monkeypatch, tmp_path):
+    # the operator at z' is queried at the end of a step, where the restart
+    # test reads its gap; the layer counts must still match the solver's own
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    from extragrad import boxsimplex, cli
+
+    manifest = str(tmp_path / "g.manifest")
+    assert cli.main(["gen", "box-simplex", "m=50", "n=40", "density=0.5",
+                     "--seed", "3", "--out", manifest]) == 0
+    summaries = []
+
+    def record(solve):
+        def wrapper(*args, **kwargs):
+            out = solve(*args, **kwargs)
+            summaries.append(out[3].summary)
+            return out
+        return wrapper
+
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    out = str(tmp_path / "run")
+    try:
+        tracing.install(patches, tracer)
+        patches.replace(cli, "solve_box_simplex", record)
+        assert cli.main(["solve", "--alg", "box-simplex", "--instance", manifest,
+                         "--eps", "0.05", "--check", "--out", out]) == 0
+    finally:
+        patches.restore()
+    assert cli.solve_box_simplex is boxsimplex.solve_box_simplex
+    (s,) = summaries
+    assert s["restarts"] > 0 and s["stability_ok"] and s["local_rl_ok"]
+    assert tracer.calls["operators.operator"] == s["queries"]
+    assert tracer.calls["boxsimplex.gap"] == s["iterations"] + 1
 
 
 def test_selftest_passes():
