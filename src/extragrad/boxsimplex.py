@@ -174,13 +174,14 @@ class ShermanRegularizer:
 def preprocess(inst: BoxSimplexInstance) -> BoxSimplexInstance:
     """Drop dominated rows and shift b so its minimum is 0.
 
-    Rows with b_i >= min b + 2 ||A|| never hold the best simplex response, so
-    removing them (and shifting, which is value-neutral on the simplex)
-    leaves the game value unchanged while placing b in [0, 2 ||A||].
+    Rows with b_i >= min b + 2 ||A|| never hold the best simplex response
+    (rows at min b stay, also when ||A|| = 0), so removing them (and
+    shifting, which is value-neutral on the simplex) leaves the game value
+    unchanged while placing b in [0, 2 ||A||].
     """
     b = inst.b
-    shift = float(b.min()) if b.size else 0.0
-    keep = np.flatnonzero(b < shift + 2.0 * inst.op_norm)
+    shift = float(b.min())
+    keep = np.flatnonzero((b < shift + 2.0 * inst.op_norm) | (b == shift))
     out = BoxSimplexInstance(inst.A[keep], b[keep] - shift, inst.c)
     out.shift = shift
     out.kept_rows = keep

@@ -41,8 +41,8 @@ class SmoothnessProfile:
         if not (0 < self.mu <= self.L < np.inf):
             raise ValueError("need 0 < mu <= L, both finite")
         self.L_i = np.asarray(self.L_i, dtype=float)
-        if np.any(self.L_i <= 0):
-            raise ValueError("coordinate smoothnesses must be positive")
+        if not self.L_i.size or np.any(self.L_i <= 0):
+            raise ValueError("need one or more coordinate smoothnesses, all positive")
 
     @property
     def s_half(self) -> float:
@@ -99,11 +99,11 @@ class BoxSimplexInstance:
         self.b = np.asarray(b, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.m, self.n = A.shape
-        if self.b.size != self.m or self.c.size != self.n:
-            raise ValueError("b, c dimensions must match A")
+        if not self.m or self.b.size != self.m or self.c.size != self.n:
+            raise ValueError("A needs a row, and b, c dimensions must match A")
         # ell_inf -> ell_inf operator norm: max row ell_1 norm
         self.row_l1 = np.asarray(abs_A.sum(axis=1)).ravel()
-        self.op_norm = float(self.row_l1.max()) if self.m else 0.0
+        self.op_norm = float(self.row_l1.max())
         if _dense_products(self.m, self.n, A.nnz):
             A, abs_A = A.toarray(), abs_A.toarray()
         self.A_op, self.abs_A = A, abs_A
@@ -129,8 +129,8 @@ class MinimaxProfile:
     mu_y: float
 
     def __post_init__(self):
-        if self.mu_x <= 0 or self.mu_y <= 0:
-            raise ValueError("strong convexity moduli must be positive")
+        if not (0 < self.mu_x < np.inf and 0 < self.mu_y < np.inf):
+            raise ValueError("need mu_x > 0 and mu_y > 0, both finite")
 
 
 def lambda_minimax(profile: MinimaxProfile) -> float:
@@ -143,13 +143,14 @@ class MinimaxInstance:
     """Built-in test family f(x,y) = mu_x/2 |x|^2 + x^T C y - mu_y/2 |y|^2 + q^T x - r^T y.
 
     Quadratic coupling keeps the blockwise bounds exact: L_xy is the top
-    singular value of C, and L_xx, L_yy equal the diagonal moduli.
+    singular value of C, and L_xx, L_yy equal the diagonal moduli.  C is stored
+    F-ordered, as the reader reads it: the order decides the bits of a product.
     """
 
     kind = "minimax"
 
     def __init__(self, mu_x, mu_y, C, q, r):
-        self.C = np.asarray(C, dtype=float)
+        self.C = np.asfortranarray(C, dtype=float)
         n, m = self.C.shape
         self.mu_x = float(mu_x)
         self.mu_y = float(mu_y)

@@ -42,11 +42,10 @@ class ParseError(ValueError):
 
 
 def _aligned(a):
-    """A copy of ``a`` on a 64-byte boundary, F-ordered if ``a`` is, else C-ordered."""
+    """An F-ordered copy of ``a`` on a 64-byte boundary."""
     buf = np.empty(a.nbytes + 64, dtype=np.uint8)
     start = -buf.ctypes.data % 64
-    order = "F" if a.flags.f_contiguous and not a.flags.c_contiguous else "C"
-    out = np.ndarray(a.shape, a.dtype, buf[start:start + a.nbytes], order=order)
+    out = np.ndarray(a.shape, a.dtype, buf[start:start + a.nbytes], order="F")
     out[...] = a
     return out
 
@@ -59,9 +58,9 @@ class QuadraticProblem:
     x* = -M^{-1} b is cached at construction.  For diagonal M,
     ``partial_at`` answers a coordinate partial in O(1).
 
-    A dense M is copied once, in its memory order, to a 64-byte boundary:
-    OpenBLAS's product with an M that numpy placed off it runs up to 30%
-    slower, and the order decides the BLAS path and so the bits.
+    A dense M is copied once, F-ordered as the reader reads it, to a 64-byte
+    boundary: the order decides the BLAS path and so the bits, and OpenBLAS's
+    product with an M that numpy placed off the boundary runs up to 30% slower.
     """
 
     kind = "quadratic"
@@ -69,15 +68,13 @@ class QuadraticProblem:
     def __init__(self, M, b, mu, L):
         M = np.asarray(M, dtype=float)
         self.diag = M.ndim == 1
-        if not self.diag:
-            M = _aligned(M)
-            self._MT = M.T  # bound once, so grad builds no transpose view per call
-        self.M = M
         if self.diag:
             if np.any(M <= 0):
                 raise ValueError("diagonal M must be positive")
             self._inv = 1.0 / M
         else:
+            M = _aligned(M)
+            self._MT = M.T  # bound once, so grad builds no transpose view per call
             try:
                 self._chol = np.linalg.cholesky(M)
             except np.linalg.LinAlgError as e:
@@ -86,6 +83,7 @@ class QuadraticProblem:
             # M and its transpose may differ by rounding only
             if np.abs(M - M.T).max(initial=0.0) > 1e-12 * np.abs(M).max(initial=0.0):
                 raise ValueError("M must be symmetric")
+        self.M = M
         self.b = np.asarray(b, dtype=float)
         self.d = self.b.size
         L_i = self.M.copy() if self.diag else np.diag(self.M).copy()

@@ -4,11 +4,14 @@ The digests were recorded before the dense M was stored on a 64-byte boundary
 and before the coordinate step ran on Python floats; both changes keep every
 bit.  The dense d = 37 and d = 700 digests were recorded before ``grad`` and
 the ``eg_accel`` step moved from ``@`` and ``np.matmul`` to ``np.dot``, which
-keeps every bit too: 37 is an odd size, and at 700 a generated (C-ordered)
-and a loaded (F-ordered) M take different OpenBLAS paths.  A product with M rounds differently with the number of BLAS threads
-(at d = 400 here), so the dense solves run in a child process at one thread.
-Every run passes the exact initial error as eps0, as the digests were
-recorded: the solvers' own default is a bound from their oracle.
+keeps every bit too.  A dense M is stored F-ordered whichever way it was
+built, so a generated instance and its saved-and-loaded copy take the same
+OpenBLAS path; each dense digest is pinned once, and the run of the generated
+instance must equal the run of the loaded one.  A product with M rounds
+differently with the number of BLAS threads (at d = 400 here), so the dense
+solves run in a child process at one thread.  Every run passes the exact
+initial error as eps0, as the digests were recorded: the solvers' own
+default is a bound from their oracle.
 
 Run as a script, ``python tests/test_bit_pins.py DIR`` prints the dense
 digests as JSON, with the instances saved to and loaded from DIR.
@@ -46,45 +49,25 @@ COORD = {
 }
 
 DENSE = {
-    "eg_accel d30 gen":
+    "eg_accel d30":
         "f72bd441c740632d118fb5947639242bd66f69e4bbec18273f3cde73cbc9ffaa",
-    "general_norm_accel d30 gen":
+    "general_norm_accel d30":
         "f2594cdc24aef8efc6f043923f45751debe2a095c46dbb4bbd5ac6d637adf74f",
-    "eg_accel d30 load":
-        "f72bd441c740632d118fb5947639242bd66f69e4bbec18273f3cde73cbc9ffaa",
-    "general_norm_accel d30 load":
-        "f2594cdc24aef8efc6f043923f45751debe2a095c46dbb4bbd5ac6d637adf74f",
-    "eg_accel d37 gen":
-        "39d9c88850e4b9f310ff3bd04501e794331d8907c5c94c83f4a252136d7393f6",
-    "general_norm_accel d37 gen":
-        "559ba0d8adbd7e57a7d8d05b38af4055fdcb2466a43228728592cee99612d3ce",
-    "eg_accel d37 load":
+    "eg_accel d37":
         "8ac365c7cc4ccf29d92f21569088a00278607cfbdca54cac9db7760ed883bed1",
-    "general_norm_accel d37 load":
+    "general_norm_accel d37":
         "f41f34bb2b1da94bef46411e5c0bcb5ab51961d2acdad16565f6762916335085",
-    "eg_accel d200 gen":
-        "09c049281938d9424bd2cf83b4879688db5262a831d4b08f98badf1ac9d813a8",
-    "general_norm_accel d200 gen":
-        "99f1837d619b5427a3aac303a744125c12acccb8abb76c4aa551aa6732561217",
-    "eg_accel d200 load":
+    "eg_accel d200":
         "361a0e63a5eab4e6cdeaf2840b57339bdffb1eb9a386b63e242792b8e8e5338c",
-    "general_norm_accel d200 load":
+    "general_norm_accel d200":
         "94c9151e56029cad56ec1a67b1fdc5d4cad6d5bdf776d4a5c9357a049551647d",
-    "eg_accel d400 gen":
-        "a6596210d70dd53a61e8108cf97667922e5cf5c6c795a6692929c99ad3d403ac",
-    "general_norm_accel d400 gen":
-        "51442ebfb11ae2b1d072fc826dda6a54f2770a977b29ada0e8bf44a80c8ccb47",
-    "eg_accel d400 load":
+    "eg_accel d400":
         "ffdc442a0fb3e6a17c8d6485838d3df49db52a61a5b9b305f093f58d6e252c7e",
-    "general_norm_accel d400 load":
+    "general_norm_accel d400":
         "1121acd48b878b70807a77db49cc6c0aa14cdee237b9b7187ce4d85770396367",
-    "eg_accel d700 gen":
-        "8f10079698ebd166c1bf2faa8fa7ad0083dbb7b2148a6a3ed024eb3775ba3809",
-    "general_norm_accel d700 gen":
-        "01570f795503b60ea361aaf19a35fef157f925f0000c803c75b31055d6876c00",
-    "eg_accel d700 load":
+    "eg_accel d700":
         "c0705e7a843370c8f7e42c29d6c8a94e80df91e36b1763ad6434be5302aaf820",
-    "general_norm_accel d700 load":
+    "general_norm_accel d700":
         "6be4de28104aca7a15c132462fa67af24efafb1e29f7f4f05000dd05bf42e8a7",
 }
 
@@ -105,19 +88,26 @@ def coord_digests():
     return out
 
 
+def dense_answers(p):
+    """Digests of eg_accel over four phases and of 100 steps of general_norm_accel."""
+    x0 = np.zeros(p.d)
+    eps0 = p.error(x0)
+    return {"eg_accel": digest(eg_accel(p, x0, eps0 / 16, eps0=eps0)),
+            "general_norm_accel":
+                digest(general_norm_accel(p, ScaledEuclidean(1.0), x0, 1e-8, T=100))}
+
+
 def dense_digests(directory):
-    """eg_accel over four phases and 100 steps of general_norm_accel on dense
-    quadratics with d = 30, 37, 200, 400 and 700, generated and saved then loaded."""
+    """``dense_answers`` on dense quadratics with d = 30, 37, 200, 400 and 700,
+    generated and saved then loaded; where the two runs differ, both digests."""
     out = {}
     for d in (30, 37, 200, 400, 700):
         gen = gen_quadratic(d, 1.0, 100.0, diag=False, seed=d)
         loaded = load_instance(save_instance(gen, os.path.join(directory, f"q{d}.manifest")))
-        for how, p in (("gen", gen), ("load", loaded)):
-            x0 = np.zeros(d)
-            eps0 = p.error(x0)
-            out[f"eg_accel d{d} {how}"] = digest(eg_accel(p, x0, eps0 / 16, eps0=eps0))
-            x = general_norm_accel(p, ScaledEuclidean(1.0), x0, 1e-8, T=100)
-            out[f"general_norm_accel d{d} {how}"] = digest(x)
+        ran, reran = dense_answers(gen), dense_answers(loaded)
+        for name, g in ran.items():
+            ld = reran[name]
+            out[f"{name} d{d}"] = g if g == ld else f"generated {g} != loaded {ld}"
     return out
 
 

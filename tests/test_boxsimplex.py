@@ -747,3 +747,15 @@ class TestRegressionReduction:
         inst = linf_regression_reduction(np.array([[1.0]]), np.array([0.3]))
         x, y, gap, trace = solve_box_simplex(inst, 1e-3)
         assert abs(x[0] - 0.3) <= 2e-3
+
+    def test_zero_matrix_keeps_the_rows_at_min_b(self):
+        # with ||A|| = 0 no row lies below min b + 2 ||A||; the rows at min b stay
+        inst = linf_regression_reduction(np.zeros((3, 2)), np.ones(3))
+        assert list(inst.kept_rows) == [3, 4, 5] and inst.shift == -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # z0's gap is 0, within eps
+            x, y, gap, trace = solve_box_simplex(inst, 1e-3)
+        assert trace.summary["budget"] == 0 and gap == 0.0
+        assert np.array_equal(x, np.zeros(2)) and np.array_equal(y, np.full(3, 1.0 / 3.0))
+        # the value maps back to min_x ||0 x - 1||_inf = 1
+        assert float(np.max(inst.A @ x - inst.b)) - inst.shift == 1.0

@@ -208,6 +208,10 @@ class TestSolve:
         ("c=bs.c.txt", "", "missing key 'c'"),
         ("C=mm.C.mtx", "", "missing key 'C'"),
         ("r=mm.r.txt", "", "missing key 'r'"),
+        ("mu_x=1.0", "mu_x=nan", "need mu_x > 0 and mu_y > 0, both finite"),
+        ("mu_y=1.0", "mu_y=inf", "need mu_x > 0 and mu_y > 0, both finite"),
+        ("mu_x=1.0", "mu_x=1e400", "need mu_x > 0 and mu_y > 0, both finite"),
+        ("mu_y=1.0", "mu_y=-inf", "need mu_x > 0 and mu_y > 0, both finite"),
     ])
     def test_bad_manifest_is_parse_error(self, quad_manifest, bs_manifest, mm_manifest,
                                          tmp_path, capsys, old, new, message):
@@ -255,6 +259,25 @@ class TestSolve:
         assert run(["solve", "--alg", alg, "--instance", manifest,
                     "--out", str(tmp_path / "o")]) == 4
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alg, files, message", [
+        ("box-simplex", {"e.manifest": "kind=box-simplex\nm=0\nn=2\nA=e.A.mtx\nb=e.b.txt\n"
+                                       "c=e.c.txt\n",
+                         "e.A.mtx": "%%MatrixMarket matrix coordinate real general\n0 2 0\n",
+                         "e.b.txt": "", "e.c.txt": "1.0\n2.0\n"}, "A needs a row"),
+        ("eg-accel", {"e.manifest": "kind=quadratic\nd=0\ndiag=0\nM=e.M.mtx\nb=e.b.txt\n"
+                                    "mu=1.0\nL=1.0\n",
+                      "e.M.mtx": "%%MatrixMarket matrix array real general\n0 0\n",
+                      "e.b.txt": ""}, "need one or more coordinate smoothnesses"),
+    ], ids=["box-simplex", "quadratic"])
+    def test_empty_instance_is_parse_error(self, tmp_path, capsys, alg, files, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        out = str(tmp_path / "o")
+        assert run(["solve", "--alg", alg, "--instance", str(tmp_path / "e.manifest"),
+                    "--out", out]) == 4
+        assert message in capsys.readouterr().err
+        assert not os.path.exists(out + ".summary.txt")
 
     def test_asymmetric_m_is_parse_error(self, tmp_path, capsys):
         out = str(tmp_path / "q.manifest")

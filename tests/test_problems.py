@@ -10,7 +10,9 @@ import scipy.sparse as sp
 from extragrad import (
     ParseError, QuadraticProblem, gen_quadratic, gen_box_simplex, gen_minimax,
     save_instance, load_instance, BoxSimplexInstance,
-    MinimaxInstance, make_rng,
+    MinimaxInstance, make_rng, Point, ProductRegularizer, ScaledEuclidean, lambda_minimax,
+    mirror_prox, dual_extrapolation, mirror_prox_sm, baseline_unaccelerated, eg_accel,
+    general_norm_accel, eg_coord_accel, solve_box_simplex,
 )
 from extragrad.problems import (
     read_matrix_market, read_vector,
@@ -68,7 +70,7 @@ class TestGenQuadratic:
 
 
 class TestDenseLayout:
-    """A dense M is stored on a 64-byte boundary, in the order it came in."""
+    """A dense M is stored F-ordered on a 64-byte boundary, whatever order it came in."""
 
     @staticmethod
     def misplaced(M, offset, order):
@@ -79,15 +81,17 @@ class TestDenseLayout:
         out[...] = M
         return out
 
+    @staticmethod
+    def stored(prob):
+        return (prob.M.ctypes.data % 64 == 0 and prob.M.flags.f_contiguous
+                and prob.M.strides == (8, 8 * prob.d))
+
     @pytest.mark.parametrize("d", [1, 30, 200, 400])
     def test_both_construction_paths(self, tmp_path, d):
         gen = gen_quadratic(d, 1.0, 1.0 if d == 1 else 100.0, diag=False, seed=d)
         loaded = load_instance(save_instance(gen, str(tmp_path / "q.manifest")))
-        for prob, contiguous in ((gen, "C_CONTIGUOUS"), (loaded, "F_CONTIGUOUS")):
-            assert prob.M.ctypes.data % 64 == 0 and prob.M.flags[contiguous]
-            assert np.array_equal(prob.M, gen.M)
-        if d > 1:  # generated M is C-ordered, read M an F-ordered view
-            assert not gen.M.flags.f_contiguous and not loaded.M.flags.c_contiguous
+        for prob in (gen, loaded):
+            assert self.stored(prob) and np.array_equal(prob.M, gen.M)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("offset", [0, 8, 16, 32, 48])
@@ -95,11 +99,10 @@ class TestDenseLayout:
         M = gen_quadratic(12, 1.0, 20.0, diag=False, seed=2).M
         given = self.misplaced(M, offset, order)
         prob = QuadraticProblem(given, np.ones(12), 1.0, 20.0)
-        assert prob.M.ctypes.data % 64 == 0 and not np.shares_memory(prob.M, given)
-        assert prob.M.flags[order + "_CONTIGUOUS"] and np.array_equal(prob.M, M)
-        assert prob.M.strides == given.strides
+        assert self.stored(prob) and not np.shares_memory(prob.M, given)
+        assert np.array_equal(prob.M, M)
         x = make_rng(3).standard_normal((2, 12))
-        assert np.array_equal(prob.grad(x), x @ given.T + prob.b)
+        assert np.array_equal(prob.grad(x), x @ prob.M.T + prob.b)
 
     def test_diagonal_m_is_kept_as_given(self):
         M = np.linspace(1.0, 2.0, 5)
@@ -109,18 +112,18 @@ class TestDenseLayout:
 class TestGrad:
     # 501 is past d ≈ 500, where one stacked product stops beating two 1-D ones
     SIZES = [1, 2, 3, 200, 501]
-    # diag and, for a dense M, its memory order: C as gen_quadratic stores it, F as
-    # load_instance does (the CLI's layout); the first two ids are the diag flag's
-    LAYOUTS = [pytest.param((True, "C"), id="True"), pytest.param((False, "C"), id="False"),
-               pytest.param((False, "F"), id="False-F")]
+    # diag and, for a dense M, how it reached the constructor: C-ordered from
+    # gen_quadratic, or F-ordered from load_instance (the CLI's path); both store it
+    # F-ordered.  The ids are the diag flag's, with -F for the loaded copy.
+    LAYOUTS = [pytest.param((True, False), id="True"), pytest.param((False, False), id="False"),
+               pytest.param((False, True), id="False-F")]
 
     @staticmethod
     def problem(d, layout, tmp_path):
-        diag, order = layout
+        diag, loaded = layout
         prob = gen_quadratic(d, 1.0, 1.0 if d == 1 else 50.0, diag=diag, seed=d)
-        if order == "F":
+        if loaded:
             prob = load_instance(save_instance(prob, str(tmp_path / "q.manifest")))
-            assert prob.M.flags.f_contiguous and (d == 1 or not prob.M.flags.c_contiguous)
         return prob
 
     @pytest.mark.parametrize("layout", LAYOUTS)
@@ -413,3 +416,44 @@ def test_saved_files_match_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in os.listdir(tmp_path)}
     assert digests == GOLDEN
+
+
+def answers(p):
+    """The bytes of what each of the solvers of ``p``'s kind answers on ``p``."""
+    if p.kind == "box-simplex":
+        x, y, gap, _ = solve_box_simplex(p, 1e-2 * p.op_norm)
+        return [x.tobytes(), y.tobytes(), gap.hex()]
+    if p.kind == "minimax":
+        n, m = p.C.shape
+        r = ProductRegularizer(ScaledEuclidean(p.mu_x), ScaledEuclidean(p.mu_y))
+        z0, u, lam = Point(np.zeros(n), np.zeros(m)), p.saddle_point(), lambda_minimax(p.profile)
+        finals = [mirror_prox(p.operator, r, z0, lam, 20, u).summary["final"],
+                  dual_extrapolation(p.operator, r, z0, lam, 20, u).summary["final"],
+                  mirror_prox_sm(p.operator, r, z0, lam, 1.0, 20, u).summary["final"], u]
+        return [b for z in finals for b in (z.x.tobytes(), z.y.tobytes())]
+    x0 = np.zeros(p.d)
+    eps0 = p.error(x0)
+    r, L = ScaledEuclidean(1.0), p.profile.L
+    xs = [mirror_prox(p.grad, r, x0, L, 20, p.x_star).summary["final"],
+          dual_extrapolation(p.grad, r, x0, L, 20, p.x_star).summary["final"],
+          baseline_unaccelerated(p, x0, 20).summary["final"],
+          eg_accel(p, x0, eps0 / 16, eps0=eps0),
+          general_norm_accel(p, r, x0, 1e-8, T=50), p.x_star]
+    if p.diag:
+        xs.append(eg_coord_accel(p, x0, eps0 / 4, eps0=eps0, seed=1)[0])
+    return [x.tobytes() for x in xs]
+
+
+GENERATED = {
+    "dense quadratic": lambda: gen_quadratic(37, 1.0, 100.0, diag=False, seed=37),
+    "diagonal quadratic": lambda: gen_quadratic(30, 1.0, 100.0, diag=True, seed=30),
+    "minimax": lambda: gen_minimax(37, 29, 1.0, 0.5, 3.0, seed=7),
+    "box-simplex": lambda: gen_box_simplex(20, 15, 0.5, seed=8),
+}
+
+
+@pytest.mark.parametrize("kind", GENERATED)
+def test_a_saved_and_loaded_instance_runs_the_same_bits(tmp_path, kind):
+    gen = GENERATED[kind]()
+    loaded = load_instance(save_instance(gen, str(tmp_path / "i.manifest")))
+    assert answers(gen) == answers(loaded)
