@@ -29,9 +29,9 @@ PROX_MAX_ROUNDS = 32  # hard cap on the rounds of one prox call
 
 
 class ZTerms(NamedTuple):
-    """The parts of a prox at z that do not depend on g.
+    """The parts of a prox at z that do not depend on g, with r(z).
 
-    They also give r(z) and grad r(z) without a product with |A|.
+    They also give grad r(z) without a product with |A|.
     """
 
     zy: np.ndarray       # max(z_y, Y_FLOOR)
@@ -39,53 +39,41 @@ class ZTerms(NamedTuple):
     az_x2: np.ndarray    # |A| z_x^2
     log_zy: np.ndarray   # log zy
     grad_zx: np.ndarray  # 2 (|A|^T zy) z_x, the x block of grad r(z)
+    r_z: float           # r(z) = z_y^T az_x2 + alpha z_y^T log_zy
 
 
 class ShermanRegularizer:
     """r(x, y) = y^T |A| (x^2) + 10 ||A|| sum_i y_i log y_i over [-1,1]^n x simplex.
 
-    ``prox`` stops once its output's optimality gap is at most ``tol``, at
-    first 1e-10 max(||A||, 1), and leaves the z-terms of its output in
-    ``last_terms``.
+    ``prox`` takes its tolerance and returns what it measured; it keeps no
+    state between calls but ``last_rounds``.
     """
 
     def __init__(self, inst: BoxSimplexInstance):
         self.inst = inst
         self.alpha = ENTROPY_SCALE_FACTOR * inst.op_norm
-        self.tol = 1e-10 * max(inst.op_norm, 1.0)
-        self.last_rounds = 0
-        self.last_gap = 0.0
-        self.last_gamma_inf = 0.0
-        self.last_terms: ZTerms | None = None
+        self.last_rounds = 0  # the latest prox's rounds; perfbench/tracing.py counts them
         # per-round scratch for the y block; outputs are always fresh arrays
         self._gamma = np.empty(inst.m)
         self._logw = np.empty(inst.m)
         self._h_y = np.empty(inst.m)
 
-    def value(self, p: Point):
-        return self._value(p.y, self.z_terms(p))
-
     def grad(self, p: Point):
         return self._grad(self.z_terms(p))
 
     def divergence(self, a: Point, b: Point):
-        ta = self.z_terms(a)
-        return self._divergence(a, b, ta, self._value(a.y, ta), self.value(b))
-
-    def _value(self, y: np.ndarray, t: ZTerms) -> float:
-        """r(p) of the point p with y block ``y`` and z-terms ``t``."""
-        return float(y @ t.az_x2) + self.alpha * float(y @ t.log_zy)
+        return self._divergence(a, b, self.z_terms(a), self.z_terms(b))
 
     def _grad(self, t: ZTerms) -> Point:
         """grad r(p) of the point p with z-terms ``t``."""
         return Point(t.grad_zx, t.az_x2 + self.alpha * (1.0 + t.log_zy))
 
-    def _divergence(self, a: Point, b: Point, ta: ZTerms, value_a: float, value_b: float):
-        """The divergence from a to b, given z_terms(a), r(a) and r(b)."""
-        return value_b - value_a - self._grad(ta).dot(b - a)
+    def _divergence(self, a: Point, b: Point, ta: ZTerms, tb: ZTerms):
+        """The divergence from a to b, given z_terms(a) and z_terms(b)."""
+        return tb.r_z - ta.r_z - self._grad(ta).dot(b - a)
 
-    def _max_divergence(self, z: Point, t: ZTerms, value_z: float) -> float:
-        """D(z) = max_u V_z(u) over box x simplex, given z_terms(z) and r(z).
+    def _max_divergence(self, z: Point, t: ZTerms) -> float:
+        """D(z) = max_u V_z(u) over box x simplex, given z_terms(z).
 
         r is convex, since alpha = 10 ||A|| >= 10 ||A_i||_1, so V_z is too and
         its maximum is at a vertex (s, e_i) with s in {-1, 1}^n, where r = ||A_i||_1:
@@ -93,17 +81,23 @@ class ShermanRegularizer:
         """
         g = self._grad(t)
         return (float(np.max(self.inst.row_l1 - g.y)) + float(np.abs(g.x).sum())
-                - value_z + g.dot(z))
+                - t.r_z + g.dot(z))
 
     def z_terms(self, z: Point) -> ZTerms:
         inst = self.inst
         zy = np.maximum(z.y, Y_FLOOR)
         atz_y = inst.abs_At @ zy
-        return ZTerms(zy, atz_y, inst.abs_A @ (z.x**2), np.log(zy), 2.0 * atz_y * z.x)
+        az_x2, log_zy = inst.abs_A @ (z.x**2), np.log(zy)
+        return ZTerms(zy, atz_y, az_x2, log_zy, 2.0 * atz_y * z.x,
+                      float(z.y @ az_x2) + self.alpha * float(z.y @ log_zy))
 
-    def prox(self, z: Point, g: Point, zt: ZTerms):
+    def prox(self, z: Point, g: Point, zt: ZTerms, tol: float):
         """argmin_u <g, u> + V_z(u) over [-1,1]^n x simplex by alternating exact
-        block minimization, until the output's optimality gap is at most tol.
+        block minimization, until the output's optimality gap is at most ``tol``.
+
+        Returns (w, terms, gap, gamma_inf): the output, its z-terms (equal to
+        ``z_terms(w)``), its optimality gap delta(w) and the largest sup-norm
+        of the rounds' entropic linear terms gamma.
 
         For an output w let h = g + grad r(w) - grad r(z), the gradient of the
         subproblem at w.  The subproblem is convex, so its suboptimality at w
@@ -112,13 +106,11 @@ class ShermanRegularizer:
         with h_x = g_x - grad_zx + 2 (|A|^T w_y) w_x and
         h_y = gamma + alpha (log max(w_y, floor) - log zy).  |A|^T w_y is also
         the next round's curvature, so the test costs one product per call.
-        ``zt`` is ``z_terms(z)``, which the calls from one z share.  The
-        round's products of its own output make ``last_terms``, which equals
-        ``z_terms`` of the output.
+        ``zt`` is ``z_terms(z)``, which the calls from one z share; the last
+        round's products of its own output make the returned terms.
         """
         inst = self.inst
         alpha = self.alpha
-        tol = self.tol
         lin_x = g.x - zt.grad_zx
         neg_lin_x = -lin_x
         gamma, logw, h_y = self._gamma, self._logw, self._h_y
@@ -156,14 +148,13 @@ class ShermanRegularizer:
             if gap <= tol:
                 break
         self.last_rounds = rounds
-        self.last_gap = gap
-        self.last_gamma_inf = gamma_max
-        self.last_terms = ZTerms(wy, a_coef, ax2, log_wy, grad_wx)
         if not gap <= tol:
             warnings.warn(
                 f"alternating prox stopped at gap {gap:.3e} "
                 f"after {rounds} rounds (tol {tol:.3e})", RuntimeWarning)
-        return Point(x, y)
+        terms = ZTerms(wy, a_coef, ax2, log_wy, grad_wx,
+                       float(y @ ax2) + alpha * float(y @ log_wy))
+        return Point(x, y), terms, gap, gamma_max
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +162,16 @@ class ShermanRegularizer:
 # ---------------------------------------------------------------------------
 
 
-def preprocess(inst: BoxSimplexInstance) -> BoxSimplexInstance:
+class PreprocessedInstance(BoxSimplexInstance):
+    """The rows ``kept_rows`` of a game, with b lowered by ``shift``."""
+
+    def __init__(self, inst: BoxSimplexInstance, keep: np.ndarray, shift: float):
+        super().__init__(inst.A[keep], inst.b[keep] - shift, inst.c)
+        self.kept_rows = keep
+        self.shift = shift
+
+
+def preprocess(inst: BoxSimplexInstance) -> PreprocessedInstance:
     """Drop dominated rows and shift b so its minimum is 0.
 
     Rows with b_i >= min b + 2 ||A|| never hold the best simplex response
@@ -179,16 +179,12 @@ def preprocess(inst: BoxSimplexInstance) -> BoxSimplexInstance:
     shifting, which is value-neutral on the simplex) leaves the game value
     unchanged while placing b in [0, 2 ||A||].
     """
-    b = inst.b
-    shift = float(b.min())
-    keep = np.flatnonzero((b < shift + 2.0 * inst.op_norm) | (b == shift))
-    out = BoxSimplexInstance(inst.A[keep], b[keep] - shift, inst.c)
-    out.shift = shift
-    out.kept_rows = keep
-    return out
+    shift = float(inst.b.min())
+    keep = np.flatnonzero((inst.b < shift + 2.0 * inst.op_norm) | (inst.b == shift))
+    return PreprocessedInstance(inst, keep, shift)
 
 
-def linf_regression_reduction(A, b) -> BoxSimplexInstance:
+def linf_regression_reduction(A, b) -> PreprocessedInstance:
     """Box-simplex game whose value is min_{x in [-1,1]^n} ||Ax - b||_inf.
 
     Stacks A, b with negated copies; c = 0.  The instance carries the
@@ -240,7 +236,6 @@ class _Try(NamedTuple):
     w: Point
     z_next: Point
     terms_next: ZTerms   # z_terms(z_next), from the prox that made it
-    value_next: float    # r(z_next)
     delta: float         # the optimality gaps of its two prox calls
     margin: float        # <g(w) - g(z), w - z'> - lam (V_z(w) + V_w(z'))
     ratio_lo: float      # the least ratio w_y / z_y or z'_y / z_y
@@ -253,25 +248,23 @@ class _Try(NamedTuple):
 
 
 def _mirror_prox_try(reg: ShermanRegularizer, z: Point, gz: Point, zt: ZTerms,
-                     value_z: float, lam: float, tol: float) -> _Try:
-    """w = Prox_z(g(z)/lam) and z' = Prox_z(g(w)/lam), each prox stopping at
-    gap ``tol``, given g(z), z_terms(z) and r(z).  The prox outputs' own
-    z-terms give r and grad r at w and z', so the test costs no product."""
-    reg.tol = tol
-    w = reg.prox(z, (1.0 / lam) * gz, zt)
-    tw, delta, gamma_inf = reg.last_terms, reg.last_gap, reg.last_gamma_inf
+                     lam: float, eps: float) -> _Try:
+    """w = Prox_z(g(z)/lam) and z' = Prox_z(g(w)/lam), given g(z) and z_terms(z).
+
+    Each prox stops at gap eps / (8 lam), but no tighter than 1e-10
+    max(||A||, 1).  The prox outputs' own z-terms give r and grad r at w and
+    z', so the test costs no product."""
+    tol = max(1e-10 * max(reg.inst.op_norm, 1.0), eps / (8.0 * lam))
+    w, tw, delta_w, gamma_w = reg.prox(z, (1.0 / lam) * gz, zt, tol)
     gw = reg.inst.operator(w)
-    z_next = reg.prox(z, (1.0 / lam) * gw, zt)
-    tn = reg.last_terms
+    z_next, tn, delta_next, gamma_next = reg.prox(z, (1.0 / lam) * gw, zt, tol)
     ratio_w, ratio_next = w.y / zt.zy, z_next.y / zt.zy
-    value_w, value_next = reg._value(w.y, tw), reg._value(z_next.y, tn)
     lhs = (gw - gz).dot(w - z_next)
-    rhs = lam * (reg._divergence(z, w, zt, value_z, value_w)
-                 + reg._divergence(w, z_next, tw, value_w, value_next))
-    return _Try(w, z_next, tn, value_next, delta + reg.last_gap, lhs - rhs,
+    rhs = lam * (reg._divergence(z, w, zt, tw) + reg._divergence(w, z_next, tw, tn))
+    return _Try(w, z_next, tn, delta_w + delta_next, lhs - rhs,
                 min(float(ratio_w.min()), float(ratio_next.min())),
                 max(float(ratio_w.max()), float(ratio_next.max())),
-                max(gamma_inf, reg.last_gamma_inf))
+                max(gamma_w, gamma_next))
 
 
 def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
@@ -323,20 +316,18 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     iterates.
 
     Each prox call of a try at lam stops at gap eps / (8 lam), but no tighter
-    than a prox called on its own.  The calls of an epoch's accepted steps
+    than 1e-10 max(||A||, 1).  The calls of an epoch's accepted steps
     then add at most eps / 4 to its gap bound; the sum of their gaps over
     all epochs is ``trace.summary["prox_gap_sum"]``.
     """
     cap = LAMBDA_BOX_SIMPLEX
     reg = ShermanRegularizer(inst)
-    tol_floor = reg.tol
     budget = iteration_budget(inst, eps) if max_iters is None else max_iters
     tol_rl = 1e-8 * max(1.0, inst.op_norm)
     z = Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m))
     z0 = z
     zt = reg.z_terms(z)  # afterwards each z's terms come from the prox that made it
-    value_z = reg._value(z.y, zt)
-    d_start = reg._max_divergence(z, zt, value_z)  # ||A|| (1 + 10 log m) at z0
+    d_start = reg._max_divergence(z, zt)  # ||A|| (1 + 10 log m) at z0
     gap_start = duality_gap(inst, z.x, z.y)
     gz = None  # g(z), queried when a step needs it
     x_acc = np.zeros(inst.n)
@@ -358,8 +349,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
             gz = inst.operator(z)
             queries += 1
         while True:  # tries from z until one passes the local test or lam = cap
-            step = _mirror_prox_try(reg, z, gz, zt, value_z, lam,
-                                    max(tol_floor, eps / (8.0 * lam)))
+            step = _mirror_prox_try(reg, z, gz, zt, lam, eps)
             queries += 1
             if lam >= cap or (step.stable and step.margin <= tol_rl):
                 break
@@ -368,8 +358,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
         if certify:
             at_cap = step
             if lam < cap:
-                at_cap = _mirror_prox_try(reg, z, gz, zt, value_z, cap,
-                                          max(tol_floor, eps / (8.0 * cap)))
+                at_cap = _mirror_prox_try(reg, z, gz, zt, cap, eps)
                 queries += 1
             s["stability_ok"] = s["stability_ok"] and at_cap.stable
             s["local_rl_ok"] = s["local_rl_ok"] and at_cap.margin <= tol_rl
@@ -396,7 +385,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
         if gap <= eps or t == budget:
             break
         # g(z') is the next step's g(z), and with it z' has an exact gap for free
-        z, zt, value_z = step.z_next, step.terms_next, step.value_next
+        z, zt = step.z_next, step.terms_next
         gz = inst.operator(z)
         queries += 1
         gap_z = _gap_from_operator(inst, z.x, z.y, gz)
@@ -406,9 +395,8 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
             if not from_z:
                 z = Point(xb, yb)
                 zt = reg.z_terms(z)
-                value_z = reg._value(z.y, zt)
                 gz = None
-            d_start = reg._max_divergence(z, zt, value_z)
+            d_start = reg._max_divergence(z, zt)
             gap_start = gap_r
             x_acc[:] = 0.0
             y_acc[:] = 0.0

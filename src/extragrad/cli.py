@@ -77,7 +77,7 @@ _positive_float = _checked(float, lambda v: np.isfinite(v) and v > 0, "positive 
 # --mono
 _nonnegative_float = _checked(float, lambda v: np.isfinite(v) and v >= 0,
                               "finite and zero or more")
-# --iters
+# --iters, --seed
 _count = _checked(int, lambda v: v >= 0, "zero or more")
 # --samples
 _positive_count = _checked(int, lambda v: v >= 1, "one or more")
@@ -517,7 +517,7 @@ def build_parser():
     p_gen.add_argument("kind", choices=tuple(GEN))
     p_gen.add_argument("params", nargs="*",
                        help="generator parameters as key=value")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_count, default=0)
     p_gen.add_argument("--out")
 
     def common(p, with_alg):
@@ -529,7 +529,7 @@ def build_parser():
         p.add_argument("--iters", type=_count)
         p.add_argument("--lambda", dest="lam", type=_positive_float)
         p.add_argument("--mono", type=_nonnegative_float)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_count, default=0)
         p.add_argument("--out")
 
     p_solve = sub.add_parser("solve", help="run a solver")
@@ -547,7 +547,7 @@ def build_parser():
     p_bench.add_argument("--instance")
     p_bench.add_argument("--eps", type=_positive_float)
     p_bench.add_argument("--iters", type=_count)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_count, default=0)
     p_bench.add_argument("--out")
     return parser
 

@@ -53,10 +53,10 @@ def _aligned(a):
 class QuadraticProblem:
     """f(x) = 1/2 x^T M x + b^T x with SPD M, dense or diagonal, and grad f*.
 
-    grad f* uses a factorization of M fixed at construction, so
-    grad_fstar(grad(x)) == x to numerical precision.  The exact minimizer
-    x* = -M^{-1} b is cached at construction.  For diagonal M,
-    ``partial_at`` answers a coordinate partial in O(1).
+    grad f* solves with M itself, so grad_fstar(grad(x)) == x to numerical
+    precision.  The exact minimizer x* = -M^{-1} b is cached at
+    construction.  For diagonal M, ``partial_at`` answers a coordinate
+    partial in O(1).
 
     A dense M is copied once, F-ordered as the reader reads it, to a 64-byte
     boundary: the order decides the BLAS path and so the bits, and OpenBLAS's
@@ -76,7 +76,7 @@ class QuadraticProblem:
             M = _aligned(M)
             self._MT = M.T  # bound once, so grad builds no transpose view per call
             try:
-                self._chol = np.linalg.cholesky(M)
+                np.linalg.cholesky(M)
             except np.linalg.LinAlgError as e:
                 raise ValueError("M must be positive definite") from e
             # cholesky and eigvalsh read one triangle of M and grad all of it, so
@@ -103,8 +103,7 @@ class QuadraticProblem:
     def _solve(self, v):
         if self.diag:
             return self._inv * v
-        z = np.linalg.solve(self._chol, v)
-        return np.linalg.solve(self._chol.T, z)
+        return np.linalg.solve(self.M, v)
 
     def f(self, x):
         Mx = self.M * x if self.diag else self.M @ x

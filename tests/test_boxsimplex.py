@@ -22,6 +22,16 @@ def small_instance(seed=0, m=6, n=5, density=0.7):
     return gen_box_simplex(m, n, density, seed=seed)
 
 
+def tol_floor(inst):
+    """The tightest prox tolerance a solve uses: 1e-10 max(||A||, 1)."""
+    return 1e-10 * max(inst.op_norm, 1.0)
+
+
+def prox_point(reg, z, g):
+    """The output point of a prox from z alone, at the tightest tolerance."""
+    return reg.prox(z, g, reg.z_terms(z), tol_floor(reg.inst))[0]
+
+
 def sample_domain(inst, rng, margin=1e-2):
     x = rng.uniform(-1 + margin, 1 - margin, size=inst.n)
     y = Simplex(inst.m).sample(rng, margin)
@@ -70,7 +80,7 @@ class TestShermanRegularizer:
         reg = ShermanRegularizer(inst)
         rng = make_rng(5)
         z = sample_domain(inst, rng)
-        out = reg.prox(z, Point(np.zeros(inst.n), np.zeros(inst.m)), reg.z_terms(z))
+        out = prox_point(reg, z, Point(np.zeros(inst.n), np.zeros(inst.m)))
         assert np.allclose(out.x, z.x, atol=1e-8)
         assert np.allclose(out.y, z.y, atol=1e-8)
 
@@ -81,7 +91,7 @@ class TestShermanRegularizer:
         lo = -ENTROPY_SCALE_FACTOR * inst.op_norm * np.log(inst.m)
         hi = inst.op_norm
         for _ in range(100):
-            val = reg.value(sample_domain(inst, rng, margin=1e-6))
+            val = reg.z_terms(sample_domain(inst, rng, margin=1e-6)).r_z
             assert lo - 1e-9 <= val <= hi + 1e-9
 
     def test_divergence_nonnegative(self):
@@ -98,7 +108,7 @@ class TestShermanRegularizer:
         reg = ShermanRegularizer(inst)
         z = Point(np.array([0.3]), np.array([1.0]))
         g = Point(np.array([0.5]), np.array([0.0]))
-        out = reg.prox(z, g, reg.z_terms(z))
+        out = prox_point(reg, z, g)
         grid = np.linspace(-1.0, 1.0, 10001)
         objective = [g.x[0] * x
                      + reg.divergence(Point(np.array([x]), np.array([1.0])), z)
@@ -113,7 +123,7 @@ class TestShermanRegularizer:
         for _ in range(20):
             z = sample_domain(inst, rng)
             g = Point(0.1 * rng.standard_normal(3), 0.1 * rng.standard_normal(4))
-            w = reg.prox(z, g, reg.z_terms(z))
+            w = prox_point(reg, z, g)
             gr = reg.grad(w) - reg.grad(z) + g
             for _ in range(10):
                 u = sample_domain(inst, rng)
@@ -162,8 +172,8 @@ class TestProxGap:
             g = Point(rng.standard_normal(inst.n), rng.standard_normal(inst.m))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                w = reg.prox(z, g, reg.z_terms(z))
-            assert reg.last_gap == pytest.approx(self.lp_gap(reg, z, g, w), rel=1e-9)
+                w, _, gap, _ = reg.prox(z, g, reg.z_terms(z), tol_floor(inst))
+            assert gap == pytest.approx(self.lp_gap(reg, z, g, w), rel=1e-9)
 
     def test_default_tol_bounds_the_gap(self):
         inst = small_instance(seed=42, m=7, n=5)
@@ -172,8 +182,8 @@ class TestProxGap:
         for _ in range(10):
             z = sample_domain(inst, rng)
             g = Point(rng.standard_normal(inst.n), rng.standard_normal(inst.m))
-            w = reg.prox(z, g, reg.z_terms(z))
-            assert reg.last_gap <= 1e-10 * max(inst.op_norm, 1.0)
+            w, _, gap, _ = reg.prox(z, g, reg.z_terms(z), tol_floor(inst))
+            assert gap <= 1e-10 * max(inst.op_norm, 1.0)
             assert self.lp_gap(reg, z, g, w) <= 1e-8 * max(inst.op_norm, 1.0)
 
     def test_shared_z_terms_give_identical_output(self):
@@ -186,9 +196,10 @@ class TestProxGap:
             for _ in range(2):  # two calls from one z, as in an iteration
                 g = Point(0.3 * rng.standard_normal(inst.n),
                           0.3 * rng.standard_normal(inst.m))
-                a, b = shared.prox(z, g, zt), alone.prox(z, g, alone.z_terms(z))
+                a, _, gap_a, _ = shared.prox(z, g, zt, tol_floor(inst))
+                b, _, gap_b, _ = alone.prox(z, g, alone.z_terms(z), tol_floor(inst))
                 assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
-                assert shared.last_gap == alone.last_gap
+                assert gap_a == gap_b
                 assert shared.last_rounds == alone.last_rounds
 
     def test_last_terms_are_the_outputs_z_terms(self):
@@ -198,9 +209,26 @@ class TestProxGap:
         for _ in range(10):
             z = sample_domain(inst, rng)
             g = Point(0.3 * rng.standard_normal(inst.n), 0.3 * rng.standard_normal(inst.m))
-            w = reg.prox(z, g, reg.z_terms(z))
-            for a, b in zip(reg.last_terms, reg.z_terms(w)):
+            w, terms, _, _ = reg.prox(z, g, reg.z_terms(z), tol_floor(inst))
+            for a, b in zip(terms, reg.z_terms(w)):
                 assert np.array_equal(a, b)
+
+    def test_prox_rebinds_no_attribute_but_last_rounds(self):
+        # what a call reads comes in as arguments and what it measured goes
+        # out as its return value; only the round count stays behind
+        inst = small_instance(seed=48, m=9, n=6)
+        reg = ShermanRegularizer(inst)
+        rng = make_rng(49)
+        for tol in (0.0, tol_floor(inst)):  # at 0 it runs every round and warns
+            z = sample_domain(inst, rng)
+            g = Point(0.3 * rng.standard_normal(inst.n), 0.3 * rng.standard_normal(inst.m))
+            before = dict(vars(reg))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                reg.prox(z, g, reg.z_terms(z), tol)
+            after = vars(reg)
+            assert after.keys() == before.keys()
+            assert {k for k in before if after[k] is not before[k]} <= {"last_rounds"}
 
 
 class TestMaxDivergence:
@@ -210,8 +238,7 @@ class TestMaxDivergence:
             reg = ShermanRegularizer(inst)
             rng = make_rng(seed)
             z = sample_domain(inst, rng)
-            zt = reg.z_terms(z)
-            d = reg._max_divergence(z, zt, reg._value(z.y, zt))
+            d = reg._max_divergence(z, reg.z_terms(z))
             vertices = [Point(np.array(s), np.eye(inst.m)[i])
                         for s in itertools.product((-1.0, 1.0), repeat=inst.n)
                         for i in range(inst.m)]
@@ -224,9 +251,8 @@ class TestMaxDivergence:
         inst = gen_box_simplex(50, 40, 0.5, seed=0)
         reg = ShermanRegularizer(inst)
         z0 = Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m))
-        zt = reg.z_terms(z0)
         bound = inst.op_norm * (1.0 + ENTROPY_SCALE_FACTOR * np.log(inst.m))
-        assert reg._max_divergence(z0, zt, reg._value(z0.y, zt)) == pytest.approx(
+        assert reg._max_divergence(z0, reg.z_terms(z0)) == pytest.approx(
             bound, rel=1e-12)
 
 
@@ -297,7 +323,7 @@ class TestProxXUpdate:
         z = Point(np.array([0.2, -0.4, 0.9, 0.1]), np.array([0.5, 0.3, 0.2]))
         g = Point(np.array([0.7, 0.3, -5.0, -0.2]), np.array([0.1, -0.2, 0.05]))
         with pytest.warns(RuntimeWarning, match="alternating prox stopped"):
-            out = reg.prox(z, g, reg.z_terms(z))
+            out = prox_point(reg, z, g)
         # one round from y = z.y, in the where / nan_to_num / clip form
         a_coef = np.abs(A).T @ z.y
         lin_x = g.x - 2.0 * a_coef * z.x
@@ -384,8 +410,8 @@ def record_tries(monkeypatch):
     calls = []
     try_ = boxsimplex._mirror_prox_try
 
-    def recording(reg, z, gz, zt, value_z, lam, tol):
-        step = try_(reg, z, gz, zt, value_z, lam, tol)
+    def recording(reg, z, gz, zt, lam, eps):
+        step = try_(reg, z, gz, zt, lam, eps)
         calls.append((lam, z, step))
         return step
 
@@ -560,8 +586,8 @@ class TestSolve:
         calls = []
         try_ = boxsimplex._mirror_prox_try
 
-        def recording(reg, z, gz, zt, value_z, lam, tol):
-            step = try_(reg, z, gz, zt, value_z, lam, tol)
+        def recording(reg, z, gz, zt, lam, eps):
+            step = try_(reg, z, gz, zt, lam, eps)
             calls.append((lam, z, step))
             return step
 

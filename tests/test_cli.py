@@ -606,6 +606,21 @@ class TestUsage:
         assert run(["solve", "--alg", "eg-accel", "--instance", quad_manifest,
                     "--bogus-flag", "1"]) == 64
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "quadratic"],
+        ["solve", "--alg", "eg-coord"],
+        ["bench", "--alg", "eg-coord"],
+        ["verify", "--check", "rel-lip"],
+        ["verify", "--check", "estimator"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[2:]))
+    def test_negative_seed_is_usage_error(self, quad_manifest, tmp_path, capsys, argv):
+        # numpy's Philox rejects a negative seed with a ValueError, so the flag must
+        out = str(tmp_path / "n")
+        instance = [] if argv[0] == "gen" else ["--instance", quad_manifest]
+        assert run(argv + instance + ["--seed", "-1", "--out", out]) == 64
+        err = capsys.readouterr().err
+        assert "argument --seed" in err and "Traceback" not in err
+
 
 def test_module_process_exits_with_the_documented_code(tmp_path):
     # python -m extragrad.cli: main's return value becomes the process's exit code
