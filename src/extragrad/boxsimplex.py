@@ -45,18 +45,16 @@ class ZTerms(NamedTuple):
 class ShermanRegularizer:
     """r(x, y) = y^T |A| (x^2) + 10 ||A|| sum_i y_i log y_i over [-1,1]^n x simplex.
 
-    ``prox`` takes its tolerance and returns what it measured; it keeps no
-    state between calls but ``last_rounds``.
+    It keeps ``inst``, ``alpha`` and ``last_rounds``, and nothing else:
+    ``prox`` takes its tolerance, returns what it measured and works on fresh
+    arrays.  ``last_rounds`` is the latest prox's round count, which
+    ``perfbench/tracing.py`` counts.
     """
 
     def __init__(self, inst: BoxSimplexInstance):
         self.inst = inst
         self.alpha = ENTROPY_SCALE_FACTOR * inst.op_norm
-        self.last_rounds = 0  # the latest prox's rounds; perfbench/tracing.py counts them
-        # per-round scratch for the y block; outputs are always fresh arrays
-        self._gamma = np.empty(inst.m)
-        self._logw = np.empty(inst.m)
-        self._h_y = np.empty(inst.m)
+        self.last_rounds = 0
 
     def grad(self, p: Point):
         return self._grad(self.z_terms(p))
@@ -108,30 +106,29 @@ class ShermanRegularizer:
         the next round's curvature, so the test costs one product per call.
         ``zt`` is ``z_terms(z)``, which the calls from one z share; the last
         round's products of its own output make the returned terms.
+
+        Each round's x is -lin_x / (2 a) clipped to the box, with a = |A|^T y
+        the curvature.  Where a = 0 that is -sign(lin_x); any positive a, however
+        small, gives the clipped quotient, and a NaN a gives x = 0.
         """
         inst = self.inst
         alpha = self.alpha
         lin_x = g.x - zt.grad_zx
         neg_lin_x = -lin_x
-        gamma, logw, h_y = self._gamma, self._logw, self._h_y
         a_coef = zt.atz_y  # round 1 starts from y = zy
         gamma_max = 0.0
         for r in range(PROX_MAX_ROUNDS):
             rounds = r + 1
             with np.errstate(divide="ignore", invalid="ignore"):
                 x = neg_lin_x / (2.0 * a_coef)
-            flat = ~(a_coef > 1e-300)  # no curvature (NaN included): go to the edge
-            if flat.any():
-                x[flat] = -np.sign(lin_x[flat])
-            np.clip(x, -1.0, 1.0, out=x)  # also maps +-inf to +-1
+            # a column without curvature gives +-inf, clipped to -sign(lin_x), or 0/0, set to 0
+            np.clip(x, -1.0, 1.0, out=x)
             if np.isnan(x).any():
                 x[np.isnan(x)] = 0.0
             ax2 = inst.abs_A @ (x**2)
-            np.add(g.y, ax2, out=gamma)
-            gamma -= zt.az_x2
+            gamma = g.y + ax2 - zt.az_x2
             gamma_max = max(gamma_max, float(np.abs(gamma).max()))
-            np.divide(gamma, alpha, out=logw)
-            np.subtract(zt.log_zy, logw, out=logw)
+            logw = zt.log_zy - gamma / alpha
             logw -= logw.max()
             y = np.exp(logw)
             y /= y.sum()
@@ -140,9 +137,7 @@ class ShermanRegularizer:
             grad_wx = 2.0 * a_coef * x
             h_x = lin_x + grad_wx
             log_wy = np.log(wy)
-            np.subtract(log_wy, zt.log_zy, out=h_y)
-            h_y *= alpha
-            h_y += gamma
+            h_y = (log_wy - zt.log_zy) * alpha + gamma
             gap = (float(h_x @ x) + float(np.abs(h_x).sum())
                    + float(h_y @ y) - float(h_y.min()))
             if gap <= tol:

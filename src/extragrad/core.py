@@ -9,8 +9,8 @@ box-simplex regularizer in :mod:`extragrad.boxsimplex`).  Every regularizer
 has ``divergence(a, b)``, the Bregman divergence
 V_a(b) = r(b) - r(a) - <grad r(a), b - a>, and ``prox(z, g)``, the argmin
 over the feasible set of <g, v> + V_z(v).  ``grad`` and ``blended_prox`` exist
-where a method or a reference test reads them; only the box-simplex
-regularizer has ``value``, which its divergence reads.
+where a method or a reference test reads them; the box-simplex regularizer
+carries r(z) in its z-terms, which its divergence reads.
 """
 
 from __future__ import annotations

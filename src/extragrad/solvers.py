@@ -13,7 +13,7 @@ from itertools import cycle, islice
 
 import numpy as np
 
-from .core import Point, ProductRegularizer, vdot
+from .core import Point, ProductRegularizer, ScaledEuclidean, vdot
 from .operators import make_rng, AliasTable, lambda_coord, lambda_fenchel
 
 
@@ -31,7 +31,8 @@ class SolverTrace:
     summary: dict = field(default_factory=dict)
 
     def cum_regret(self):
-        return float(np.sum(self.regrets))
+        """The regrets summed left to right, as the trace rows and the certificate sum them."""
+        return float(np.cumsum(self.regrets)[-1]) if self.regrets else 0.0
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -248,6 +249,7 @@ def general_norm_accel(problem, rx, x0, eps, T=None):
         T = int(np.ceil(4 * np.sqrt(L / mu) * np.log(max(2 * L / mu * err0 / eps, np.e))))
 
     x, v = x0.copy(), x0.copy()
+    ry = ScaledEuclidean(1.0)  # the dual block lives in v-space
     for t in range(T):
         # grad f at v and at v_half, both fixed before the step: one stacked call
         v_half = (1.0 - 1.0 / lam) * v + x / lam
@@ -259,7 +261,7 @@ def general_norm_accel(problem, rx, x0, eps, T=None):
         gx_w = gf_vh - rx.grad(v_half) + rx.grad(x_half)
         gy_w = v_half - x_half
         x = rx.blended_prox(x, x_half, gx_w, lam, m)
-        v = (v + (m / lam) * v_half - gy_w / lam) / (1.0 + m / lam)
+        v = ry.blended_prox(v, v_half, gy_w, lam, m)
         _check_finite(x, t)
     return x
 

@@ -132,8 +132,6 @@ def check_strong_monotonicity(g, r, m, sampler: TripleSampler) -> CertificateRep
 
 def check_regret_certificate(trace, g, r, lam, z0, u):
     """Sum of <g(w_t), w_t - u> against lam * V_{z0}(u); returns (passed, margin)."""
-    if not trace.iterates:
-        return True, lam * r.divergence(z0, u)
     lhs = 0.0
     for w in trace.iterates:
         lhs += vdot(g(w), w - u)

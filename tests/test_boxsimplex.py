@@ -213,6 +213,11 @@ class TestProxGap:
             for a, b in zip(terms, reg.z_terms(w)):
                 assert np.array_equal(a, b)
 
+    def test_holds_only_inst_alpha_and_last_rounds(self):
+        # a prox call rebinds nothing else (below), so this holds after calls too
+        reg = ShermanRegularizer(small_instance(seed=50))
+        assert set(vars(reg)) == {"inst", "alpha", "last_rounds"}
+
     def test_prox_rebinds_no_attribute_but_last_rounds(self):
         # what a call reads comes in as arguments and what it measured goes
         # out as its return value; only the round count stays behind
@@ -333,6 +338,22 @@ class TestProxXUpdate:
         assert np.array_equal(out.x, x_old)
         assert out.x[1] == -1.0 and out.x[3] == 1.0
         assert out.x[2] == 1.0  # clipped from outside the box
+
+    def test_zero_column_with_zero_linear_term_stays_at_zero(self, monkeypatch):
+        # column 1 of A is zero and so is its linear term: 0 / 0 goes to x = 0
+        monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 1)
+        A = np.array([[0.5, 0.0, -1.0],
+                      [2.0, 0.0, 0.25]])
+        inst = BoxSimplexInstance(A, np.zeros(2), np.zeros(3))
+        reg = ShermanRegularizer(inst)
+        z = Point(np.array([0.2, 0.7, -0.3]), np.array([0.6, 0.4]))
+        g = Point(np.array([0.4, 0.0, -0.1]), np.array([0.1, -0.2]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            w, terms, gap, _ = reg.prox(z, g, reg.z_terms(z), tol_floor(inst))
+        assert w.x[1] == 0.0
+        assert np.isfinite(w.x).all() and np.isfinite(w.y).all() and np.isfinite(gap)
+        assert terms.grad_zx[1] == 0.0
 
 
 class TestDualityGap:

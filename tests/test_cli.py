@@ -158,6 +158,18 @@ class TestSolve:
         assert run(["solve", "--alg", "mirror-prox", "--instance", mm_manifest,
                     "--iters", "50", "--check", "--out", out]) == 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("alg", ["mirror-prox", "dual-ex"])
+    def test_summary_cum_regret_is_the_last_trace_row(self, alg, seed, tmp_path):
+        # both sum the regrets left to right, so the two texts agree digit for digit
+        manifest, out = str(tmp_path / "mm.manifest"), str(tmp_path / alg)
+        assert run(["gen", "minimax", "--seed", str(seed), "--out", manifest]) == 0
+        assert run(["solve", "--alg", alg, "--instance", manifest, "--out", out]) == 0
+        with open(out + ".trace.csv") as fh:
+            header, *rows = [line.rstrip("\n").split(",") for line in fh]
+        last = rows[-1][header.index("cum_regret")]
+        assert read_summary(out + ".summary.txt")["cum_regret"] == last
+
     def test_mp_strong_certifies_the_contraction(self, mm_manifest, tmp_path):
         out = str(tmp_path / "sm")
         assert run(["solve", "--alg", "mp-strong", "--instance", mm_manifest,
