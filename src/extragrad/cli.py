@@ -18,7 +18,6 @@ byte-identical traces; the total wall time goes to the summary file instead.
 from __future__ import annotations
 
 import argparse
-import copy
 import csv
 import sys
 import time
@@ -35,7 +34,7 @@ from .problems import (ParseError, QuadraticProblem, gen_box_simplex, gen_minima
                        gen_quadratic, save_instance, load_instance, write_manifest)
 from .solvers import (NonFiniteIterateError, baseline_unaccelerated,
                       dual_extrapolation, eg_accel, eg_coord_accel,
-                      general_norm_accel, mirror_prox, mirror_prox_sm)
+                      general_norm_accel, mirror_prox, mirror_prox_sm, phase_length)
 from .boxsimplex import solve_box_simplex
 from . import verify as V
 
@@ -275,28 +274,34 @@ def _solve_mp_strong(problem, args):
 
 
 def _solve_baseline(problem, args):
+    """Stops at the first mean iterate within --eps; 2 gradient queries per step."""
     T = _or(args.iters, 1000)
-    trace = baseline_unaccelerated(problem, np.zeros(problem.d), T)
+    trace = baseline_unaccelerated(problem, np.zeros(problem.d), T, eps=args.eps)
     rows = [{"iter": t, "f_err": fe} for t, fe in enumerate(trace.f_errors)]
-    f_err = trace.summary["f_err"]
-    summary = {"iters": T, "final_f_err": f_err, "bound": trace.summary["bound"]}
-    return rows, summary, EXIT_BUDGET if args.eps is not None and f_err > args.eps else EXIT_OK
+    s = trace.summary
+    summary = {"iters": T, "iterations": s["iterations"], "queries": 2 * s["iterations"],
+               "final_f_err": s["f_err"], "bound": s["bound"]}
+    return rows, summary, EXIT_OK if args.eps is None or s["f_err"] <= args.eps else EXIT_BUDGET
 
 
 def _accuracy(problem, x, eps, rows, summary):
-    """An accelerated method's result: exit 2 when f(x) - f* > eps."""
+    """An accelerated method's result: exit 2 unless f(x) - f* <= eps (a NaN misses)."""
     final = problem.error(x)
     summary.update(eps=eps, final_f_err=final)
-    return rows, summary, EXIT_BUDGET if final > eps else EXIT_OK
+    return rows, summary, EXIT_OK if final <= eps else EXIT_BUDGET
 
 
 def _solve_eg_accel(problem, args):
+    """2 gradient queries per step, after the 2 that bound eps0 when --eps0 is not given."""
     eps = _or(args.eps, 1e-6)
     errs = []
     x = eg_accel(problem, np.zeros(problem.d), eps, eps0=args.eps0,
                  collect=lambda k, xp: errs.append(problem.error(xp)))
     rows = [{"iter": k, "f_err": fe} for k, fe in enumerate(errs)]
-    return _accuracy(problem, x, eps, rows, {"phases": len(errs)})
+    iterations = len(errs) * phase_length(lambda_fenchel(problem.profile))
+    summary = {"phases": len(errs), "iterations": iterations,
+               "queries": 2 * iterations + (2 if args.eps0 is None else 0)}
+    return _accuracy(problem, x, eps, rows, summary)
 
 
 def _solve_eg_gennorm(problem, args):
@@ -310,8 +315,8 @@ def _solve_eg_coord(problem, args):
     eps = _or(args.eps, 1e-6)
     x, info = eg_coord_accel(problem, np.zeros(problem.d), eps, eps0=args.eps0,
                              seed=args.seed)
-    summary = {"queries": info["queries"] + info["bound_queries"],  # as bench counts
-               "inner_iterations": info["inner_iterations"], "phases": info["phases"]}
+    summary = {"queries": info["queries"] + info["bound_queries"],
+               "iterations": info["inner_iterations"], "phases": info["phases"]}
     return _accuracy(problem, x, eps, [{"iter": 0, "f_err": problem.error(x)}], summary)
 
 
@@ -326,14 +331,14 @@ def _solve_box_simplex(problem, args):
                                          certify=args.check)
     s = trace.summary
     rows = [{"iter": t, "gap": gp} for t, gp in enumerate(trace.gaps)]
-    summary = {"eps": eps, "gap": gap, "iterations": s["iterations"], "retries": s["retries"],
-               "restarts": s["restarts"], "lam_min": s["lam_min"], "budget": s["budget"],
-               "prox_gap_sum": s["prox_gap_sum"]}
+    summary = {"eps": eps, "gap": gap, "iterations": s["iterations"], "queries": s["queries"],
+               "retries": s["retries"], "restarts": s["restarts"], "lam_min": s["lam_min"],
+               "budget": s["budget"], "prox_gap_sum": s["prox_gap_sum"]}
     if args.check:
         summary.update((k, s[k]) for k in BOX_SIMPLEX_FLAGS)
         if not all(s[k] for k in BOX_SIMPLEX_FLAGS):
             return rows, summary, EXIT_CERT
-    return rows, summary, EXIT_BUDGET if gap > eps else EXIT_OK
+    return rows, summary, EXIT_OK if gap <= eps else EXIT_BUDGET
 
 
 # solve: runner(problem, args) -> (trace rows, summary entries, exit code);
@@ -447,43 +452,9 @@ def cmd_verify(args):
     return code
 
 
-def _bench_baseline(problem, args):
-    eps, T = _or(args.eps, 1e-2), _or(args.iters, 100000)
-    trace = baseline_unaccelerated(problem, np.zeros(problem.d), T, eps=eps)
-    it = trace.summary["iterations"]
-    return it, 2 * it, trace.summary["f_err"]
-
-
-def _bench_eg_accel(problem, args):
-    # the problem with its gradient points counted: 1 per 1-D call, 1 per stacked row
-    counted, points = copy.copy(problem), []
-    counted.grad = lambda x: points.append(1 if x.ndim == 1 else len(x)) or problem.grad(x)
-    x = eg_accel(counted, np.zeros(problem.d), _or(args.eps, 1e-6))
-    # 2 gradient queries per inner iteration, after the 2 that estimate eps0
-    queries = sum(points)
-    return (queries - 2) // 2, queries, problem.error(x)
-
-
-def _bench_eg_coord(problem, args):
-    x, info = eg_coord_accel(problem, np.zeros(problem.d), _or(args.eps, 1e-6),
-                             seed=args.seed)
-    # 2 partial queries per inner iteration, after the 2d that bound eps0
-    return info["inner_iterations"], info["queries"] + info["bound_queries"], problem.error(x)
-
-
-def _bench_box_simplex(problem, args):
-    eps = _or(args.eps, 1e-2 * max(problem.op_norm, 1.0))
-    _, _, gap, trace = solve_box_simplex(problem, eps, max_iters=args.iters)
-    return trace.summary["iterations"], trace.summary["queries"], gap
-
-
-# bench: runner(problem, args) -> (iterations, queries, final error)
-BENCH = _table(
-    ("baseline", QUADRATICS, "eps iters", _bench_baseline),
-    ("eg-accel", QUADRATICS, "eps", _bench_eg_accel),
-    ("eg-coord", ("diagonal quadratic",), "eps", _bench_eg_coord),
-    ("box-simplex", ("box-simplex",), "eps iters", _bench_box_simplex),
-)
+# bench: the solve runners whose summaries count iterations and queries
+BENCH = {key: SOLVE[key] for key in SOLVE
+         if key[0] in ("baseline", "eg-accel", "eg-coord", "box-simplex")}
 
 
 def cmd_bench(args):
@@ -491,8 +462,10 @@ def cmd_bench(args):
     results = []
     for alg, run in zip(args.alg, runs):
         start = time.perf_counter()
-        iters, queries, err = run(problem, args)
-        results.append((alg, iters, queries, err, (time.perf_counter() - start) * 1e3))
+        _, summary, _ = run(problem, args)
+        err = summary["gap"] if "gap" in summary else summary["final_f_err"]
+        results.append((alg, summary["iterations"], summary["queries"], err,
+                        (time.perf_counter() - start) * 1e3))
     with open((args.out or "bench") + ".csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["alg", "iterations", "queries", "final_err", "wall_ms"])
@@ -549,6 +522,7 @@ def build_parser():
     p_bench.add_argument("--iters", type=_count)
     p_bench.add_argument("--seed", type=_count, default=0)
     p_bench.add_argument("--out")
+    p_bench.set_defaults(eps0=None, check=False)  # solve's, for the shared runners
     return parser
 
 

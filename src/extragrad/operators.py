@@ -104,6 +104,8 @@ class BoxSimplexInstance:
         # ell_inf -> ell_inf operator norm: max row ell_1 norm
         self.row_l1 = np.asarray(abs_A.sum(axis=1)).ravel()
         self.op_norm = float(self.row_l1.max())
+        if not self.op_norm < np.inf:
+            raise ValueError(f"operator norm {self.op_norm!r} is too large")
         if _dense_products(self.m, self.n, A.nnz):
             A, abs_A = A.toarray(), abs_A.toarray()
         self.A_op, self.abs_A = A, abs_A

@@ -177,6 +177,11 @@ def _initial_error_bound(problem, x0, eps):
     return max(problem.f(x0) - lower, eps)
 
 
+def phase_length(lam):
+    """Inner iterations per phase of the accelerated phase methods: T = 4*ceil(lam)."""
+    return 4 * int(np.ceil(lam))
+
+
 def _phase_count(problem, x0, eps, eps0):
     """Phases that halve an error of at most eps0 down to eps, none when eps0 <= eps;
     eps0 is ``_initial_error_bound`` unless given."""
@@ -200,7 +205,7 @@ def eg_accel(problem, x0, eps, eps0=None, collect=None):
     """
     mu = problem.profile.mu
     lam = lambda_fenchel(problem.profile)
-    T = 4 * int(np.ceil(lam))
+    T = phase_length(lam)
     x0 = np.asarray(x0, dtype=float)
     K = _phase_count(problem, x0, eps, eps0)
     # x' = x - s g_vh, v_sum' = v_sum + v_half and v' = v + c (x - s g_v - v_half),
@@ -325,7 +330,7 @@ def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
     a01, a11 = 1.0 / lam - 1.0 / lam**2, 1.0 - 1.0 / lam + 1.0 / lam**2
     w_x, w_v = 1.0 / lam, 1.0 - 1.0 / lam  # v_half = w_v v + w_x x
     mu_lam, mu_lam2 = mu * lam, mu * lam**2
-    T = 4 * int(np.ceil(lam))
+    T = phase_length(lam)
     x0 = np.asarray(x0, dtype=float)
     K = _phase_count(problem, x0, eps, eps0)
     p_dist = prof.coord_probabilities()

@@ -52,6 +52,20 @@ def mm_manifest(tmp_path):
     return out
 
 
+def _write_game(tmp_path, A, b, c):
+    """A box-simplex manifest for the dense m x n matrix A, with A in coordinate form."""
+    m, n = np.shape(A)
+    entries = [f"{i + 1} {j + 1} {float(v)!r}\n" for i, row in enumerate(A)
+               for j, v in enumerate(row) if v]
+    (tmp_path / "g.A.mtx").write_text("%%MatrixMarket matrix coordinate real general\n"
+                                      f"{m} {n} {len(entries)}\n" + "".join(entries))
+    for key, vector in (("b", b), ("c", c)):
+        (tmp_path / f"g.{key}.txt").write_text("".join(f"{float(v)!r}\n" for v in vector))
+    manifest = tmp_path / "g.manifest"
+    manifest.write_text(f"kind=box-simplex\nm={m}\nn={n}\nA=g.A.mtx\nb=g.b.txt\nc=g.c.txt\n")
+    return str(manifest)
+
+
 class TestGen:
     def test_writes_manifest(self, quad_manifest):
         assert os.path.exists(quad_manifest)
@@ -468,8 +482,34 @@ class TestSolve:
         assert run(["solve", "--alg", "eg-coord", "--instance", manifest,
                     "--eps", "1e-5", "--out", out]) == 0
         summary = read_summary(out + ".summary.txt")
-        assert int(summary["inner_iterations"]) > 0
-        assert int(summary["queries"]) == 2 * int(summary["inner_iterations"]) + 2 * d
+        assert int(summary["iterations"]) > 0
+        assert int(summary["queries"]) == 2 * int(summary["iterations"]) + 2 * d
+
+    def test_nan_gap_is_exit_2(self, tmp_path):
+        # c = 1e308 makes the duality gap inf - inf, which must miss the target
+        manifest = _write_game(tmp_path, [[1, 1], [1, 0]], [0, 1], [1e308, 1e308])
+        out = str(tmp_path / "nan")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["solve", "--alg", "box-simplex", "--instance", manifest,
+                        "--iters", "3", "--out", out]) == 2
+        assert any("best gap nan" in str(w.message) for w in caught)
+        summary = read_summary(out + ".summary.txt")
+        assert (summary["gap"], summary["exit_code"]) == ("nan", "2")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--alg", "box-simplex"],
+        ["solve", "--alg", "box-simplex", "--eps", "1"],
+        ["bench", "--alg", "box-simplex"],
+        ["verify", "--check", "local-rl"],
+    ], ids=["solve", "solve-eps", "bench", "verify-local-rl"])
+    def test_game_whose_norm_overflows_is_parse_error(self, tmp_path, capsys, argv):
+        # each entry is finite, but the largest row l1 sum, ||A||, is not
+        manifest = _write_game(tmp_path, [[1e308, 1e308], [1, 0]], [0, 1], [0, 0])
+        out = str(tmp_path / "o")
+        assert run(argv + ["--instance", manifest, "--out", out]) == 4
+        assert "operator norm inf is too large" in capsys.readouterr().err
+        assert not [f for f in os.listdir(tmp_path) if f.startswith("o.")]  # no summary
 
 
 class TestVerify:
@@ -608,6 +648,26 @@ class TestBench:
         assert int(row["iterations"]) > 0 and sum(points) == 2
         assert int(row["queries"]) == len(partials) + d * sum(points) \
             == 2 * int(row["iterations"]) + 2 * d
+
+    @pytest.mark.parametrize("alg, flags", [
+        ("baseline", ["--eps", "1e-4", "--iters", "5000"]),
+        ("eg-accel", ["--eps", "1e-4"]),
+        ("eg-coord", ["--eps", "1e-4"]),
+        ("box-simplex", ["--eps", "0.01"]),
+    ], ids=["baseline", "eg-accel", "eg-coord", "box-simplex"])
+    def test_row_is_the_solve_summary(self, quad_manifest, bs_manifest, tmp_path, alg, flags):
+        argv = ["--alg", alg, "--instance",
+                bs_manifest if alg == "box-simplex" else quad_manifest] + flags
+        solve_out, bench_out = str(tmp_path / "s"), str(tmp_path / "b")
+        assert run(["solve"] + argv + ["--out", solve_out]) == 0
+        assert run(["bench"] + argv + ["--out", bench_out]) == 0
+        summary = read_summary(solve_out + ".summary.txt")
+        with open(bench_out + ".csv") as fh:
+            row = dict(zip(*[line.split(",") for line in fh.read().splitlines()]))
+        err = summary["gap" if alg == "box-simplex" else "final_f_err"]
+        assert (row["iterations"], row["queries"], row["final_err"]) == \
+            (summary["iterations"], summary["queries"], err)
+        assert int(row["queries"]) > 0
 
 
 class TestUsage:
