@@ -9,14 +9,14 @@ box-constrained ell_inf regression.
 
 from __future__ import annotations
 
-import warnings
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import Point
 from .operators import BoxSimplexInstance
-from .solvers import SolverTrace
+from .solvers import NonFiniteIterateError, SolverTrace, ceil_count
 
 LAMBDA_BOX_SIMPLEX = 3.0  # the cap on lam: a step at 3 passes the local test
 LAMBDA_SHRINK = 0.8  # lam <- 0.8 lam after an accepted step
@@ -94,8 +94,8 @@ class ShermanRegularizer:
         block minimization, until the output's optimality gap is at most ``tol``.
 
         Returns (w, terms, gap, gamma_inf): the output, its z-terms (equal to
-        ``z_terms(w)``), its optimality gap delta(w) and the largest sup-norm
-        of the rounds' entropic linear terms gamma.
+        ``z_terms(w)``), its optimality gap delta(w), above ``tol`` if the rounds
+        ran out, and the largest sup-norm of the rounds' entropic linear terms.
 
         For an output w let h = g + grad r(w) - grad r(z), the gradient of the
         subproblem at w.  The subproblem is convex, so its suboptimality at w
@@ -143,10 +143,6 @@ class ShermanRegularizer:
             if gap <= tol:
                 break
         self.last_rounds = rounds
-        if not gap <= tol:
-            warnings.warn(
-                f"alternating prox stopped at gap {gap:.3e} "
-                f"after {rounds} rounds (tol {tol:.3e})", RuntimeWarning)
         terms = ZTerms(wy, a_coef, ax2, log_wy, grad_wx,
                        float(y @ ax2) + alpha * float(y @ log_wy))
         return Point(x, y), terms, gap, gamma_max
@@ -222,7 +218,7 @@ def iteration_budget(inst: BoxSimplexInstance, eps: float) -> int:
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    return int(np.ceil(50.0 * inst.op_norm * np.log(max(inst.m, 2)) / eps))
+    return ceil_count(50.0 * inst.op_norm * np.log(max(inst.m, 2)) / eps, eps, "iteration budget")
 
 
 class _Try(NamedTuple):
@@ -236,6 +232,7 @@ class _Try(NamedTuple):
     ratio_lo: float      # the least ratio w_y / z_y or z'_y / z_y
     ratio_hi: float      # the largest one
     gamma_inf: float     # sup-norm of the entropic subproblems' linear terms
+    stalls: int          # how many of its two prox calls stopped above their tol
 
     @property
     def stable(self) -> bool:
@@ -259,7 +256,7 @@ def _mirror_prox_try(reg: ShermanRegularizer, z: Point, gz: Point, zt: ZTerms,
     return _Try(w, z_next, tn, delta_w + delta_next, lhs - rhs,
                 min(float(ratio_w.min()), float(ratio_next.min())),
                 max(float(ratio_w.max()), float(ratio_next.max())),
-                max(gamma_w, gamma_next))
+                max(gamma_w, gamma_next), (not delta_w <= tol) + (not delta_next <= tol))
 
 
 def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
@@ -313,7 +310,10 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     Each prox call of a try at lam stops at gap eps / (8 lam), but no tighter
     than 1e-10 max(||A||, 1).  The calls of an epoch's accepted steps
     then add at most eps / 4 to its gap bound; the sum of their gaps over
-    all epochs is ``trace.summary["prox_gap_sum"]``.
+    all epochs is ``trace.summary["prox_gap_sum"]``.  ``prox_stalls`` counts
+    the calls of every try, certifying ones included, that ran out of rounds
+    above that tolerance.  A run out of budget returns gap > eps, and a
+    non-finite gap of z0 or of an average raises ``NonFiniteIterateError``.
     """
     cap = LAMBDA_BOX_SIMPLEX
     reg = ShermanRegularizer(inst)
@@ -324,6 +324,8 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     zt = reg.z_terms(z)  # afterwards each z's terms come from the prox that made it
     d_start = reg._max_divergence(z, zt)  # ||A|| (1 + 10 log m) at z0
     gap_start = duality_gap(inst, z.x, z.y)
+    if not math.isfinite(gap_start):
+        raise NonFiniteIterateError(f"non-finite duality gap {gap_start!r} at z0")
     gz = None  # g(z), queried when a step needs it
     x_acc = np.zeros(inst.n)
     y_acc = np.zeros(inst.m)
@@ -336,7 +338,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
                  stability_lo=1.0, stability_hi=1.0)
     best = None
     lam = cap
-    t = retries = restarts = 0
+    t = retries = restarts = prox_stalls = 0
     queries = 1  # the gap of z0
     prox_gap_sum = epoch_delta = excess = 0.0
     while t < budget:
@@ -346,6 +348,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
         while True:  # tries from z until one passes the local test or lam = cap
             step = _mirror_prox_try(reg, z, gz, zt, lam, eps)
             queries += 1
+            prox_stalls += step.stalls
             if lam >= cap or (step.stable and step.margin <= tol_rl):
                 break
             lam = min(LAMBDA_GROW * lam, cap)
@@ -355,6 +358,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
             if lam < cap:
                 at_cap = _mirror_prox_try(reg, z, gz, zt, cap, eps)
                 queries += 1
+                prox_stalls += at_cap.stalls
             s["stability_ok"] = s["stability_ok"] and at_cap.stable
             s["local_rl_ok"] = s["local_rl_ok"] and at_cap.margin <= tol_rl
             s["stability_lo"] = min(s["stability_lo"], at_cap.ratio_lo)
@@ -371,6 +375,8 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
         trace.lams.append(lam)
         xb, yb = x_acc / weight, y_acc / weight
         gap = duality_gap(inst, xb, yb)
+        if not math.isfinite(gap):
+            raise NonFiniteIterateError(f"non-finite duality gap {gap!r} at t={t}")
         queries += 1
         trace.gaps.append(gap)
         if not gap <= (d_start + epoch_delta + excess) / weight:
@@ -400,13 +406,9 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
         lam *= LAMBDA_SHRINK
     if best is None:  # a zero budget answers with z0 itself
         best = (z0.x, z0.y, gap_start)
-    if not best[2] <= eps:  # the budget ran out; NaN gaps warn too
-        warnings.warn(
-            f"box-simplex budget of {budget} iterations exhausted; "
-            f"best gap {best[2]:.3e} > eps {eps:.3e}", RuntimeWarning)
     xb, yb, gap = best
     s.update({"algorithm": "box-simplex", "iterations": t, "retries": retries,
               "restarts": restarts, "lam_min": min(trace.lams, default=cap), "lam_max": cap,
               "gap": gap, "budget": budget, "prox_gap_sum": prox_gap_sum,
-              "queries": queries})
+              "prox_stalls": prox_stalls, "queries": queries})
     return xb, yb, gap, trace

@@ -1,8 +1,9 @@
 """Command-line entry point: generate instances, run solvers, certify, benchmark.
 
 Exit codes: 0 success, 2 iteration budget exhausted before the target,
-3 a certificate failed or the run diverged (a non-finite iterate, or a point
-outside a regularizer's domain), 4 I/O or parse error, 64 usage error.
+3 a certificate failed or the run diverged (a non-finite iterate or duality
+gap, or a point outside a regularizer's domain), 4 I/O or parse error, 64 usage
+error, which includes an --eps so small that a step or phase count overflows.
 
 ``solve``, ``verify`` and ``bench`` each look up what they run in a table keyed
 by (algorithm or check id, instance kind); a pair outside the table is a usage
@@ -21,7 +22,6 @@ import argparse
 import csv
 import sys
 import time
-import warnings
 from functools import partial
 from types import SimpleNamespace
 
@@ -331,9 +331,9 @@ def _solve_box_simplex(problem, args):
                                          certify=args.check)
     s = trace.summary
     rows = [{"iter": t, "gap": gp} for t, gp in enumerate(trace.gaps)]
-    summary = {"eps": eps, "gap": gap, "iterations": s["iterations"], "queries": s["queries"],
-               "retries": s["retries"], "restarts": s["restarts"], "lam_min": s["lam_min"],
-               "budget": s["budget"], "prox_gap_sum": s["prox_gap_sum"]}
+    summary = {"eps": eps, "gap": gap, **{k: s[k] for k in (
+        "iterations", "queries", "retries", "restarts", "lam_min", "budget", "prox_gap_sum",
+        "prox_stalls")}}
     if args.check:
         summary.update((k, s[k]) for k in BOX_SIMPLEX_FLAGS)
         if not all(s[k] for k in BOX_SIMPLEX_FLAGS):
@@ -355,11 +355,19 @@ SOLVE = _table(
 )
 
 
+def _run(run, problem, args):
+    """``run(problem, args)``; an --eps whose count overflows is a usage error."""
+    try:
+        return run(problem, args)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+
+
 def cmd_solve(args):
     problem, [run] = _resolve(SOLVE, "algorithm", "alg", args)
     out = args.out or args.alg
     start = time.perf_counter()
-    rows, entries, code = run(problem, args)
+    rows, entries, code = _run(run, problem, args)
     summary = {"algorithm": args.alg, "instance": args.instance, "seed": args.seed, **entries,
                "wall_ms_total": (time.perf_counter() - start) * 1e3, "exit_code": code}
     write_trace(out + ".trace.csv", rows)
@@ -420,11 +428,8 @@ def _verify_estimator(problem, args, out):
 
 def _verify_local_rl(problem, args, out):
     iters = _or(args.iters, 200)
-    with warnings.catch_warnings():
-        if args.eps is None:  # exhausting the budget is the point here
-            warnings.simplefilter("ignore", RuntimeWarning)
-        _, _, gap, trace = solve_box_simplex(problem, max(_or(args.eps, 0.0), 1e-300),
-                                             max_iters=iters, certify=True)
+    _, _, gap, trace = solve_box_simplex(problem, max(_or(args.eps, 0.0), 1e-300),
+                                         max_iters=iters, certify=True)
     flags = {k: trace.summary[k] for k in BOX_SIMPLEX_FLAGS}
     ok = all(flags.values())
     return {"iters": iters, "gap": gap, **flags, "passed": ok}, _cert(ok)
@@ -462,7 +467,7 @@ def cmd_bench(args):
     results = []
     for alg, run in zip(args.alg, runs):
         start = time.perf_counter()
-        _, summary, _ = run(problem, args)
+        _, summary, _ = _run(run, problem, args)
         err = summary["gap"] if "gap" in summary else summary["final_f_err"]
         results.append((alg, summary["iterations"], summary["queries"], err,
                         (time.perf_counter() - start) * 1e3))

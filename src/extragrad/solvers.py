@@ -39,6 +39,13 @@ class NonFiniteIterateError(RuntimeError):
     pass
 
 
+def ceil_count(value, eps, what):
+    """ceil(value) as an int, for a count that eps sets; a ValueError if it overflows."""
+    if not np.isfinite(value):
+        raise ValueError(f"eps {eps!r} is too small: the {what} overflows")
+    return int(np.ceil(value))
+
+
 def _check_finite(z, t):
     ok = z.finite() if isinstance(z, Point) else bool(np.all(np.isfinite(z)))
     if not ok:
@@ -187,7 +194,7 @@ def _phase_count(problem, x0, eps, eps0):
     eps0 is ``_initial_error_bound`` unless given."""
     if eps0 is None:
         eps0 = _initial_error_bound(problem, x0, eps)
-    return max(int(np.ceil(np.log2(eps0 / eps))), 0)
+    return 0 if eps0 <= eps else ceil_count(np.log2(eps0 / eps), eps, "phase count")
 
 
 def eg_accel(problem, x0, eps, eps0=None, collect=None):
@@ -251,7 +258,8 @@ def general_norm_accel(problem, rx, x0, eps, T=None):
     x0 = np.asarray(x0, dtype=float)
     if T is None:
         err0 = _initial_error_bound(problem, x0, eps)
-        T = int(np.ceil(4 * np.sqrt(L / mu) * np.log(max(2 * L / mu * err0 / eps, np.e))))
+        steps = 4 * np.sqrt(L / mu) * np.log(max(2 * L / mu * err0 / eps, np.e))
+        T = ceil_count(steps, eps, "step count")
 
     x, v = x0.copy(), x0.copy()
     ry = ScaledEuclidean(1.0)  # the dual block lives in v-space

@@ -161,8 +161,10 @@ def coord_step(x, v, i, g_v, g_vh, lam, mu, p_i):
 
     g_v and g_vh are the i-th partials of f at v and at the half-point
     v_half = (1 - 1/lam) v + x/lam, which is the same for every i.  Returns
-    (x_half, x_next, v_next); the inputs are not modified.
+    (x_half, x_next, v_next); the inputs are not modified.  lam is taken as a
+    numpy float, so a lam whose square underflows gives infinite steps.
     """
+    lam = np.float64(lam)
     x_half = x.copy()
     x_half[i] -= g_v / (mu * lam * p_i)
     x_next = x.copy()
@@ -288,7 +290,7 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
             est_y = float(np.dot(v_half - shifted, gf_vh - gf_u))
             lhs += p[i] * (est_x + est_y)
         rhs = float(np.dot(gf_vh, x_bar - ux)) + float(np.dot(v_half - x_bar, gf_vh - gf_u))
-        worst_identity = max(worst_identity, abs(lhs - rhs))
+        worst_identity = np.maximum(worst_identity, abs(lhs - rhs))  # a NaN stays
         # condition 2: expected relative Lipschitzness of the estimator pair
         num = 0.0
         den = 0.0

@@ -1,7 +1,6 @@
 """Box-simplex games: coupled regularizer, preprocessing, certified solve."""
 
 import itertools
-import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from extragrad import (
     iteration_budget, ShermanRegularizer,
 )
 from extragrad import boxsimplex, cli, operators
+from extragrad.solvers import NonFiniteIterateError
 from extragrad.boxsimplex import (LAMBDA_BOX_SIMPLEX, LAMBDA_GROW, LAMBDA_SHRINK,
                                   ENTROPY_SCALE_FACTOR)
 
@@ -170,9 +170,7 @@ class TestProxGap:
         for _ in range(10):
             z = sample_domain(inst, rng)
             g = Point(rng.standard_normal(inst.n), rng.standard_normal(inst.m))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                w, _, gap, _ = reg.prox(z, g, reg.z_terms(z), tol_floor(inst))
+            w, _, gap, _ = reg.prox(z, g, reg.z_terms(z), tol_floor(inst))
             assert gap == pytest.approx(self.lp_gap(reg, z, g, w), rel=1e-9)
 
     def test_default_tol_bounds_the_gap(self):
@@ -224,13 +222,11 @@ class TestProxGap:
         inst = small_instance(seed=48, m=9, n=6)
         reg = ShermanRegularizer(inst)
         rng = make_rng(49)
-        for tol in (0.0, tol_floor(inst)):  # at 0 it runs every round and warns
+        for tol in (0.0, tol_floor(inst)):  # at 0 it runs every round and stalls
             z = sample_domain(inst, rng)
             g = Point(0.3 * rng.standard_normal(inst.n), 0.3 * rng.standard_normal(inst.m))
             before = dict(vars(reg))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                reg.prox(z, g, reg.z_terms(z), tol)
+            reg.prox(z, g, reg.z_terms(z), tol)
             after = vars(reg)
             assert after.keys() == before.keys()
             assert {k for k in before if after[k] is not before[k]} <= {"last_rounds"}
@@ -327,8 +323,8 @@ class TestProxXUpdate:
         reg = ShermanRegularizer(inst)
         z = Point(np.array([0.2, -0.4, 0.9, 0.1]), np.array([0.5, 0.3, 0.2]))
         g = Point(np.array([0.7, 0.3, -5.0, -0.2]), np.array([0.1, -0.2, 0.05]))
-        with pytest.warns(RuntimeWarning, match="alternating prox stopped"):
-            out = prox_point(reg, z, g)
+        out, _, gap, _ = reg.prox(z, g, reg.z_terms(z), tol_floor(inst))
+        assert gap > tol_floor(inst)  # one round stalls above the tolerance
         # one round from y = z.y, in the where / nan_to_num / clip form
         a_coef = np.abs(A).T @ z.y
         lin_x = g.x - 2.0 * a_coef * z.x
@@ -348,9 +344,7 @@ class TestProxXUpdate:
         reg = ShermanRegularizer(inst)
         z = Point(np.array([0.2, 0.7, -0.3]), np.array([0.6, 0.4]))
         g = Point(np.array([0.4, 0.0, -0.1]), np.array([0.1, -0.2]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            w, terms, gap, _ = reg.prox(z, g, reg.z_terms(z), tol_floor(inst))
+        w, terms, gap, _ = reg.prox(z, g, reg.z_terms(z), tol_floor(inst))
         assert w.x[1] == 0.0
         assert np.isfinite(w.x).all() and np.isfinite(w.y).all() and np.isfinite(gap)
         assert terms.grad_zx[1] == 0.0
@@ -394,16 +388,14 @@ class TestDualityGap:
 
 
 def record_prox_calls(monkeypatch):
-    """Wraps ShermanRegularizer.prox; returns the list of (output, warning
-    messages) of its calls, filled as they happen."""
+    """Wraps ShermanRegularizer.prox; returns the list of (returned gap, tol
+    argument, rounds run) of its calls, filled as they happen."""
     calls = []
     prox = ShermanRegularizer.prox
 
-    def recording(self, *args):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = prox(self, *args)
-        calls.append((out, [str(w.message) for w in caught]))
+    def recording(self, z, g, zt, tol):
+        out = prox(self, z, g, zt, tol)
+        calls.append((out[2], tol, self.last_rounds))
         return out
 
     monkeypatch.setattr(boxsimplex.ShermanRegularizer, "prox", recording)
@@ -518,8 +510,8 @@ class TestSolve:
         assert min(trace.gaps) == pytest.approx(gap, rel=1e-12)
 
     def _assert_answers_z0(self, inst, eps, **kw):
-        with pytest.warns(RuntimeWarning, match="budget of 0 iterations exhausted"):
-            x, y, gap, trace = solve_box_simplex(inst, eps, **kw)
+        x, y, gap, trace = solve_box_simplex(inst, eps, **kw)
+        assert gap > eps  # the budget ran out short of eps
         assert np.array_equal(x, np.zeros(inst.n))
         assert np.array_equal(y, np.full(inst.m, 1.0 / inst.m))
         assert gap == duality_gap(inst, x, y)
@@ -536,26 +528,42 @@ class TestSolve:
         assert inst.op_norm == 0.0
         self._assert_answers_z0(inst, 1e-3)
 
+    def test_non_finite_gap_raises_before_the_first_try(self, monkeypatch):
+        # c = 1e308 makes z0's duality gap overflow, and the run ends at that gap
+        tries = record_tries(monkeypatch)
+        queried, operator = [], BoxSimplexInstance.operator
+        monkeypatch.setattr(BoxSimplexInstance, "operator",
+                            lambda self, z: queried.append(z) or operator(self, z))
+        inst = BoxSimplexInstance(np.array([[1.0, 1.0], [1.0, 0.0]]), np.array([0.0, 1.0]),
+                                  np.array([1e308, 1e308]))
+        with np.errstate(over="ignore", invalid="ignore"):  # as under the CLI's errstate
+            with pytest.raises(NonFiniteIterateError, match="non-finite duality gap"):
+                solve_box_simplex(inst, 1e-2 * inst.op_norm)
+        assert tries == [] and len(queried) == 1
+
     def test_prox_gaps_add_at_most_a_quarter_eps(self):
         inst = gen_box_simplex(12, 10, 0.5, seed=18)
         eps = 1e-2 * inst.op_norm
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # no prox stall
-            x, y, gap, trace = solve_box_simplex(inst, eps, certify=True)
+        x, y, gap, trace = solve_box_simplex(inst, eps, certify=True)
         s = trace.summary
+        assert s["prox_stalls"] == 0
         assert gap <= eps and s["stability_ok"] and s["local_rl_ok"]
         assert 0.0 < s["prox_gap_sum"]
         assert s["prox_gap_sum"] / sum(1.0 / lam for lam in trace.lams) <= eps / 4
 
-    def test_stalled_prox_warns(self, monkeypatch):
-        # at eps = 1e-12 ||A|| the prox tolerance is its floor 1e-10 ||A||
+    def test_stalled_prox_is_counted(self, monkeypatch):
+        # at eps = 1e-12 ||A|| the prox tolerance is its floor 1e-10 ||A||;
+        # the count covers every try, the certifying ones included
         monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 2)
+        calls = record_prox_calls(monkeypatch)
         inst = gen_box_simplex(10, 8, 0.5, seed=4)
-        with pytest.warns(RuntimeWarning) as record:
-            solve_box_simplex(inst, 1e-12 * inst.op_norm, max_iters=20)
-        stalls = [w for w in record
-                  if "alternating prox stopped" in str(w.message)]
-        assert stalls and all("after 2 rounds" in str(w.message) for w in stalls)
+        for certify, count in ((False, 6), (True, 10)):
+            calls.clear()
+            trace = solve_box_simplex(inst, 1e-12 * inst.op_norm, max_iters=20,
+                                      certify=certify)[3]
+            stalls = [rounds for gap, tol, rounds in calls if not gap <= tol]
+            assert trace.summary["prox_stalls"] == len(stalls) == count
+            assert all(rounds == 2 for rounds in stalls)
 
     def test_solve_stops_prox_at_eps_over_8_lam(self, monkeypatch):
         monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 1)
@@ -564,32 +572,29 @@ class TestSolve:
         inst = linf_regression_reduction(rng.standard_normal((10, 5)),
                                          rng.standard_normal(10))
         eps = 1.5e-3 * inst.op_norm
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            x, y, gap, trace = solve_box_simplex(inst, eps, max_iters=1000)
+        x, y, gap, trace = solve_box_simplex(inst, eps, max_iters=1000)
         tries = tries_of(trace)
         assert len(calls) == 2 * len(tries)
         floor = 1e-10 * max(inst.op_norm, 1.0)
         stalled = set()
-        for k, (_, messages) in enumerate(calls):
+        for k, (prox_gap, tol, _) in enumerate(calls):
             lam = tries[k // 2][0]  # two prox calls per try
-            tol = f"after 1 rounds (tol {max(floor, eps / (8 * lam)):.3e})"
-            assert all(tol in m for m in messages if "alternating prox stopped" in m)
-            if messages:
+            assert tol == max(floor, eps / (8 * lam))
+            if not prox_gap <= tol:
                 stalled.add(lam)
         assert len(stalled) > 1  # stalls at more than one lam, so more than one tol
+        assert trace.summary["prox_stalls"] == sum(not g <= tol for g, tol, _ in calls) == 135
 
     def test_solve_keeps_the_prox_tolerance_floor(self, monkeypatch):
         # eps / (8 lam) lies below 1e-10 max(||A||, 1), so the floor is the tolerance
         monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 1)
         inst = gen_box_simplex(10, 8, 0.5, seed=4)
         eps = 1e-12 * inst.op_norm
-        with pytest.warns(RuntimeWarning) as record:
-            solve_box_simplex(inst, eps, max_iters=20)
-        stalls = [str(w.message) for w in record
-                  if "alternating prox stopped" in str(w.message)]
-        tol = f"(tol {1e-10 * max(inst.op_norm, 1.0):.3e})"
-        assert stalls and all(tol in m for m in stalls)
+        calls = record_prox_calls(monkeypatch)
+        trace = solve_box_simplex(inst, eps, max_iters=20)[3]
+        assert calls and all(tol == 1e-10 * max(inst.op_norm, 1.0) for _, tol, _ in calls)
+        stalls = sum(not gap <= tol for gap, tol, _ in calls)
+        assert stalls and trace.summary["prox_stalls"] == stalls
 
     def test_certify_leaves_the_iterates_alone(self):
         inst = gen_box_simplex(12, 10, 0.5, seed=18)
@@ -688,10 +693,8 @@ class TestSolve:
         monkeypatch.setattr(boxsimplex, "duality_gap",
                             lambda inst, x, y: counted.append(1) or gap_(inst, x, y))
         inst = gen_box_simplex(12, 10, 0.5, seed=18)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # a zero budget runs out
-            x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm,
-                                                 max_iters=max_iters, certify=certify)
+        x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm,
+                                             max_iters=max_iters, certify=certify)
         s = trace.summary
         assert (s["restarts"] >= 1) == (max_iters is None)
         assert len(counted) == s["iterations"] + 1
@@ -724,19 +727,17 @@ class TestSolve:
         # at a cap of 1e-3 every step is far too long, so the certificate fails
         monkeypatch.setattr(boxsimplex, "LAMBDA_BOX_SIMPLEX", 1e-3)
         inst = gen_box_simplex(12, 10, 0.5, seed=18)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm,
-                                                 max_iters=50, certify=True)
-            s = trace.summary
-            assert s["lam_max"] == 1e-3 and max(trace.lams) <= 1e-3
-            assert not (s["stability_ok"] and s["local_rl_ok"])
-            manifest = str(tmp_path / "g.manifest")
-            assert cli.main(["gen", "box-simplex", "m=12", "n=10", "density=0.5",
-                             "--seed", "18", "--out", manifest]) == 0
-            out = str(tmp_path / "s")
-            assert cli.main(["solve", "--alg", "box-simplex", "--instance", manifest,
-                             "--iters", "50", "--check", "--out", out]) == cli.EXIT_CERT
+        x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm,
+                                             max_iters=50, certify=True)
+        s = trace.summary
+        assert s["lam_max"] == 1e-3 and max(trace.lams) <= 1e-3
+        assert not (s["stability_ok"] and s["local_rl_ok"])
+        manifest = str(tmp_path / "g.manifest")
+        assert cli.main(["gen", "box-simplex", "m=12", "n=10", "density=0.5",
+                         "--seed", "18", "--out", manifest]) == 0
+        out = str(tmp_path / "s")
+        assert cli.main(["solve", "--alg", "box-simplex", "--instance", manifest,
+                         "--iters", "50", "--check", "--out", out]) == cli.EXIT_CERT
         with open(out + ".summary.txt") as fh:
             text = fh.read()
         assert "stability_ok=0" in text or "local_rl_ok=0" in text
@@ -799,10 +800,8 @@ class TestRegressionReduction:
         # with ||A|| = 0 no row lies below min b + 2 ||A||; the rows at min b stay
         inst = linf_regression_reduction(np.zeros((3, 2)), np.ones(3))
         assert list(inst.kept_rows) == [3, 4, 5] and inst.shift == -1.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)  # z0's gap is 0, within eps
-            x, y, gap, trace = solve_box_simplex(inst, 1e-3)
-        assert trace.summary["budget"] == 0 and gap == 0.0
+        x, y, gap, trace = solve_box_simplex(inst, 1e-3)
+        assert trace.summary["budget"] == 0 and gap == 0.0  # z0's gap, within eps
         assert np.array_equal(x, np.zeros(2)) and np.array_equal(y, np.full(3, 1.0 / 3.0))
         # the value maps back to min_x ||0 x - 1||_inf = 1
         assert float(np.max(inst.A @ x - inst.b)) - inst.shift == 1.0

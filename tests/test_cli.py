@@ -5,7 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import warnings
+import time
 
 import numpy as np
 import pytest
@@ -131,12 +131,13 @@ class TestSolve:
 
     def test_box_simplex_zero_iters_is_exit_2(self, bs_manifest, tmp_path):
         out = str(tmp_path / "z")
-        with pytest.warns(RuntimeWarning, match="budget of 0 iterations"):
-            assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
-                        "--iters", "0", "--out", out]) == 2
+        assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                    "--iters", "0", "--out", out]) == 2
         with open(out + ".summary.txt") as fh:
             text = fh.read()
         assert "iterations=0" in text and "exit_code=2" in text
+        summary = read_summary(out + ".summary.txt")
+        assert float(summary["gap"]) > float(summary["eps"])
 
     def test_budget_exhaustion_is_exit_2(self, quad_manifest, tmp_path):
         out = str(tmp_path / "b")
@@ -457,12 +458,14 @@ class TestSolve:
         assert int(summary["retries"]) >= 0 and 0 < float(summary["lam_min"]) <= 3
         # an oracle reporting gaps above the bound fails that certificate alone
         monkeypatch.setattr(boxsimplex, "duality_gap", lambda inst, x, y: 1e9)
-        with pytest.warns(RuntimeWarning, match="budget of 3 iterations exhausted"):
-            assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
-                        "--iters", "3", "--check", "--out", out]) == 3
+        assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                    "--iters", "3", "--check", "--out", out]) == 3
         summary = read_summary(out + ".summary.txt")
         assert (summary["gap_bound_ok"], summary["stability_ok"],
                 summary["local_rl_ok"]) == ("0", "1", "1")
+        # the budget of 3 ran out short of eps
+        assert (summary["iterations"], summary["budget"]) == ("3", "3")
+        assert float(summary["gap"]) == 1e9 > float(summary["eps"])
 
     def test_box_simplex_summary_reports_restarts(self, tmp_path):
         manifest, out = str(tmp_path / "g.manifest"), str(tmp_path / "bs")
@@ -485,17 +488,44 @@ class TestSolve:
         assert int(summary["iterations"]) > 0
         assert int(summary["queries"]) == 2 * int(summary["iterations"]) + 2 * d
 
-    def test_nan_gap_is_exit_2(self, tmp_path):
-        # c = 1e308 makes the duality gap inf - inf, which must miss the target
+    def test_non_finite_gap_is_exit_3_at_once(self, tmp_path, capsys):
+        # c = 1e308 makes z0's duality gap overflow; with the default budget of
+        # 3466 steps the run still ends at that first gap, in one line
         manifest = _write_game(tmp_path, [[1, 1], [1, 0]], [0, 1], [1e308, 1e308])
         out = str(tmp_path / "nan")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run(["solve", "--alg", "box-simplex", "--instance", manifest,
-                        "--iters", "3", "--out", out]) == 2
-        assert any("best gap nan" in str(w.message) for w in caught)
-        summary = read_summary(out + ".summary.txt")
-        assert (summary["gap"], summary["exit_code"]) == ("nan", "2")
+        start = time.perf_counter()
+        assert run(["solve", "--alg", "box-simplex", "--instance", manifest,
+                    "--out", out]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not os.path.exists(out + ".summary.txt")
+
+    @pytest.mark.parametrize("argv, manifest, count", [
+        (["solve", "--alg", "box-simplex", "--eps", "5e-324"], "bs_manifest", "iteration budget"),
+        (["bench", "--alg", "box-simplex", "--eps", "5e-324"], "bs_manifest", "iteration budget"),
+        (["solve", "--alg", "eg-accel", "--eps", "1e-10", "--eps0", "1e308"], "quad_manifest",
+         "phase count"),
+        (["solve", "--alg", "eg-coord", "--eps", "5e-324"], "quad_manifest", "phase count"),
+        (["solve", "--alg", "eg-gennorm", "--eps", "5e-324"], "quad_manifest", "step count"),
+    ], ids=["solve-box-simplex", "bench-box-simplex", "eg-accel-eps0", "eg-coord", "eg-gennorm"])
+    def test_eps_whose_count_overflows_is_usage_error(self, request, tmp_path, capsys,
+                                                      argv, manifest, count):
+        eps = argv[argv.index("--eps") + 1]
+        out = str(tmp_path / "o")
+        assert run(argv + ["--instance", request.getfixturevalue(manifest),
+                           "--out", out]) == 64
+        assert capsys.readouterr().err == (
+            f"usage error: eps {eps} is too small: the {count} overflows\n")
+        assert not os.path.exists(out + ".summary.txt") and not os.path.exists(out + ".csv")
+
+    def test_eps0_below_eps_takes_no_phase(self, quad_manifest, tmp_path):
+        # eps0 / eps underflows to 0 here: no phase is needed, and none is run
+        out = str(tmp_path / "o")
+        assert run(["solve", "--alg", "eg-accel", "--eps", "1e308", "--eps0", "5e-324",
+                    "--instance", quad_manifest, "--out", out]) == 0
+        assert read_summary(out + ".summary.txt")["phases"] == "0"
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--alg", "box-simplex"],
@@ -576,6 +606,15 @@ class TestVerify:
         assert run(["gen", "quadratic", "d=20", "mu=1", "L=9", "diag=1",
                     "--seed", "3", "--out", man]) == 0
         assert run(["verify", "--check", "estimator", "--instance", man]) == 64
+
+    @pytest.mark.parametrize("lam", ["1e-160", "1e-200", "5e-324"])
+    def test_estimator_at_a_vanishing_lambda_fails(self, quad_manifest, tmp_path, lam):
+        # the steps 1/lam and 1/lam^2 overflow to inf, or lam^2 underflows to 0
+        out = str(tmp_path / "v")
+        assert run(["verify", "--check", "estimator", "--instance", quad_manifest,
+                    "--lambda", lam, "--iters", "3", "--out", out]) == 3
+        summary = read_summary(out + ".summary.txt")
+        assert (summary["constant"], summary["passed"]) == (lam, "0")
 
     def test_local_rl(self, bs_manifest, tmp_path):
         out = str(tmp_path / "v6")
@@ -815,9 +854,7 @@ class TestDispatch:
         values = {"--iters": "50" if cmd == "bench" else "3", "--samples": "5"}
         small = [a for flag in READS[cmd][ident].split() if flag in values
                  for a in (flag, values[flag])]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = run(_argv(cmd, ident, manifests[kind], str(tmp_path / "p")) + small)
+        code = run(_argv(cmd, ident, manifests[kind], str(tmp_path / "p")) + small)
         assert code in (0, 2)
 
     @pytest.mark.parametrize("cmd, ident, flag", UNREAD)
@@ -892,10 +929,8 @@ class TestFuzz:
             _corrupt(os.path.join(tmp, files[which % len(files)]), edit, index, token)
             manifest = os.path.join(tmp, stem + ".manifest")
             alg = "box-simplex" if kind == "box-simplex" else "mirror-prox"
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                codes = [run(["solve", "--alg", alg, "--iters", "3", "--instance", manifest,
-                              "--out", os.path.join(tmp, "s")]),
-                         run(["verify", "--check", "rel-lip", "--samples", "5",
-                              "--instance", manifest, "--out", os.path.join(tmp, "v")])]
+            codes = [run(["solve", "--alg", alg, "--iters", "3", "--instance", manifest,
+                          "--out", os.path.join(tmp, "s")]),
+                     run(["verify", "--check", "rel-lip", "--samples", "5",
+                          "--instance", manifest, "--out", os.path.join(tmp, "v")])]
         assert set(codes) <= {0, 2, 3, 4, 64}
