@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 iteration budget exhausted before the target,
 3 a certificate failed or the run diverged (a non-finite iterate or duality
 gap, or a point outside a regularizer's domain), 4 I/O or parse error, 64 usage
-error, which includes an --eps so small that a step or phase count overflows.
+error, which covers any value a run cannot take, such as an --eps so small that a
+count overflows or a quadratic whose L/mu or coordinate constant overflows (64 from
+gen, 4 when loaded).  ``main`` alone maps errors to these codes.
 
 ``solve``, ``verify`` and ``bench`` each look up what they run in a table keyed
 by (algorithm or check id, instance kind); a pair outside the table is a usage
@@ -227,10 +229,7 @@ def cmd_gen(args):
             kwargs[key] = spec[key][0](text)
         except argparse.ArgumentTypeError as e:
             raise UsageError(f"generator parameter {key}: {e}") from None
-    try:
-        problem = generate(**kwargs, seed=args.seed)
-    except ValueError as e:  # the generator's own checks, such as mu <= L
-        raise UsageError(str(e)) from None
+    problem = generate(**kwargs, seed=args.seed)
     out = args.out or (args.kind + ".manifest")
     save_instance(problem, out)
     print(out)
@@ -355,19 +354,11 @@ SOLVE = _table(
 )
 
 
-def _run(run, problem, args):
-    """``run(problem, args)``; an --eps whose count overflows is a usage error."""
-    try:
-        return run(problem, args)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-
-
 def cmd_solve(args):
     problem, [run] = _resolve(SOLVE, "algorithm", "alg", args)
     out = args.out or args.alg
     start = time.perf_counter()
-    rows, entries, code = _run(run, problem, args)
+    rows, entries, code = run(problem, args)
     summary = {"algorithm": args.alg, "instance": args.instance, "seed": args.seed, **entries,
                "wall_ms_total": (time.perf_counter() - start) * 1e3, "exit_code": code}
     write_trace(out + ".trace.csv", rows)
@@ -415,11 +406,8 @@ def _verify_estimator(problem, args, out):
     if steps < 1:
         raise UsageError("estimator check needs --iters of one or more")
     states = V.coord_trajectory(problem, np.zeros(problem.d), steps, seed=args.seed)
-    try:
-        rep = V.check_estimator_conditions(
-            problem, states, (problem.x_star, problem.x_star), lam=args.lam)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    rep = V.check_estimator_conditions(
+        problem, states, (problem.x_star, problem.x_star), lam=args.lam)
     rep.save(out + ".report.txt")
     return {"constant": rep.constant, "worst": rep.worst,
             "identity_error": rep.details["worst_identity_error"],
@@ -467,7 +455,7 @@ def cmd_bench(args):
     results = []
     for alg, run in zip(args.alg, runs):
         start = time.perf_counter()
-        _, summary, _ = _run(run, problem, args)
+        _, summary, _ = run(problem, args)
         err = summary["gap"] if "gap" in summary else summary["final_f_err"]
         results.append((alg, summary["iterations"], summary["queries"], err,
                         (time.perf_counter() - start) * 1e3))
@@ -540,15 +528,15 @@ def main(argv=None):
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # a non-finite value is reported once, by its check
             return COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except (ParseError, OSError) as e:
         print(f"I/O error: {e}", file=sys.stderr)
         return EXIT_IO
     except (NonFiniteIterateError, DomainError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return EXIT_CERT
+    except (UsageError, ValueError) as e:  # last: ParseError and DomainError are ValueErrors
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -41,8 +41,13 @@ class SmoothnessProfile:
         if not (0 < self.mu <= self.L < np.inf):
             raise ValueError("need 0 < mu <= L, both finite")
         self.L_i = np.asarray(self.L_i, dtype=float)
-        if not self.L_i.size or np.any(self.L_i <= 0):
+        if not self.L_i.size or not np.all(self.L_i > 0):  # a NaN too
             raise ValueError("need one or more coordinate smoothnesses, all positive")
+        with np.errstate(over="ignore"):  # an infinite constant is refused below
+            lams = float(lambda_fenchel(self)), float(lambda_coord(self))
+        if not max(lams) * max(lams) < np.inf:  # the solvers square both step constants
+            raise ValueError(f"L/mu or (sum_i sqrt(L_i))^2/mu overflows: the step constants "
+                             f"{lams[0]!r} and {lams[1]!r} must square to finite numbers")
 
     @property
     def s_half(self) -> float:

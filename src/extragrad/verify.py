@@ -1,7 +1,8 @@
 """Numerical certification of the defining inequalities.
 
 Sampling can only falsify a constant or accumulate evidence for it, so every
-report labels a pass as "no violation in N samples".  Reports are
+report labels a pass as "no violation in N samples".  A NaN sample is a
+violation: it fails the report, with ``worst`` NaN.  Reports are
 deterministic under a fixed (seed, N).
 """
 
@@ -70,30 +71,27 @@ def check_relative_lipschitzness(g, r, lam, sampler: TripleSampler) -> Certifica
 
     Passes when no triple exceeds lam up to relative slack.  Triples with a
     vanishing denominator are skipped unless the numerator is itself
-    non-negligible, which counts as an outright violation.
+    non-negligible, which counts as an outright violation (ratio inf).  A NaN
+    ratio is a violation too; either ends the sampling with that witness.
     """
     worst = -np.inf
     witness = ()
     skipped = 0
-    violated = False
     n = 0
     for z, w, u in sampler.points():
         n += 1
         num = vdot(g(w) - g(z), w - u)
         den = r.divergence(z, w) + r.divergence(w, u)
-        if den < TAU_NUM:
-            if num > TAU_NUM:
-                violated = True
-                worst = np.inf
-                witness = (z, w, u)
-                break
+        if den < TAU_NUM and num <= TAU_NUM:
             skipped += 1
             continue
-        ratio = num / den
-        if ratio > worst:
+        ratio = num / den if not den < TAU_NUM else num * np.inf  # inf, or NaN for a NaN num
+        if not ratio <= worst:  # a larger ratio, or a NaN one
             worst = ratio
             witness = (z, w, u)
-    passed = (not violated) and worst <= lam * (1.0 + TAU_REL_RATIO) + TAU_NUM
+            if not ratio < np.inf:
+                break
+    passed = worst <= lam * (1.0 + TAU_REL_RATIO) + TAU_NUM
     return CertificateReport(
         inequality="relative-lipschitzness", constant=lam, n_tested=n,
         worst=worst, witness=witness, passed=passed, n_skipped=skipped,
@@ -108,7 +106,8 @@ def check_relative_smoothness_implies(g, r, L, sampler: TripleSampler) -> Certif
 
 
 def check_strong_monotonicity(g, r, m, sampler: TripleSampler) -> CertificateReport:
-    """Worst sampled ratio of <g(w)-g(z), w-z> to V_w(z) + V_z(w), compared to m."""
+    """Worst sampled ratio of <g(w)-g(z), w-z> to V_w(z) + V_z(w), compared to m; a NaN
+    ratio fails it and ends the sampling, even over a vanishing denominator."""
     worst = np.inf
     witness = ()
     skipped = 0
@@ -117,13 +116,15 @@ def check_strong_monotonicity(g, r, m, sampler: TripleSampler) -> CertificateRep
         n += 1
         num = vdot(g(w) - g(z), w - z)
         den = r.divergence(w, z) + r.divergence(z, w)
-        if den < TAU_NUM:
+        if den < TAU_NUM and num == num:
             skipped += 1
             continue
-        ratio = num / den
-        if ratio < worst:
+        ratio = num / den if not den < TAU_NUM else np.nan
+        if not ratio >= worst:  # a smaller ratio, or a NaN one
             worst = ratio
             witness = (z, w)
+            if ratio != ratio:
+                break
     passed = worst >= m * (1.0 - TAU_REL_RATIO) - TAU_NUM
     return CertificateReport(
         inequality="strong-monotonicity", constant=m, n_tested=n,
@@ -309,8 +310,9 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
             num += p[i] * (term_x + term_y)
             den += p[i] * (_fenchel_div(problem, (x_t, v_t), w_i)
                            + _fenchel_div(problem, w_i, (x_next, v_next)))
-        if den > 0 and num / den > worst_ineq:
-            worst_ineq = num / den
+        ratio = num / den if not den <= 0 else -np.inf  # a NaN den gives a NaN ratio
+        if not ratio <= worst_ineq and worst_ineq == worst_ineq:  # a NaN ratio stays worst
+            worst_ineq = ratio
             witness = ((x_t, v_t),)
     passed = worst_identity < 1e-10 and worst_ineq <= lam * (1.0 + TAU_REL_RATIO) + TAU_NUM
     return CertificateReport(

@@ -13,10 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extragrad
-from extragrad import boxsimplex
+from extragrad import boxsimplex, cli
 from extragrad.cli import main, TRACE_HEADER
+from extragrad.core import DomainError
 from extragrad.operators import BoxSimplexInstance
-from extragrad.problems import QuadraticProblem, load_instance
+from extragrad.problems import ParseError, QuadraticProblem, load_instance
+from extragrad.solvers import NonFiniteIterateError
 
 
 def run(argv):
@@ -541,6 +543,31 @@ class TestSolve:
         assert "operator norm inf is too large" in capsys.readouterr().err
         assert not [f for f in os.listdir(tmp_path) if f.startswith("o.")]  # no summary
 
+    @pytest.mark.parametrize("argv, code", [
+        (["gen", "quadratic", "d=2", "mu=1e-300", "L=1e300", "diag=1"], 64),
+        (["solve", "--alg", "eg-accel", "--instance", "k/k.manifest"], 4),
+        (["bench", "--alg", "eg-accel", "--instance", "k/k.manifest"], 4),
+        (["solve", "--alg", "eg-coord", "--instance", "k/k.manifest"], 4),
+        (["solve", "--alg", "eg-gennorm", "--instance", "k/k.manifest"], 4),
+        (["verify", "--check", "rel-lip", "--instance", "k/k.manifest"], 4),
+    ], ids=["gen", "solve-eg-accel", "bench-eg-accel", "solve-eg-coord", "solve-eg-gennorm",
+            "verify-rel-lip"])
+    def test_quadratic_whose_step_constants_overflow_is_refused(self, tmp_path, capsys,
+                                                                 argv, code):
+        # 1 + sqrt(L/mu) = inf, and lambda_coord = 1e300 squares to inf
+        (tmp_path / "k").mkdir()
+        (tmp_path / "k" / "k.M.mtx").write_text(
+            "%%MatrixMarket matrix array real general\n2 1\n1e-300\n1e+300\n")
+        (tmp_path / "k" / "k.b.txt").write_text("0.6\n0.8\n")
+        (tmp_path / "k" / "k.manifest").write_text(
+            "kind=quadratic\ndiag=1\nd=2\nM=k.M.mtx\nb=k.b.txt\nmu=1e-300\nL=1e+300\n")
+        argv = [str(tmp_path / a) if a.endswith(".manifest") else a for a in argv]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " if code == 64 else "I/O error: ")
+        assert "L/mu or (sum_i sqrt(L_i))^2/mu overflows" in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["k"]  # no instance, summary or report
+
 
 class TestVerify:
     def test_rel_lip_passes(self, quad_manifest, tmp_path):
@@ -615,6 +642,7 @@ class TestVerify:
                     "--lambda", lam, "--iters", "3", "--out", out]) == 3
         summary = read_summary(out + ".summary.txt")
         assert (summary["constant"], summary["passed"]) == (lam, "0")
+        assert summary["worst"] == "nan"  # a NaN ratio is the worst, not a skipped one
 
     def test_local_rl(self, bs_manifest, tmp_path):
         out = str(tmp_path / "v6")
@@ -731,6 +759,32 @@ class TestUsage:
         assert run(argv + instance + ["--seed", "-1", "--out", out]) == 64
         err = capsys.readouterr().err
         assert "argument --seed" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (ValueError("a value the run cannot take"), 64, "usage error: "),
+        (ParseError("x.manifest", 1, "bad data"), 4, "I/O error: "),
+        (OSError("no space left"), 4, "I/O error: "),
+        (DomainError("outside the domain"), 3, "run failed: "),
+        (NonFiniteIterateError("non-finite iterate at t=0"), 3, "run failed: "),
+    ], ids=["ValueError", "ParseError", "OSError", "DomainError", "NonFiniteIterateError"])
+    @pytest.mark.parametrize("command", ["solve", "verify", "bench", "gen"])
+    def test_main_maps_each_failure_to_its_exit_code(self, quad_manifest, tmp_path, capsys,
+                                                     monkeypatch, command, error, code, prefix):
+        def fail(*args, **kwargs):
+            raise error
+
+        if command == "gen":  # the generator runs, and writing its instance fails
+            monkeypatch.setattr(cli, "save_instance", fail)
+            argv = ["gen", "quadratic"]
+        else:
+            table = {"solve": cli.SOLVE, "verify": cli.VERIFY, "bench": cli.BENCH}[command]
+            ident = "rel-lip" if command == "verify" else "eg-accel"
+            key = (ident, "diagonal quadratic")
+            monkeypatch.setitem(table, key, (fail, table[key][1]))
+            argv = [command, "--check" if command == "verify" else "--alg", ident,
+                    "--instance", quad_manifest]
+        assert run(argv + ["--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == f"{prefix}{error}\n"
 
 
 def test_module_process_exits_with_the_documented_code(tmp_path):

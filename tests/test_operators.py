@@ -20,6 +20,21 @@ class TestSmoothnessProfile:
             SmoothnessProfile(L=1.0, mu=0.0, L_i=[1.0])
         with pytest.raises(ValueError):
             SmoothnessProfile(L=4.0, mu=1.0, L_i=[1.0, -1.0])
+        with pytest.raises(ValueError, match="all positive"):
+            SmoothnessProfile(L=4.0, mu=1.0, L_i=[1.0, np.nan])
+
+    @pytest.mark.parametrize("L, mu, L_i", [
+        (1e300, 1e-300, [1e-300, 1e300]),
+        (1e300, 1e-7, [1e300] * 16),  # L/mu = 1e307, but (sum_i sqrt(L_i))^2/mu = 2.56e309
+    ], ids=["L-over-mu", "coordinate-only"])
+    def test_step_constants_whose_squares_overflow_are_refused(self, L, mu, L_i):
+        with pytest.raises(ValueError, match=r"L/mu or \(sum_i sqrt\(L_i\)\)\^2/mu overflows"):
+            SmoothnessProfile(L=L, mu=mu, L_i=L_i)
+
+    def test_step_constants_that_square_to_finite_numbers_are_kept(self):
+        prof = SmoothnessProfile(L=1e300, mu=1e-7, L_i=[1e300] * 4)  # 1e307 and 1.6e308
+        for lam in (float(lambda_fenchel(prof)), float(lambda_coord(prof))):
+            assert lam ** 2 < np.inf
 
     def test_s_half_and_probabilities(self):
         prof = SmoothnessProfile(L=9.0, mu=1.0, L_i=[1.0, 4.0, 9.0])

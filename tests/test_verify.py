@@ -139,6 +139,28 @@ class TestStrongMonotonicity:
         assert rep.witness == ()
 
 
+@pytest.mark.parametrize("every", [7, 1], ids=["nan-every-7th-call", "nan-always"])
+@pytest.mark.parametrize("pair, base", [(EUCLID_PAIR, lambda z: z), (FLAT_PAIR, zero_operator)],
+                         ids=["euclid", "vanishing-divergence"])
+@pytest.mark.parametrize("check", [check_relative_lipschitzness, check_strong_monotonicity],
+                         ids=["rel-lip", "strong-mono"])
+def test_a_nan_sample_fails_the_report_as_its_witness(check, pair, base, every):
+    calls = []
+
+    def g(z):  # each sample calls g twice, at w and then at z
+        calls.append(z)
+        return np.nan * base(z) if len(calls) % every == 0 else base(z)
+
+    sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=3)
+    rep = check(g, pair, 1.0, sampler)
+    first_nan = (every + 1) // 2  # the sample of the first NaN call
+    assert not rep.passed and np.isnan(rep.worst)
+    assert rep.n_tested == first_nan
+    z, w, _ = list(sampler.points())[first_nan - 1]
+    assert all(np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+               for a, b in zip(rep.witness[:2], (z, w)))
+
+
 class TestRegretCertificate:
     def test_empty_trace_passes(self):
         z0 = Point(np.ones(2), np.ones(2))
