@@ -4,8 +4,8 @@ Exit codes: 0 success, 2 iteration budget exhausted before the target,
 3 a certificate failed or the run diverged (a non-finite iterate or duality
 gap, or a point outside a regularizer's domain), 4 I/O or parse error, 64 usage
 error, which covers any value a run cannot take, such as an --eps so small that a
-count overflows or a quadratic whose L/mu or coordinate constant overflows (64 from
-gen, 4 when loaded).  ``main`` alone maps errors to these codes.
+count overflows, a quadratic whose L/mu or coordinate constant overflows or a minimax
+game whose lambda does (64 from gen, 4 when loaded).  ``main`` alone maps errors to these codes.
 
 ``solve``, ``verify`` and ``bench`` each look up what they run in a table keyed
 by (algorithm or check id, instance kind); a pair outside the table is a usage
@@ -78,9 +78,9 @@ _positive_float = _checked(float, lambda v: np.isfinite(v) and v > 0, "positive 
 # --mono
 _nonnegative_float = _checked(float, lambda v: np.isfinite(v) and v >= 0,
                               "finite and zero or more")
-# --iters, --seed
+# --iters of solve and bench, --seed
 _count = _checked(int, lambda v: v >= 0, "zero or more")
-# --samples
+# --samples, --iters of verify
 _positive_count = _checked(int, lambda v: v >= 1, "one or more")
 
 
@@ -403,8 +403,6 @@ def _verify_regret(problem, args, out):
 
 def _verify_estimator(problem, args, out):
     steps = _or(args.iters, 10)
-    if steps < 1:
-        raise UsageError("estimator check needs --iters of one or more")
     states = V.coord_trajectory(problem, np.zeros(problem.d), steps, seed=args.seed)
     rep = V.check_estimator_conditions(
         problem, states, (problem.x_star, problem.x_star), lam=args.lam)
@@ -486,25 +484,25 @@ def build_parser():
     p_gen.add_argument("--seed", type=_count, default=0)
     p_gen.add_argument("--out")
 
-    def common(p, with_alg):
+    def common(p, with_alg, iters):
         if with_alg:
             p.add_argument("--alg", required=True)
         p.add_argument("--instance")
         p.add_argument("--eps", type=_positive_float)
         p.add_argument("--eps0", type=_positive_float)
-        p.add_argument("--iters", type=_count)
+        p.add_argument("--iters", type=iters)
         p.add_argument("--lambda", dest="lam", type=_positive_float)
         p.add_argument("--mono", type=_nonnegative_float)
         p.add_argument("--seed", type=_count, default=0)
         p.add_argument("--out")
 
     p_solve = sub.add_parser("solve", help="run a solver")
-    common(p_solve, with_alg=True)
+    common(p_solve, with_alg=True, iters=_count)
     p_solve.add_argument("--check", action="store_true",
                          help="also certify the produced trace")
 
     p_verify = sub.add_parser("verify", help="certify an inequality")
-    common(p_verify, with_alg=False)
+    common(p_verify, with_alg=False, iters=_positive_count)  # zero would certify nothing
     p_verify.add_argument("--check", required=True)
     p_verify.add_argument("--samples", type=_positive_count)
 

@@ -78,7 +78,7 @@ class Everywhere:
     def __init__(self, dim: int):
         self.dim = dim
 
-    def sample(self, rng, margin=0.0):
+    def sample(self, rng, margin):
         return rng.standard_normal(self.dim)
 
 
@@ -90,7 +90,7 @@ class Box:
             raise ValueError("box needs lo <= hi coordinatewise")
         self.dim = self.lo.size
 
-    def sample(self, rng, margin=0.0):
+    def sample(self, rng, margin):
         lo = self.lo + margin * (self.hi - self.lo)
         hi = self.hi - margin * (self.hi - self.lo)
         return rng.uniform(lo, hi)
@@ -100,7 +100,7 @@ class Simplex:
     def __init__(self, dim: int):
         self.dim = dim
 
-    def sample(self, rng, margin=0.0):
+    def sample(self, rng, margin):
         # margin keeps every entry >= margin / dim, away from the boundary
         p = rng.exponential(size=self.dim)
         p /= p.sum()
@@ -112,7 +112,7 @@ class ProductSet:
         self.x_set = x_set
         self.y_set = y_set
 
-    def sample(self, rng, margin=0.0):
+    def sample(self, rng, margin):
         return Point(self.x_set.sample(rng, margin), self.y_set.sample(rng, margin))
 
 

@@ -138,6 +138,10 @@ class MinimaxProfile:
     def __post_init__(self):
         if not (0 < self.mu_x < np.inf and 0 < self.mu_y < np.inf):
             raise ValueError("need mu_x > 0 and mu_y > 0, both finite")
+        # lambda_minimax divides by mu_x*mu_y, which can underflow to 0
+        if not (self.mu_x * self.mu_y > 0 and lambda_minimax(self) < np.inf):
+            raise ValueError(f"lambda_minimax is not finite for mu_x = {self.mu_x!r}, "
+                             f"mu_y = {self.mu_y!r} and coupling norm {self.L_xy!r}")
 
 
 def lambda_minimax(profile: MinimaxProfile) -> float:

@@ -1,9 +1,10 @@
 """Numerical certification of the defining inequalities.
 
 Sampling can only falsify a constant or accumulate evidence for it, so every
-report labels a pass as "no violation in N samples".  A NaN sample is a
-violation: it fails the report, with ``worst`` NaN.  Reports are
-deterministic under a fixed (seed, N).
+report labels a pass as "no violation in N samples".  One scan, ``_worst_ratio``,
+decides every ratio certificate: how a vanishing denominator is read, and that a
+NaN sample is a violation which fails the report with ``worst`` NaN.  Reports
+are deterministic under a fixed (seed, N).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class TripleSampler:
     """Draws feasible points (with interior margin) for inequality checks."""
 
     domain: object  # Everywhere, Box, Simplex, or a ProductSet of them
-    count: int = 1000
-    seed: int = 0
+    count: int
+    seed: int
 
     def points(self):
         rng = make_rng(self.seed)
@@ -41,10 +42,10 @@ class CertificateReport:
     inequality: str
     constant: float
     n_tested: int
-    worst: float            # worst ratio (or violation margin)
-    witness: tuple = ()
-    passed: bool = False
-    n_skipped: int = 0
+    worst: float            # worst ratio
+    witness: tuple
+    passed: bool
+    n_skipped: int
     details: dict = field(default_factory=dict)
 
     def save(self, path):
@@ -66,36 +67,42 @@ class CertificateReport:
                     writer.writerow([role, block] + [repr(float(v)) for v in values])
 
 
-def check_relative_lipschitzness(g, r, lam, sampler: TripleSampler) -> CertificateReport:
-    """Worst sampled ratio of <g(w)-g(z), w-u> to V_z(w) + V_w(u).
+def _worst_ratio(inequality, constant, samples, sign) -> CertificateReport:
+    """The worst ratio num/den over ``(num, den, witness)`` samples, against ``constant``:
+    the largest for ``sign`` 1, the smallest for ``sign`` -1.
 
-    Passes when no triple exceeds lam up to relative slack.  Triples with a
-    vanishing denominator are skipped unless the numerator is itself
-    non-negligible, which counts as an outright violation (ratio inf).  A NaN
-    ratio is a violation too; either ends the sampling with that witness.
+    A den that is not <= 0 gives the ratio, NaN for a NaN den.  Over a den <= 0
+    the sample is skipped when sign*num <= TAU_NUM, and is otherwise a violation
+    (ratio inf past the constant, NaN for a NaN num).  An infinite or NaN ratio
+    is the worst and ends the scan.  The report passes when the worst ratio is
+    within relative slack TAU_REL_RATIO and absolute slack TAU_NUM of the constant.
     """
-    worst = -np.inf
-    witness = ()
-    skipped = 0
-    n = 0
-    for z, w, u in sampler.points():
+    worst, witness, n, skipped = -np.inf, (), 0, 0
+    for num, den, sample in samples:  # num, worst: signed so that larger is worse
         n += 1
-        num = vdot(g(w) - g(z), w - u)
-        den = r.divergence(z, w) + r.divergence(w, u)
-        if den < TAU_NUM and num <= TAU_NUM:
-            skipped += 1
-            continue
-        ratio = num / den if not den < TAU_NUM else num * np.inf  # inf, or NaN for a NaN num
-        if not ratio <= worst:  # a larger ratio, or a NaN one
-            worst = ratio
-            witness = (z, w, u)
+        num = sign * num
+        if den <= 0:
+            if num <= TAU_NUM:
+                skipped += 1
+                continue
+            ratio = num * np.inf  # inf, or NaN for a NaN num
+        else:
+            ratio = num / den
+        if not ratio <= worst:  # a worse ratio, or a NaN one
+            worst, witness = ratio, sample
             if not ratio < np.inf:
                 break
-    passed = worst <= lam * (1.0 + TAU_REL_RATIO) + TAU_NUM
-    return CertificateReport(
-        inequality="relative-lipschitzness", constant=lam, n_tested=n,
-        worst=worst, witness=witness, passed=passed, n_skipped=skipped,
-        details={"semantics": "no violation in N samples" if passed else "violation found"})
+    passed = worst <= sign * constant * (1.0 + sign * TAU_REL_RATIO) + TAU_NUM
+    return CertificateReport(inequality, constant, n, sign * worst, witness, passed, skipped)
+
+
+def check_relative_lipschitzness(g, r, lam, sampler: TripleSampler) -> CertificateReport:
+    """Largest sampled ratio of <g(w)-g(z), w-u> to V_z(w) + V_w(u), against lam."""
+    rep = _worst_ratio("relative-lipschitzness", lam, (
+        (vdot(g(w) - g(z), w - u), r.divergence(z, w) + r.divergence(w, u), (z, w, u))
+        for z, w, u in sampler.points()), 1)
+    rep.details["semantics"] = "no violation in N samples" if rep.passed else "violation found"
+    return rep
 
 
 def check_relative_smoothness_implies(g, r, L, sampler: TripleSampler) -> CertificateReport:
@@ -106,29 +113,10 @@ def check_relative_smoothness_implies(g, r, L, sampler: TripleSampler) -> Certif
 
 
 def check_strong_monotonicity(g, r, m, sampler: TripleSampler) -> CertificateReport:
-    """Worst sampled ratio of <g(w)-g(z), w-z> to V_w(z) + V_z(w), compared to m; a NaN
-    ratio fails it and ends the sampling, even over a vanishing denominator."""
-    worst = np.inf
-    witness = ()
-    skipped = 0
-    n = 0
-    for z, w, _ in sampler.points():
-        n += 1
-        num = vdot(g(w) - g(z), w - z)
-        den = r.divergence(w, z) + r.divergence(z, w)
-        if den < TAU_NUM and num == num:
-            skipped += 1
-            continue
-        ratio = num / den if not den < TAU_NUM else np.nan
-        if not ratio >= worst:  # a smaller ratio, or a NaN one
-            worst = ratio
-            witness = (z, w)
-            if ratio != ratio:
-                break
-    passed = worst >= m * (1.0 - TAU_REL_RATIO) - TAU_NUM
-    return CertificateReport(
-        inequality="strong-monotonicity", constant=m, n_tested=n,
-        worst=worst, witness=witness, passed=passed, n_skipped=skipped)
+    """Smallest sampled ratio of <g(w)-g(z), w-z> to V_w(z) + V_z(w), against m."""
+    return _worst_ratio("strong-monotonicity", m, (
+        (vdot(g(w) - g(z), w - z), r.divergence(w, z) + r.divergence(z, w), (z, w))
+        for z, w, _ in sampler.points()), -1)
 
 
 def check_regret_certificate(trace, g, r, lam, z0, u):
@@ -276,8 +264,7 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
     ux, uv = u
     gf_u = problem.grad(uv)
     worst_identity = 0.0
-    worst_ineq = -np.inf
-    witness = ()
+    samples = []
     for x_t, v_t in states:
         outcomes, v_half, g_v, gf_vh = coord_iteration_outcomes(problem, x_t, v_t, lam, p)
         # condition 1: expectation identity against the merged point
@@ -310,12 +297,9 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
             num += p[i] * (term_x + term_y)
             den += p[i] * (_fenchel_div(problem, (x_t, v_t), w_i)
                            + _fenchel_div(problem, w_i, (x_next, v_next)))
-        ratio = num / den if not den <= 0 else -np.inf  # a NaN den gives a NaN ratio
-        if not ratio <= worst_ineq and worst_ineq == worst_ineq:  # a NaN ratio stays worst
-            worst_ineq = ratio
-            witness = ((x_t, v_t),)
-    passed = worst_identity < 1e-10 and worst_ineq <= lam * (1.0 + TAU_REL_RATIO) + TAU_NUM
-    return CertificateReport(
-        inequality="coordinate-estimator-conditions", constant=lam,
-        n_tested=len(states), worst=worst_ineq, witness=witness, passed=passed,
-        details={"worst_identity_error": worst_identity})
+        samples.append((num, den, ((x_t, v_t),)))
+    rep = _worst_ratio("coordinate-estimator-conditions", lam, samples, 1)
+    rep.n_tested = len(states)  # the identity is checked at every state
+    rep.passed = worst_identity < 1e-10 and rep.passed
+    rep.details["worst_identity_error"] = worst_identity
+    return rep

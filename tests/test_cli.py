@@ -568,6 +568,32 @@ class TestSolve:
         assert "L/mu or (sum_i sqrt(L_i))^2/mu overflows" in err and err.count("\n") == 1
         assert os.listdir(tmp_path) == ["k"]  # no instance, summary or report
 
+    @pytest.mark.parametrize("mu", ["1e-160", "1e-200"])  # lambda_minimax is inf; mu_x*mu_y is 0
+    @pytest.mark.parametrize("argv, code", [
+        (["gen", "minimax", "n=3", "m=3"], 64),
+        (["solve", "--alg", "mirror-prox", "--instance", "k/k.manifest"], 4),
+        (["verify", "--check", "rel-lip", "--instance", "k/k.manifest"], 4),
+        (["bench", "--alg", "baseline", "--instance", "k/k.manifest"], 4),
+    ], ids=["gen", "solve", "verify", "bench"])
+    def test_minimax_game_whose_lambda_is_not_finite_is_refused(self, tmp_path, capsys,
+                                                                argv, code, mu):
+        (tmp_path / "k").mkdir()
+        manifest = tmp_path / "k" / "k.manifest"
+        assert run(["gen", "minimax", "n=3", "m=3", "--out", str(manifest)]) == 0
+        text = manifest.read_text()
+        assert "mu_x=1.0\n" in text and "mu_y=1.0\n" in text
+        manifest.write_text(text.replace("mu_x=1.0", "mu_x=" + mu)
+                            .replace("mu_y=1.0", "mu_y=" + mu))
+        if argv[0] == "gen":
+            argv = argv + ["mu_x=" + mu, "mu_y=" + mu]
+        argv = [str(tmp_path / a) if a.endswith(".manifest") else a for a in argv]
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "o")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: " if code == 64 else "I/O error: ")
+        assert "lambda_minimax is not finite" in err and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["k"]  # no instance, summary or report
+
 
 class TestVerify:
     def test_rel_lip_passes(self, quad_manifest, tmp_path):
@@ -609,6 +635,42 @@ class TestVerify:
         assert not os.path.exists(out + ".summary.txt")
         assert run(["verify", "--check", "estimator", "--instance", man,
                     "--iters", "1", "--out", out]) == 0
+
+    @pytest.mark.parametrize("check, manifest", [("regret", "mm_manifest"),
+                                                 ("local-rl", "bs_manifest")])
+    def test_zero_iters_is_usage_error_as_for_the_estimator(self, request, tmp_path, capsys,
+                                                            check, manifest):
+        # no step would be certified, yet the check would pass
+        out = str(tmp_path / "v")
+        assert run(["verify", "--check", check, "--instance", request.getfixturevalue(manifest),
+                    "--iters", "0", "--out", out]) == 64
+        assert capsys.readouterr().err == (
+            "usage error: argument --iters: must be one or more, got '0'\n")
+        assert not os.path.exists(out + ".summary.txt")
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--check", "rel-lip"], 0),
+        (["--check", "strong-mono", "--mono", "1e6"], 3),
+        (["--check", "strong-mono"], 3),
+    ], ids=["rel-lip", "strong-mono-1e6", "strong-mono"])
+    def test_game_with_tiny_moduli_is_judged_by_its_ratios(self, tmp_path, flags, code):
+        # Every divergence is about 1e-12, yet each sample is a ratio: none is
+        # skipped or counted as an outright violation.  At its default m = 1 the
+        # game fails strong-mono: rounding in the cancelling coupling terms puts
+        # the smallest ratio at 0.99983.
+        man = str(tmp_path / "g.manifest")
+        assert run(["gen", "minimax", "n=3", "m=3", "mu_x=1e-12", "mu_y=1e-12",
+                    "--out", man]) == 0
+        out = str(tmp_path / "v")
+        assert run(["verify", *flags, "--instance", man, "--out", out]) == code
+        summary = read_summary(out + ".summary.txt")
+        report = read_summary(out + ".report.txt")
+        assert (summary["n_tested"], report["n_skipped"]) == ("1000", "0")
+        worst = float(summary["worst"])
+        if flags[1] == "rel-lip":
+            assert 0 < worst <= float(summary["constant"])
+        else:
+            assert 0.9998 < worst < 0.9999
 
     def test_samples_only_in_sampled_summaries(self, quad_manifest, mm_manifest,
                                                bs_manifest, tmp_path):

@@ -18,6 +18,7 @@ BOX_PAIR_DOMAIN = ProductSet(Box(-np.ones(2), np.ones(2)),
                              Box(-np.ones(2), np.ones(2)))
 EUCLID_PAIR = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
 FLAT_PAIR = ProductRegularizer(ScaledEuclidean(0.0), ScaledEuclidean(0.0))  # V = 0
+TINY_PAIR = ProductRegularizer(ScaledEuclidean(1e-12), ScaledEuclidean(1e-12))  # V ~ 1e-12
 
 
 def zero_operator(z):
@@ -114,6 +115,14 @@ class TestRelativeLipschitzness:
         assert rep.n_tested == rep.n_skipped == 50
         assert rep.witness == ()
 
+    def test_small_positive_divergence_gives_a_ratio(self):
+        # rotation_game is 1/mu-relatively Lipschitz for mu/2 |.|^2, and here every
+        # V is below 1e-9: the ratios still count, none is skipped or a violation
+        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=200, seed=0)
+        rep = check_relative_lipschitzness(rotation_game, TINY_PAIR, 1e12, sampler)
+        assert rep.passed and (rep.n_tested, rep.n_skipped) == (200, 0)
+        assert 1e11 < rep.worst <= 1e12 * (1 + 1e-6)
+
 
 class TestStrongMonotonicity:
     def test_identity_operator_is_exactly_one(self):
@@ -137,6 +146,23 @@ class TestStrongMonotonicity:
             rotation_game, FLAT_PAIR, 1.0, TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=9))
         assert rep.n_tested == rep.n_skipped == 50
         assert rep.witness == ()
+
+    def test_vanishing_divergence_with_an_anti_monotone_operator_is_a_violation(self):
+        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=9)
+        rep = check_strong_monotonicity(lambda z: -1.0 * z, FLAT_PAIR, 1.0, sampler)
+        assert not rep.passed
+        assert (rep.worst, rep.n_tested, rep.n_skipped) == (-np.inf, 1, 0)
+        z, w, _ = next(sampler.points())
+        assert all(np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+                   for a, b in zip(rep.witness, (z, w)))
+
+    @pytest.mark.parametrize("m, passed", [(1e12 * (1 - 1e-7), True), (2e12, False)])
+    def test_small_positive_divergence_gives_a_ratio(self, m, passed):
+        # the identity is 1/mu-strongly monotone for mu/2 |.|^2, with every V below 1e-9
+        rep = check_strong_monotonicity(
+            lambda z: z, TINY_PAIR, m, TripleSampler(BOX_PAIR_DOMAIN, count=200, seed=6))
+        assert rep.passed == passed and (rep.n_tested, rep.n_skipped) == (200, 0)
+        assert rep.worst == pytest.approx(1e12, rel=1e-9)
 
 
 @pytest.mark.parametrize("every", [7, 1], ids=["nan-every-7th-call", "nan-always"])
