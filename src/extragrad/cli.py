@@ -407,7 +407,7 @@ def _verify_estimator(problem, args, out):
     rep = V.check_estimator_conditions(
         problem, states, (problem.x_star, problem.x_star), lam=args.lam)
     rep.save(out + ".report.txt")
-    return {"constant": rep.constant, "worst": rep.worst,
+    return {"constant": rep.constant, "worst": rep.worst, "n_skipped": rep.n_skipped,
             "identity_error": rep.details["worst_identity_error"],
             "passed": rep.passed}, _cert(rep.passed)
 

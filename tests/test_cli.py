@@ -624,6 +624,25 @@ class TestVerify:
         out = str(tmp_path / "v5")
         assert run(["verify", "--check", "estimator", "--instance", man,
                     "--iters", "10", "--out", out]) == 0
+        summary = read_summary(out + ".summary.txt")
+        assert summary["n_skipped"] == read_summary(out + ".report.txt")["n_skipped"] == "0"
+
+    @pytest.mark.parametrize("params, iters, n_skipped", [
+        (["d=4", "L=4"], "100", "15"),
+        (["d=10", "L=100"], "1000", "572"),  # the README's quad.manifest
+    ])
+    def test_estimator_skips_converged_states(self, tmp_path, params, iters, n_skipped):
+        # A converged state's divergence is rounding noise: it is skipped, not
+        # read as a ratio far above the constant.
+        man = str(tmp_path / "q.manifest")
+        assert run(["gen", "quadratic", *params, "mu=1", "diag=1", "--seed", "0",
+                    "--out", man]) == 0
+        out = str(tmp_path / "v")
+        assert run(["verify", "--check", "estimator", "--instance", man,
+                    "--iters", iters, "--out", out]) == 0
+        summary = read_summary(out + ".summary.txt")
+        assert summary["n_skipped"] == n_skipped
+        assert float(summary["worst"]) <= float(summary["constant"])
 
     def test_estimator_zero_iters_is_usage_error(self, tmp_path):
         man = str(tmp_path / "small.manifest")

@@ -8,6 +8,7 @@ from extragrad import (
     coord_trajectory, check_estimator_conditions, lambda_coord,
 )
 from extragrad.operators import AliasTable
+from extragrad.problems import QuadraticProblem
 from extragrad.solvers import ImplicitIterate
 from extragrad.verify import coord_shadow_error
 
@@ -101,6 +102,35 @@ class TestEstimators:
                                             lam, p_bad)
         assert report.worst > lam * (1 + 1e-6) + 1e-9
         assert not report.passed
+
+    @pytest.mark.parametrize("d, L", [(4, 4.0), (4, 100.0), (8, 50.0)])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_converged_states_pass(self, seed, d, L):
+        # Near the optimum both sides of the ratio are rounding noise of the terms
+        # that cancel in them; such a state is skipped, not failed.
+        prob = gen_quadratic(d, 1.0, L, diag=True, seed=seed)
+        states = coord_trajectory(prob, np.zeros(d), 400, seed=seed)
+        u = (prob.x_star, prob.x_star)
+        failing = [k for k in range(1, 400, 3)
+                   if not check_estimator_conditions(prob, [states[k]], u).passed]
+        assert failing == []
+
+    def test_oracle_calls_per_state(self, monkeypatch):
+        d, n = 4, 3
+        prob = gen_quadratic(d, 1.0, 9.0, diag=True, seed=8)
+        states = coord_trajectory(prob, np.ones(d), n, seed=9)
+        calls = []
+        for name in ("grad", "f"):
+            method = getattr(QuadraticProblem, name)
+            monkeypatch.setattr(QuadraticProblem, name, lambda self, x, name=name, method=method:
+                                calls.append((name, np.ndim(x))) or method(self, x))
+        check_estimator_conditions(prob, states, (prob.x_star, prob.x_star))
+        # grad f at u once; per state one stacked call at (v_t, v_half), then
+        # v_half and each v_next alone; f at v_t, v_half and each v_next
+        assert calls.count(("grad", 2)) == n
+        assert calls.count(("grad", 1)) == 1 + n * (d + 1)
+        assert calls.count(("f", 1)) == n * (d + 2)
+        assert len(calls) == 1 + n * (2 * d + 4)
 
     def test_enumeration_refused_in_high_dim(self):
         prob = gen_quadratic(20, 1.0, 5.0, diag=True, seed=12)
