@@ -225,6 +225,7 @@ class _Try(NamedTuple):
     """One mirror prox try from z at lam and what the local test reads of it."""
 
     w: Point
+    gw: Point            # g(w)
     z_next: Point
     terms_next: ZTerms   # z_terms(z_next), from the prox that made it
     delta: float         # the optimality gaps of its two prox calls
@@ -253,7 +254,7 @@ def _mirror_prox_try(reg: ShermanRegularizer, z: Point, gz: Point, zt: ZTerms,
     ratio_w, ratio_next = w.y / zt.zy, z_next.y / zt.zy
     lhs = (gw - gz).dot(w - z_next)
     rhs = lam * (reg._divergence(z, w, zt, tw) + reg._divergence(w, z_next, tw, tn))
-    return _Try(w, z_next, tn, delta_w + delta_next, lhs - rhs,
+    return _Try(w, gw, z_next, tn, delta_w + delta_next, lhs - rhs,
                 min(float(ratio_w.min()), float(ratio_next.min())),
                 max(float(ratio_w.max()), float(ratio_next.max())),
                 max(gamma_w, gamma_next), (not delta_w <= tol) + (not delta_next <= tol))
@@ -275,23 +276,26 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     A try at lam = 3 is always accepted.
 
     An epoch starts at a point z_r, the first at z0, and averages its own
-    accepted w_t weighted by 1/lam_t.  After each accepted step the exact
-    duality gap of that average is the stopping test.  When it misses eps,
-    the step queries g(z'), which the next step needs as its g(z), and reads
-    the exact gap of z' from it.  Once the smaller of the two gaps is at most
-    half the gap of z_r, the next epoch starts at that point (the average on
-    a tie), with its sums zeroed and lam carried on; a start at the average
+    accepted w_t weighted by 1/lam_t.  The gap of that average is read from
+    the same weighted sums of g(w_t), with no product, after each accepted
+    step; where it meets eps, ``duality_gap`` confirms it, and a confirmed
+    average ends the run.  Otherwise the step queries g(z'), which the next
+    step needs as its g(z), reads the exact gap of z' from it, and ends the
+    run if that meets eps.  Once the smaller of the two gaps is at most half
+    the gap of z_r, the next epoch starts at that point (the average on a
+    tie), with its sums zeroed and lam carried on; a start at the average
     queries g there.  A game is a linear program, so its gap grows linearly
     with the distance to the solutions, and halving epochs give a linear
-    rate.  A solve makes one ``duality_gap`` call per accepted step and one
-    for z0, and the summary's ``queries`` counts its operator calls, those
-    of ``duality_gap`` included.
+    rate.  The summary's ``queries`` counts the operator calls, those of
+    ``duality_gap`` included.
 
-    Returns (x, y, gap, trace) for the epoch average of least duality gap
-    over all epochs.  ``trace.gaps`` and ``trace.lams`` hold the gap of the
-    average and the lam of each accepted step, and the summary's
-    ``restarts`` the number of epochs after the first.  ``gap_bound_ok``
-    tells whether every such gap stayed within the bound
+    Returns (x, y, gap, trace), with gap the exact duality gap of (x, y), and
+    the summary's ``answer`` "last" for a z' and "average" for an average:
+    the one of least running-sum gap over all epochs when the budget runs
+    out, z0 for a zero budget.  ``trace.gaps`` and ``trace.lams`` hold the
+    running-sum gap of the average and the lam of each accepted step, and
+    the summary's ``restarts`` the number of epochs after the first.
+    ``gap_bound_ok`` tells whether every such gap stayed within the bound
         (D(z_r) + sum delta + sum_t max(0, lhs_t - rhs_t) / lam_t) / sum_t 1/lam_t
     that the accepted steps of its epoch prove, with sums over the epoch,
     delta the prox gaps (below) and D(z_r) = max_u V_{z_r}(u), which is
@@ -327,8 +331,8 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     if not math.isfinite(gap_start):
         raise NonFiniteIterateError(f"non-finite duality gap {gap_start!r} at z0")
     gz = None  # g(z), queried when a step needs it
-    x_acc = np.zeros(inst.n)
-    y_acc = np.zeros(inst.m)
+    x_acc, gx_acc = np.zeros(inst.n), np.zeros(inst.n)
+    y_acc, gy_acc = np.zeros(inst.m), np.zeros(inst.m)
     weight = 0.0
     trace = SolverTrace()
     s = trace.summary
@@ -336,7 +340,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     if certify:
         s.update(stability_ok=True, local_rl_ok=True, gamma_inf_max=0.0,
                  stability_lo=1.0, stability_hi=1.0)
-    best = None
+    best, answer = None, (z0.x, z0.y, gap_start, "average")  # z0 answers a zero budget
     lam = cap
     t = retries = restarts = prox_stalls = 0
     queries = 1  # the gap of z0
@@ -370,26 +374,39 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
         excess += max(0.0, step.margin) / lam
         x_acc += step.w.x / lam
         y_acc += step.w.y / lam
+        gx_acc += step.gw.x / lam
+        gy_acc += step.gw.y / lam
         weight += 1.0 / lam
         t += 1
         trace.lams.append(lam)
         xb, yb = x_acc / weight, y_acc / weight
-        gap = duality_gap(inst, xb, yb)
+        # the sums of g(w_t) give the average's operator output without a product
+        gap = _gap_from_operator(inst, xb, yb, Point(gx_acc / weight, gy_acc / weight))
         if not math.isfinite(gap):
             raise NonFiniteIterateError(f"non-finite duality gap {gap!r} at t={t}")
-        queries += 1
         trace.gaps.append(gap)
         if not gap <= (d_start + epoch_delta + excess) / weight:
             s["gap_bound_ok"] = False
         if best is None or gap < best[2]:
             best = (xb, yb, gap)
-        if gap <= eps or t == budget:
+        if gap <= eps:  # confirmed by the exact gap, or the run goes on
+            queries += 1
+            exact = duality_gap(inst, xb, yb)
+            if exact <= eps:
+                answer = (xb, yb, exact, "average")
+                break
+        if t == budget:  # the best average answers, at its exact gap
+            queries += 1
+            answer = (best[0], best[1], duality_gap(inst, best[0], best[1]), "average")
             break
         # g(z') is the next step's g(z), and with it z' has an exact gap for free
         z, zt = step.z_next, step.terms_next
         gz = inst.operator(z)
         queries += 1
         gap_z = _gap_from_operator(inst, z.x, z.y, gz)
+        if gap_z <= eps:
+            answer = (z.x, z.y, gap_z, "last")
+            break
         from_z = gap_z < gap  # ties go to the average
         gap_r = gap_z if from_z else gap
         if gap_r <= RESTART_FACTOR * gap_start:  # restart, lam carried on
@@ -399,14 +416,12 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
                 gz = None
             d_start = reg._max_divergence(z, zt)
             gap_start = gap_r
-            x_acc[:] = 0.0
-            y_acc[:] = 0.0
+            for acc in (x_acc, y_acc, gx_acc, gy_acc):
+                acc[:] = 0.0
             weight = epoch_delta = excess = 0.0
             restarts += 1
         lam *= LAMBDA_SHRINK
-    if best is None:  # a zero budget answers with z0 itself
-        best = (z0.x, z0.y, gap_start)
-    xb, yb, gap = best
+    xb, yb, gap, s["answer"] = answer
     s.update({"algorithm": "box-simplex", "iterations": t, "retries": retries,
               "restarts": restarts, "lam_min": min(trace.lams, default=cap), "lam_max": cap,
               "gap": gap, "budget": budget, "prox_gap_sum": prox_gap_sum,

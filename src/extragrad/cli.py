@@ -330,7 +330,7 @@ def _solve_box_simplex(problem, args):
                                          certify=args.check)
     s = trace.summary
     rows = [{"iter": t, "gap": gp} for t, gp in enumerate(trace.gaps)]
-    summary = {"eps": eps, "gap": gap, **{k: s[k] for k in (
+    summary = {"eps": eps, "gap": gap, "answer": s["answer"], **{k: s[k] for k in (
         "iterations", "queries", "retries", "restarts", "lam_min", "budget", "prox_gap_sum",
         "prox_stalls")}}
     if args.check:

@@ -225,7 +225,8 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
     d is refused):
 
     * the expectation over i of <g_i(w^(i)), w^(i) - u> equals the regret of
-      the merged point (x_t + sum_i delta_i, grad f(v_half)), and
+      the merged point (x_t + sum_i delta_i, grad f(v_half)), up to 1e-10 or
+      NOISE_ULPS ulps of the magnitudes that the two sides add up, and
     * the expected relative Lipschitzness inequality at
       lam = 1 + sum_i sqrt(L_i) / sqrt(mu) with p_i ~ sqrt(L_i), with
       w^(i) = (x_half, v_half) and the divergence of r(x, y) = mu/2 |x|^2 + f*(y)
@@ -246,7 +247,7 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
     mu = prof.mu
     ux, uv = u
     gf_u = problem.grad(uv)
-    worst_identity = 0.0
+    worst_identity, identity_ok, ulp = 0.0, True, NOISE_ULPS * np.finfo(float).eps
     samples = []
     for x_t, v_t in states:
         v_half = (1.0 - 1.0 / lam) * v_t + x_t / lam
@@ -257,7 +258,7 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
         # the magnitudes that the dual parts cancel; f(v_half) is in both
         noise = abs(f_vt) + 2 * abs(f_vh) + float(np.dot(np.abs(gf_vh1), abs(v_t) + abs(v_half)))
         gy_z, gy_u = v_t - x_t, gf_vh - gf_u
-        lhs = num = den = 0.0
+        lhs = num = den = size = 0.0  # size: the magnitudes that lhs and rhs add up
         x_bar = x_t.copy()
         for i in range(d):
             x_half, x_next, v_next = coord_step(x_t, v_t, i, g_v[i], gf_vh[i], lam, mu, p[i])
@@ -268,7 +269,9 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
             gy_w = v_half - shifted  # the y-block of g_i(w^(i)); its x-block is grad f(v_half)
             gf_vn = problem.grad(v_next)
             # condition 1: the estimator's regret against u
-            lhs += p[i] * (gf_vh[i] / p[i] * (x_half[i] - ux[i]) + float(np.dot(gy_w, gy_u)))
+            regret_x = gf_vh[i] / p[i] * (x_half[i] - ux[i])
+            lhs += p[i] * (regret_x + float(np.dot(gy_w, gy_u)))
+            size += p[i] * (abs(regret_x) + float(abs(gy_w) @ abs(gy_u)))
             # condition 2: <g_i(w) - g_i(z_t), w - z_next> expanded blockwise
             term_x = (gf_vh[i] - g_v[i]) / p[i] * (x_half[i] - x_next[i])
             num += p[i] * (term_x + float(np.dot(gy_w - gy_z, gf_vh - gf_vn)))
@@ -279,12 +282,14 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
             den += p[i] * ((0.5 * mu * (delta * delta) + dual_w)
                            + (0.5 * mu * (dx * dx) + dual_next))
         rhs = float(np.dot(gf_vh, x_bar - ux)) + float(np.dot(v_half - x_bar, gy_u))
+        size += float(abs(gf_vh) @ abs(x_bar - ux)) + float(abs(v_half - x_bar) @ abs(gy_u))
         worst_identity = np.maximum(worst_identity, abs(lhs - rhs))  # a NaN stays
-        if den <= NOISE_ULPS * np.finfo(float).eps * noise:
+        identity_ok = identity_ok and abs(lhs - rhs) < max(1e-10, ulp * size)
+        if den <= ulp * noise:
             den = 0.0
         samples.append((num, den, ((x_t, v_t),)))
     rep = _worst_ratio("coordinate-estimator-conditions", lam, samples, 1)
     rep.n_tested = len(states)  # the identity is checked at every state
-    rep.passed = worst_identity < 1e-10 and rep.passed
+    rep.passed = identity_ok and rep.passed
     rep.details["worst_identity_error"] = worst_identity
     return rep

@@ -432,6 +432,14 @@ def record_tries(monkeypatch):
     return calls
 
 
+def running_gap(inst, sums):
+    """The gap that the solver reads from an epoch's sums (x, y, g_x, g_y, weight)
+    of 1/lam-weighted w and g(w)."""
+    x, y, gx, gy, weight = sums
+    return boxsimplex._gap_from_operator(inst, x / weight, y / weight,
+                                         Point(gx / weight, gy / weight))
+
+
 def epochs_of(inst, trace, calls):
     """The accepted tries of an uncertified solve as epochs [(z_r, [(lam, step)])].
 
@@ -439,35 +447,34 @@ def epochs_of(inst, trace, calls):
     restart from the average), or when ``trace.gaps`` holds the gap of the
     average of its own w rather than of the running average it would join (a
     restart from z').  Sums are kept in the solver's order of operations, so
-    each gap is matched exactly."""
+    each running-sum gap is matched exactly."""
     accepted = [call for call, (_, ok) in zip(calls, tries_of(trace)) if ok]
     assert len(accepted) == len(trace.lams)
-    def gap_of(sums):
-        x_acc, y_acc, weight = sums
-        return duality_gap(inst, x_acc / weight, y_acc / weight)
-
     epochs = []
     for k, (lam, z, step) in enumerate(accepted):
-        own = (step.w.x / lam, step.w.y / lam, 1.0 / lam)
+        own = (step.w.x / lam, step.w.y / lam, step.gw.x / lam, step.gw.y / lam, 1.0 / lam)
         joined = None
         if k and z is accepted[k - 1][2].z_next:
             joined = tuple(a + b for a, b in zip(sums, own))
-        if joined is not None and gap_of(joined) == trace.gaps[k]:
+        if joined is not None and running_gap(inst, joined) == trace.gaps[k]:
             sums = joined
         else:
-            assert gap_of(own) == trace.gaps[k]
+            assert running_gap(inst, own) == trace.gaps[k]
             sums = own
             epochs.append((z, []))
         epochs[-1][1].append((lam, step))
     return epochs
 
 
-def weighted_average(steps):
-    """The 1/lam-weighted average of the w of (lam, step) pairs."""
-    weights = np.array([1.0 / lam for lam, _ in steps])
-    x = sum(wt * step.w.x for wt, (_, step) in zip(weights, steps)) / weights.sum()
-    y = sum(wt * step.w.y for wt, (_, step) in zip(weights, steps)) / weights.sum()
-    return x, y
+def epoch_averages(steps):
+    """The running 1/lam-weighted averages (x, y) of the w of (lam, step) pairs,
+    summed in the solver's order, so each is bit-equal to the solver's."""
+    x = y = weight = 0.0
+    averages = []
+    for lam, step in steps:
+        x, y, weight = x + step.w.x / lam, y + step.w.y / lam, weight + 1.0 / lam
+        averages.append((x / weight, y / weight))
+    return averages
 
 
 class TestSolve:
@@ -505,9 +512,17 @@ class TestSolve:
             iteration_budget(gen_box_simplex(10, 5, 0.5, seed=20), eps)
 
     def test_gap_trace_reaches_reported_minimum(self):
+        # the run ends on z', whose exact gap meets eps before any average's does
         inst = gen_box_simplex(10, 8, 0.5, seed=21)
-        x, y, gap, trace = solve_box_simplex(inst, 0.02 * inst.op_norm)
-        assert min(trace.gaps) == pytest.approx(gap, rel=1e-12)
+        eps = 0.02 * inst.op_norm
+        x, y, gap, trace = solve_box_simplex(inst, eps)
+        assert trace.summary["answer"] == "last"
+        assert gap == duality_gap(inst, x, y) <= eps < min(trace.gaps)
+        # a budget one step short ends on the average of least running-sum gap
+        x, y, gap, trace = solve_box_simplex(inst, eps, max_iters=len(trace.gaps) - 1)
+        assert trace.summary["answer"] == "average"
+        assert gap == duality_gap(inst, x, y)
+        assert abs(min(trace.gaps) - gap) <= 1e-12 * max(inst.op_norm, 1.0)
 
     def _assert_answers_z0(self, inst, eps, **kw):
         x, y, gap, trace = solve_box_simplex(inst, eps, **kw)
@@ -638,20 +653,67 @@ class TestSolve:
         assert s["gamma_inf_max"] == max(step.gamma_inf for step in at_cap)
 
     def test_answer_is_the_one_over_lam_weighted_average(self, monkeypatch):
-        # the answer averages the accepted w_t of its own epoch only
+        # a run out of budget answers the average of least running-sum gap,
+        # which averages the accepted w_t of its own epoch only
         calls = record_tries(monkeypatch)
         inst = gen_box_simplex(12, 10, 0.5, seed=18)
-        x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm)
+        x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm, max_iters=30)
+        assert trace.summary["answer"] == "average" and len(trace.gaps) == 30
         epochs = epochs_of(inst, trace, calls)
         t = int(np.argmin(trace.gaps)) + 1
         ends = np.cumsum([len(steps) for _, steps in epochs])
         r = int(np.searchsorted(ends, t))  # the epoch that holds step t
         assert r >= 1 and len(epochs) == trace.summary["restarts"] + 1
-        steps = epochs[r][1][:t - (ends[r] - len(epochs[r][1]))]
-        x_avg, y_avg = weighted_average(steps)
-        assert np.allclose(x, x_avg, rtol=1e-12, atol=1e-15)
-        assert np.allclose(y, y_avg, rtol=1e-12, atol=1e-15)
+        x_avg, y_avg = epoch_averages(epochs[r][1])[t - 1 - (ends[r] - len(epochs[r][1]))]
+        assert np.array_equal(x, x_avg) and np.array_equal(y, y_avg)
         assert gap == duality_gap(inst, x, y)
+
+    def test_answer_is_z_next_once_its_gap_meets_eps(self, monkeypatch):
+        # the run stops at the first z' whose exact gap, read from g(z'), meets eps
+        calls = record_tries(monkeypatch)
+        inst = gen_box_simplex(12, 10, 0.5, seed=18)
+        eps = 1e-2 * inst.op_norm
+        x, y, gap, trace = solve_box_simplex(inst, eps)
+        assert trace.summary["answer"] == "last"
+        last = calls[-1][2]  # the last accepted try
+        assert np.array_equal(x, last.z_next.x) and np.array_equal(y, last.z_next.y)
+        assert gap == duality_gap(inst, x, y) <= eps < min(trace.gaps)
+        accepted = [step for _, steps in epochs_of(inst, trace, calls) for _, step in steps]
+        assert accepted[-1] is last  # and no earlier z' met eps
+        assert all(duality_gap(inst, step.z_next.x, step.z_next.y) > eps
+                   for step in accepted[:-1])
+
+    def test_answer_is_an_average_once_its_exact_gap_meets_eps(self, monkeypatch):
+        # an average whose running-sum gap meets eps is confirmed by duality_gap
+        calls = record_tries(monkeypatch)
+        inst = gen_box_simplex(12, 10, 0.5, seed=5)
+        eps = 1e-2 * inst.op_norm
+        x, y, gap, trace = solve_box_simplex(inst, eps)
+        assert trace.summary["answer"] == "average"
+        steps = epochs_of(inst, trace, calls)[-1][1]
+        x_avg, y_avg = epoch_averages(steps)[-1]
+        assert np.array_equal(x, x_avg) and np.array_equal(y, y_avg)
+        assert gap == duality_gap(inst, x, y) <= eps
+        assert trace.gaps[-1] <= eps < min(trace.gaps[:-1])
+        assert abs(trace.gaps[-1] - gap) <= 1e-12 * max(inst.op_norm, 1.0)
+
+    def test_an_average_whose_exact_gap_misses_eps_does_not_end_the_run(self, monkeypatch):
+        inst = gen_box_simplex(12, 10, 0.5, seed=5)
+        eps = 1e-2 * inst.op_norm
+        stopped = solve_box_simplex(inst, eps)[3]
+        exact, counted = boxsimplex.duality_gap, []
+
+        def first_confirmation_misses(game, x, y):  # the calls are z0's, then confirmations
+            counted.append(1)
+            return 2.0 * eps if len(counted) == 2 else exact(game, x, y)
+
+        monkeypatch.setattr(boxsimplex, "duality_gap", first_confirmation_misses)
+        x, y, gap, trace = solve_box_simplex(inst, eps)
+        assert stopped.summary["answer"] == "average"
+        # the same step goes on to read the gap of its z', which meets eps here
+        assert trace.gaps == stopped.gaps and len(counted) == 2
+        assert trace.summary["answer"] == "last"
+        assert gap == exact(inst, x, y) <= eps
 
     def test_restarts_from_the_better_of_average_and_last_iterate(self, monkeypatch):
         # an epoch ends once the better of its average and its last z' has at
@@ -665,7 +727,9 @@ class TestSolve:
         z0 = epochs[0][0]
         assert np.array_equal(z0.x, np.zeros(inst.n))
         assert np.array_equal(z0.y, np.full(inst.m, 1.0 / inst.m))
-        starts = [duality_gap(inst, z.x, z.y) for z, _ in epochs]
+        # the gap the solver holds for each epoch's start: exact at z0 and at a z',
+        # the running-sum one at an average
+        starts = [duality_gap(inst, z0.x, z0.y)]
         gaps = iter(trace.gaps)
         kinds = []
         for r, (_, steps) in enumerate(epochs):
@@ -680,24 +744,33 @@ class TestSolve:
                 if kinds[-1]:  # from z' itself
                     assert z_next is steps[-1][1].z_next
                 else:  # from this epoch's last average
-                    x_avg, y_avg = weighted_average(steps)
-                    assert np.allclose(z_next.x, x_avg, rtol=1e-12, atol=1e-15)
-                    assert np.allclose(z_next.y, y_avg, rtol=1e-12, atol=1e-15)
-                assert starts[r + 1] == better[-1] <= 0.5 * starts[r]
+                    x_avg, y_avg = epoch_averages(steps)[-1]
+                    assert np.array_equal(z_next.x, x_avg) and np.array_equal(z_next.y, y_avg)
+                    assert (abs(duality_gap(inst, z_next.x, z_next.y) - better[-1])
+                            <= 1e-12 * max(inst.op_norm, 1.0))
+                assert better[-1] <= 0.5 * starts[r]
+                starts.append(better[-1])
         assert any(kinds) and not all(kinds)  # both kinds of restart happen
 
-    @pytest.mark.parametrize("certify, max_iters", [(False, None), (True, None), (False, 0)])
-    def test_one_gap_per_step_and_one_for_z0(self, monkeypatch, certify, max_iters):
+    @pytest.mark.parametrize("certify, max_iters, spent", [
+        (False, None, False), (True, None, False), (False, 0, False), (False, 20, True)],
+        ids=["uncertified", "certified", "zero-budget", "spent-budget"])
+    def test_exact_gaps_at_z0_confirmations_and_budget_end(self, monkeypatch, certify,
+                                                           max_iters, spent):
+        # duality_gap runs at z0, at each average whose running-sum gap meets
+        # eps, and at the best average of a run that spends a nonzero budget
         counted = []
         gap_ = boxsimplex.duality_gap
         monkeypatch.setattr(boxsimplex, "duality_gap",
                             lambda inst, x, y: counted.append(1) or gap_(inst, x, y))
-        inst = gen_box_simplex(12, 10, 0.5, seed=18)
-        x, y, gap, trace = solve_box_simplex(inst, 1e-2 * inst.op_norm,
-                                             max_iters=max_iters, certify=certify)
+        inst = gen_box_simplex(12, 10, 0.5, seed=5)
+        eps = 1e-2 * inst.op_norm
+        x, y, gap, trace = solve_box_simplex(inst, eps, max_iters=max_iters, certify=certify)
         s = trace.summary
-        assert (s["restarts"] >= 1) == (max_iters is None)
-        assert len(counted) == s["iterations"] + 1
+        assert s["answer"] == "average" and (s["restarts"] >= 1) == (max_iters != 0)
+        confirmations = sum(g <= eps for g in trace.gaps)
+        assert confirmations == (max_iters is None)
+        assert len(counted) == 1 + confirmations + spent
 
     def test_restarts_make_the_rate_linear(self):
         # criterion 06 seed 0; without restarts 1e-2 ||A|| takes 1699 steps and
@@ -713,15 +786,31 @@ class TestSolve:
         assert steps[1e-4] <= 3 * steps[1e-2]
 
     def test_criterion_06_steps_stay_few(self):
-        # restarting from the better of average and z' takes 1466 steps here;
-        # restarting from the average alone took 2506
+        # stopping at the first certified z' takes 1335 steps here, against 1466
+        # when only an average could stop the run; restarting from the average
+        # alone, not from the better of average and z', took 2506
         steps = 0
         for seed in range(10):
             inst = gen_box_simplex(50, 40, 0.5, seed=seed)
             x, y, gap, trace = solve_box_simplex(inst, 0.01 * inst.op_norm)
             assert gap <= 0.01 * inst.op_norm
             steps += trace.summary["iterations"]
-        assert steps <= 1600
+        assert steps <= 1400
+
+    def test_running_sum_gaps_match_the_exact_gaps_of_the_averages(self, monkeypatch):
+        # criterion 06's seeds 0-2: every trace.gaps[t], read from the sums of
+        # g(w_t), is the duality gap of that step's average up to rounding
+        calls = record_tries(monkeypatch)
+        for seed in range(3):
+            calls.clear()
+            inst = gen_box_simplex(50, 40, 0.5, seed=seed)
+            trace = solve_box_simplex(inst, 0.01 * inst.op_norm)[3]
+            gaps = iter(trace.gaps)
+            for _, steps in epochs_of(inst, trace, calls):
+                for x, y in epoch_averages(steps):
+                    assert (abs(next(gaps) - duality_gap(inst, x, y))
+                            <= 1e-12 * max(inst.op_norm, 1.0))
+            assert next(gaps, None) is None
 
     def test_lam_cap_is_never_passed(self, monkeypatch, tmp_path):
         # at a cap of 1e-3 every step is far too long, so the certificate fails

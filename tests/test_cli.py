@@ -140,6 +140,7 @@ class TestSolve:
         assert "iterations=0" in text and "exit_code=2" in text
         summary = read_summary(out + ".summary.txt")
         assert float(summary["gap"]) > float(summary["eps"])
+        assert summary["answer"] == "average"  # z0 itself
 
     def test_budget_exhaustion_is_exit_2(self, quad_manifest, tmp_path):
         out = str(tmp_path / "b")
@@ -449,6 +450,10 @@ class TestSolve:
         with open(out + ".summary.txt") as fh:
             text = fh.read()
         assert "stability_ok=1" in text and "local_rl_ok=1" in text
+        summary = read_summary(out + ".summary.txt")
+        keys = list(summary)
+        assert keys[keys.index("gap") + 1] == "answer"
+        assert summary["answer"] in ("last", "average")
 
     def test_box_simplex_check_certifies_the_gap_bound(self, bs_manifest, tmp_path,
                                                        monkeypatch):
@@ -458,8 +463,9 @@ class TestSolve:
         summary = read_summary(out + ".summary.txt")
         assert summary["gap_bound_ok"] == "1"
         assert int(summary["retries"]) >= 0 and 0 < float(summary["lam_min"]) <= 3
-        # an oracle reporting gaps above the bound fails that certificate alone
-        monkeypatch.setattr(boxsimplex, "duality_gap", lambda inst, x, y: 1e9)
+        # an oracle reporting gaps above the bound fails that certificate alone;
+        # the running-sum gaps, z0's and the answer's all read this formula
+        monkeypatch.setattr(boxsimplex, "_gap_from_operator", lambda inst, x, y, g: 1e9)
         assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
                     "--iters", "3", "--check", "--out", out]) == 3
         summary = read_summary(out + ".summary.txt")

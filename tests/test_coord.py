@@ -103,6 +103,27 @@ class TestEstimators:
         assert report.worst > lam * (1 + 1e-6) + 1e-9
         assert not report.passed
 
+    @pytest.mark.parametrize("L, seed", [(100.0, 1), (100.0, 0), (1e4, 1)])
+    def test_identity_error_is_judged_against_the_terms_it_sums(self, L, seed):
+        # from 100 (1, ..., 1) the identity's terms are large, and its rounding
+        # error (3e-9 to 1.5e-5) passes NOISE_ULPS ulps of their magnitudes
+        prob = gen_quadratic(8, 1.0, L, diag=True, seed=seed)
+        states = coord_trajectory(prob, 100 * np.ones(8), 50, seed=seed)
+        report = check_estimator_conditions(prob, states, (prob.x_star, prob.x_star))
+        assert report.passed and report.details["worst_identity_error"] > 1e-9
+        assert report.worst <= report.constant
+
+    def test_probabilities_off_their_sum_break_the_identity(self):
+        # read at p (1 + 1e-9), the identity is off by 4.5e-9 while every ratio
+        # stays within lam
+        prob = gen_quadratic(4, 1.0, 9.0, diag=True, seed=8)
+        p = prob.profile.coord_probabilities()
+        states = coord_trajectory(prob, np.ones(4), 30, seed=9, p=p)
+        report = check_estimator_conditions(prob, states, (prob.x_star, prob.x_star),
+                                            p=p * (1.0 + 1e-9))
+        assert report.worst <= report.constant and not report.passed
+        assert report.details["worst_identity_error"] > 1e-9
+
     @pytest.mark.parametrize("d, L", [(4, 4.0), (4, 100.0), (8, 50.0)])
     @pytest.mark.parametrize("seed", range(6))
     def test_converged_states_pass(self, seed, d, L):
