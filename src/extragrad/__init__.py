@@ -8,7 +8,6 @@ inequalities the convergence guarantees rest on.
 """
 
 from .core import (
-    TAU_NUM,
     Point,
     DomainError,
     Everywhere,

@@ -366,13 +366,17 @@ def cmd_solve(args):
     return code
 
 
+def _report(rep, out, **entries):
+    """Writes the report ``rep``; gives ``entries``, then its own, and the exit code."""
+    rep.save(out + ".report.txt")
+    return {**entries, "constant": rep.constant, "worst": rep.worst, "n_tested": rep.n_tested,
+            "n_skipped": rep.n_skipped, "passed": rep.passed}, _cert(rep.passed)
+
+
 def _sampled(args, out, check, g, r, constant, dom):
     """``check(g, r, constant, sampler)`` on --samples points; writes the report."""
     N = _or(args.samples, 1000)
-    rep = check(g, r, constant, V.TripleSampler(dom, N, args.seed))
-    rep.save(out + ".report.txt")
-    return {"samples": N, "constant": rep.constant, "worst": rep.worst,
-            "n_tested": rep.n_tested, "passed": rep.passed}, _cert(rep.passed)
+    return _report(check(g, r, constant, V.TripleSampler(dom, N, args.seed)), out, samples=N)
 
 
 def _sampled_vi(check, flag):
@@ -406,10 +410,7 @@ def _verify_estimator(problem, args, out):
     states = V.coord_trajectory(problem, np.zeros(problem.d), steps, seed=args.seed)
     rep = V.check_estimator_conditions(
         problem, states, (problem.x_star, problem.x_star), lam=args.lam)
-    rep.save(out + ".report.txt")
-    return {"constant": rep.constant, "worst": rep.worst, "n_skipped": rep.n_skipped,
-            "identity_error": rep.details["worst_identity_error"],
-            "passed": rep.passed}, _cert(rep.passed)
+    return _report(rep, out, identity_error=rep.details["worst_identity_error"])
 
 
 def _verify_local_rl(problem, args, out):

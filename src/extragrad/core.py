@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Absolute tolerance for identity checks.
-TAU_NUM = 1e-9
-
 _EMPTY = np.zeros(0)
 
 

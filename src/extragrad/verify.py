@@ -1,11 +1,9 @@
 """Numerical certification of the defining inequalities.
 
 Sampling can only falsify a constant or accumulate evidence for it, so every
-report labels a pass as "no violation in N samples".  One scan, ``_worst_ratio``,
-decides every ratio certificate: how a vanishing denominator is read, and that a
-NaN sample is a violation which fails the report with ``worst`` NaN.  The
-estimator certificate reads a divergence at the noise level of its own rounding
-as a vanishing one.  Reports are deterministic under a fixed (seed, N).
+sampled report labels a pass "no violation in N samples".  One scan,
+``_worst_ratio``, decides every ratio certificate under one noise rule.
+Reports are deterministic under a fixed (seed, N).
 """
 
 from __future__ import annotations
@@ -15,14 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Point, TAU_NUM, vdot
+from .core import Point, vdot
 from .operators import make_rng, lambda_coord
 from .problems import write_manifest
 from .solvers import eg_coord_accel
 
+TAU_NUM = 1e-9  # absolute slack on ratio comparisons and identities
 TAU_REL_RATIO = 1e-6  # relative slack on ratio comparisons
+NOISE = 16 * np.finfo(float).eps  # rounding of a sum, per unit of the |terms| it adds up
 SIMPLEX_MARGIN = 1e-3  # keep entropy gradients finite
-NOISE_ULPS = 16  # a divergence within this many ulps of the terms it cancels is rounding noise
 
 
 @dataclass
@@ -54,7 +53,9 @@ class CertificateReport:
         write_manifest(path, {
             "inequality": self.inequality, "constant": float(self.constant),
             "n_tested": self.n_tested, "n_skipped": self.n_skipped,
-            "worst": float(self.worst), "passed": self.passed, **self.details})
+            "worst": float(self.worst), "passed": self.passed,
+            "semantics": "no violation in N samples" if self.passed else "violation found",
+            **self.details})
         with open(path + ".witness.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["role", "block", "values"])
@@ -70,26 +71,37 @@ class CertificateReport:
 
 
 def _worst_ratio(inequality, constant, samples, sign) -> CertificateReport:
-    """The worst ratio num/den over ``(num, den, witness)`` samples, against ``constant``:
-    the largest for ``sign`` 1, the smallest for ``sign`` -1.
+    """The worst ratio num/den over ``(num, num_mag, den, den_mag, witness)``
+    samples, against ``constant``: the largest for ``sign`` 1, the smallest for -1.
 
-    A den that is not <= 0 gives the ratio, NaN for a NaN den.  Over a den <= 0
-    the sample is skipped when sign*num <= TAU_NUM, and is otherwise a violation
-    (ratio inf past the constant, NaN for a NaN num).  An infinite or NaN ratio
-    is the worst and ends the scan.  The report passes when the worst ratio is
-    within relative slack TAU_REL_RATIO and absolute slack TAU_NUM of the constant.
+    The one noise rule: NOISE times a magnitude, the sum of the |terms| that its
+    value adds up, bounds that value's rounding (Higham's gamma_n at 16 ulps):
+    * a NaN or infinite num or magnitude is a violation (ratio inf, NaN for a NaN);
+    * num is read as sign*num - NOISE*num_mag, with slack in the passing direction;
+    * a den <= NOISE*den_mag vanishes: the sample is skipped when the read num is
+      <= TAU_NUM, and is otherwise a violation (ratio inf);
+    * a sample whose NOISE*num_mag exceeds both its den and |num| decides nothing,
+      its ratio known neither to within 1 nor to within itself, and is skipped;
+    * any other sample gives the read num over den, NaN for a NaN den.
+    An inf or NaN ratio is the worst and ends the scan.  The report passes when
+    the worst is within relative slack TAU_REL_RATIO and absolute TAU_NUM of it.
     """
     worst, witness, n, skipped = -np.inf, (), 0, 0
-    for num, den, sample in samples:  # num, worst: signed so that larger is worse
+    for num, num_mag, den, den_mag, sample in samples:  # num, worst: signed so that larger is worse
         n += 1
-        num = sign * num
-        if den <= 0:
-            if num <= TAU_NUM:
+        slack = NOISE * num_mag
+        if not (abs(num) < np.inf and num_mag < np.inf and den_mag < np.inf):
+            ratio = (abs(num) + num_mag + den_mag) * np.inf  # inf, or NaN for a NaN
+        elif den <= NOISE * den_mag:
+            if sign * num - slack <= TAU_NUM:
                 skipped += 1
                 continue
-            ratio = num * np.inf  # inf, or NaN for a NaN num
+            ratio = np.inf
+        elif slack > den and slack > abs(num):
+            skipped += 1
+            continue
         else:
-            ratio = num / den
+            ratio = (sign * num - slack) / den
         if not ratio <= worst:  # a worse ratio, or a NaN one
             worst, witness = ratio, sample
             if not ratio < np.inf:
@@ -98,13 +110,17 @@ def _worst_ratio(inequality, constant, samples, sign) -> CertificateReport:
     return CertificateReport(inequality, constant, n, sign * worst, witness, passed, skipped)
 
 
+def _dot(a, b):
+    """``vdot(a, b)`` and the sum of |a_i b_i| that it adds up."""
+    blocks = ((a.x, b.x), (a.y, b.y)) if isinstance(a, Point) else ((a, b),)
+    return vdot(a, b), float(sum(np.dot(abs(s), abs(t)) for s, t in blocks))
+
+
 def check_relative_lipschitzness(g, r, lam, sampler: TripleSampler) -> CertificateReport:
     """Largest sampled ratio of <g(w)-g(z), w-u> to V_z(w) + V_w(u), against lam."""
-    rep = _worst_ratio("relative-lipschitzness", lam, (
-        (vdot(g(w) - g(z), w - u), r.divergence(z, w) + r.divergence(w, u), (z, w, u))
+    return _worst_ratio("relative-lipschitzness", lam, (
+        (*_dot(g(w) - g(z), w - u), r.divergence(z, w) + r.divergence(w, u), 0.0, (z, w, u))
         for z, w, u in sampler.points()), 1)
-    rep.details["semantics"] = "no violation in N samples" if rep.passed else "violation found"
-    return rep
 
 
 def check_relative_smoothness_implies(g, r, L, sampler: TripleSampler) -> CertificateReport:
@@ -117,19 +133,15 @@ def check_relative_smoothness_implies(g, r, L, sampler: TripleSampler) -> Certif
 def check_strong_monotonicity(g, r, m, sampler: TripleSampler) -> CertificateReport:
     """Smallest sampled ratio of <g(w)-g(z), w-z> to V_w(z) + V_z(w), against m."""
     return _worst_ratio("strong-monotonicity", m, (
-        (vdot(g(w) - g(z), w - z), r.divergence(w, z) + r.divergence(z, w), (z, w))
+        (*_dot(g(w) - g(z), w - z), r.divergence(w, z) + r.divergence(z, w), 0.0, (z, w))
         for z, w, _ in sampler.points()), -1)
 
 
 def check_regret_certificate(trace, g, r, lam, z0, u):
     """Sum of <g(w_t), w_t - u> against lam * V_{z0}(u); returns (passed, margin)."""
-    lhs = 0.0
-    for w in trace.iterates:
-        lhs += vdot(g(w), w - u)
+    lhs = sum(vdot(g(w), w - u) for w in trace.iterates)
     rhs = lam * r.divergence(z0, u)
-    T = len(trace.iterates)
-    margin = rhs - lhs
-    return lhs <= rhs + T * TAU_NUM, margin
+    return lhs <= rhs + len(trace.iterates) * TAU_NUM, rhs - lhs
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +171,9 @@ def coord_trajectory(problem, x0, steps, seed=0, p=None):
     """Explicit randomized-coordinate trajectory at lam = lambda_coord(profile),
     sampling by ``p`` (default p_i ~ sqrt(L_i)); returns the visited (x, v) states."""
     prof = problem.profile
-    lam = lambda_coord(prof)
+    lam, mu = lambda_coord(prof), prof.mu
     if p is None:
         p = prof.coord_probabilities()
-    mu = prof.mu
     rng = make_rng(seed)
     x = np.asarray(x0, dtype=float).copy()
     v = x.copy()
@@ -226,14 +237,12 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
 
     * the expectation over i of <g_i(w^(i)), w^(i) - u> equals the regret of
       the merged point (x_t + sum_i delta_i, grad f(v_half)), up to 1e-10 or
-      NOISE_ULPS ulps of the magnitudes that the two sides add up, and
+      NOISE times the magnitudes that the two sides add up, and
     * the expected relative Lipschitzness inequality at
       lam = 1 + sum_i sqrt(L_i) / sqrt(mu) with p_i ~ sqrt(L_i), with
       w^(i) = (x_half, v_half) and the divergence of r(x, y) = mu/2 |x|^2 + f*(y)
       between implicit points, whose dual part V^{f*}_{grad f(a)}(grad f(b)) is
-      V^f_b(a).  A state whose expected divergence is at most NOISE_ULPS ulps
-      of the magnitudes that its dual parts cancel (|f| at each v, and
-      |grad f(b)|.(|a| + |b|)) is rounding noise, read as a vanishing one.
+      V^f_b(a).
     """
     states = list(states)
     prof = problem.profile
@@ -247,7 +256,7 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
     mu = prof.mu
     ux, uv = u
     gf_u = problem.grad(uv)
-    worst_identity, identity_ok, ulp = 0.0, True, NOISE_ULPS * np.finfo(float).eps
+    worst_identity, identity_ok = 0.0, True
     samples = []
     for x_t, v_t in states:
         v_half = (1.0 - 1.0 / lam) * v_t + x_t / lam
@@ -256,9 +265,9 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
         f_vt, f_vh, gf_vh1 = problem.f(v_t), problem.f(v_half), problem.grad(v_half)
         dual_w = f_vt - f_vh - float(np.dot(gf_vh1, v_t - v_half))  # in V_{z_t}(w^(i)) for all i
         # the magnitudes that the dual parts cancel; f(v_half) is in both
-        noise = abs(f_vt) + 2 * abs(f_vh) + float(np.dot(np.abs(gf_vh1), abs(v_t) + abs(v_half)))
+        den_mag = abs(f_vt) + 2 * abs(f_vh) + float(np.dot(np.abs(gf_vh1), abs(v_t) + abs(v_half)))
         gy_z, gy_u = v_t - x_t, gf_vh - gf_u
-        lhs = num = den = size = 0.0  # size: the magnitudes that lhs and rhs add up
+        lhs = size = num = num_mag = den = 0.0  # size: the magnitudes that lhs and rhs add up
         x_bar = x_t.copy()
         for i in range(d):
             x_half, x_next, v_next = coord_step(x_t, v_t, i, g_v[i], gf_vh[i], lam, mu, p[i])
@@ -274,20 +283,20 @@ def check_estimator_conditions(problem, states, u, lam=None, p=None) -> Certific
             size += p[i] * (abs(regret_x) + float(abs(gy_w) @ abs(gy_u)))
             # condition 2: <g_i(w) - g_i(z_t), w - z_next> expanded blockwise
             term_x = (gf_vh[i] - g_v[i]) / p[i] * (x_half[i] - x_next[i])
-            num += p[i] * (term_x + float(np.dot(gy_w - gy_z, gf_vh - gf_vn)))
+            gy_dw, gf_dv = gy_w - gy_z, gf_vh - gf_vn
+            num += p[i] * (term_x + float(np.dot(gy_dw, gf_dv)))
+            num_mag += p[i] * (abs(term_x) + float(abs(gy_dw) @ abs(gf_dv)))
             f_vn = problem.f(v_next)
             dual_next = f_vh - f_vn - float(np.dot(gf_vn, v_half - v_next))
-            noise += p[i] * (abs(f_vn) + float(np.dot(np.abs(gf_vn), abs(v_half) + abs(v_next))))
+            den_mag += p[i] * (abs(f_vn) + float(np.dot(np.abs(gf_vn), abs(v_half) + abs(v_next))))
             dx = x_next[i] - x_half[i]
             den += p[i] * ((0.5 * mu * (delta * delta) + dual_w)
                            + (0.5 * mu * (dx * dx) + dual_next))
         rhs = float(np.dot(gf_vh, x_bar - ux)) + float(np.dot(v_half - x_bar, gy_u))
         size += float(abs(gf_vh) @ abs(x_bar - ux)) + float(abs(v_half - x_bar) @ abs(gy_u))
         worst_identity = np.maximum(worst_identity, abs(lhs - rhs))  # a NaN stays
-        identity_ok = identity_ok and abs(lhs - rhs) < max(1e-10, ulp * size)
-        if den <= ulp * noise:
-            den = 0.0
-        samples.append((num, den, ((x_t, v_t),)))
+        identity_ok = identity_ok and abs(lhs - rhs) < max(1e-10, NOISE * size)
+        samples.append((num, num_mag, den, den_mag, ((x_t, v_t),)))
     rep = _worst_ratio("coordinate-estimator-conditions", lam, samples, 1)
     rep.n_tested = len(states)  # the identity is checked at every state
     rep.passed = identity_ok and rep.passed

@@ -676,13 +676,14 @@ class TestVerify:
     @pytest.mark.parametrize("flags, code", [
         (["--check", "rel-lip"], 0),
         (["--check", "strong-mono", "--mono", "1e6"], 3),
-        (["--check", "strong-mono"], 3),
+        (["--check", "strong-mono"], 0),
     ], ids=["rel-lip", "strong-mono-1e6", "strong-mono"])
     def test_game_with_tiny_moduli_is_judged_by_its_ratios(self, tmp_path, flags, code):
         # Every divergence is about 1e-12, yet each sample is a ratio: none is
-        # skipped or counted as an outright violation.  At its default m = 1 the
-        # game fails strong-mono: rounding in the cancelling coupling terms puts
-        # the smallest ratio at 0.99983.
+        # skipped or counted as an outright violation.  The game passes strong-mono
+        # at its default m = 1: its coupling terms cancel only up to rounding,
+        # which would put the smallest ratio at 0.99983, and each numerator is
+        # read with its rounding bound as slack.
         man = str(tmp_path / "g.manifest")
         assert run(["gen", "minimax", "n=3", "m=3", "mu_x=1e-12", "mu_y=1e-12",
                     "--out", man]) == 0
@@ -695,7 +696,65 @@ class TestVerify:
         if flags[1] == "rel-lip":
             assert 0 < worst <= float(summary["constant"])
         else:
-            assert 0.9998 < worst < 0.9999
+            assert 1 < worst < 1.0002
+
+    @pytest.mark.parametrize("mu, n_skipped", [
+        ("1e-3", "0"), ("1e-9", "0"), ("1e-12", "0"), ("1e-15", "690"),
+    ])
+    def test_strong_mono_of_a_game_is_judged_through_its_rounding(self, tmp_path, mu,
+                                                                  n_skipped):
+        # The game is exactly 1-strongly monotone at every mu, and its coupling
+        # terms cancel only up to rounding, which grows like 1/mu against the
+        # divergences.  m = 1 passes and m = 2 fails at each mu; at 1e-15 most
+        # samples' rounding bound exceeds both their divergence and their
+        # numerator, so they decide nothing.
+        man = str(tmp_path / "g.manifest")
+        assert run(["gen", "minimax", "n=3", "m=3", f"mu_x={mu}", f"mu_y={mu}",
+                    "--out", man]) == 0
+        for flags, code in (([], 0), (["--mono", "2"], 3)):
+            out = str(tmp_path / "v")
+            assert run(["verify", "--check", "strong-mono", *flags, "--instance", man,
+                        "--out", out]) == code, flags
+            summary = read_summary(out + ".summary.txt")
+            assert (summary["n_tested"], summary["n_skipped"]) == ("1000", n_skipped)
+            assert 1 < float(summary["worst"]) < 1.2
+
+    def test_a_large_ratio_is_not_lost_to_its_rounding(self, tmp_path):
+        # At mu = 1e-15 a rel-lip ratio near 6.8e14 is known to within a few
+        # units: the rounding bound exceeds the divergence but not the numerator,
+        # so the sample still counts and a constant of 3e14 fails.
+        man = str(tmp_path / "g.manifest")
+        assert run(["gen", "minimax", "n=3", "m=3", "mu_x=1e-15", "mu_y=1e-15",
+                    "--out", man]) == 0
+        out = str(tmp_path / "v")
+        assert run(["verify", "--check", "rel-lip", "--lambda", "3e14", "--instance", man,
+                    "--out", out]) == 3
+        summary = read_summary(out + ".summary.txt")
+        assert (summary["n_tested"], summary["n_skipped"]) == ("1000", "0")
+        assert 6.7e14 < float(summary["worst"]) < 6.8e14
+
+    def test_every_report_backed_summary_has_one_shape(self, quad_manifest, mm_manifest,
+                                                       tmp_path):
+        shape = ["constant", "worst", "n_tested", "n_skipped", "passed"]
+        cases = [
+            (["--check", "rel-lip", "--instance", quad_manifest, "--samples", "50"], 0),
+            (["--check", "rel-lip", "--instance", quad_manifest, "--lambda", "0.01"], 3),
+            (["--check", "rel-smooth", "--instance", quad_manifest, "--samples", "50"], 0),
+            (["--check", "strong-mono", "--instance", mm_manifest, "--samples", "50"], 0),
+            (["--check", "estimator", "--instance", quad_manifest, "--iters", "3"], 0),
+            (["--check", "estimator", "--instance", quad_manifest, "--iters", "3",
+              "--lambda", "1e-200"], 3),
+        ]
+        for i, (argv, code) in enumerate(cases):
+            out = str(tmp_path / f"s{i}")
+            assert run(["verify", *argv, "--out", out]) == code, argv
+            summary = read_summary(out + ".summary.txt")
+            report = read_summary(out + ".report.txt")
+            keys = list(summary)
+            assert keys[keys.index("constant"):keys.index("passed") + 1] == shape, argv
+            assert all(summary[k] == report[k] for k in shape[1:]), argv
+            assert report["semantics"] == ("violation found" if code
+                                           else "no violation in N samples"), argv
 
     def test_samples_only_in_sampled_summaries(self, quad_manifest, mm_manifest,
                                                bs_manifest, tmp_path):

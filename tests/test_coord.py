@@ -106,7 +106,7 @@ class TestEstimators:
     @pytest.mark.parametrize("L, seed", [(100.0, 1), (100.0, 0), (1e4, 1)])
     def test_identity_error_is_judged_against_the_terms_it_sums(self, L, seed):
         # from 100 (1, ..., 1) the identity's terms are large, and its rounding
-        # error (3e-9 to 1.5e-5) passes NOISE_ULPS ulps of their magnitudes
+        # error (3e-9 to 1.5e-5) passes NOISE times their magnitudes
         prob = gen_quadratic(8, 1.0, L, diag=True, seed=seed)
         states = coord_trajectory(prob, 100 * np.ones(8), 50, seed=seed)
         report = check_estimator_conditions(prob, states, (prob.x_star, prob.x_star))

@@ -9,9 +9,9 @@ from extragrad import (
     make_rng, mirror_prox, gen_quadratic,
 )
 from extragrad.verify import (
-    TripleSampler, CertificateReport, check_relative_lipschitzness,
+    NOISE, TripleSampler, CertificateReport, check_relative_lipschitzness,
     check_relative_smoothness_implies, check_strong_monotonicity,
-    check_regret_certificate, check_estimator_conditions, coord_trajectory,
+    check_regret_certificate, check_estimator_conditions, coord_trajectory, _worst_ratio,
 )
 
 BOX_PAIR_DOMAIN = ProductSet(Box(-np.ones(2), np.ones(2)),
@@ -187,6 +187,69 @@ def test_a_nan_sample_fails_the_report_as_its_witness(check, pair, base, every):
                for a, b in zip(rep.witness[:2], (z, w)))
 
 
+class TestWorstRatio:
+    """The one noise rule, on (num, num_mag, den, den_mag, witness) samples given by
+    hand.  NOISE is 2**-48, so every reading below is exact."""
+
+    PASS = (1.0, 1.0, 1.0, 0.0, "pass")  # ratio 1, read 1 -+ NOISE: within 1 at either sign
+
+    @pytest.mark.parametrize("num, num_mag, den_mag", [
+        (np.inf, 1.0, 0.0), (-np.inf, 1.0, 0.0), (np.inf, np.inf, 0.0), (-np.inf, np.inf, 0.0),
+        (1.0, np.inf, 0.0), (1.0, 1.0, np.inf),
+    ], ids=["inf", "-inf", "inf-inf-magnitude", "-inf-inf-magnitude", "inf-magnitude",
+            "inf-den-magnitude"])
+    @pytest.mark.parametrize("den", [1.0, 0.0], ids=["den", "vanishing-den"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_an_infinite_value_or_magnitude_is_a_violation(self, num, num_mag, den, den_mag,
+                                                           sign):
+        # never a skip, however the noise compares with den or num
+        rep = _worst_ratio("t", 1.0, [self.PASS, (num, num_mag, den, den_mag, "bad"),
+                                      self.PASS], sign)
+        assert not rep.passed and rep.worst == sign * np.inf
+        assert (rep.witness, rep.n_tested, rep.n_skipped) == ("bad", 2, 0)
+
+    @pytest.mark.parametrize("sample", [
+        (np.nan, 1.0, 1.0, 0.0), (1.0, np.nan, 1.0, 0.0), (1.0, 1.0, 1.0, np.nan),
+        (1.0, 1.0, np.nan, 0.0), (np.nan, np.nan, 0.0, 0.0), (np.nan, np.inf, 1.0, 0.0),
+    ], ids=["num", "num-magnitude", "den-magnitude", "den", "all-over-vanishing-den",
+            "num-with-inf-magnitude"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_nan_value_or_magnitude_gives_a_nan_worst(self, sample, sign):
+        rep = _worst_ratio("t", 1.0, [self.PASS, (*sample, "bad"), self.PASS], sign)
+        assert not rep.passed and np.isnan(rep.worst)
+        assert (rep.witness, rep.n_tested, rep.n_skipped) == ("bad", 2, 0)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_sample_whose_noise_exceeds_its_den_and_num_decides_nothing(self, sign):
+        # noise 2 against den 0.5 and num 0.5: the ratio 1 is known only to within 4
+        rep = _worst_ratio("t", 1.0, [self.PASS, (0.5, 2 / NOISE, 0.5, 0.0, "undecided")],
+                           sign)
+        assert rep.passed and (rep.witness, rep.n_tested, rep.n_skipped) == ("pass", 2, 1)
+        assert rep.worst == 1.0 - sign * NOISE
+
+    def test_a_large_ratio_known_to_within_its_noise_still_counts(self):
+        # noise 2 exceeds den 0.5 but not num 10: the ratio is read as (10 - 2) / 0.5
+        rep = _worst_ratio("t", 1.0, [self.PASS, (10.0, 2 / NOISE, 0.5, 0.0, "large")], 1)
+        assert not rep.passed and (rep.worst, rep.witness, rep.n_skipped) == (16.0, "large", 0)
+
+    @pytest.mark.parametrize("num, skipped", [(1e-9, True), (2e-9, False)])
+    @pytest.mark.parametrize("den", [0.5, 0.0, -0.5])
+    def test_a_den_within_its_noise_vanishes(self, num, skipped, den):
+        # den magnitude 2**47, noise 0.5: den is read as 0, and a num past TAU_NUM
+        # over it is a violation
+        rep = _worst_ratio("t", 1.0, [(num, 0.0, den, 0.5 / NOISE, "w")], 1)
+        assert (rep.n_skipped, rep.passed) == (int(skipped), skipped)
+        assert (rep.worst, rep.witness) == ((-np.inf, ()) if skipped else (np.inf, "w"))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_num_is_read_with_its_noise_in_the_passing_direction(self, sign):
+        # a ratio 2**-10 past the constant, whose num has noise 2**-10
+        num = 1.0 + sign * 2.0**-10
+        assert not _worst_ratio("t", 1.0, [(num, 0.0, 1.0, 0.0, "w")], sign).passed
+        rep = _worst_ratio("t", 1.0, [(num, 2.0**-10 / NOISE, 1.0, 0.0, "w")], sign)
+        assert rep.passed and (rep.worst, rep.n_skipped) == (1.0, 0)
+
+
 class TestRegretCertificate:
     def test_empty_trace_passes(self):
         z0 = Point(np.ones(2), np.ones(2))
@@ -242,6 +305,27 @@ class TestReportIO:
         rep.save(path)
         (x, v), = rep.witness
         assert read_witness(path + ".witness.csv") == [("z", "x", list(x)), ("z", "v", list(v))]
+
+    def test_every_report_labels_its_verdict(self, tmp_path):
+        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=7)
+        prob = gen_quadratic(4, 1.0, 9.0, diag=True, seed=8)
+        p = prob.profile.coord_probabilities()
+        states = coord_trajectory(prob, np.ones(4), 30, seed=9, p=p)
+        u = (prob.x_star, prob.x_star)
+        reps = [check_strong_monotonicity(lambda z: z, EUCLID_PAIR, 1.0, sampler),
+                check_strong_monotonicity(rotation_game, EUCLID_PAIR, 0.01, sampler),
+                check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 0.4, sampler),
+                check_estimator_conditions(prob, states, u),
+                check_estimator_conditions(prob, states, u, p=p * (1.0 + 1e-9))]
+        # the last one fails on its identity, with every ratio within lam
+        assert [rep.passed for rep in reps] == [True, False, False, True, False]
+        for i, rep in enumerate(reps):
+            path = str(tmp_path / f"r{i}.txt")
+            rep.save(path)
+            with open(path) as fh:
+                text = dict(line.rstrip("\n").split("=", 1) for line in fh)
+            assert text["semantics"] == ("no violation in N samples" if rep.passed
+                                         else "violation found")
 
     def test_reports_deterministic(self):
         reps = [check_relative_lipschitzness(
