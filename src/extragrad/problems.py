@@ -5,17 +5,25 @@ decimal per line, and a key=value manifest ties the pieces together.  All
 reals are serialized with ``repr``, the shortest decimal that round-trips, so
 regenerating with a fixed seed is byte-identical across platforms.
 
+A sparse matrix is written as ``coordinate real general``.  A dense matrix
+equal to its transpose, bit for bit, is ``array real symmetric``: its lower
+triangle, column by column.  Any other dense matrix, one asymmetric only by
+rounding among them, is ``array real general``.
+
 A matrix's header and size line are read and checked first, by
-``_read_size_line``.  A vector, or a matrix body, is then read from the same
-open file by one ``np.loadtxt`` call: coordinate lines as (int64, int64,
-float64) records, array values and vectors as one float64 per line.  That
-result is kept only when it has the count the size line declares (one value
-per line for a vector) and every value is finite.  In every other case -- a
-comment or a ragged line in the body, a wrong count, a NaN, anything the C
-parser rejects -- the line-by-line reader reads the file again from its start
-and decides, so it alone defines what is accepted and every ``ParseError``.
-What the C parser takes, the line-by-line reader takes too, with the same
-doubles.
+``_read_size_line``.  It takes ``general`` files and square ``symmetric``
+arrays, matching the header's words in any case; a header that would be
+misread (``complex``, ``pattern``, ``hermitian``, ``skew-symmetric``, or
+``symmetric`` on a coordinate file) is a ``ParseError`` at line 1.  A vector,
+or a matrix body, is then read from the same open file by one ``np.loadtxt``
+call: coordinate lines as (int64, int64, float64) records, array values and
+vectors as one float64 per line.  That result is kept only when it has the
+count the size line declares (one value per line for a vector) and every
+value is finite.  In every other case -- a comment or a ragged line in the
+body, a wrong count, a NaN, anything the C parser rejects -- the
+line-by-line reader reads the file again from its start and decides, so it
+alone defines what is accepted and every ``ParseError``.  What the C parser
+takes, the line-by-line reader takes too, with the same doubles.
 """
 
 from __future__ import annotations
@@ -202,20 +210,24 @@ def gen_minimax(n, m, mu_x, mu_y, coupling, seed=0) -> MinimaxInstance:
 _BLOCK = 1024  # lines per write: one block's strings are all the memory a file takes
 
 
-def _write_lines(path, head, fmt, *columns):
-    """``head``, then ``fmt`` of each row of the equal-length arrays ``columns``.
+def _write_lines(path, head, *columns, fmt=None):
+    """``head``, then a line per row of the equal-length arrays ``columns``:
+    ``fmt`` of the row, or with no ``fmt`` the ``repr`` of the one column's value.
 
     Rows come from ``tolist()``: ``repr`` of a numpy scalar is a different string.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(head)
         for k in range(0, len(columns[0]), _BLOCK):
-            rows = zip(*(c[k:k + _BLOCK].tolist() for c in columns))
-            fh.write("".join([fmt.format(*row) for row in rows]))
+            block = [c[k:k + _BLOCK].tolist() for c in columns]
+            if fmt is None:
+                fh.write("\n".join(map(repr, block[0])) + "\n")
+            else:
+                fh.write("".join([fmt.format(*row) for row in zip(*block)]))
 
 
 def write_vector(path, v):
-    _write_lines(path, "", "{!r}\n", np.asarray(v, dtype=float))
+    _write_lines(path, "", np.asarray(v, dtype=float))
 
 
 def _reject_nonfinite(path, values, entries):
@@ -267,47 +279,54 @@ def _vector_lines(path, fh):
 
 
 def write_matrix_market(path, A):
-    """Matrix Market writer with shortest round-trip decimals."""
+    """Matrix Market writer with shortest round-trip decimals: a dense matrix
+    equal to its transpose as its lower triangle, column by column."""
     if sp.issparse(A):
         A = A.tocoo()
         order = np.lexsort((A.col, A.row))
         _write_lines(path, "%%MatrixMarket matrix coordinate real general\n"
-                     f"{A.shape[0]} {A.shape[1]} {A.nnz}\n", "{} {} {!r}\n",
-                     A.row[order] + 1, A.col[order] + 1, np.asarray(A.data[order], dtype=float))
-    else:
-        A = np.atleast_2d(np.asarray(A, dtype=float))
-        _write_lines(path, "%%MatrixMarket matrix array real general\n"
-                     f"{A.shape[0]} {A.shape[1]}\n", "{!r}\n", A.ravel(order="F"))
+                     f"{A.shape[0]} {A.shape[1]} {A.nnz}\n", A.row[order] + 1, A.col[order] + 1,
+                     np.asarray(A.data[order], dtype=float), fmt="{} {} {!r}\n")
+        return
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    values = A.ravel(order="F")
+    symmetric = A.shape[0] == A.shape[1] and np.array_equal(A, A.T)
+    if symmetric:
+        values = values[np.tri(A.shape[0], dtype=bool).ravel(order="F")]
+    _write_lines(path, f"%%MatrixMarket matrix array real {'symmetric' if symmetric else 'general'}"
+                 f"\n{A.shape[0]} {A.shape[1]}\n", values)
 
 
 def read_matrix_market(path, bound=None):
     """The matrix by numpy's C parser, or by the line-by-line reader where that
     result is not plainly right; ``bound`` is as for ``_read_size_line``."""
     with open(path) as fh:
-        _, _, dims, coordinate = _read_size_line(path, fh, bound)
+        _, _, (m, n, count), coordinate, symmetric = _read_size_line(path, fh, bound)
         try:
             if coordinate:
-                m, n, nnz = dims
                 e = _loadtxt(fh, _COORDINATE, 1)
-                if e.shape == (nnz,) and np.isfinite(e["v"]).all():
+                if e.shape == (count,) and np.isfinite(e["v"]).all():
                     try:
                         return sp.csr_matrix((e["v"], (e["i"] - 1, e["j"] - 1)), shape=(m, n))
                     except MemoryError:  # the line reader reports the size line
                         pass
             else:
-                m, n = dims
                 vals = _loadtxt(fh, np.float64, 2)
-                if vals.shape == (m * n, 1) and np.isfinite(vals).all():
-                    return vals.reshape((n, m)).T
+                if vals.shape == (count, 1) and np.isfinite(vals).all():
+                    return _array(vals[:, 0], m, n, symmetric)
         except ValueError:
             pass
         fh.seek(0)  # decoded from the start again, as a new open would, so errors match
         return _matrix_lines(path, fh)
 
 
+_MISREAD = {"complex", "pattern", "hermitian", "skew-symmetric"}  # header words
+
+
 def _read_size_line(path, fh, bound=None):
-    """(size line number, its text, its integers, whether coordinate) of the
-    Matrix Market file ``fh``, checked, with ``fh`` left at the body.
+    """(size line number, its text, (m, n, the number of entries in the
+    body), whether coordinate, whether symmetric) of the Matrix Market file
+    ``fh``, checked, with ``fh`` left at the body.
 
     ``bound`` is the instance's longest vector, where there is one: no kind's
     matrix is longer or wider, so a larger m or n allocates nothing.
@@ -315,6 +334,11 @@ def _read_size_line(path, fh, bound=None):
     header = fh.readline()
     if not header.startswith("%%MatrixMarket"):
         raise ParseError(path, 1, "missing MatrixMarket header")
+    words = header.lower().split()
+    coordinate, symmetric = "coordinate" in words, "symmetric" in words
+    if _MISREAD.intersection(words) or coordinate and symmetric:
+        raise ParseError(path, 1, f"unsupported header {header.strip()!r}: only general "
+                         "matrices and symmetric arrays of reals are read")
     for ln, s in enumerate(iter(fh.readline, ""), 2):
         if s.strip() and not s.startswith("%"):
             break
@@ -332,44 +356,56 @@ def _read_size_line(path, fh, bound=None):
         raise ParseError(path, ln, f"negative size in {size!r}")
     if max(dims) > np.iinfo(np.int64).max:  # no array has that size
         raise ParseError(path, ln, f"size past the int64 range in {size!r}")
-    coordinate = "coordinate" in header.split()
     if len(dims) != (3 if coordinate else 2):
         raise ParseError(path, ln, "coordinate size line needs m n nnz" if coordinate
                          else "array size line needs m n")
-    return ln, size, dims, coordinate
+    if symmetric and dims[0] != dims[1]:
+        raise ParseError(path, ln, f"symmetric array size line {size!r} is not square")
+    if not coordinate:
+        m, n = dims
+        dims.append(n * (n + 1) // 2 if symmetric else m * n)
+    return ln, size, dims, coordinate, symmetric
+
+
+def _array(values, m, n, symmetric):
+    """The m x n matrix, F-ordered, whose array body is ``values``: all of its
+    entries column by column, or with ``symmetric`` those of its lower triangle."""
+    if not symmetric:
+        return values.reshape((n, m)).T
+    A = np.empty((n, n)).T
+    upper = np.tri(n, dtype=bool).T
+    A[upper] = values  # row by row, the upper triangle is the lower one column by column
+    A.T[upper] = values
+    return A
 
 
 def _matrix_lines(path, fh):
-    ln0, size, dims, coordinate = _read_size_line(path, fh)
+    ln0, size, (m, n, count), coordinate, symmetric = _read_size_line(path, fh)
     entries = [(ln, s.strip()) for ln, s in enumerate(fh, ln0 + 1)
                if s.strip() and not s.startswith("%")]
-    if coordinate:
-        m, n, nnz = dims
-        if len(entries) != nnz:
-            last = entries[-1][0] if entries else ln0
-            raise ParseError(path, last, f"expected {nnz} entries, found {len(entries)}")
-        rows, cols, data = [], [], []
-        for ln, s in entries:
-            p = s.split()
-            try:
-                rows.append(int(p[0]) - 1)
-                cols.append(int(p[1]) - 1)
-                data.append(float(p[2]))
-            except (IndexError, ValueError):
-                raise ParseError(path, ln, f"bad coordinate entry {s!r}") from None
-            if not (0 <= rows[-1] < m and 0 <= cols[-1] < n):
-                raise ParseError(path, ln, f"index ({p[0]}, {p[1]}) outside the {m} x {n} matrix")
-        data = np.array(data)
-        _reject_nonfinite(path, data, entries)
-        try:
-            return sp.csr_matrix((data, (rows, cols)), shape=(m, n))
-        except (ValueError, MemoryError) as e:  # scipy cannot index or allocate m + 1 row pointers
-            raise ParseError(path, ln0, f"size line {size!r} too large: {e}") from None
-    m, n = dims
-    if len(entries) != m * n:
+    if len(entries) != count:
         last = entries[-1][0] if entries else ln0
-        raise ParseError(path, last, f"expected {m * n} values, found {len(entries)}")
-    return _parse_values(path, entries, "bad value").reshape((n, m)).T
+        raise ParseError(path, last, f"expected {count} {'entries' if coordinate else 'values'}, "
+                         f"found {len(entries)}")
+    if not coordinate:
+        return _array(_parse_values(path, entries, "bad value"), m, n, symmetric)
+    rows, cols, data = [], [], []
+    for ln, s in entries:
+        p = s.split()
+        try:
+            rows.append(int(p[0]) - 1)
+            cols.append(int(p[1]) - 1)
+            data.append(float(p[2]))
+        except (IndexError, ValueError):
+            raise ParseError(path, ln, f"bad coordinate entry {s!r}") from None
+        if not (0 <= rows[-1] < m and 0 <= cols[-1] < n):
+            raise ParseError(path, ln, f"index ({p[0]}, {p[1]}) outside the {m} x {n} matrix")
+    data = np.array(data)
+    _reject_nonfinite(path, data, entries)
+    try:
+        return sp.csr_matrix((data, (rows, cols)), shape=(m, n))
+    except (ValueError, MemoryError) as e:  # scipy cannot index or allocate m + 1 row pointers
+        raise ParseError(path, ln0, f"size line {size!r} too large: {e}") from None
 
 
 def write_manifest(path, entries: dict):

@@ -319,6 +319,27 @@ class TestSolve:
         assert "M must be symmetric" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "o.summary.txt"))
 
+    @pytest.mark.parametrize("field, qualifier", [
+        ("complex", "general"), ("pattern", "general"), ("real", "skew-symmetric"),
+        ("real", "symmetric"), ("complex", "hermitian"), ("REAL", "SYMMETRIC"),
+    ])
+    def test_misread_header_is_parse_error(self, bs_manifest, tmp_path, capsys,
+                                           field, qualifier):
+        # each would load as its stored values or triangle only, or drop imaginary parts
+        apath = str(tmp_path / "bs.A.mtx")
+        with open(apath) as fh:
+            lines = fh.readlines()
+        lines[0] = f"%%MatrixMarket matrix coordinate {field} {qualifier}\n"
+        with open(apath, "w") as fh:
+            fh.writelines(lines)
+        out = str(tmp_path / "o")
+        assert run(["solve", "--alg", "box-simplex", "--instance", bs_manifest,
+                    "--out", out]) == 4
+        assert capsys.readouterr().err == (
+            f"I/O error: {apath}:1: unsupported header {lines[0].strip()!r}: only general "
+            "matrices and symmetric arrays of reals are read\n")
+        assert not os.path.exists(out + ".summary.txt")
+
     def test_huge_coordinate_index_is_parse_error(self, bs_manifest, tmp_path, capsys):
         apath = str(tmp_path / "bs.A.mtx")
         with open(apath) as fh:

@@ -229,10 +229,38 @@ class TestSerialization:
             assert coo.diag == diag and type(coo.M) is np.ndarray
             assert np.array_equal(coo.M, back.M)
 
+    def test_symmetric_dense_m_is_written_once(self, tmp_path):
+        # the lower triangle, column by column: 20100 of the 40000 values
+        prob = gen_quadratic(200, 1.0, 1e4, diag=False, seed=0)
+        man = str(tmp_path / "s.manifest")
+        save_instance(prob, man)
+        mpath = tmp_path / "s.M.mtx"
+        with open(mpath) as fh:
+            assert fh.readline() == "%%MatrixMarket matrix array real symmetric\n"
+            assert fh.readline() == "200 200\n"
+            assert len(fh.readlines()) == 200 * 201 // 2
+        assert 370_000 < mpath.stat().st_size < 390_000  # 757 kB written as general
+        back = load_instance(man)
+        assert back.M.tobytes() == prob.M.tobytes() and back.M.flags.f_contiguous
+
+    def test_m_one_ulp_off_symmetric_is_written_general(self, tmp_path):
+        prob = gen_quadratic(6, 1.0, 100.0, diag=False, seed=3)
+        M = prob.M.copy()
+        M[4, 1] = np.nextafter(M[4, 1], np.inf)  # within the 1e-12 symmetry check
+        prob = QuadraticProblem(M, prob.b, prob.profile.mu, prob.profile.L)
+        man = str(tmp_path / "u.manifest")
+        save_instance(prob, man)
+        with open(tmp_path / "u.M.mtx") as fh:
+            assert fh.readline() == "%%MatrixMarket matrix array real general\n"
+        back = load_instance(man)
+        assert back.M.tobytes() == M.tobytes() and back.M[4, 1] != back.M[1, 4]
+
     def test_diagonal_written_as_column(self, tmp_path):
         prob = gen_quadratic(50, 1.0, 1e3, diag=True, seed=15)
         man = str(tmp_path / "dg.manifest")
         save_instance(prob, man)
+        with open(tmp_path / "dg.M.mtx") as fh:
+            assert fh.readline() == "%%MatrixMarket matrix array real general\n"
         assert read_matrix_market(str(tmp_path / "dg.M.mtx")).shape == (50, 1)
         back = load_instance(man)
         assert back.diag and np.array_equal(back.M, prob.M)
@@ -391,7 +419,7 @@ GOLDEN = {
     "bs.b.txt": "90d54e253bcbd52c039caea59de51939a1b7b9d17564aef4986106ffa5927261",
     "bs.c.txt": "b8959a5c58beb84c92f5b6b0ebc8df34466473d046777747e45f29fe5d503ee4",
     "bs.manifest": "bc9b19b5f4350c7ed2807bb2d6b1b3f646dc18d618929e4e6ada14334f205a4f",
-    "dense.M.mtx": "eb900eeb2e058fa5cc68d5cd164f889e6eb32570f5dd5a2bcfdada6a1d8b4d82",
+    "dense.M.mtx": "dfc83173b518d4f10920089bd3448d4fd7f7c1f44858573658288381719cfb9c",
     "dense.b.txt": "d73d93b8ae7b2de988c4caf3289266d1f94ad9021453e16971481e3e7ed43225",
     "dense.manifest": "660e253a2cbce08428f498f2977bcd30e21a6ee1173ef644cfe9eb351a0c3fb7",
     "diag.M.mtx": "26949bc5702b5e471f1ac69689b4e8362155ae78e185b612a0c6f0496dd45c69",

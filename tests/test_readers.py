@@ -22,6 +22,7 @@ from extragrad import problems
 
 COO = "%%MatrixMarket matrix coordinate real general\n"
 ARR = "%%MatrixMarket matrix array real general\n"
+SYM = "%%MatrixMarket matrix array real symmetric\n"
 REPR = [5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, -1 / 3, 1e-5, 123456789.0]
 
 
@@ -165,6 +166,30 @@ MATRICES = {
     "array no values": ARR + "0 3\n",
     "array negative dimensions": ARR + "-2 -1\n1\n2\n",
     "array size past int64": ARR + "1 99999999999999999999\n1\n",
+    "symmetric": SYM + "3 3\n1\n2\n3\n4\n5\n6\n",
+    "symmetric repr decimals": SYM + "3 3\n" + "".join(repr(x) + "\n" for x in REPR[:6]),
+    "symmetric one by one": SYM + "1 1\n-0.0\n",
+    "symmetric no values": SYM + "0 0\n",
+    "symmetric in capitals": "%%MatrixMarket MATRIX ARRAY REAL SYMMETRIC\n2 2\n1\n2\n3\n",
+    "symmetric comment and blank in body": SYM + "2 2\n1\n% c\n2\n\n3\n",
+    "symmetric crlf": (SYM + "2 2\n1\n2\n3\n").replace("\n", "\r\n"),
+    "symmetric one value too many": SYM + "2 2\n1\n2\n3\n4\n",
+    "symmetric one value too few": SYM + "2 2\n1\n2\n",
+    "symmetric not square": SYM + "2 3\n1\n2\n3\n4\n5\n6\n",
+    "symmetric nan": SYM + "2 2\n1\nnan\n3\n",
+    "symmetric size line of three": SYM + "2 2 3\n1\n2\n3\n",
+    "coordinate complex": "%%MatrixMarket matrix coordinate complex general\n2 3 1\n"
+                          "1 1 1.5 2.0\n",
+    "coordinate pattern": "%%MatrixMarket matrix coordinate pattern general\n2 3 1\n1 1\n",
+    "coordinate hermitian": "%%MatrixMarket matrix coordinate complex hermitian\n2 2 1\n"
+                            "1 1 1.5 0.0\n",
+    "coordinate skew-symmetric": "%%MatrixMarket matrix coordinate real skew-symmetric\n"
+                                 "2 2 1\n2 1 1.5\n",
+    "coordinate symmetric": "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n"
+                            "1 1 1.5\n2 1 -0.25\n",
+    "array complex": "%%MatrixMarket matrix array complex general\n1 1\n1.5 2.0\n",
+    "array skew-symmetric": "%%MatrixMarket matrix array real skew-symmetric\n2 2\n1.5\n",
+    "array hermitian in capitals": "%%MatrixMarket matrix array COMPLEX HERMITIAN\n1 1\n1 0\n",
     "missing header": "2 2\n1\n2\n3\n4\n",
     "missing size line": ARR,
     "bad size line": ARR + "two 2\n",
@@ -243,6 +268,9 @@ def test_generated_files_take_the_fast_path(tmp_path, monkeypatch):
     monkeypatch.setattr(problems, "_vector_lines", refuse)
     loaded = {kind: load_instance(man) for kind, man in saved_kinds(str(tmp_path), True).items()}
     assert loaded["box-simplex 2000x1500"].A.shape == (2000, 1500)
+    with open(tmp_path / "dense-quadratic.M.mtx") as fh:
+        assert fh.readline() == SYM
+    assert loaded["dense quadratic"].M.shape == (30, 30)
 
 
 def test_load_opens_each_file_once(tmp_path, monkeypatch):
