@@ -40,7 +40,6 @@ from .problems import (
     load_instance,
 )
 from .solvers import (
-    SolverTrace,
     NonFiniteIterateError,
     mirror_prox,
     dual_extrapolation,

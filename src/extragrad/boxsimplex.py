@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import Point
 from .operators import BoxSimplexInstance
-from .solvers import NonFiniteIterateError, SolverTrace, ceil_count
+from .solvers import NonFiniteIterateError, ceil_count
 
 LAMBDA_BOX_SIMPLEX = 3.0  # the cap on lam: a step at 3 passes the local test
 LAMBDA_SHRINK = 0.8  # lam <- 0.8 lam after an accepted step
@@ -221,6 +221,15 @@ def iteration_budget(inst: BoxSimplexInstance, eps: float) -> int:
     return ceil_count(50.0 * inst.op_norm * np.log(max(inst.m, 2)) / eps, eps, "iteration budget")
 
 
+class BoxSimplexTrace(NamedTuple):
+    """The record of one ``solve_box_simplex`` run."""
+
+    gaps: list     # the running-sum gap of the average after each accepted step
+    lams: list     # the lam of each accepted step
+    margins: list  # a certified run's lhs - rhs of the try at lam = 3, per accepted step
+    summary: dict
+
+
 class _Try(NamedTuple):
     """One mirror prox try from z at lam and what the local test reads of it."""
 
@@ -308,7 +317,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     ratios ``stability_lo`` and ``stability_hi``) and local relative
     Lipschitzness (``local_rl_ok``) held in all of them, the largest sup-norm
     of their entropic subproblems' linear term (``gamma_inf_max``), and in
-    ``trace.regrets`` each one's lhs - rhs.  Certifying never changes the
+    ``trace.margins`` each one's lhs - rhs.  Certifying never changes the
     iterates.
 
     Each prox call of a try at lam stops at gap eps / (8 lam), but no tighter
@@ -334,7 +343,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     x_acc, gx_acc = np.zeros(inst.n), np.zeros(inst.n)
     y_acc, gy_acc = np.zeros(inst.m), np.zeros(inst.m)
     weight = 0.0
-    trace = SolverTrace()
+    trace = BoxSimplexTrace([], [], [], {})
     s = trace.summary
     s["gap_bound_ok"] = True
     if certify:
@@ -368,7 +377,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
             s["stability_lo"] = min(s["stability_lo"], at_cap.ratio_lo)
             s["stability_hi"] = max(s["stability_hi"], at_cap.ratio_hi)
             s["gamma_inf_max"] = max(s["gamma_inf_max"], at_cap.gamma_inf)
-            trace.regrets.append(at_cap.margin)
+            trace.margins.append(at_cap.margin)
         prox_gap_sum += step.delta
         epoch_delta += step.delta
         excess += max(0.0, step.margin) / lam

@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 iteration budget exhausted before the target,
 3 a certificate failed or the run diverged (a non-finite iterate or duality
 gap, or a point outside a regularizer's domain), 4 I/O or parse error, 64 usage
 error, which covers any value a run cannot take, such as an --eps so small that a
-count overflows, a quadratic whose L/mu or coordinate constant overflows or a minimax
-game whose lambda does (64 from gen, 4 when loaded).  ``main`` alone maps errors to these codes.
+count overflows, a quadratic whose L/mu or coordinate constant overflows, a dense one
+whose L/mu is above ``KAPPA_MAX_DENSE``, or a minimax game whose lambda overflows
+(64 from gen, 4 when loaded).  ``main`` alone maps errors to these codes.
 
 ``solve``, ``verify`` and ``bench`` each look up what they run in a table keyed
 by (algorithm or check id, instance kind); a pair outside the table is a usage
@@ -25,12 +26,13 @@ import csv
 import sys
 import time
 from functools import partial
+from itertools import chain, islice
 from types import SimpleNamespace
 
 import numpy as np
 
 from .core import (DomainError, Everywhere, Point, ProductSet, ScaledEuclidean,
-                   ConjugateRegularizer, ProductRegularizer)
+                   ConjugateRegularizer, ProductRegularizer, vdot)
 from .operators import lambda_fenchel, lambda_minimax
 from .problems import (ParseError, QuadraticProblem, gen_box_simplex, gen_minimax,
                        gen_quadratic, save_instance, load_instance, write_manifest)
@@ -240,21 +242,22 @@ def _solve_vi(problem, args, dual):
     """mirror-prox or dual-ex; --check tests the regret certificate."""
     vi = _vi(problem)
     lam, T = _or(args.lam, vi.lam), _or(args.iters, 100)
-    trace = (dual_extrapolation if dual else mirror_prox)(vi.g, vi.r, vi.z0, lam, T, u=vi.u)
-    rows, cum, acc = [], 0.0, 0.0
-    for t, (w, regret) in enumerate(zip(trace.iterates, trace.regrets)):
-        cum += regret
+    steps = (dual_extrapolation if dual else mirror_prox)(vi.g, vi.r, vi.z0, lam)
+    rows, ws, cum, acc = [], [], 0.0, 0.0
+    for t, (w, gw, _) in enumerate(islice(steps, T)):
+        ws.append(w)
+        cum += vdot(gw, w - vi.u)  # the regret against the solution, summed left to right
         rows.append({"iter": t, "cum_regret": cum})
         if vi.error is not None:  # f-error of the running average
             acc = acc + w
             rows[-1]["f_err"] = vi.error(acc / (t + 1))
     summary = {"lam": lam, "iters": T}
     if vi.error is None:
-        summary["cum_regret"] = trace.cum_regret()
+        summary["cum_regret"] = cum
     else:  # no step taken: the answer is z0, as for the baseline
         summary["final_f_err"] = rows[-1]["f_err"] if rows else vi.error(vi.z0)
     if args.check:
-        ok, margin = V.check_regret_certificate(trace, vi.g, vi.r, lam, vi.z0, vi.u)
+        ok, margin = V.check_regret_certificate(ws, vi.g, vi.r, lam, vi.z0, vi.u)
         summary.update(certificate_pass=ok, certificate_margin=margin)
     return rows, summary, _cert(not args.check or ok)
 
@@ -263,24 +266,29 @@ def _solve_mp_strong(problem, args):
     """--check tests the contraction V_{z_T}(z*) <= (1 + m/lam)^-T V_{z_0}(z*)."""
     vi = _vi(problem)
     lam, m, T = _or(args.lam, vi.lam), _or(args.mono, vi.mono), _or(args.iters, 100)
-    trace = mirror_prox_sm(vi.g, vi.r, vi.z0, lam, m, T, z_star=vi.u)
-    rows = [{"iter": t, "div_to_opt": dv} for t, dv in enumerate(trace.divs_to_opt)]
-    summary = {"lam": lam, "m": m, "iters": T, "final_div_to_opt": trace.summary["final_div"]}
-    ok = trace.summary["final_div"] <= trace.summary["contraction_bound"] * (1.0 + 1e-9) + 1e-12
+    steps = islice(mirror_prox_sm(vi.g, vi.r, vi.z0, lam, m), T)
+    divs = [vi.r.divergence(z, vi.u) for z in chain([vi.z0], steps)]
+    rows = [{"iter": t, "div_to_opt": dv} for t, dv in enumerate(divs)]
+    summary = {"lam": lam, "m": m, "iters": T, "final_div_to_opt": divs[-1]}
+    ok = divs[-1] <= (1.0 + m / lam) ** (-T) * divs[0] * (1.0 + 1e-9) + 1e-12
     if args.check:
         summary["certificate_pass"] = ok
     return rows, summary, _cert(not args.check or ok)
 
 
 def _solve_baseline(problem, args):
-    """Stops at the first mean iterate within --eps; 2 gradient queries per step."""
+    """Stops at the first mean iterate within --eps; 2 gradient queries per step.
+    The bound is L |x0 - x*|^2 / (2T) at the T steps taken."""
     T = _or(args.iters, 1000)
-    trace = baseline_unaccelerated(problem, np.zeros(problem.d), T, eps=args.eps)
-    rows = [{"iter": t, "f_err": fe} for t, fe in enumerate(trace.f_errors)]
-    s = trace.summary
-    summary = {"iters": T, "iterations": s["iterations"], "queries": 2 * s["iterations"],
-               "final_f_err": s["f_err"], "bound": s["bound"]}
-    return rows, summary, EXIT_OK if args.eps is None or s["f_err"] <= args.eps else EXIT_BUDGET
+    x0 = np.zeros(problem.d)
+    _, f_errors = baseline_unaccelerated(problem, x0, T, eps=args.eps)
+    rows = [{"iter": t, "f_err": fe} for t, fe in enumerate(f_errors)]
+    n = len(f_errors)
+    f_err = f_errors[-1] if n else problem.error(x0)
+    dist2 = float(np.dot(x0 - problem.x_star, x0 - problem.x_star))
+    summary = {"iters": T, "iterations": n, "queries": 2 * n, "final_f_err": f_err,
+               "bound": problem.profile.L * dist2 / (2 * n) if n else np.inf}
+    return rows, summary, EXIT_OK if args.eps is None or f_err <= args.eps else EXIT_BUDGET
 
 
 def _accuracy(problem, x, eps, rows, summary):
@@ -400,8 +408,8 @@ def _verify_rel_lip_fenchel(problem, args, out):
 def _verify_regret(problem, args, out):
     vi = _vi(problem)
     lam, T = _or(args.lam, vi.lam), _or(args.iters, 100)
-    trace = mirror_prox(vi.g, vi.r, vi.z0, lam, T, u=vi.u)
-    ok, margin = V.check_regret_certificate(trace, vi.g, vi.r, lam, vi.z0, vi.u)
+    ws = [w for w, _, _ in islice(mirror_prox(vi.g, vi.r, vi.z0, lam), T)]
+    ok, margin = V.check_regret_certificate(ws, vi.g, vi.r, lam, vi.z0, vi.u)
     return {"lam": lam, "iters": T, "passed": ok, "margin": margin}, _cert(ok)
 
 

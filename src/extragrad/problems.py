@@ -58,13 +58,20 @@ def _aligned(a):
     return out
 
 
+# The largest L/mu a dense M takes.  A solve with M, and so grad f* and the f*
+# divergence of the Fenchel game, has a relative error near (L/mu) * eps, which
+# at L/mu = 1e16 already breaks the game's relative Lipschitzness certificate.
+KAPPA_MAX_DENSE = float(0.25 / np.finfo(float).eps)  # about 1.1e15
+
+
 class QuadraticProblem:
     """f(x) = 1/2 x^T M x + b^T x with SPD M, dense or diagonal, and grad f*.
 
     grad f* solves with M itself, so grad_fstar(grad(x)) == x to numerical
     precision.  The exact minimizer x* = -M^{-1} b is cached at
     construction.  For diagonal M, ``partial_at`` answers a coordinate
-    partial in O(1).
+    partial in O(1).  A dense M needs L/mu at most ``KAPPA_MAX_DENSE``; a
+    diagonal one, whose solves are exact divisions, takes any L/mu.
 
     A dense M is copied once, F-ordered as the reader reads it, to a 64-byte
     boundary: the order decides the BLAS path and so the bits, and OpenBLAS's
@@ -96,6 +103,10 @@ class QuadraticProblem:
         self.d = self.b.size
         L_i = self.M.copy() if self.diag else np.diag(self.M).copy()
         self.profile = SmoothnessProfile(L=L, mu=mu, L_i=L_i)
+        if not self.diag and L / mu > KAPPA_MAX_DENSE:
+            raise ValueError(f"L/mu = {float(L / mu)!r} is above {KAPPA_MAX_DENSE!r}, the "
+                             f"largest a dense M takes: solves with M lose the accuracy "
+                             f"that certifying its Fenchel game needs")
         self.x_star = self.grad_fstar(np.zeros(self.d))
         self.f_star = self.f(self.x_star)
         if not np.isfinite(self.f_star):

@@ -4,35 +4,22 @@ Deterministic methods: mirror prox, dual extrapolation, the strongly-monotone
 variant, an unaccelerated smooth-minimization baseline, the accelerated
 primal-dual method and its general-norm cousin.  Randomized: coordinate
 acceleration with implicit O(1) iterate maintenance.
+
+The three variational-inequality methods are generators that yield their
+steps without end; the caller's ``itertools.islice`` sets the step count, and
+the caller computes whatever it measures the steps by (regret against a
+comparator, a potential, a distance to the solution).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import cycle, islice
+from dataclasses import dataclass
+from itertools import count, cycle, islice
 
 import numpy as np
 
-from .core import Point, ProductRegularizer, ScaledEuclidean, vdot
+from .core import Point, ProductRegularizer, ScaledEuclidean
 from .operators import make_rng, AliasTable, lambda_coord, lambda_fenchel
-
-
-@dataclass
-class SolverTrace:
-    """Per-iteration records of a single solver run."""
-
-    iterates: list = field(default_factory=list)
-    regrets: list = field(default_factory=list)       # <g(w_t), w_t - u>
-    divs_to_opt: list = field(default_factory=list)   # V^r_{z_t}(z*)
-    potentials: list = field(default_factory=list)    # dual-extrapolation Phi_t
-    f_errors: list = field(default_factory=list)
-    gaps: list = field(default_factory=list)
-    lams: list = field(default_factory=list)         # step size lam_t per step
-    summary: dict = field(default_factory=dict)
-
-    def cum_regret(self):
-        """The regrets summed left to right, as the trace rows and the certificate sum them."""
-        return float(np.cumsum(self.regrets)[-1]) if self.regrets else 0.0
 
 
 class NonFiniteIterateError(RuntimeError):
@@ -57,86 +44,60 @@ def _check_finite(z, t):
 # ---------------------------------------------------------------------------
 
 
-def mirror_prox(g, r, z0, lam, T, u):
+def mirror_prox(g, r, z0, lam):
     """Mirror prox: w_t = Prox_{z_t}(g(z_t)/lam), z_{t+1} = Prox_{z_t}(g(w_t)/lam).
 
-    The trace records the instantaneous regret <g(w_t), w_t - u> against the
-    comparator u; their sum is at most lam * V_{z0}(u) whenever (g, r) is
-    lam-relatively Lipschitz.  T steps make one divergence call, for that bound.
+    Yields (w_t, g(w_t), z_{t+1}) per step.  Whenever (g, r) is lam-relatively
+    Lipschitz, the regrets <g(w_t), w_t - u> sum to at most lam * V_{z0}(u)
+    for every comparator u.
     """
-    trace = SolverTrace()
     z = z0
-    for t in range(T):
-        gz = g(z)
-        w = r.prox(z, (1.0 / lam) * gz)
+    for t in count():
+        w = r.prox(z, (1.0 / lam) * g(z))
         gw = g(w)
         z = r.prox(z, (1.0 / lam) * gw)
         _check_finite(w, t)
         _check_finite(z, t)
-        trace.iterates.append(w)
-        trace.regrets.append(vdot(gw, w - u))
-    trace.summary = {"algorithm": "mirror-prox", "iterations": T, "lam": lam, "final": z,
-                     "regret_bound": lam * r.divergence(z0, u)}
-    return trace
+        yield w, gw, z
 
 
-def dual_extrapolation(g, r, z_bar, lam, T, u):
+def dual_extrapolation(g, r, z_bar, lam):
     """Dual extrapolation: lazy mirror prox driven by the dual state s_t.
 
-    The trace records the potential
-    Phi_t = (1/lam) sum_{k<t} <g(w_k), w_k - zbar> - <s_t, z_t - zbar> - V_{zbar}(z_t),
-    which is nonincreasing in t under relative Lipschitzness, and the regret
-    <g(w_t), w_t - u> against the comparator u.
+    Yields (w_t, g(w_t), z_{t+1}) per step, with s_{t+1} = s_t + g(w_t)/lam and
+    z_{t+1} = Prox_{z_bar}(s_{t+1}).  Under relative Lipschitzness the potential
+    Phi_t = (1/lam) sum_{k<t} <g(w_k), w_k - z_bar> - <s_t, z_t - z_bar> - V_{z_bar}(z_t)
+    does not increase, and the regrets obey mirror prox's bound.
     """
-    trace = SolverTrace()
     s = 0.0 * z_bar  # zero dual state
     z = r.prox(z_bar, s)
-    regret_vs_base = 0.0
-    for t in range(T):
-        gz = g(z)
-        w = r.prox(z, (1.0 / lam) * gz)
+    for t in count():
+        w = r.prox(z, (1.0 / lam) * g(z))
         gw = g(w)
         _check_finite(w, t)
         s = s + (1.0 / lam) * gw
-        z_next = r.prox(z_bar, s)
-        _check_finite(z_next, t)
-        step_regret = vdot(gw, w - z_bar) / lam
-        phi = (regret_vs_base + step_regret
-               - vdot(s, z_next - z_bar) - r.divergence(z_bar, z_next))
-        regret_vs_base += step_regret
-        trace.iterates.append(w)
-        trace.potentials.append(phi)
-        trace.regrets.append(vdot(gw, w - u))
-        z = z_next
-    trace.summary = {"algorithm": "dual-ex", "iterations": T, "lam": lam, "final": z,
-                     "regret_bound": lam * r.divergence(z_bar, u)}
-    return trace
+        z = r.prox(z_bar, s)
+        _check_finite(z, t)
+        yield w, gw, z
 
 
-def mirror_prox_sm(g, r, z0, lam, m, T, z_star):
+def mirror_prox_sm(g, r, z0, lam, m):
     """Strongly-monotone mirror prox with the blended second prox step.
 
     z_{t+1} minimizes <g(w_t)/lam, z> + V_{z_t}(z) + (m/lam) V_{w_t}(z); the
-    regularizer must supply this blended prox in closed form.  The trace
-    records V_{z_t}(z*) for the VI solution z*, which contracts by
-    (1 + m/lam)^{-1} per iteration.
+    regularizer must supply this blended prox in closed form.  Yields z_{t+1}
+    per step; V_{z_t}(z*) to the VI solution z* contracts by (1 + m/lam)^{-1}
+    per step.
     """
     blocks = (r.rx, r.ry) if isinstance(r, ProductRegularizer) else (r,)
     if not all(hasattr(b, "blended_prox") for b in blocks):
         raise TypeError("regularizer lacks a closed-form blended prox")
-    trace = SolverTrace()
     z = z0
-    trace.divs_to_opt.append(r.divergence(z, z_star))
-    for t in range(T):
+    for t in count():
         w = r.prox(z, (1.0 / lam) * g(z))
         z = r.blended_prox(z, w, g(w), lam, m)
         _check_finite(z, t)
-        trace.divs_to_opt.append(r.divergence(z, z_star))
-    trace.summary = {"algorithm": "mp-strong", "iterations": T, "lam": lam, "m": m,
-                     "final": z,
-                     "contraction_bound": (1.0 + m / lam) ** (-T) * trace.divs_to_opt[0],
-                     "final_div": trace.divs_to_opt[-1]}
-    return trace
+        yield z
 
 
 # ---------------------------------------------------------------------------
@@ -145,33 +106,24 @@ def mirror_prox_sm(g, r, z0, lam, m, T, z_star):
 
 
 def baseline_unaccelerated(problem, x0, T, eps=None):
-    """Mirror prox on g = grad f with r = 1/2 ||x0 - .||^2 (1/T rate).
+    """Mirror prox on g = grad f with r = L/2 ||.||^2 at lam = 1 (1/T rate).
 
-    Mean iterate satisfies f(mean) - f* <= L ||x0 - x*||^2 / (2T).  With eps
-    given, stops at the first mean iterate with f(mean) - f* <= eps.  With no
-    step taken the answer is x0 and the bound is infinite.
+    Returns the mean of the half-iterates w_t after at most T steps and the
+    f-error of each step's mean; the mean satisfies
+    f(mean) - f* <= L ||x0 - x*||^2 / (2T).  With eps given, stops at the first
+    mean iterate with f(mean) - f* <= eps.  With no step taken the mean is x0.
     """
-    L = problem.profile.L
     x0 = np.asarray(x0, dtype=float)
-    trace = SolverTrace()
-    z = x0.copy()
+    steps = mirror_prox(problem.grad, ScaledEuclidean(problem.profile.L), x0, 1.0)
     acc = np.zeros_like(x0)
-    mean, f_err = x0, problem.error(x0)
-    for t in range(T):
-        w = z - problem.grad(z) / L
-        z = z - problem.grad(w) / L
-        _check_finite(z, t)
+    mean, f_errors = x0, []
+    for t, (w, _, _) in enumerate(islice(steps, T)):
         acc += w
         mean = acc / (t + 1)
-        f_err = problem.error(mean)
-        trace.f_errors.append(f_err)
-        if eps is not None and f_err <= eps:
+        f_errors.append(problem.error(mean))
+        if eps is not None and f_errors[-1] <= eps:
             break
-    n = len(trace.f_errors)
-    dist2 = float(np.dot(x0 - problem.x_star, x0 - problem.x_star))
-    trace.summary = {"algorithm": "baseline", "iterations": n, "final": mean,
-                     "f_err": f_err, "bound": L * dist2 / (2 * n) if n else np.inf}
-    return trace
+    return mean, f_errors
 
 
 def _initial_error_bound(problem, x0, eps):

@@ -137,11 +137,12 @@ def check_strong_monotonicity(g, r, m, sampler: TripleSampler) -> CertificateRep
         for z, w, _ in sampler.points()), -1)
 
 
-def check_regret_certificate(trace, g, r, lam, z0, u):
-    """Sum of <g(w_t), w_t - u> against lam * V_{z0}(u); returns (passed, margin)."""
-    lhs = sum(vdot(g(w), w - u) for w in trace.iterates)
+def check_regret_certificate(ws, g, r, lam, z0, u):
+    """Sum of <g(w_t), w_t - u> over the list ``ws`` of a run's w_t, each queried
+    anew, against lam * V_{z0}(u); returns (passed, margin)."""
+    lhs = sum(vdot(g(w), w - u) for w in ws)
     rhs = lam * r.divergence(z0, u)
-    return lhs <= rhs + len(trace.iterates) * TAU_NUM, rhs - lhs
+    return lhs <= rhs + len(ws) * TAU_NUM, rhs - lhs
 
 
 # ---------------------------------------------------------------------------

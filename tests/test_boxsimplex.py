@@ -619,7 +619,7 @@ class TestSolve:
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2) and g1 == g2
         assert np.array_equal(t1.gaps, t2.gaps) and np.array_equal(t1.lams, t2.lams)
         assert t1.summary["retries"] == t2.summary["retries"] > 0
-        assert len(t1.regrets) == len(t1.lams) and t2.regrets == []
+        assert len(t1.margins) == len(t1.lams) and t2.margins == []
 
     def test_certify_tries_lam_3_from_every_step(self, monkeypatch):
         # the certificate reads the try at lam = 3 from each accepted step's z,
@@ -647,7 +647,7 @@ class TestSolve:
         assert k == len(calls) and len(at_cap) == len(trace.lams)
         assert sum(lam < LAMBDA_BOX_SIMPLEX for lam in trace.lams) > 0
         s = trace.summary
-        assert trace.regrets == [step.margin for step in at_cap]
+        assert trace.margins == [step.margin for step in at_cap]
         assert s["stability_lo"] == min(step.ratio_lo for step in at_cap)
         assert s["stability_hi"] == max(step.ratio_hi for step in at_cap)
         assert s["gamma_inf_max"] == max(step.gamma_inf for step in at_cap)

@@ -595,6 +595,32 @@ class TestSolve:
         assert "L/mu or (sum_i sqrt(L_i))^2/mu overflows" in err and err.count("\n") == 1
         assert os.listdir(tmp_path) == ["k"]  # no instance, summary or report
 
+    def test_dense_quadratic_past_the_kappa_bound_is_refused(self, tmp_path, capsys):
+        # a solve with a dense M has a relative error near L/mu * eps; a diagonal M's
+        # solves are exact divisions, so at L/mu = 1e16 its Fenchel game still certifies
+        manifest = str(tmp_path / "q.manifest")
+        gen = ["gen", "quadratic", "d=10", "mu=1e-4", "L=1e12"]
+        assert run(gen + ["diag=0", "--out", manifest]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: L/mu = ") and "is above 1125899906842624.0" in err
+        assert os.listdir(tmp_path) == []
+        assert run(gen + ["diag=1", "--out", manifest]) == 0
+        assert run(["verify", "--check", "rel-lip", "--instance", manifest,
+                    "--out", str(tmp_path / "v")]) == 0
+        # a dense M at L/mu = 1e16 is refused when loaded
+        (tmp_path / "k").mkdir()
+        (tmp_path / "k" / "k.M.mtx").write_text(
+            "%%MatrixMarket matrix array real general\n2 2\n1e-4\n0\n0\n1e12\n")
+        (tmp_path / "k" / "k.b.txt").write_text("0.6\n0.8\n")
+        (tmp_path / "k" / "k.manifest").write_text(
+            "kind=quadratic\ndiag=0\nd=2\nM=k.M.mtx\nb=k.b.txt\nmu=1e-4\nL=1e12\n")
+        capsys.readouterr()
+        assert run(["verify", "--check", "rel-lip", "--instance",
+                    str(tmp_path / "k" / "k.manifest"), "--out", str(tmp_path / "k" / "v")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and "is above 1125899906842624.0" in err
+        assert sorted(os.listdir(tmp_path / "k")) == ["k.M.mtx", "k.b.txt", "k.manifest"]
+
     @pytest.mark.parametrize("mu", ["1e-160", "1e-200"])  # lambda_minimax is inf; mu_x*mu_y is 0
     @pytest.mark.parametrize("argv, code", [
         (["gen", "minimax", "n=3", "m=3"], 64),

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from extragrad import (
     general_norm_accel, eg_coord_accel, solve_box_simplex,
 )
 from extragrad.problems import (
-    read_matrix_market, read_vector,
+    KAPPA_MAX_DENSE, read_matrix_market, read_vector,
     write_matrix_market, write_vector, read_manifest, write_manifest,
 )
 
@@ -43,6 +44,14 @@ class TestGenQuadratic:
             gen_quadratic(3, 2.0, 1.0)
         with pytest.raises(ValueError, match="needs mu = L"):
             gen_quadratic(1, 1.0, 10.0)
+
+    def test_dense_m_past_the_kappa_bound_is_refused(self):
+        at_bound = gen_quadratic(10, 1.0, KAPPA_MAX_DENSE, diag=False, seed=0)
+        assert at_bound.profile.L == KAPPA_MAX_DENSE
+        with pytest.raises(ValueError, match=r"L/mu = 1e\+16 is above 1125899906842624\.0"):
+            gen_quadratic(10, 1.0, 1e16, diag=False, seed=0)
+        # a diagonal M's solves are exact divisions: it takes any L/mu
+        assert gen_quadratic(10, 1.0, 1e16, diag=True, seed=0).profile.L == 1e16
 
     def test_minimizer_is_optimal(self):
         prob = gen_quadratic(6, 1.0, 9.0, diag=False, seed=3)
@@ -306,7 +315,10 @@ class TestSerialization:
         entries = read_manifest(man)
         entries[key] = repr(value)
         write_manifest(man, entries)
-        with pytest.raises(ParseError, match="disagree with the extreme eigenvalues"):
+        # a dense M that states L/mu = 3e301 is refused for that before its spectrum is read
+        dense_kappa = (key, value, diag) == ("mu", 1e-300, False)
+        message = "largest a dense M takes" if dense_kappa else "disagree with the extreme"
+        with pytest.raises(ParseError, match=message):
             load_instance(man)
 
     def test_box_simplex_round_trip(self, tmp_path):
@@ -446,6 +458,11 @@ def test_saved_files_match_golden_digests(tmp_path):
     assert digests == GOLDEN
 
 
+def twentieth(steps):
+    """The 20th step of a solver's steps."""
+    return list(islice(steps, 20))[-1]
+
+
 def answers(p):
     """The bytes of what each of the solvers of ``p``'s kind answers on ``p``."""
     if p.kind == "box-simplex":
@@ -455,16 +472,16 @@ def answers(p):
         n, m = p.C.shape
         r = ProductRegularizer(ScaledEuclidean(p.mu_x), ScaledEuclidean(p.mu_y))
         z0, u, lam = Point(np.zeros(n), np.zeros(m)), p.saddle_point(), lambda_minimax(p.profile)
-        finals = [mirror_prox(p.operator, r, z0, lam, 20, u).summary["final"],
-                  dual_extrapolation(p.operator, r, z0, lam, 20, u).summary["final"],
-                  mirror_prox_sm(p.operator, r, z0, lam, 1.0, 20, u).summary["final"], u]
+        finals = [twentieth(mirror_prox(p.operator, r, z0, lam))[2],
+                  twentieth(dual_extrapolation(p.operator, r, z0, lam))[2],
+                  twentieth(mirror_prox_sm(p.operator, r, z0, lam, 1.0)), u]
         return [b for z in finals for b in (z.x.tobytes(), z.y.tobytes())]
     x0 = np.zeros(p.d)
     eps0 = p.error(x0)
     r, L = ScaledEuclidean(1.0), p.profile.L
-    xs = [mirror_prox(p.grad, r, x0, L, 20, p.x_star).summary["final"],
-          dual_extrapolation(p.grad, r, x0, L, 20, p.x_star).summary["final"],
-          baseline_unaccelerated(p, x0, 20).summary["final"],
+    xs = [twentieth(mirror_prox(p.grad, r, x0, L))[2],
+          twentieth(dual_extrapolation(p.grad, r, x0, L))[2],
+          baseline_unaccelerated(p, x0, 20)[0],
           eg_accel(p, x0, eps0 / 16, eps0=eps0),
           general_norm_accel(p, r, x0, 1e-8, T=50), p.x_star]
     if p.diag:

@@ -1,5 +1,7 @@
 """Deterministic solver family: fixed points, hand-simulated steps, certificates."""
 
+from itertools import chain, islice
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from extragrad import (
     eg_accel, eg_coord_accel, general_norm_accel, gen_quadratic, gen_minimax,
     lambda_minimax, NonFiniteIterateError,
 )
-from extragrad import cli, solvers
+from extragrad import cli
 from extragrad.core import vdot
 
 EUCLID_PAIR = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
@@ -23,15 +25,12 @@ def rotation_game(z):
 class TestMirrorProx:
     def test_zero_operator_fixed_point(self):
         z0 = Point([1.0, -2.0], [0.5])
-        trace = mirror_prox(lambda z: 0.0 * z, EUCLID_PAIR, z0, 1.0, 5, u=z0)
-        for w in trace.iterates:
+        for w, _, _ in islice(mirror_prox(lambda z: 0.0 * z, EUCLID_PAIR, z0, 1.0), 5):
             assert np.allclose(w.x, z0.x) and np.allclose(w.y, z0.y)
 
     def test_hand_simulated_rotation_step(self):
         z0 = Point([1.0], [1.0])
-        trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, 1, u=z0)
-        w0 = trace.iterates[0]
-        z1 = trace.summary["final"]
+        w0, _, z1 = next(mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0))
         assert np.allclose(w0.x, [0.0]) and np.allclose(w0.y, [2.0])
         assert np.allclose(z1.x, [-1.0]) and np.allclose(z1.y, [1.0])
 
@@ -47,39 +46,32 @@ class TestMirrorProx:
             z0 = Point(rng.standard_normal(2), rng.standard_normal(2))
             u = Point(np.zeros(2), np.zeros(2))  # equilibrium of the pure bilinear game
             T = 50
-            trace = mirror_prox(g, EUCLID_PAIR, z0, lam, T, u=u)
-            assert trace.cum_regret() <= trace.summary["regret_bound"] + T * 1e-9
+            steps = islice(mirror_prox(g, EUCLID_PAIR, z0, lam), T)
+            regrets = [vdot(gw, w - u) for w, gw, _ in steps]
+            assert sum(regrets) <= lam * EUCLID_PAIR.divergence(z0, u) + T * 1e-9
 
-    def test_each_divergence_to_u_is_computed_once(self, monkeypatch):
+    def test_a_step_yields_g_at_w_and_takes_no_divergence(self, monkeypatch):
         calls = []
-        divergence = ProductRegularizer.divergence
-
-        def counting(self, a, b):
-            calls.append(1)
-            return divergence(self, a, b)
-
+        monkeypatch.setattr(ProductRegularizer, "divergence",
+                            lambda self, a, b: calls.append(1))
         z0 = Point([1.0, 0.3], [-0.4, 0.2])
-        u = Point([0.1, -0.2], [0.3, 0.05])
-        T = 10
-        monkeypatch.setattr(ProductRegularizer, "divergence", counting)
-        trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, T, u=u)
-        assert len(calls) == 1  # V_{z0}(u), for the regret bound
-        monkeypatch.setattr(ProductRegularizer, "divergence", divergence)
-        assert trace.summary["regret_bound"] == 1.0 * EUCLID_PAIR.divergence(z0, u)
-        assert trace.regrets == [rotation_game(w).dot(w - u) for w in trace.iterates]
+        for w, gw, _ in islice(mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0), 10):
+            assert np.array_equal(gw.x, rotation_game(w).x)
+            assert np.array_equal(gw.y, rotation_game(w).y)
+        assert calls == []
 
     def test_telescoping_slack_nonnegative(self):
         z0 = Point([1.0, 0.3], [-0.4, 0.2])
         u = Point(np.zeros(2), np.zeros(2))
-        trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, 40, u=u)
+        steps = list(islice(mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0), 40))
         zs = [z0]
-        for w in trace.iterates:  # z_{t+1} = Prox_{z_t}(g(w_t) / lam), replayed
+        for w, _, _ in steps:  # z_{t+1} = Prox_{z_t}(g(w_t) / lam), replayed
             zs.append(EUCLID_PAIR.prox(zs[-1], rotation_game(w)))
-        final = trace.summary["final"]
+        final = steps[-1][2]
         assert np.array_equal(zs[-1].x, final.x) and np.array_equal(zs[-1].y, final.y)
         # V_{z_t}(u) - V_{z_{t+1}}(u) - <g(w_t), w_t - u> / lam, per step
-        slack = [EUCLID_PAIR.divergence(z, u) - EUCLID_PAIR.divergence(z_next, u) - regret / 1.0
-                 for z, z_next, regret in zip(zs, zs[1:], trace.regrets)]
+        slack = [EUCLID_PAIR.divergence(z, u) - EUCLID_PAIR.divergence(z_next, u)
+                 - vdot(gw, w - u) / 1.0 for z, z_next, (w, gw, _) in zip(zs, zs[1:], steps)]
         assert len(slack) == 40 and min(slack) >= -1e-9
 
     def test_nonfinite_iterate_aborts(self):
@@ -87,24 +79,28 @@ class TestMirrorProx:
             return Point([np.nan], [np.nan])
 
         with pytest.raises(NonFiniteIterateError):
-            mirror_prox(blowup, EUCLID_PAIR, Point([1.0], [1.0]), 1.0, 3, u=Point([0.0], [0.0]))
+            next(mirror_prox(blowup, EUCLID_PAIR, Point([1.0], [1.0]), 1.0))
 
 
 class TestDualExtrapolation:
     def test_zero_operator_stays_at_base(self):
         z_bar = Point([0.7], [-0.1])
-        trace = dual_extrapolation(lambda z: 0.0 * z, EUCLID_PAIR, z_bar, 1.0, 5, u=z_bar)
-        for w in trace.iterates:
+        for w, _, _ in islice(dual_extrapolation(lambda z: 0.0 * z, EUCLID_PAIR, z_bar, 1.0), 5):
             assert np.allclose(w.x, z_bar.x) and np.allclose(w.y, z_bar.y)
 
     def test_potential_nonincreasing(self):
         rng = make_rng(1)
         z_bar = Point(rng.standard_normal(3), rng.standard_normal(3))
-        trace = dual_extrapolation(rotation_game, EUCLID_PAIR, z_bar, 1.0, 100,
-                                   u=Point(np.zeros(3), np.zeros(3)))
-        pots = np.array(trace.potentials)
+        u = Point(np.zeros(3), np.zeros(3))
+        # Phi_t = sum_{k<t} <g(w_k), w_k - zbar> - <s_t, z_t - zbar> - V_{zbar}(z_t), lam = 1
+        pots, regrets, s, base = [], [], 0.0 * z_bar, 0.0
+        for w, gw, z in islice(dual_extrapolation(rotation_game, EUCLID_PAIR, z_bar, 1.0), 100):
+            s = s + gw
+            base += vdot(gw, w - z_bar)
+            pots.append(base - vdot(s, z - z_bar) - EUCLID_PAIR.divergence(z_bar, z))
+            regrets.append(vdot(gw, w - u))
         assert np.all(np.diff(pots) <= 1e-9)
-        assert trace.cum_regret() <= trace.summary["regret_bound"] + 100 * 1e-9
+        assert sum(regrets) <= EUCLID_PAIR.divergence(z_bar, u) + 100 * 1e-9
 
     def test_each_step_computes_its_dual_prox_once(self):
         calls = []
@@ -116,33 +112,28 @@ class TestDualExtrapolation:
 
         z_bar = Point([0.3, -0.2], [0.5, 0.1])
         r = Counting(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
-        trace = dual_extrapolation(rotation_game, r, z_bar, 2.0, 10, u=z_bar)
+        steps = list(islice(dual_extrapolation(rotation_game, r, z_bar, 2.0), 10))
         # z_0, then w_t and z_{t+1} = Prox_zbar(s_{t+1}) per step; z_{t+1} is reused
         assert len(calls) == 2 * 10 + 1
-        s = sum((rotation_game(w) for w in trace.iterates), Point([0.0, 0.0], [0.0, 0.0]))
-        final = trace.summary["final"]  # z_T = z_bar - s_T with s_T = sum_t g(w_t) / lam
+        s = sum((rotation_game(w) for w, _, _ in steps), Point([0.0, 0.0], [0.0, 0.0]))
+        final = steps[-1][2]  # z_T = z_bar - s_T with s_T = sum_t g(w_t) / lam
         assert np.allclose(final.x, z_bar.x - s.x / 2.0)
         assert np.allclose(final.y, z_bar.y - s.y / 2.0)
 
-    def test_each_step_queries_the_operator_twice(self):
-        calls = []
+    def test_each_step_queries_the_operator_twice(self, monkeypatch):
+        calls, divergences = [], []
 
         def counting(z):
             calls.append(z)
             return rotation_game(z)
 
+        monkeypatch.setattr(ProductRegularizer, "divergence",
+                            lambda self, a, b: divergences.append(1))
         z_bar = Point([0.3, -0.2], [0.5, 0.1])
-        dual_extrapolation(counting, EUCLID_PAIR, z_bar, 2.0, 10, u=z_bar)
+        assert len(list(islice(dual_extrapolation(counting, EUCLID_PAIR, z_bar, 2.0), 10))) == 10
         # g(z_t) and g(w_t) per step; the zero dual state needs no query
         assert len(calls) == 2 * 10
-
-    def test_each_step_computes_its_regret_against_the_base_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(solvers, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
-        z_bar = Point([0.3, -0.2], [0.5, 0.1])
-        dual_extrapolation(rotation_game, EUCLID_PAIR, z_bar, 2.0, 10, u=z_bar)
-        # <g(w_t), w_t - zbar>, <s_{t+1}, z_{t+1} - zbar> and <g(w_t), w_t - u> per step
-        assert len(calls) == 3 * 10
+        assert divergences == []  # the potential is the caller's to compute
 
 
 class TestStronglyMonotone:
@@ -150,17 +141,17 @@ class TestStronglyMonotone:
         # g(z) = z, m = lam = 1: w0 = z0/2... the second step is the blended prox
         r = ScaledEuclidean(1.0)
         z0 = np.array([1.0])
-        trace = mirror_prox_sm(lambda z: z, r, z0, 1.0, 1.0, 1, z_star=np.zeros(1))
+        z1 = next(mirror_prox_sm(lambda z: z, r, z0, 1.0, 1.0))
         # z1 = (z0 + w0 - g(w0)) / 2 with w0 = z0 - z0 = 0
-        assert np.allclose(trace.summary["final"], [0.5])
+        assert np.allclose(z1, [0.5])
 
     def test_solution_is_fixed_point(self):
         inst = gen_minimax(4, 3, 1.0, 1.0, 2.0, seed=2)
         r = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
         z_star = inst.saddle_point()
         lam = lambda_minimax(inst.profile)
-        trace = mirror_prox_sm(inst.operator, r, z_star, lam, 1.0, 10, z_star=z_star)
-        assert trace.divs_to_opt[-1] < 1e-20
+        *_, z = islice(mirror_prox_sm(inst.operator, r, z_star, lam, 1.0), 10)
+        assert r.divergence(z, z_star) < 1e-20
 
     def test_contraction_on_minimax(self):
         inst = gen_minimax(5, 4, 1.0, 2.0, 3.0, seed=3)
@@ -168,10 +159,10 @@ class TestStronglyMonotone:
         lam = lambda_minimax(inst.profile)
         z0 = Point(np.ones(5), np.ones(4))
         T = 60
-        trace = mirror_prox_sm(inst.operator, r, z0, lam, 1.0, T,
-                               z_star=inst.saddle_point())
+        z_star = inst.saddle_point()
+        steps = islice(mirror_prox_sm(inst.operator, r, z0, lam, 1.0), T)
         rate = 1.0 / (1.0 + 1.0 / lam)
-        divs = trace.divs_to_opt
+        divs = [r.divergence(z, z_star) for z in chain([z0], steps)]
         for t in range(T):
             assert divs[t + 1] <= rate * divs[t] * (1 + 1e-9) + 1e-15
 
@@ -184,49 +175,59 @@ class TestStronglyMonotone:
                 return 0.0
 
         with pytest.raises(TypeError):
-            mirror_prox_sm(lambda z: z, NoBlend(), np.zeros(1), 1.0, 1.0, 1, np.zeros(1))
+            next(mirror_prox_sm(lambda z: z, NoBlend(), np.zeros(1), 1.0, 1.0))
         # a product is only as blendable as its blocks; entropy has no closed form
         no_blend_y = ProductRegularizer(ScaledEuclidean(1.0), NegativeEntropy(1.0))
         with pytest.raises(TypeError):
-            mirror_prox_sm(lambda z: z, no_blend_y, Point([0.0], [0.5, 0.5]), 1.0, 1.0, 1,
-                           Point([0.0], [0.5, 0.5]))
+            next(mirror_prox_sm(lambda z: z, no_blend_y, Point([0.0], [0.5, 0.5]), 1.0, 1.0))
 
 
 class TestBaseline:
     def test_starts_at_optimum(self):
         prob = gen_quadratic(5, 1.0, 4.0, diag=True, seed=4)
-        trace = baseline_unaccelerated(prob, prob.x_star.copy(), 10)
-        assert max(trace.f_errors) < 1e-20
+        _, f_errors = baseline_unaccelerated(prob, prob.x_star.copy(), 10)
+        assert max(f_errors) < 1e-20
 
     def test_scalar_bound(self):
         prob = gen_quadratic(1, 1.0, 1.0, diag=True, seed=0)
         prob.b[:] = 0.0
         prob.x_star = np.zeros(1)
         prob.f_star = 0.0
-        trace = baseline_unaccelerated(prob, np.ones(1), 10)
-        assert trace.summary["f_err"] <= 1.0 / 20.0 + 1e-9
+        _, f_errors = baseline_unaccelerated(prob, np.ones(1), 10)
+        assert f_errors[-1] <= 1.0 / 20.0 + 1e-9
 
     def test_bound_holds_random_quadratic(self):
         prob = gen_quadratic(20, 1.0, 50.0, diag=False, seed=5)
+        dist2 = float(np.dot(prob.x_star, prob.x_star))  # |x0 - x*|^2 from x0 = 0
         for T in (1, 10, 100):
-            trace = baseline_unaccelerated(prob, np.zeros(20), T)
-            assert trace.summary["f_err"] <= trace.summary["bound"] + 1e-9
+            _, f_errors = baseline_unaccelerated(prob, np.zeros(20), T)
+            assert f_errors[-1] <= prob.profile.L * dist2 / (2 * T) + 1e-9
 
     def test_eps_stops_at_first_mean_iterate_below(self):
         prob = gen_quadratic(20, 1.0, 50.0, diag=False, seed=5)
-        full = baseline_unaccelerated(prob, np.zeros(20), 500)
-        first = next(t for t, e in enumerate(full.f_errors) if e <= 1e-2)
-        trace = baseline_unaccelerated(prob, np.zeros(20), 500, eps=1e-2)
-        assert trace.f_errors == full.f_errors[:first + 1]
-        assert trace.summary["iterations"] == first + 1
-        assert trace.summary["f_err"] == full.f_errors[first]
+        _, full = baseline_unaccelerated(prob, np.zeros(20), 500)
+        first = next(t for t, e in enumerate(full) if e <= 1e-2)
+        _, f_errors = baseline_unaccelerated(prob, np.zeros(20), 500, eps=1e-2)
+        assert f_errors == full[:first + 1]
+
+    @pytest.mark.parametrize("diag", [True, False])
+    def test_is_mirror_prox_replayed_by_hand(self, diag):
+        # mirror prox on grad f with r = L/2 |.|^2 at lam = 1, written out
+        prob = gen_quadratic(20, 1.0, 50.0, diag=diag, seed=6)
+        L, T = prob.profile.L, 300
+        mean, f_errors = baseline_unaccelerated(prob, np.zeros(20), T)
+        z, acc, replayed = np.zeros(20), np.zeros(20), []
+        for t in range(T):
+            w = z - prob.grad(z) / L
+            z = z - prob.grad(w) / L
+            acc += w
+            replayed.append(prob.error(acc / (t + 1)))
+        assert f_errors == replayed and np.array_equal(mean, acc / T)
 
     def test_zero_steps_answer_x0(self):
         prob = gen_quadratic(5, 1.0, 4.0, diag=True, seed=4)
-        trace = baseline_unaccelerated(prob, np.ones(5), 0)
-        assert np.array_equal(trace.summary["final"], np.ones(5))
-        assert trace.summary["f_err"] == prob.error(np.ones(5))
-        assert trace.summary["bound"] == np.inf
+        mean, f_errors = baseline_unaccelerated(prob, np.ones(5), 0)
+        assert np.array_equal(mean, np.ones(5)) and f_errors == []
 
 
 class TestEgAccel:
@@ -305,9 +306,9 @@ class TestEgAccel:
             lam = 1.0 + np.sqrt(50.0)
             T = 4 * int(np.ceil(lam))
             z0 = Point(x0, prob.grad(x0))
-            trace = mirror_prox(*cli._fenchel_pair(prob), z0, lam, T, u=z0)
-            assert len(trace.iterates) == T
-            mean = sum(prob.grad_fstar(w.y) for w in trace.iterates) / T
+            ws = [w for w, _, _ in islice(mirror_prox(*cli._fenchel_pair(prob), z0, lam), T)]
+            assert len(ws) == T
+            mean = sum(prob.grad_fstar(w.y) for w in ws) / T
             phase = eg_accel(prob, x0, 0.5, eps0=1.0)
             assert np.linalg.norm(mean - phase) <= 1e-12 * np.linalg.norm(phase)
 
@@ -475,7 +476,7 @@ class TestOracleOnly:
     def test_the_baseline_is_exempt(self):
         # baseline_unaccelerated is criterion 04's reference run, not a method of
         # the paper: it stops on the true error, which only favours it, and
-        # reports the bound L |x0 - x*|^2 / (2T) that needs x*
+        # reports that error per step
         prob = gen_quadratic(10, 1.0, 30.0, diag=True, seed=3)
         with pytest.raises(AssertionError, match="solver read error"):
             baseline_unaccelerated(OracleOnly(prob), np.zeros(10), 5)

@@ -1,5 +1,7 @@
 """Certification layer: samplers and inequality checks."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -254,16 +256,14 @@ class TestRegretCertificate:
     def test_empty_trace_passes(self):
         z0 = Point(np.ones(2), np.ones(2))
         u = Point(np.zeros(2), np.zeros(2))
-        trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, 0, u=u)
-        ok, margin = check_regret_certificate(trace, rotation_game, EUCLID_PAIR,
-                                              1.0, z0, u)
+        ok, margin = check_regret_certificate([], rotation_game, EUCLID_PAIR, 1.0, z0, u)
         assert ok and margin == pytest.approx(EUCLID_PAIR.divergence(z0, u))
 
     def test_honest_trace_passes(self):
         z0 = Point(np.ones(2), -np.ones(2))
         u = Point(np.zeros(2), np.zeros(2))
-        trace = mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0, 50, u=u)
-        ok, _ = check_regret_certificate(trace, rotation_game, EUCLID_PAIR, 1.0, z0, u)
+        ws = [w for w, _, _ in islice(mirror_prox(rotation_game, EUCLID_PAIR, z0, 1.0), 50)]
+        ok, _ = check_regret_certificate(ws, rotation_game, EUCLID_PAIR, 1.0, z0, u)
         assert ok
 
     def test_corrupted_trace_fails(self):
@@ -272,10 +272,9 @@ class TestRegretCertificate:
 
         z0 = Point(np.ones(2), -np.ones(2))
         u = Point(np.zeros(2), np.zeros(2))
-        trace = mirror_prox(g, EUCLID_PAIR, z0, 2.0, 50, u=u)
-        trace.iterates = [w + Point(np.full(2, 5.0), np.full(2, 5.0))
-                          for w in trace.iterates]
-        ok, margin = check_regret_certificate(trace, g, EUCLID_PAIR, 2.0, z0, u)
+        ws = [w + Point(np.full(2, 5.0), np.full(2, 5.0))
+              for w, _, _ in islice(mirror_prox(g, EUCLID_PAIR, z0, 2.0), 50)]
+        ok, margin = check_regret_certificate(ws, g, EUCLID_PAIR, 2.0, z0, u)
         assert not ok and margin < 0
 
 
