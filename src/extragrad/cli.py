@@ -5,8 +5,9 @@ Exit codes: 0 success, 2 iteration budget exhausted before the target,
 gap, or a point outside a regularizer's domain), 4 I/O or parse error, 64 usage
 error, which covers any value a run cannot take, such as an --eps so small that a
 count overflows, a quadratic whose L/mu or coordinate constant overflows, a dense one
-whose L/mu is above ``KAPPA_MAX_DENSE``, or a minimax game whose lambda overflows
-(64 from gen, 4 when loaded).  ``main`` alone maps errors to these codes.
+whose L/mu is above ``KAPPA_MAX_DENSE``, a minimax game whose lambda overflows
+(64 from gen, 4 when loaded), a box-simplex game above ``GEN_MAX_CELLS`` cells,
+or a size whose arrays do not fit in memory.  ``main`` alone maps errors to these codes.
 
 ``solve``, ``verify`` and ``bench`` each look up what they run in a table keyed
 by (algorithm or check id, instance kind); a pair outside the table is a usage
@@ -541,7 +542,8 @@ def main(argv=None):
     except (NonFiniteIterateError, DomainError) as e:
         print(f"run failed: {e}", file=sys.stderr)
         return EXIT_CERT
-    except (UsageError, ValueError) as e:  # last: ParseError and DomainError are ValueErrors
+    # last: ParseError and DomainError are ValueErrors
+    except (UsageError, ValueError, MemoryError) as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

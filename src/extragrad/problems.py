@@ -184,20 +184,52 @@ def gen_quadratic(d, mu, L, diag=True, seed=0) -> QuadraticProblem:
 # ---------------------------------------------------------------------------
 
 
+# The most cells (m * n) a generated game may have.  The draws take O(m * n)
+# time, minutes at this size, so a larger one is refused before any draw.
+GEN_MAX_CELLS = 2**32
+_DRAW_CELLS = 2**16  # cells per block of rows the generator draws (at least one row)
+
+
 def gen_box_simplex(m, n, density=0.5, seed=0) -> BoxSimplexInstance:
-    """Sparse A with uniform [-1,1] entries; b, c bounded by the operator norm."""
+    """Sparse A with uniform [-1,1] entries; b, c bounded by the operator norm.
+
+    The stream from ``make_rng(seed)`` is fixed: ``random`` for every cell,
+    row-major, a draw below ``density`` keeping its cell (cell (0, 0) when
+    none does); then ``uniform(-1, 1)`` for every cell, row-major, read at
+    the kept cells, an exact zero dropped; then ``b`` and ``c``, uniform in
+    [-norm, norm] for the largest row l1 norm of A.  Each pass draws blocks
+    of rows, so a game costs O(m * n) time and O(nnz + block) memory.
+    m * n above ``GEN_MAX_CELLS`` is a ValueError.
+    """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
     if not (0 < density <= 1):
         raise ValueError("density must lie in (0, 1]")
+    cells = int(m) * int(n)
+    if cells > GEN_MAX_CELLS:
+        raise ValueError(f"m * n = {cells} cells is above {GEN_MAX_CELLS}")
     rng = make_rng(seed)
-    mask = rng.random((m, n)) < density
-    # keep at least one entry so the operator norm is nonzero
-    if not mask.any():
-        mask[0, 0] = True
-    vals = rng.uniform(-1.0, 1.0, size=(m, n)) * mask
-    A = sp.csr_matrix(vals)
-    norm = float(np.abs(vals).sum(axis=1).max())
+    step = max(1, _DRAW_CELLS // n)
+    blocks = [(r, min(step, m - r)) for r in range(0, m, step)]
+    # each block's kept cells as (row, col), which index its value block directly
+    kept = [np.nonzero(rng.random((rows, n)) < density) for _, rows in blocks]
+    if not any(i.size for i, _ in kept):  # keep one entry so the operator norm is nonzero
+        kept[0] = (np.zeros(1, np.intp), np.zeros(1, np.intp))
+    norm, data, rows_at, cols_at = 0.0, [], [], []
+    for (r, rows), (i, j) in zip(blocks, kept):
+        vals = rng.uniform(-1.0, 1.0, size=(rows, n))
+        mask = np.zeros(vals.shape, dtype=bool)
+        mask[i, j] = True
+        # summed over dense rows: a sum of the kept values alone groups them
+        # differently, and the norm's bits, so b's and c's, would move
+        norm = max(norm, float(np.abs(vals * mask).sum(axis=1).max()))
+        v = vals[i, j]
+        nz = v != 0  # a dense matrix's zeros are not entries
+        data.append(v[nz])
+        rows_at.append(i[nz] + r)
+        cols_at.append(j[nz])
+    A = sp.csr_matrix((np.concatenate(data), (np.concatenate(rows_at), np.concatenate(cols_at))),
+                      shape=(m, n))
     b = rng.uniform(-norm, norm, size=m)
     c = rng.uniform(-norm, norm, size=n)
     return BoxSimplexInstance(A, b, c)
@@ -234,7 +266,7 @@ def _write_lines(path, head, *columns, fmt=None):
             if fmt is None:
                 fh.write("\n".join(map(repr, block[0])) + "\n")
             else:
-                fh.write("".join([fmt.format(*row) for row in zip(*block)]))
+                fh.write("".join(map(fmt.format, *block)))
 
 
 def write_vector(path, v):

@@ -88,7 +88,9 @@ class TestGen:
     @pytest.mark.parametrize("params", [
         ["quadratic", "d=abc"], ["quadratic", "d=0"], ["quadratic", "mu=5", "L=1"],
         ["quadratic", "L=inf"], ["quadratic", "x=1"], ["quadratic", "d"],
-        ["quadratic", "d=1"], ["box-simplex", "m=-1"], ["box-simplex", "density=2"], ["minimax", "n=0"],
+        ["quadratic", "d=1"], ["box-simplex", "m=-1"], ["box-simplex", "density=2"],
+        ["box-simplex", "m=65536", "n=65537"], ["box-simplex", "m=10000000", "n=10000000"],
+        ["minimax", "n=0"],
         ["minimax", "mu_x=0"], ["minimax", "coupling=nan"],
     ], ids=" ".join)
     def test_bad_parameter_is_usage_error(self, tmp_path, capsys, params):
@@ -959,7 +961,9 @@ class TestUsage:
         (OSError("no space left"), 4, "I/O error: "),
         (DomainError("outside the domain"), 3, "run failed: "),
         (NonFiniteIterateError("non-finite iterate at t=0"), 3, "run failed: "),
-    ], ids=["ValueError", "ParseError", "OSError", "DomainError", "NonFiniteIterateError"])
+        (MemoryError("Unable to allocate 728. TiB"), 64, "usage error: "),
+    ], ids=["ValueError", "ParseError", "OSError", "DomainError", "NonFiniteIterateError",
+            "MemoryError"])
     @pytest.mark.parametrize("command", ["solve", "verify", "bench", "gen"])
     def test_main_maps_each_failure_to_its_exit_code(self, quad_manifest, tmp_path, capsys,
                                                      monkeypatch, command, error, code, prefix):
@@ -1019,6 +1023,10 @@ def test_module_process_exits_with_the_documented_code(tmp_path):
     done = process("solve", "--alg", "eg-accel", "--instance", quad, "--out", str(tmp_path / "o"))
     assert done.returncode == 4
     assert done.stderr.startswith("I/O error: ") and done.stderr.count("\n") == 1
+    # numpy refuses the 10^14-entry coupling matrix at once, with a MemoryError
+    done = process("gen", "minimax", "n=10000000", "m=10000000", "--out", str(tmp_path / "m"))
+    assert done.returncode == 64
+    assert done.stderr.startswith("usage error: ") and done.stderr.count("\n") == 1
 
 
 # The instance kinds each (command, id) runs on; every other pair is a usage error.

@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -15,8 +16,9 @@ from extragrad import (
     mirror_prox, dual_extrapolation, mirror_prox_sm, baseline_unaccelerated, eg_accel,
     general_norm_accel, eg_coord_accel, solve_box_simplex,
 )
+from extragrad import problems
 from extragrad.problems import (
-    KAPPA_MAX_DENSE, read_matrix_market, read_vector,
+    GEN_MAX_CELLS, KAPPA_MAX_DENSE, read_matrix_market, read_vector,
     write_matrix_market, write_vector, read_manifest, write_manifest,
 )
 
@@ -177,6 +179,49 @@ class TestGenBoxSimplex:
             gen_box_simplex(0, 5)
         with pytest.raises(ValueError):
             gen_box_simplex(5, 5, density=0.0)
+
+    @staticmethod
+    def dense_reference(m, n, density, seed):
+        """The generator as one dense m x n draw per stream: (A, b, c)."""
+        rng = make_rng(seed)
+        mask = rng.random((m, n)) < density
+        if not mask.any():
+            mask[0, 0] = True
+        vals = rng.uniform(-1.0, 1.0, size=(m, n)) * mask
+        norm = float(np.abs(vals).sum(axis=1).max())
+        return sp.csr_matrix(vals), rng.uniform(-norm, norm, size=m), rng.uniform(-norm, norm, size=n)
+
+    # 300 x 1000 and 7 x 70000 span several blocks of rows, the second one row
+    # a block; 1e-9 keeps no cell, so the game is cell (0, 0)
+    @pytest.mark.parametrize("m, n, density", [
+        (1, 1, 1.0), (300, 1000, 0.01), (7, 70000, 0.001), (400, 300, 0.02), (50, 40, 1.0),
+        (20, 30, 1e-9), (1, 5000, 0.3), (5000, 1, 0.3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_blocks_draw_the_dense_instance_bit_for_bit(self, m, n, density, seed):
+        A, b, c = self.dense_reference(m, n, density, seed)
+        inst = gen_box_simplex(m, n, density, seed=seed)
+        for want, got in [(A.indptr, inst.A.indptr), (A.indices, inst.A.indices),
+                          (A.data, inst.A.data), (b, inst.b), (c, inst.c)]:
+            assert np.array_equal(want, got)
+
+    def test_memory_is_far_below_one_dense_draw(self):
+        m, n = 4000, 3000
+        tracemalloc.start()
+        try:
+            gen_box_simplex(m, n, 0.001, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n * np.dtype(float).itemsize / 8  # an eighth of one dense draw
+
+    def test_too_many_cells_are_refused_before_any_draw(self, monkeypatch):
+        def no_draws(seed):
+            raise AssertionError("drew from the stream")
+
+        monkeypatch.setattr(problems, "make_rng", no_draws)
+        for m, n in [(2**16, 2**16 + 1), (GEN_MAX_CELLS + 1, 1), (10**7, 10**7)]:
+            with pytest.raises(ValueError, match="cells is above"):
+                gen_box_simplex(m, n)
 
 
 class TestExactSolution:
