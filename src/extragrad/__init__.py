@@ -60,7 +60,7 @@ from .boxsimplex import (
     solve_box_simplex,
 )
 from .verify import (
-    TripleSampler,
+    sample_triples,
     CertificateReport,
     check_relative_lipschitzness,
     check_relative_smoothness_implies,

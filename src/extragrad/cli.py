@@ -3,11 +3,11 @@
 Exit codes: 0 success, 2 iteration budget exhausted before the target,
 3 a certificate failed or the run diverged (a non-finite iterate or duality
 gap, or a point outside a regularizer's domain), 4 I/O or parse error, 64 usage
-error, which covers any value a run cannot take, such as an --eps so small that a
-count overflows, a quadratic whose L/mu or coordinate constant overflows, a dense one
-whose L/mu is above ``KAPPA_MAX_DENSE``, a minimax game whose lambda overflows
-(64 from gen, 4 when loaded), a box-simplex game above ``GEN_MAX_CELLS`` cells,
-or a size whose arrays do not fit in memory.  ``main`` alone maps errors to these codes.
+error, which covers any value a run cannot take, such as an --eps so small that a count
+overflows, a quadratic whose L/mu or coordinate constant overflows, a dense one whose L/mu
+is above ``KAPPA_MAX_DENSE``, a minimax game whose lambda overflows (64 from gen, 4 when
+loaded), a box-simplex game above ``GEN_MAX_CELLS`` cells or ``GEN_MAX_ENTRIES`` expected
+entries, or a size whose arrays do not fit in memory.  ``main`` alone maps errors to these codes.
 
 ``solve``, ``verify`` and ``bench`` each look up what they run in a table keyed
 by (algorithm or check id, instance kind); a pair outside the table is a usage
@@ -33,7 +33,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .core import (DomainError, Everywhere, Point, ProductSet, ScaledEuclidean,
-                   ConjugateRegularizer, ProductRegularizer, vdot)
+                   ConjugateRegularizer, ProductRegularizer)
 from .operators import lambda_fenchel, lambda_minimax
 from .problems import (ParseError, QuadraticProblem, gen_box_simplex, gen_minimax,
                        gen_quadratic, save_instance, load_instance, write_manifest)
@@ -209,7 +209,8 @@ def _fenchel_pair(problem: QuadraticProblem):
 GEN = {
     "quadratic": (gen_quadratic, {
         "d": (_positive_count, 10), "mu": (_positive_float, 1.0),
-        "L": (_positive_float, 10.0), "diag": (_count, 1)}),
+        "L": (_positive_float, 10.0),
+        "diag": (_checked(int, lambda v: v in (0, 1), "0 or 1"), 1)}),
     "box-simplex": (gen_box_simplex, {
         "m": (_positive_count, 50), "n": (_positive_count, 40),
         "density": (_positive_float, 0.5)}),
@@ -247,7 +248,7 @@ def _solve_vi(problem, args, dual):
     rows, ws, cum, acc = [], [], 0.0, 0.0
     for t, (w, gw, _) in enumerate(islice(steps, T)):
         ws.append(w)
-        cum += vdot(gw, w - vi.u)  # the regret against the solution, summed left to right
+        cum += gw.dot(w - vi.u)  # the regret against the solution, summed left to right
         rows.append({"iter": t, "cum_regret": cum})
         if vi.error is not None:  # f-error of the running average
             acc = acc + w
@@ -383,9 +384,9 @@ def _report(rep, out, **entries):
 
 
 def _sampled(args, out, check, g, r, constant, dom):
-    """``check(g, r, constant, sampler)`` on --samples points; writes the report."""
+    """``check(g, r, constant, triples)`` on --samples triples of ``dom``; writes the report."""
     N = _or(args.samples, 1000)
-    return _report(check(g, r, constant, V.TripleSampler(dom, N, args.seed)), out, samples=N)
+    return _report(check(g, r, constant, V.sample_triples(dom, N, args.seed)), out, samples=N)
 
 
 def _sampled_vi(check, flag):

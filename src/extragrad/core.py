@@ -10,16 +10,16 @@ has ``divergence(a, b)``, the Bregman divergence
 V_a(b) = r(b) - r(a) - <grad r(a), b - a>, and ``prox(z, g)``, the argmin
 over the feasible set of <g, v> + V_z(v).  ``grad`` and ``blended_prox`` exist
 where a method or a reference test reads them; the box-simplex regularizer
-carries r(z) in its z-terms, which its divergence reads.
+carries r(z) in its z-terms, which its divergence reads.  The feasible sets
+only draw points, from which ``verify.sample_triples`` builds the triples
+that the sampled certificates judge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-_EMPTY = np.zeros(0)
 
 
 class DomainError(ValueError):
@@ -30,12 +30,12 @@ class DomainError(ValueError):
 class Point:
     """A point z = (x-block, y-block) in a product space.
 
-    Supports the vector-space operations solvers need, so that generic code
-    can treat ``Point`` and ``np.ndarray`` interchangeably.
+    Supports the vector-space operations solvers need, and ``a.dot(b)``, with
+    the names of ``np.ndarray``'s, so that generic code treats the two alike.
     """
 
     x: np.ndarray
-    y: np.ndarray = field(default_factory=lambda: _EMPTY)
+    y: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
@@ -57,13 +57,6 @@ class Point:
         return Point(a * self.x, a * self.y)
 
     __rmul__ = __mul__
-
-
-def vdot(a, b) -> float:
-    """Inner product working on both Points and plain arrays."""
-    if isinstance(a, Point):
-        return a.dot(b)
-    return float(np.dot(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +114,7 @@ class ProductSet:
 class ScaledEuclidean:
     """r(v) = mu/2 ||v||_2^2 over free space."""
 
-    def __init__(self, mu=1.0):
+    def __init__(self, mu):
         if mu < 0:
             raise ValueError("mu must be nonnegative")
         self.mu = mu
@@ -143,7 +136,7 @@ class ScaledEuclidean:
 class NegativeEntropy:
     """r(v) = c * sum_i v_i log v_i over the probability simplex."""
 
-    def __init__(self, scale=1.0):
+    def __init__(self, scale):
         if scale <= 0:
             raise ValueError("entropy scale must be positive")
         self.scale = scale

@@ -154,7 +154,7 @@ class QuadraticProblem:
         return self.f(x) - self.f_star
 
 
-def gen_quadratic(d, mu, L, diag=True, seed=0) -> QuadraticProblem:
+def gen_quadratic(d, mu, L, diag, seed) -> QuadraticProblem:
     """Random quadratic with spectrum log-uniform in [mu, L], extremes pinned."""
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -187,10 +187,13 @@ def gen_quadratic(d, mu, L, diag=True, seed=0) -> QuadraticProblem:
 # The most cells (m * n) a generated game may have.  The draws take O(m * n)
 # time, minutes at this size, so a larger one is refused before any draw.
 GEN_MAX_CELLS = 2**32
+# The most entries (density * m * n, expected) it may keep.  Generating a game
+# peaks at 85-128 traced bytes per kept entry: 1.3-2 GiB at this cap.
+GEN_MAX_ENTRIES = 2**24
 _DRAW_CELLS = 2**16  # cells per block of rows the generator draws (at least one row)
 
 
-def gen_box_simplex(m, n, density=0.5, seed=0) -> BoxSimplexInstance:
+def gen_box_simplex(m, n, density, seed) -> BoxSimplexInstance:
     """Sparse A with uniform [-1,1] entries; b, c bounded by the operator norm.
 
     The stream from ``make_rng(seed)`` is fixed: ``random`` for every cell,
@@ -199,7 +202,8 @@ def gen_box_simplex(m, n, density=0.5, seed=0) -> BoxSimplexInstance:
     the kept cells, an exact zero dropped; then ``b`` and ``c``, uniform in
     [-norm, norm] for the largest row l1 norm of A.  Each pass draws blocks
     of rows, so a game costs O(m * n) time and O(nnz + block) memory.
-    m * n above ``GEN_MAX_CELLS`` is a ValueError.
+    m * n above ``GEN_MAX_CELLS``, or density * m * n above
+    ``GEN_MAX_ENTRIES``, is a ValueError.
     """
     if m < 1 or n < 1:
         raise ValueError("m, n must be >= 1")
@@ -208,6 +212,8 @@ def gen_box_simplex(m, n, density=0.5, seed=0) -> BoxSimplexInstance:
     cells = int(m) * int(n)
     if cells > GEN_MAX_CELLS:
         raise ValueError(f"m * n = {cells} cells is above {GEN_MAX_CELLS}")
+    if density * cells > GEN_MAX_ENTRIES:
+        raise ValueError(f"density * m * n = {density * cells} entries is above {GEN_MAX_ENTRIES}")
     rng = make_rng(seed)
     step = max(1, _DRAW_CELLS // n)
     blocks = [(r, min(step, m - r)) for r in range(0, m, step)]
@@ -235,7 +241,7 @@ def gen_box_simplex(m, n, density=0.5, seed=0) -> BoxSimplexInstance:
     return BoxSimplexInstance(A, b, c)
 
 
-def gen_minimax(n, m, mu_x, mu_y, coupling, seed=0) -> MinimaxInstance:
+def gen_minimax(n, m, mu_x, mu_y, coupling, seed) -> MinimaxInstance:
     rng = make_rng(seed)
     C = rng.standard_normal((n, m))
     sigma = float(np.linalg.svd(C, compute_uv=False)[0])
@@ -532,7 +538,10 @@ def _build_instance(manifest_path, man):
     if kind != "box-simplex" and sp.issparse(A):  # only box-simplex games keep A sparse
         A = A.toarray()
     if kind == "quadratic":
-        if int(man.get("diag", 0)):  # a d x 1 column, or the dense d x d of older manifests
+        diag = int(man.get("diag", 0))
+        if diag not in (0, 1):
+            raise ParseError(manifest_path, 1, f"diag={diag} is not 0 or 1")
+        if diag:  # a d x 1 column, or the dense d x d of older manifests
             if A.shape[1] != 1 and not np.array_equal(A, np.diag(np.diag(A))):
                 raise ParseError(manifest_path, 1, "diag=1 needs M as a d x 1 column or a "
                                  "diagonal d x d matrix")

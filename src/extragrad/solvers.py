@@ -258,7 +258,7 @@ class ImplicitIterate:
         self.B = np.eye(2)
 
 
-def eg_coord_accel(problem, x0, eps, eps0=None, seed=0, callback=None):
+def eg_coord_accel(problem, x0, eps, eps0=None, *, seed, callback=None):
     """Coordinate-accelerated smooth minimization with shared-randomness estimators.
 
     Samples coordinate i with p_i ~ sqrt(L_i), takes 1-sparse extragradient

@@ -1,7 +1,8 @@
 """Numerical certification of the defining inequalities.
 
 Sampling can only falsify a constant or accumulate evidence for it, so every
-sampled report labels a pass "no violation in N samples".  One scan,
+sampled report labels a pass "no violation in N samples".  Those certificates
+judge any iterable of point triples, such as ``sample_triples`` draws.  One scan,
 ``_worst_ratio``, decides every ratio certificate under one noise rule.
 Reports are deterministic under a fixed (seed, N).
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Point, vdot
+from .core import Point
 from .operators import make_rng, lambda_coord
 from .problems import write_manifest
 from .solvers import eg_coord_accel
@@ -24,18 +25,13 @@ NOISE = 16 * np.finfo(float).eps  # rounding of a sum, per unit of the |terms| i
 SIMPLEX_MARGIN = 1e-3  # keep entropy gradients finite
 
 
-@dataclass
-class TripleSampler:
-    """Draws feasible points (with interior margin) for inequality checks."""
-
-    domain: object  # Everywhere, Box, Simplex, or a ProductSet of them
-    count: int
-    seed: int
-
-    def points(self):
-        rng = make_rng(self.seed)
-        for _ in range(self.count):
-            yield tuple(self.domain.sample(rng, SIMPLEX_MARGIN) for _ in range(3))
+def sample_triples(domain, count, seed):
+    """``count`` triples (z, w, u) of points of ``domain`` (Everywhere, Box,
+    Simplex, or a ProductSet of them), drawn in turn from ``make_rng(seed)``
+    with interior margin SIMPLEX_MARGIN."""
+    rng = make_rng(seed)
+    for _ in range(count):
+        yield tuple(domain.sample(rng, SIMPLEX_MARGIN) for _ in range(3))
 
 
 @dataclass
@@ -111,36 +107,36 @@ def _worst_ratio(inequality, constant, samples, sign) -> CertificateReport:
 
 
 def _dot(a, b):
-    """``vdot(a, b)`` and the sum of |a_i b_i| that it adds up."""
+    """``a.dot(b)`` of a Point or an array, as a float, and the sum of |a_i b_i|."""
     blocks = ((a.x, b.x), (a.y, b.y)) if isinstance(a, Point) else ((a, b),)
-    return vdot(a, b), float(sum(np.dot(abs(s), abs(t)) for s, t in blocks))
+    return float(a.dot(b)), float(sum(np.dot(abs(s), abs(t)) for s, t in blocks))
 
 
-def check_relative_lipschitzness(g, r, lam, sampler: TripleSampler) -> CertificateReport:
-    """Largest sampled ratio of <g(w)-g(z), w-u> to V_z(w) + V_w(u), against lam."""
+def check_relative_lipschitzness(g, r, lam, triples) -> CertificateReport:
+    """Largest ratio of <g(w)-g(z), w-u> to V_z(w) + V_w(u) over ``triples``, against lam."""
     return _worst_ratio("relative-lipschitzness", lam, (
         (*_dot(g(w) - g(z), w - u), r.divergence(z, w) + r.divergence(w, u), 0.0, (z, w, u))
-        for z, w, u in sampler.points()), 1)
+        for z, w, u in triples), 1)
 
 
-def check_relative_smoothness_implies(g, r, L, sampler: TripleSampler) -> CertificateReport:
+def check_relative_smoothness_implies(g, r, L, triples) -> CertificateReport:
     """Gradient of an L-relatively-smooth f is L-relatively Lipschitz wrt r."""
-    rep = check_relative_lipschitzness(g, r, L, sampler)
+    rep = check_relative_lipschitzness(g, r, L, triples)
     rep.inequality = "relative-smoothness-implies-relative-lipschitzness"
     return rep
 
 
-def check_strong_monotonicity(g, r, m, sampler: TripleSampler) -> CertificateReport:
-    """Smallest sampled ratio of <g(w)-g(z), w-z> to V_w(z) + V_z(w), against m."""
+def check_strong_monotonicity(g, r, m, triples) -> CertificateReport:
+    """Smallest ratio of <g(w)-g(z), w-z> to V_w(z) + V_z(w) over ``triples``, against m."""
     return _worst_ratio("strong-monotonicity", m, (
         (*_dot(g(w) - g(z), w - z), r.divergence(w, z) + r.divergence(z, w), 0.0, (z, w))
-        for z, w, _ in sampler.points()), -1)
+        for z, w, _ in triples), -1)
 
 
 def check_regret_certificate(ws, g, r, lam, z0, u):
     """Sum of <g(w_t), w_t - u> over the list ``ws`` of a run's w_t, each queried
     anew, against lam * V_{z0}(u); returns (passed, margin)."""
-    lhs = sum(vdot(g(w), w - u) for w in ws)
+    lhs = sum(float(g(w).dot(w - u)) for w in ws)
     rhs = lam * r.divergence(z0, u)
     return lhs <= rhs + len(ws) * TAU_NUM, rhs - lhs
 
@@ -168,7 +164,7 @@ def coord_step(x, v, i, g_v, g_vh, lam, mu, p_i):
     return x_half, x_next, v_next
 
 
-def coord_trajectory(problem, x0, steps, seed=0, p=None):
+def coord_trajectory(problem, x0, steps, seed, p=None):
     """Explicit randomized-coordinate trajectory at lam = lambda_coord(profile),
     sampling by ``p`` (default p_i ~ sqrt(L_i)); returns the visited (x, v) states."""
     prof = problem.profile
@@ -188,7 +184,7 @@ def coord_trajectory(problem, x0, steps, seed=0, p=None):
     return states
 
 
-def coord_shadow_error(problem, x0, eps, eps0=None, seed=0):
+def coord_shadow_error(problem, x0, eps, eps0, seed):
     """Run ``eg_coord_accel`` beside an explicit copy of its iterates.
 
     The explicit pair (x, v) starts from each fresh implicit iterate (B = I,

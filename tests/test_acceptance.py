@@ -19,11 +19,10 @@ from extragrad import (
     lambda_minimax, lambda_fenchel, solve_box_simplex, linf_regression_reduction,
 )
 from extragrad.verify import (
-    TripleSampler, check_relative_lipschitzness, check_regret_certificate,
+    sample_triples, check_relative_lipschitzness, check_regret_certificate,
     check_estimator_conditions, coord_trajectory, coord_shadow_error,
 )
 from extragrad.cli import _fenchel_pair, _vi
-from extragrad.core import vdot
 
 EUCLID_PAIR = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
 
@@ -49,7 +48,7 @@ def test_criterion_01_mirror_prox_regret():
     for seed in range(100):
         g, u, lam, z0 = bilinear_game(seed)
         steps = islice(mirror_prox(g, EUCLID_PAIR, z0, lam), T)
-        regrets = [vdot(gw, w - u) for w, gw, _ in steps]
+        regrets = [gw.dot(w - u) for w, gw, _ in steps]
         margin = lam * EUCLID_PAIR.divergence(z0, u) - sum(regrets)
         assert margin >= -T * 1e-9, f"seed {seed}: regret margin {margin}"
     print("criterion 1 mirror-prox regret certificate: PASS")
@@ -63,9 +62,9 @@ def test_criterion_02_dual_extrapolation_potential():
         pots, regrets, s, base = [], [], 0.0 * z0, 0.0
         for w, gw, z in islice(dual_extrapolation(g, EUCLID_PAIR, z0, lam), T):
             s = s + (1.0 / lam) * gw
-            base += vdot(gw, w - z0) / lam
-            pots.append(base - vdot(s, z - z0) - EUCLID_PAIR.divergence(z0, z))
-            regrets.append(vdot(gw, w - u))
+            base += gw.dot(w - z0) / lam
+            pots.append(base - s.dot(z - z0) - EUCLID_PAIR.divergence(z0, z))
+            regrets.append(gw.dot(w - u))
         assert np.all(np.diff(pots) <= 1e-9), f"seed {seed}: potential increased"
         assert sum(regrets) <= lam * EUCLID_PAIR.divergence(z0, u) + T * 1e-9
     print("criterion 2 dual-extrapolation potential: PASS")
@@ -278,10 +277,10 @@ def test_criterion_10_property_suites():
     settings.append(("minimax", gm, rm, lamm, domm))
 
     for name, g, r, lam, dom in settings:
-        sampler = TripleSampler(dom, count=count, seed=3)
-        rep = check_relative_lipschitzness(g, r, lam, sampler)
+        triples = list(sample_triples(dom, count, 3))
+        rep = check_relative_lipschitzness(g, r, lam, triples)
         assert rep.passed, f"{name}: certified constant {lam} rejected"
         undersized = 0.5 * rep.worst
-        rep_bad = check_relative_lipschitzness(g, r, undersized, sampler)
+        rep_bad = check_relative_lipschitzness(g, r, undersized, triples)
         assert not rep_bad.passed, f"{name}: undersized constant not falsified"
     print("criterion 10 property suites and certifier calibration: PASS")

@@ -556,6 +556,15 @@ class TestSolve:
                 solve_box_simplex(inst, 1e-2 * inst.op_norm)
         assert tries == [] and len(queried) == 1
 
+    def test_non_finite_gap_of_an_average_raises_at_its_step(self):
+        # z0's gap is finite, about 1e300; the third step's average has gap -inf
+        inst = BoxSimplexInstance(np.array([[1e300]]), np.array([1.7e308]), np.array([0.0]))
+        assert np.isfinite(duality_gap(inst, np.zeros(1), np.ones(1)))
+        with np.errstate(all="ignore"):  # as under the CLI's errstate
+            with pytest.raises(NonFiniteIterateError,
+                               match=r"^non-finite duality gap -inf at t=3$"):
+                solve_box_simplex(inst, 1e-2 * inst.op_norm)
+
     def test_prox_gaps_add_at_most_a_quarter_eps(self):
         inst = gen_box_simplex(12, 10, 0.5, seed=18)
         eps = 1e-2 * inst.op_norm

@@ -88,7 +88,8 @@ class TestGen:
     @pytest.mark.parametrize("params", [
         ["quadratic", "d=abc"], ["quadratic", "d=0"], ["quadratic", "mu=5", "L=1"],
         ["quadratic", "L=inf"], ["quadratic", "x=1"], ["quadratic", "d"],
-        ["quadratic", "d=1"], ["box-simplex", "m=-1"], ["box-simplex", "density=2"],
+        ["quadratic", "d=1"], ["quadratic", "diag=2"], ["box-simplex", "m=-1"],
+        ["box-simplex", "density=2"], ["box-simplex", "m=65536", "n=65536"],
         ["box-simplex", "m=65536", "n=65537"], ["box-simplex", "m=10000000", "n=10000000"],
         ["minimax", "n=0"],
         ["minimax", "mu_x=0"], ["minimax", "coupling=nan"],
@@ -244,6 +245,7 @@ class TestSolve:
         ("mu_y=1.0", "mu_y=inf", "need mu_x > 0 and mu_y > 0, both finite"),
         ("mu_x=1.0", "mu_x=1e400", "need mu_x > 0 and mu_y > 0, both finite"),
         ("mu_y=1.0", "mu_y=-inf", "need mu_x > 0 and mu_y > 0, both finite"),
+        ("diag=1", "diag=2", "quad.manifest:1: diag=2 is not 0 or 1"),
     ])
     def test_bad_manifest_is_parse_error(self, quad_manifest, bs_manifest, mm_manifest,
                                          tmp_path, capsys, old, new, message):

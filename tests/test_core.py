@@ -22,7 +22,7 @@ class TestPoint:
         assert a.dot(b) == pytest.approx(0.5 + 1.0 + 3.0)
 
     def test_empty_dual_block(self):
-        p = Point([1.0, 2.0])
+        p = Point([1.0, 2.0], [])
         assert p.y.size == 0 and p.x.size == 2
         assert p.dot(p) == pytest.approx(5.0)
 
@@ -89,6 +89,15 @@ class TestDivergence:
         with pytest.raises(DomainError):
             reg.divergence(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
+    def test_scaled_euclidean_rejects_a_negative_modulus(self):
+        with pytest.raises(ValueError, match="mu must be nonnegative"):
+            ScaledEuclidean(-1e-300)
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_entropy_rejects_a_scale_that_is_not_positive(self, scale):
+        with pytest.raises(ValueError, match="entropy scale must be positive"):
+            NegativeEntropy(scale)
+
     def test_product_sums_blockwise(self):
         reg = ProductRegularizer(ScaledEuclidean(2.0), ScaledEuclidean(1.0))
         a = Point([0.0], [0.0])
@@ -120,6 +129,11 @@ class TestDivergence:
 
 
 class TestProx:
+    @pytest.mark.parametrize("z", [[0.0, 1.0], [-0.5, 1.5]])
+    def test_entropy_prox_rejects_a_non_positive_base(self, z):
+        with pytest.raises(DomainError, match="entropy prox needs strictly positive base"):
+            NegativeEntropy(1.0).prox(np.array(z), np.zeros(2))
+
     def test_euclidean_prox(self):
         reg = ScaledEuclidean(1.0)
         out = reg.prox(np.array([1.0, 2.0]), np.array([1.0, 0.0]))

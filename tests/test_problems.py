@@ -18,7 +18,7 @@ from extragrad import (
 )
 from extragrad import problems
 from extragrad.problems import (
-    GEN_MAX_CELLS, KAPPA_MAX_DENSE, read_matrix_market, read_vector,
+    GEN_MAX_CELLS, GEN_MAX_ENTRIES, KAPPA_MAX_DENSE, read_matrix_market, read_vector,
     write_matrix_market, write_vector, read_manifest, write_manifest,
 )
 
@@ -41,11 +41,11 @@ class TestGenQuadratic:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gen_quadratic(0, 1.0, 2.0)
+            gen_quadratic(0, 1.0, 2.0, diag=True, seed=0)
         with pytest.raises(ValueError):
-            gen_quadratic(3, 2.0, 1.0)
+            gen_quadratic(3, 2.0, 1.0, diag=True, seed=0)
         with pytest.raises(ValueError, match="needs mu = L"):
-            gen_quadratic(1, 1.0, 10.0)
+            gen_quadratic(1, 1.0, 10.0, diag=True, seed=0)
 
     def test_dense_m_past_the_kappa_bound_is_refused(self):
         at_bound = gen_quadratic(10, 1.0, KAPPA_MAX_DENSE, diag=False, seed=0)
@@ -176,9 +176,9 @@ class TestGenBoxSimplex:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            gen_box_simplex(0, 5)
+            gen_box_simplex(0, 5, 0.5, seed=0)
         with pytest.raises(ValueError):
-            gen_box_simplex(5, 5, density=0.0)
+            gen_box_simplex(5, 5, density=0.0, seed=0)
 
     @staticmethod
     def dense_reference(m, n, density, seed):
@@ -221,7 +221,22 @@ class TestGenBoxSimplex:
         monkeypatch.setattr(problems, "make_rng", no_draws)
         for m, n in [(2**16, 2**16 + 1), (GEN_MAX_CELLS + 1, 1), (10**7, 10**7)]:
             with pytest.raises(ValueError, match="cells is above"):
-                gen_box_simplex(m, n)
+                gen_box_simplex(m, n, 0.5, seed=0)
+
+    def test_too_many_entries_are_refused_before_any_draw(self, monkeypatch):
+        # 2**32 cells pass the cell cap, and half of them, 2**31, would be kept
+        def no_draws(seed):
+            raise AssertionError("drew from the stream")
+
+        monkeypatch.setattr(problems, "make_rng", no_draws)
+        with pytest.raises(ValueError, match=f"2147483648.0 entries is above {GEN_MAX_ENTRIES}"):
+            gen_box_simplex(2**16, 2**16, 0.5, seed=0)
+
+    def test_the_entry_cap_is_on_the_expected_count(self, monkeypatch):
+        monkeypatch.setattr(problems, "GEN_MAX_ENTRIES", 100)
+        assert gen_box_simplex(10, 20, 0.5, seed=0).A.shape == (10, 20)  # 100 expected
+        with pytest.raises(ValueError, match="entries is above 100"):
+            gen_box_simplex(10, 20, 0.51, seed=0)
 
 
 class TestExactSolution:
@@ -399,6 +414,11 @@ class TestSerialization:
             with open(str(tmp_path / f"r{run}.M.mtx"), "rb") as fh:
                 paths.append(fh.read())
         assert paths[0] == paths[1]
+
+    def test_save_refuses_an_unsupported_object(self, tmp_path):
+        with pytest.raises(TypeError, match="cannot serialize Point"):
+            save_instance(Point(np.zeros(1), np.zeros(1)), str(tmp_path / "p.manifest"))
+        assert not os.listdir(tmp_path)
 
     def test_truncated_file_is_a_parse_error(self, tmp_path):
         inst = gen_box_simplex(10, 8, 0.5, seed=14)

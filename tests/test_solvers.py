@@ -12,7 +12,6 @@ from extragrad import (
     lambda_minimax, NonFiniteIterateError,
 )
 from extragrad import cli
-from extragrad.core import vdot
 
 EUCLID_PAIR = ProductRegularizer(ScaledEuclidean(1.0), ScaledEuclidean(1.0))
 
@@ -47,7 +46,7 @@ class TestMirrorProx:
             u = Point(np.zeros(2), np.zeros(2))  # equilibrium of the pure bilinear game
             T = 50
             steps = islice(mirror_prox(g, EUCLID_PAIR, z0, lam), T)
-            regrets = [vdot(gw, w - u) for w, gw, _ in steps]
+            regrets = [gw.dot(w - u) for w, gw, _ in steps]
             assert sum(regrets) <= lam * EUCLID_PAIR.divergence(z0, u) + T * 1e-9
 
     def test_a_step_yields_g_at_w_and_takes_no_divergence(self, monkeypatch):
@@ -71,7 +70,7 @@ class TestMirrorProx:
         assert np.array_equal(zs[-1].x, final.x) and np.array_equal(zs[-1].y, final.y)
         # V_{z_t}(u) - V_{z_{t+1}}(u) - <g(w_t), w_t - u> / lam, per step
         slack = [EUCLID_PAIR.divergence(z, u) - EUCLID_PAIR.divergence(z_next, u)
-                 - vdot(gw, w - u) / 1.0 for z, z_next, (w, gw, _) in zip(zs, zs[1:], steps)]
+                 - gw.dot(w - u) / 1.0 for z, z_next, (w, gw, _) in zip(zs, zs[1:], steps)]
         assert len(slack) == 40 and min(slack) >= -1e-9
 
     def test_nonfinite_iterate_aborts(self):
@@ -96,9 +95,9 @@ class TestDualExtrapolation:
         pots, regrets, s, base = [], [], 0.0 * z_bar, 0.0
         for w, gw, z in islice(dual_extrapolation(rotation_game, EUCLID_PAIR, z_bar, 1.0), 100):
             s = s + gw
-            base += vdot(gw, w - z_bar)
-            pots.append(base - vdot(s, z - z_bar) - EUCLID_PAIR.divergence(z_bar, z))
-            regrets.append(vdot(gw, w - u))
+            base += gw.dot(w - z_bar)
+            pots.append(base - s.dot(z - z_bar) - EUCLID_PAIR.divergence(z_bar, z))
+            regrets.append(gw.dot(w - u))
         assert np.all(np.diff(pots) <= 1e-9)
         assert sum(regrets) <= EUCLID_PAIR.divergence(z_bar, u) + 100 * 1e-9
 

@@ -11,7 +11,7 @@ from extragrad import (
     make_rng, mirror_prox, gen_quadratic,
 )
 from extragrad.verify import (
-    NOISE, TripleSampler, CertificateReport, check_relative_lipschitzness,
+    NOISE, sample_triples, CertificateReport, check_relative_lipschitzness,
     check_relative_smoothness_implies, check_strong_monotonicity,
     check_regret_certificate, check_estimator_conditions, coord_trajectory, _worst_ratio,
 )
@@ -43,38 +43,38 @@ def rotation_game(z):
     return Point(z.y, -z.x)
 
 
-class TestTripleSampler:
+class TestSampleTriples:
     def test_deterministic_under_seed(self):
-        a = list(TripleSampler(BOX_PAIR_DOMAIN, count=5, seed=3).points())
-        b = list(TripleSampler(BOX_PAIR_DOMAIN, count=5, seed=3).points())
+        a = list(sample_triples(BOX_PAIR_DOMAIN, 5, 3))
+        b = list(sample_triples(BOX_PAIR_DOMAIN, 5, 3))
         for (z1, w1, u1), (z2, w2, u2) in zip(a, b):
             assert np.array_equal(z1.x, z2.x) and np.array_equal(u1.y, u2.y)
 
     def test_respects_simplex_margin(self):
         dom = ProductSet(Box(-np.ones(2), np.ones(2)), Simplex(3))
-        for z, w, u in TripleSampler(dom, count=50, seed=4).points():
+        for z, w, u in sample_triples(dom, 50, 4):
             for pt in (z, w, u):
                 assert np.all(pt.y > 0)
 
 
 class TestRelativeLipschitzness:
     def test_unit_bilinear_passes_at_one(self):
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=500, seed=0)
-        rep = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 1.0, sampler)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 500, 0))
+        rep = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 1.0, triples)
         assert rep.passed
         assert rep.worst <= 1.0 + 1e-6
         assert rep.n_tested == 500
 
     def test_undersized_constant_falsified(self):
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=500, seed=0)
-        rep = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 0.4, sampler)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 500, 0))
+        rep = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 0.4, triples)
         assert not rep.passed
         assert rep.worst > 0.4
         assert len(rep.witness) == 3
 
     def test_witness_reevaluates_to_worst(self):
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=300, seed=1)
-        rep = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 1.0, sampler)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 300, 1))
+        rep = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 1.0, triples)
         z, w, u = rep.witness
         num = (rotation_game(w) - rotation_game(z)).dot(w - u)
         den = EUCLID_PAIR.divergence(z, w) + EUCLID_PAIR.divergence(w, u)
@@ -93,35 +93,35 @@ class TestRelativeLipschitzness:
         dom = ProductSet(Box(-np.ones(2), np.ones(2)),
                          Box(np.array([-4.0, -16.0]), np.array([4.0, 16.0])))
         rep = check_relative_smoothness_implies(g, r, lam,
-                                                TripleSampler(dom, count=500, seed=2))
+                                                sample_triples(dom, 500, 2))
         assert rep.passed
 
     def test_monotone_in_lambda(self):
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=200, seed=5)
-        loose = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 2.0, sampler)
-        tight = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 1.0, sampler)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 200, 5))
+        loose = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 2.0, triples)
+        tight = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 1.0, triples)
         assert loose.passed and tight.passed
         assert loose.worst == tight.worst  # same samples, same ratio
 
     def test_vanishing_divergence_with_a_moving_operator_is_a_violation(self):
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=8)
-        rep = check_relative_lipschitzness(rotation_game, FLAT_PAIR, 1e6, sampler)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 50, 8))
+        rep = check_relative_lipschitzness(rotation_game, FLAT_PAIR, 1e6, triples)
         assert not rep.passed
         assert rep.worst == np.inf
         z, w, u = rep.witness
         assert (rotation_game(w) - rotation_game(z)).dot(w - u) > 1e-9
 
     def test_vanishing_divergence_with_a_zero_operator_is_skipped(self):
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=8)
-        rep = check_relative_lipschitzness(zero_operator, FLAT_PAIR, 1.0, sampler)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 50, 8))
+        rep = check_relative_lipschitzness(zero_operator, FLAT_PAIR, 1.0, triples)
         assert rep.n_tested == rep.n_skipped == 50
         assert rep.witness == ()
 
     def test_small_positive_divergence_gives_a_ratio(self):
         # rotation_game is 1/mu-relatively Lipschitz for mu/2 |.|^2, and here every
         # V is below 1e-9: the ratios still count, none is skipped or a violation
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=200, seed=0)
-        rep = check_relative_lipschitzness(rotation_game, TINY_PAIR, 1e12, sampler)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 200, 0))
+        rep = check_relative_lipschitzness(rotation_game, TINY_PAIR, 1e12, triples)
         assert rep.passed and (rep.n_tested, rep.n_skipped) == (200, 0)
         assert 1e11 < rep.worst <= 1e12 * (1 + 1e-6)
 
@@ -132,29 +132,29 @@ class TestStrongMonotonicity:
             return z
 
         rep = check_strong_monotonicity(
-            ident, EUCLID_PAIR, 1.0, TripleSampler(BOX_PAIR_DOMAIN, count=200, seed=6))
+            ident, EUCLID_PAIR, 1.0, sample_triples(BOX_PAIR_DOMAIN, 200, 6))
         assert rep.passed
         assert rep.worst == pytest.approx(1.0, abs=1e-9)
 
     def test_pure_bilinear_fails_any_positive_m(self):
         rep = check_strong_monotonicity(
             rotation_game, EUCLID_PAIR, 0.01,
-            TripleSampler(BOX_PAIR_DOMAIN, count=200, seed=7))
+            sample_triples(BOX_PAIR_DOMAIN, 200, 7))
         assert not rep.passed
         assert rep.worst < 0.01
 
     def test_vanishing_divergence_is_skipped(self):
         rep = check_strong_monotonicity(
-            rotation_game, FLAT_PAIR, 1.0, TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=9))
+            rotation_game, FLAT_PAIR, 1.0, sample_triples(BOX_PAIR_DOMAIN, 50, 9))
         assert rep.n_tested == rep.n_skipped == 50
         assert rep.witness == ()
 
     def test_vanishing_divergence_with_an_anti_monotone_operator_is_a_violation(self):
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=9)
-        rep = check_strong_monotonicity(lambda z: -1.0 * z, FLAT_PAIR, 1.0, sampler)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 50, 9))
+        rep = check_strong_monotonicity(lambda z: -1.0 * z, FLAT_PAIR, 1.0, triples)
         assert not rep.passed
         assert (rep.worst, rep.n_tested, rep.n_skipped) == (-np.inf, 1, 0)
-        z, w, _ = next(sampler.points())
+        z, w, _ = triples[0]
         assert all(np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
                    for a, b in zip(rep.witness, (z, w)))
 
@@ -162,9 +162,38 @@ class TestStrongMonotonicity:
     def test_small_positive_divergence_gives_a_ratio(self, m, passed):
         # the identity is 1/mu-strongly monotone for mu/2 |.|^2, with every V below 1e-9
         rep = check_strong_monotonicity(
-            lambda z: z, TINY_PAIR, m, TripleSampler(BOX_PAIR_DOMAIN, count=200, seed=6))
+            lambda z: z, TINY_PAIR, m, sample_triples(BOX_PAIR_DOMAIN, 200, 6))
         assert rep.passed == passed and (rep.n_tested, rep.n_skipped) == (200, 0)
         assert rep.worst == pytest.approx(1e12, rel=1e-9)
+
+
+O = Point(np.zeros(2), np.zeros(2))
+E = Point(np.array([1.0, 0.0]), np.zeros(2))
+F = Point(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+
+
+# (num, num_mag, den, den_mag) of the rotation's rel-lip at (O, O, O), (O, E, F) and
+# (E, O, E): skipped (V = 0, no motion), ratio 1 > 0.5, ratio 0
+ROTATION_SAMPLES = [(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 0.0), (0.0, 0.0, 1.0, 0.0)]
+
+
+@pytest.mark.parametrize("check, g, constant, samples, sign", [
+    (check_relative_lipschitzness, rotation_game, 0.5, ROTATION_SAMPLES, 1),
+    (check_relative_smoothness_implies, rotation_game, 0.5, ROTATION_SAMPLES, 1),
+    # strong-mono of the identity: skipped, then ratio 1 < 2 twice
+    (check_strong_monotonicity, lambda z: z, 2.0,
+     [(0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 0.0)], -1),
+], ids=["rel-lip", "rel-smooth", "strong-mono"])
+def test_hand_built_triples_get_the_report_of_their_samples(check, g, constant, samples, sign):
+    triples = [(O, O, O), (O, E, F), (E, O, E)]
+    rep = check(g, EUCLID_PAIR, constant, triples)
+    want = _worst_ratio("t", constant, [(*sample, t if sign == 1 else t[:2])
+                                        for sample, t in zip(samples, triples)], sign)
+    assert not rep.passed and (rep.worst, rep.passed, rep.n_tested, rep.n_skipped) == (
+        want.worst, want.passed, 3, 1)
+    # the witness is the triple (O, E, F), or its (z, w) for strong-mono
+    assert [id(pt) for pt in rep.witness] == [id(pt) for pt in want.witness]
+    assert [id(pt) for pt in rep.witness] == [id(pt) for pt in (O, E, F)[:len(rep.witness)]]
 
 
 @pytest.mark.parametrize("every", [7, 1], ids=["nan-every-7th-call", "nan-always"])
@@ -179,12 +208,12 @@ def test_a_nan_sample_fails_the_report_as_its_witness(check, pair, base, every):
         calls.append(z)
         return np.nan * base(z) if len(calls) % every == 0 else base(z)
 
-    sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=3)
-    rep = check(g, pair, 1.0, sampler)
+    triples = list(sample_triples(BOX_PAIR_DOMAIN, 50, 3))
+    rep = check(g, pair, 1.0, triples)
     first_nan = (every + 1) // 2  # the sample of the first NaN call
     assert not rep.passed and np.isnan(rep.worst)
     assert rep.n_tested == first_nan
-    z, w, _ = list(sampler.points())[first_nan - 1]
+    z, w, _ = triples[first_nan - 1]
     assert all(np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
                for a, b in zip(rep.witness[:2], (z, w)))
 
@@ -280,8 +309,8 @@ class TestRegretCertificate:
 
 class TestReportIO:
     def test_save_round_trips_key_values(self, tmp_path):
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=100, seed=8)
-        rep = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 1.0, sampler)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 100, 8))
+        rep = check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 1.0, triples)
         path = str(tmp_path / "report.txt")
         rep.save(path)
         text = {}
@@ -306,14 +335,14 @@ class TestReportIO:
         assert read_witness(path + ".witness.csv") == [("z", "x", list(x)), ("z", "v", list(v))]
 
     def test_every_report_labels_its_verdict(self, tmp_path):
-        sampler = TripleSampler(BOX_PAIR_DOMAIN, count=50, seed=7)
+        triples = list(sample_triples(BOX_PAIR_DOMAIN, 50, 7))
         prob = gen_quadratic(4, 1.0, 9.0, diag=True, seed=8)
         p = prob.profile.coord_probabilities()
         states = coord_trajectory(prob, np.ones(4), 30, seed=9, p=p)
         u = (prob.x_star, prob.x_star)
-        reps = [check_strong_monotonicity(lambda z: z, EUCLID_PAIR, 1.0, sampler),
-                check_strong_monotonicity(rotation_game, EUCLID_PAIR, 0.01, sampler),
-                check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 0.4, sampler),
+        reps = [check_strong_monotonicity(lambda z: z, EUCLID_PAIR, 1.0, triples),
+                check_strong_monotonicity(rotation_game, EUCLID_PAIR, 0.01, triples),
+                check_relative_lipschitzness(rotation_game, EUCLID_PAIR, 0.4, triples),
                 check_estimator_conditions(prob, states, u),
                 check_estimator_conditions(prob, states, u, p=p * (1.0 + 1e-9))]
         # the last one fails on its identity, with every ratio within lam
@@ -329,6 +358,6 @@ class TestReportIO:
     def test_reports_deterministic(self):
         reps = [check_relative_lipschitzness(
             rotation_game, EUCLID_PAIR, 1.0,
-            TripleSampler(BOX_PAIR_DOMAIN, count=200, seed=9)) for _ in range(2)]
+            sample_triples(BOX_PAIR_DOMAIN, 200, 9)) for _ in range(2)]
         assert reps[0].worst == reps[1].worst
         assert reps[0].n_tested == reps[1].n_tested
