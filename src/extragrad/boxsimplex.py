@@ -68,7 +68,8 @@ class ShermanRegularizer:
 
     def _divergence(self, a: Point, b: Point, ta: ZTerms, tb: ZTerms):
         """The divergence from a to b, given z_terms(a) and z_terms(b)."""
-        return tb.r_z - ta.r_z - self._grad(ta).dot(b - a)
+        g = self._grad(ta)
+        return tb.r_z - ta.r_z - float(np.dot(g.x, b.x - a.x) + np.dot(g.y, b.y - a.y))
 
     def _max_divergence(self, z: Point, t: ZTerms) -> float:
         """D(z) = max_u V_z(u) over box x simplex, given z_terms(z).
@@ -110,41 +111,47 @@ class ShermanRegularizer:
         Each round's x is -lin_x / (2 a) clipped to the box, with a = |A|^T y
         the curvature.  Where a = 0 that is -sign(lin_x); any positive a, however
         small, gives the clipped quotient, and a NaN a gives x = 0.
+
+        The reductions are ufunc ``reduce`` calls and the inner products
+        ``np.dot``: the loops of ``.max()``, ``.sum()`` and ``@`` without the
+        Python wrappers, which cost more than a small game's arithmetic.
         """
         inst = self.inst
         alpha = self.alpha
         lin_x = g.x - zt.grad_zx
         neg_lin_x = -lin_x
-        a_coef = zt.atz_y  # round 1 starts from y = zy
+        two_a = 2.0 * zt.atz_y  # round 1 starts from y = zy
         gamma_max = 0.0
         for r in range(PROX_MAX_ROUNDS):
             rounds = r + 1
             with np.errstate(divide="ignore", invalid="ignore"):
-                x = neg_lin_x / (2.0 * a_coef)
+                x = neg_lin_x / two_a
             # a column without curvature gives +-inf, clipped to -sign(lin_x), or 0/0, set to 0
-            np.clip(x, -1.0, 1.0, out=x)
-            if np.isnan(x).any():
+            np.maximum(x, -1.0, out=x)
+            np.minimum(x, 1.0, out=x)
+            if math.isnan(np.add.reduce(x)):  # x lies in the box, so only a NaN sums to NaN
                 x[np.isnan(x)] = 0.0
             ax2 = inst.abs_A @ (x**2)
             gamma = g.y + ax2 - zt.az_x2
-            gamma_max = max(gamma_max, float(np.abs(gamma).max()))
+            gamma_max = max(gamma_max, float(np.maximum.reduce(np.abs(gamma))))
             logw = zt.log_zy - gamma / alpha
-            logw -= logw.max()
+            logw -= np.maximum.reduce(logw)
             y = np.exp(logw)
-            y /= y.sum()
+            y /= np.add.reduce(y)
             wy = np.maximum(y, Y_FLOOR)
             a_coef = inst.abs_At @ wy
-            grad_wx = 2.0 * a_coef * x
+            two_a = 2.0 * a_coef  # also the next round's divisor
+            grad_wx = two_a * x
             h_x = lin_x + grad_wx
             log_wy = np.log(wy)
             h_y = (log_wy - zt.log_zy) * alpha + gamma
-            gap = (float(h_x @ x) + float(np.abs(h_x).sum())
-                   + float(h_y @ y) - float(h_y.min()))
+            gap = (float(np.dot(h_x, x)) + float(np.add.reduce(np.abs(h_x)))
+                   + float(np.dot(h_y, y)) - float(np.minimum.reduce(h_y)))
             if gap <= tol:
                 break
         self.last_rounds = rounds
         terms = ZTerms(wy, a_coef, ax2, log_wy, grad_wx,
-                       float(y @ ax2) + alpha * float(y @ log_wy))
+                       float(np.dot(y, ax2)) + alpha * float(np.dot(y, log_wy)))
         return Point(x, y), terms, gap, gamma_max
 
 
@@ -196,8 +203,8 @@ def _gap_from_operator(inst: BoxSimplexInstance, x, y, g: Point) -> float:
     fl(b - A x) = -fl(A x - b) entry by entry, and min_{x'} f(x', y) =
     -||g_x||_1 - b^T y.
     """
-    best_y = -float(g.y.min()) + float(inst.c @ x)
-    best_x = -float(np.abs(g.x).sum()) - float(inst.b @ y)
+    best_y = -float(np.minimum.reduce(g.y)) + float(np.dot(inst.c, x))
+    best_x = -float(np.add.reduce(np.abs(g.x))) - float(np.dot(inst.b, y))
     return best_y - best_x
 
 
@@ -231,18 +238,23 @@ class BoxSimplexTrace(NamedTuple):
 
 
 class _Try(NamedTuple):
-    """One mirror prox try from z at lam and what the local test reads of it."""
+    """One mirror prox try from z at lam and what the local test reads of it.
+
+    A try at lam < 3 whose w already fails the ratio test is cut short, since
+    it is rejected whatever z' is: ``gw``, ``z_next`` and ``terms_next`` are
+    None, ``margin`` is NaN, and the other fields read its one prox call.
+    """
 
     w: Point
-    gw: Point            # g(w)
-    z_next: Point
-    terms_next: ZTerms   # z_terms(z_next), from the prox that made it
-    delta: float         # the optimality gaps of its two prox calls
+    gw: Point | None            # g(w)
+    z_next: Point | None
+    terms_next: ZTerms | None   # z_terms(z_next), from the prox that made it
+    delta: float         # the optimality gaps of its prox calls
     margin: float        # <g(w) - g(z), w - z'> - lam (V_z(w) + V_w(z'))
     ratio_lo: float      # the least ratio w_y / z_y or z'_y / z_y
     ratio_hi: float      # the largest one
     gamma_inf: float     # sup-norm of the entropic subproblems' linear terms
-    stalls: int          # how many of its two prox calls stopped above their tol
+    stalls: int          # how many of its prox calls stopped above their tol
 
     @property
     def stable(self) -> bool:
@@ -255,18 +267,28 @@ def _mirror_prox_try(reg: ShermanRegularizer, z: Point, gz: Point, zt: ZTerms,
 
     Each prox stops at gap eps / (8 lam), but no tighter than 1e-10
     max(||A||, 1).  The prox outputs' own z-terms give r and grad r at w and
-    z', so the test costs no product."""
+    z', so the test costs no product.  At lam < 3 a w whose ratios w_y / z_y
+    leave [0.5, 2] ends the try before g(w) and z' (see ``_Try``); a try at
+    lam = 3 always runs whole, since the solver accepts it and the certificate
+    reads all of it."""
     tol = max(1e-10 * max(reg.inst.op_norm, 1.0), eps / (8.0 * lam))
-    w, tw, delta_w, gamma_w = reg.prox(z, (1.0 / lam) * gz, zt, tol)
+    inv_lam = 1.0 / lam
+    w, tw, delta_w, gamma_w = reg.prox(z, Point(inv_lam * gz.x, inv_lam * gz.y), zt, tol)
+    ratio = w.y / zt.zy
+    lo, hi = float(np.minimum.reduce(ratio)), float(np.maximum.reduce(ratio))
+    stalls = int(not delta_w <= tol)
+    if lam < LAMBDA_BOX_SIMPLEX and not (0.5 <= lo and hi <= 2.0):
+        return _Try(w, None, None, None, delta_w, math.nan, lo, hi, gamma_w, stalls)
     gw = reg.inst.operator(w)
-    z_next, tn, delta_next, gamma_next = reg.prox(z, (1.0 / lam) * gw, zt, tol)
-    ratio_w, ratio_next = w.y / zt.zy, z_next.y / zt.zy
-    lhs = (gw - gz).dot(w - z_next)
+    z_next, tn, delta_next, gamma_next = reg.prox(z, Point(inv_lam * gw.x, inv_lam * gw.y),
+                                                  zt, tol)
+    ratio = z_next.y / zt.zy
+    lhs = float(np.dot(gw.x - gz.x, w.x - z_next.x) + np.dot(gw.y - gz.y, w.y - z_next.y))
     rhs = lam * (reg._divergence(z, w, zt, tw) + reg._divergence(w, z_next, tw, tn))
     return _Try(w, gw, z_next, tn, delta_w + delta_next, lhs - rhs,
-                min(float(ratio_w.min()), float(ratio_next.min())),
-                max(float(ratio_w.max()), float(ratio_next.max())),
-                max(gamma_w, gamma_next), (not delta_w <= tol) + (not delta_next <= tol))
+                min(lo, float(np.minimum.reduce(ratio))),
+                max(hi, float(np.maximum.reduce(ratio))),
+                max(gamma_w, gamma_next), stalls + (not delta_next <= tol))
 
 
 def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
@@ -282,7 +304,9 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     holds and every ratio w_y / z_y and z'_y / z_y lies in [0.5, 2].  The
     first try is at lam = 3; lam shrinks by 0.8 after an accepted step and
     doubles, up to 3, after a failed try, which is redone from the same z.
-    A try at lam = 3 is always accepted.
+    A try at lam = 3 is always accepted.  A try below 3 whose w already has a
+    ratio outside [0.5, 2] fails whatever z' is, so it ends after w, with
+    neither g(w) nor z'; the iterates and verdicts are those of the whole try.
 
     An epoch starts at a point z_r, the first at z0, and averages its own
     accepted w_t weighted by 1/lam_t.  The gap of that average is read from
@@ -295,8 +319,8 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     tie), with its sums zeroed and lam carried on; a start at the average
     queries g there.  A game is a linear program, so its gap grows linearly
     with the distance to the solutions, and halving epochs give a linear
-    rate.  The summary's ``queries`` counts the operator calls, those of
-    ``duality_gap`` included.
+    rate.  The summary's ``queries`` counts the operator calls made, those
+    of ``duality_gap`` included: a try that ends after w makes none.
 
     Returns (x, y, gap, trace), with gap the exact duality gap of (x, y), and
     the summary's ``answer`` "last" for a z' and "average" for an average:
@@ -324,8 +348,9 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
     than 1e-10 max(||A||, 1).  The calls of an epoch's accepted steps
     then add at most eps / 4 to its gap bound; the sum of their gaps over
     all epochs is ``trace.summary["prox_gap_sum"]``.  ``prox_stalls`` counts
-    the calls of every try, certifying ones included, that ran out of rounds
-    above that tolerance.  A run out of budget returns gap > eps, and a
+    the prox calls made by every try, certifying ones included, that ran out
+    of rounds above that tolerance: one call for a try that ends after w, two
+    for a whole try.  A run out of budget returns gap > eps, and a
     non-finite gap of z0 or of an average raises ``NonFiniteIterateError``.
     """
     cap = LAMBDA_BOX_SIMPLEX
@@ -360,7 +385,7 @@ def solve_box_simplex(inst: BoxSimplexInstance, eps: float,
             queries += 1
         while True:  # tries from z until one passes the local test or lam = cap
             step = _mirror_prox_try(reg, z, gz, zt, lam, eps)
-            queries += 1
+            queries += step.gw is not None  # a try cut short queries no g(w)
             prox_stalls += step.stalls
             if lam >= cap or (step.stable and step.margin <= tol_rl):
                 break

@@ -17,8 +17,6 @@ that the sampled certificates judge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -26,20 +24,28 @@ class DomainError(ValueError):
     """Input outside the domain of a regularizer or operator."""
 
 
-@dataclass(frozen=True)
+_FLOAT64 = np.dtype(np.float64)
+
+
 class Point:
     """A point z = (x-block, y-block) in a product space.
 
     Supports the vector-space operations solvers need, and ``a.dot(b)``, with
     the names of ``np.ndarray``'s, so that generic code treats the two alike.
+    Both blocks are float64 arrays: a block given as a float64 ``ndarray`` is
+    kept as it is, and anything else goes through ``np.asarray(v, dtype=float)``.
+    The box-simplex solver makes thousands of points per solve, so the check
+    is inline.
     """
 
-    x: np.ndarray
-    y: np.ndarray
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+    def __init__(self, x, y):
+        self.x = x if type(x) is np.ndarray and x.dtype is _FLOAT64 else np.asarray(x, dtype=float)
+        self.y = y if type(y) is np.ndarray and y.dtype is _FLOAT64 else np.asarray(y, dtype=float)
+
+    def __repr__(self):
+        return f"Point(x={self.x!r}, y={self.y!r})"
 
     def finite(self) -> bool:
         return bool(np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y)))

@@ -72,15 +72,22 @@ def lambda_coord(profile: SmoothnessProfile) -> float:
 # ---------------------------------------------------------------------------
 
 
+DENSE_MAX_CELLS = 10**6  # above it products are compressed-row at every density
+
+
 def _dense_products(m: int, n: int, nnz: int) -> bool:
     """Whether dense products beat compressed-row ones for an m x n matrix
     with nnz stored entries.
 
     Measured per (A x, A^T y) pair on a 2-vCPU x86 machine (numpy 2.4, scipy
     1.17, OpenBLAS): dense about 4 + 3.6e-4 m n us, compressed-row about
-    13 + 2.1e-3 nnz us; the constants are the per-call overhead.
+    13 + 2.1e-3 nnz us; the constants are the per-call overhead.  A dense
+    product runs on every BLAS thread, and above ``DENSE_MAX_CELLS`` it stalls
+    while another process holds a core (with one busy process, pairs at
+    1200 x 900 took up to 10.8 ms against 0.33 ms quietly; none at 1000 x 750
+    or below did), so a larger game is compressed-row at every density.
     """
-    return 4.0 + 3.6e-4 * m * n < 13.0 + 2.1e-3 * nnz
+    return m * n <= DENSE_MAX_CELLS and 4.0 + 3.6e-4 * m * n < 13.0 + 2.1e-3 * nnz
 
 
 class BoxSimplexInstance:

@@ -13,8 +13,16 @@ solves run in a child process at one thread.  Every run passes the exact
 initial error as eps0, as the digests were recorded: the solvers' own
 default is a bound from their oracle.
 
+The box-simplex pins are SHA-256 of ``x.tobytes()`` and ``y.tobytes()`` with
+the accepted steps, retries and restarts: of every ``linf-reg`` benchmark
+instance at seeds 0-2, and of one certified 2000 x 1500 game at 1% density,
+whose margins are pinned too.  Its products are compressed-row, which no BLAS
+thread count changes, and ``linf-reg``'s 20 x 5 dense products are too small
+to thread, so these run in the test process.
+
 Run as a script, ``python tests/test_bit_pins.py DIR`` prints the dense
-digests as JSON, with the instances saved to and loaded from DIR.
+digests and the box-simplex pins as JSON, with the quadratics saved to and
+loaded from DIR.
 """
 
 import hashlib
@@ -27,8 +35,9 @@ import numpy as np
 
 import extragrad
 from extragrad import (
-    ScaledEuclidean, eg_accel, eg_coord_accel, gen_quadratic, general_norm_accel,
-    load_instance, save_instance,
+    ScaledEuclidean, eg_accel, eg_coord_accel, gen_box_simplex, gen_quadratic,
+    general_norm_accel, linf_regression_reduction, load_instance, make_rng, save_instance,
+    solve_box_simplex,
 )
 
 
@@ -72,6 +81,30 @@ DENSE = {
 }
 
 
+# per seed: (digest of every game's x and y, [(iterations, retries, restarts)])
+LINF_REG = {
+    "seed 0": ("336f50e7bd422fa116fdca7c7e1466ede4aaf83bbb140ed566d37939e5cf8306",
+               [(31, 5, 2), (23, 3, 1), (33, 6, 2), (30, 5, 1), (38, 8, 2), (25, 3, 1),
+                (27, 4, 2), (30, 5, 2), (36, 7, 1), (30, 5, 2), (25, 3, 2), (32, 6, 1),
+                (32, 6, 1), (26, 4, 1), (37, 7, 2), (29, 4, 2)]),
+    "seed 1": ("6682e0f346f4d83329b3ac39e6995eb018c1c06d08a7c91f0bd0044172430b69",
+               [(45, 10, 2), (26, 4, 1), (39, 8, 1), (27, 3, 2), (28, 4, 2), (31, 5, 0),
+                (27, 4, 1), (27, 4, 2), (32, 6, 1), (27, 4, 1), (33, 6, 1), (35, 6, 1),
+                (34, 6, 2), (26, 3, 2), (44, 10, 1), (25, 4, 2)]),
+    "seed 2": ("eb6a434237e87f7f1364c4c4c344c017cf38576466f5c14df685cdb954f0824b",
+               [(25, 3, 1), (35, 6, 2), (24, 3, 1), (24, 3, 2), (31, 5, 1), (33, 6, 1),
+                (26, 3, 1), (26, 3, 2), (35, 7, 1), (39, 8, 2), (34, 7, 1), (23, 3, 1),
+                (25, 4, 1), (40, 8, 2), (30, 5, 2), (27, 4, 1)]),
+}
+
+# (x digest, y digest, margins digest, iterations, retries, restarts)
+LARGE_GAME = (
+    "9eab6cb6a8383f5aba440f223ed6cff09ddc8437e5a2252d79acb28623c3ef82",
+    "c0188d302f3b32d0b0b323d3797fa3a131bd8f8805a348a250cc148254a1091c",
+    "9749ba04011b8ff571c840561d4383996673910c839d6573e595467706289b49",
+    76, 22, 4)
+
+
 def coord_digests():
     """Criterion 08(c)'s d = 50 instance at seeds 0-2, and ``smooth``'s d = 1000
     diagonal instance at seed 0 over three phases."""
@@ -111,6 +144,36 @@ def dense_digests(directory):
     return out
 
 
+def linf_reg_pins():
+    """``linf-reg``'s sixteen 20 x 5 games per seed at eps = 0.07 ||A||, seeds 0-2:
+    per seed, one digest of every game's x and y bytes in order, and each
+    game's (iterations, retries, restarts)."""
+    out = {}
+    for seed in range(3):
+        h, counts = hashlib.sha256(), []
+        for j in range(16):
+            rng = make_rng(100 + 16 * seed + j)
+            A, b = rng.standard_normal((10, 5)), rng.standard_normal(10)
+            inst = linf_regression_reduction(A, b)
+            x, y, _, trace = solve_box_simplex(inst, 0.07 * inst.op_norm)
+            h.update(x.tobytes())
+            h.update(y.tobytes())
+            s = trace.summary
+            counts.append([s["iterations"], s["retries"], s["restarts"]])
+        out[f"seed {seed}"] = [h.hexdigest(), counts]
+    return out
+
+
+def large_game_pin():
+    """``game-sparse-large``'s first game at seed 0, certified at eps = 0.1 ||A||:
+    digests of x, y and the margins, then (iterations, retries, restarts)."""
+    inst = gen_box_simplex(2000, 1500, 0.01, seed=0)
+    x, y, _, trace = solve_box_simplex(inst, 0.1 * inst.op_norm, certify=True)
+    s = trace.summary
+    return [digest(x), digest(y), digest(np.array(trace.margins)),
+            s["iterations"], s["retries"], s["restarts"]]
+
+
 def test_coordinate_answers_are_pinned():
     assert coord_digests() == COORD
 
@@ -122,7 +185,16 @@ def test_dense_answers_are_pinned_at_one_blas_thread(tmp_path):
     done = subprocess.run([sys.executable, __file__, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == DENSE
+    assert json.loads(done.stdout)["dense"] == DENSE
+
+
+def test_linf_reg_answers_are_pinned():
+    pins = linf_reg_pins()
+    assert {k: (h, [tuple(c) for c in counts]) for k, (h, counts) in pins.items()} == LINF_REG
+
+
+def test_certified_large_game_answer_and_margins_are_pinned():
+    assert tuple(large_game_pin()) == LARGE_GAME
 
 
 def test_a_no_op_callback_keeps_every_bit():
@@ -134,4 +206,5 @@ def test_a_no_op_callback_keeps_every_bit():
 
 
 if __name__ == "__main__":
-    print(json.dumps(dense_digests(sys.argv[1])))
+    print(json.dumps({"dense": dense_digests(sys.argv[1]), "linf-reg": linf_reg_pins(),
+                      "game 2000x1500": large_game_pin()}))

@@ -592,22 +592,26 @@ class TestSolve:
     def test_solve_stops_prox_at_eps_over_8_lam(self, monkeypatch):
         monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 1)
         calls = record_prox_calls(monkeypatch)
+        steps = record_tries(monkeypatch)
         rng = make_rng(100)
         inst = linf_regression_reduction(rng.standard_normal((10, 5)),
                                          rng.standard_normal(10))
         eps = 1.5e-3 * inst.op_norm
         x, y, gap, trace = solve_box_simplex(inst, eps, max_iters=1000)
         tries = tries_of(trace)
-        assert len(calls) == 2 * len(tries)
+        assert [lam for lam, _, _ in steps] == [lam for lam, _ in tries]
+        # a try cut short after w makes one prox call, a whole try two
+        lams = [lam for lam, _, step in steps for _ in range(1 if step.z_next is None else 2)]
+        cut = sum(step.z_next is None for _, _, step in steps)
+        assert cut == 3 and len(calls) == len(lams) == 2 * len(tries) - cut
         floor = 1e-10 * max(inst.op_norm, 1.0)
         stalled = set()
-        for k, (prox_gap, tol, _) in enumerate(calls):
-            lam = tries[k // 2][0]  # two prox calls per try
+        for (prox_gap, tol, _), lam in zip(calls, lams):
             assert tol == max(floor, eps / (8 * lam))
             if not prox_gap <= tol:
                 stalled.add(lam)
         assert len(stalled) > 1  # stalls at more than one lam, so more than one tol
-        assert trace.summary["prox_stalls"] == sum(not g <= tol for g, tol, _ in calls) == 135
+        assert trace.summary["prox_stalls"] == sum(not g <= tol for g, tol, _ in calls) == 133
 
     def test_solve_keeps_the_prox_tolerance_floor(self, monkeypatch):
         # eps / (8 lam) lies below 1e-10 max(||A||, 1), so the floor is the tolerance
@@ -619,6 +623,52 @@ class TestSolve:
         assert calls and all(tol == 1e-10 * max(inst.op_norm, 1.0) for _, tol, _ in calls)
         stalls = sum(not gap <= tol for gap, tol, _ in calls)
         assert stalls and trace.summary["prox_stalls"] == stalls
+
+    def test_a_try_cut_short_counts_its_stall_and_its_retry(self, monkeypatch):
+        # below the cap a w whose ratios w_y / z_y leave [0.5, 2] ends its try:
+        # one prox call and no g(w), while the try still counts as a retry and
+        # its prox call's stall still counts
+        monkeypatch.setattr(boxsimplex, "PROX_MAX_ROUNDS", 1)
+        calls = record_prox_calls(monkeypatch)
+        steps = record_tries(monkeypatch)
+        queried = []
+        operator = BoxSimplexInstance.operator
+        monkeypatch.setattr(BoxSimplexInstance, "operator",
+                            lambda self, z: queried.append(1) or operator(self, z))
+        inst = gen_box_simplex(10, 8, 0.5, seed=2)
+        trace = solve_box_simplex(inst, 1e-12 * inst.op_norm, max_iters=20)[3]
+        k = 0
+        for (lam, _, step), (lam_t, accepted) in zip(steps, tries_of(trace), strict=True):
+            assert lam == lam_t
+            own = calls[k:k + (1 if step.z_next is None else 2)]
+            k += len(own)
+            assert step.stalls == sum(not gap <= tol for gap, tol, _ in own)
+            if step.z_next is None:
+                assert lam < LAMBDA_BOX_SIMPLEX and not accepted and not step.stable
+                assert step.gw is None and step.terms_next is None and np.isnan(step.margin)
+                assert step.delta == own[0][0]
+        assert k == len(calls)
+        cut = [step for _, _, step in steps if step.z_next is None]
+        assert len(cut) == 4 and sum(step.stalls for step in cut) == 3
+        s = trace.summary
+        assert s["retries"] == 4 and s["prox_stalls"] == sum(step.stalls for _, _, step in steps)
+        assert s["queries"] == len(queried) == 2 + 2 * s["iterations"]
+
+    def test_a_try_at_the_cap_is_never_cut_short(self, monkeypatch):
+        # a step of lam = 1e-3 from z0 takes w far outside the ratio band: below
+        # the cap that ends the try after w, at the cap the try runs whole
+        inst = gen_box_simplex(12, 10, 0.5, seed=18)
+        reg = ShermanRegularizer(inst)
+        z = Point(np.zeros(inst.n), np.full(inst.m, 1.0 / inst.m))
+        zt, gz = reg.z_terms(z), inst.operator(z)
+        eps = 1e-2 * inst.op_norm
+        cut = boxsimplex._mirror_prox_try(reg, z, gz, zt, 1e-3, eps)
+        assert cut.z_next is None and cut.ratio_lo < 0.5
+        monkeypatch.setattr(boxsimplex, "LAMBDA_BOX_SIMPLEX", 1e-3)
+        whole = boxsimplex._mirror_prox_try(reg, z, gz, zt, 1e-3, eps)
+        assert whole.z_next is not None and whole.gw is not None and np.isfinite(whole.margin)
+        assert np.array_equal(whole.w.x, cut.w.x) and np.array_equal(whole.w.y, cut.w.y)
+        assert whole.ratio_lo <= cut.ratio_lo and whole.ratio_hi >= cut.ratio_hi
 
     def test_certify_leaves_the_iterates_alone(self):
         inst = gen_box_simplex(12, 10, 0.5, seed=18)
@@ -657,6 +707,9 @@ class TestSolve:
         assert sum(lam < LAMBDA_BOX_SIMPLEX for lam in trace.lams) > 0
         s = trace.summary
         assert trace.margins == [step.margin for step in at_cap]
+        # every try at lam = 3 runs whole, while 8 tries below it end after w
+        assert all(step.z_next is not None for lam, _, step in calls if lam == LAMBDA_BOX_SIMPLEX)
+        assert sum(step.z_next is None for _, _, step in calls) == 8
         assert s["stability_lo"] == min(step.ratio_lo for step in at_cap)
         assert s["stability_hi"] == max(step.ratio_hi for step in at_cap)
         assert s["gamma_inf_max"] == max(step.gamma_inf for step in at_cap)

@@ -876,7 +876,9 @@ class TestBench:
                     "--eps", "0.01", "--out", out]) == 0
         with open(out + ".csv") as fh:
             row = dict(zip(*[line.split(",") for line in fh.read().splitlines()]))
-        assert int(row["queries"]) == len(calls) > 2 * int(row["iterations"])
+        # z0's gap and g(z0), then g(w) and g(z') per accepted step: every
+        # rejected try here is cut short after w and queries nothing
+        assert int(row["queries"]) == len(calls) == 2 + 2 * int(row["iterations"]) == 76
 
 
     def test_eg_accel_queries_count_gradient_points(self, quad_manifest, tmp_path,

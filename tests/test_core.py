@@ -31,6 +31,43 @@ class TestPoint:
         assert not Point([np.inf], [0.0]).finite()
         assert not Point([0.0], [np.nan]).finite()
 
+    def test_lists_and_ints_become_float64_arrays(self):
+        p = Point([1, 2], 3)
+        assert type(p.x) is np.ndarray and p.x.dtype == np.float64 and p.x.tolist() == [1.0, 2.0]
+        assert type(p.y) is np.ndarray and p.y.dtype == np.float64 and p.y.shape == ()
+
+    def test_a_float64_array_is_kept_as_given(self):
+        x, y = np.arange(3.0), np.zeros(0)
+        p = Point(x, y)
+        assert p.x is x and p.y is y
+
+    def test_other_arrays_are_converted(self):
+        class Sub(np.ndarray):
+            pass
+
+        swapped = np.arange(3.0).astype(">f8")
+        for v in (np.arange(3, dtype=np.float32), swapped, np.arange(3.0).view(Sub)):
+            x = Point(v, v).x
+            assert x is not v and type(x) is np.ndarray and x.dtype == np.float64
+            assert x.dtype.isnative and x.tolist() == [0.0, 1.0, 2.0]
+
+    def test_operations_match_numpy_bit_for_bit(self):
+        rng = make_rng(7)
+        a = Point(rng.standard_normal(5), rng.standard_normal(20))
+        b = Point(rng.standard_normal(5), rng.standard_normal(20))
+        pairs = [(a + b, (a.x + b.x, a.y + b.y)), (a - b, (a.x - b.x, a.y - b.y)),
+                 (0.3 * a, (0.3 * a.x, 0.3 * a.y)), (a * 0.3, (0.3 * a.x, 0.3 * a.y))]
+        for p, (x, y) in pairs:
+            assert type(p) is Point
+            assert p.x.tobytes() == x.tobytes() and p.y.tobytes() == y.tobytes()
+        dot = a.dot(b)
+        assert type(dot) is float and dot == float(np.dot(a.x, b.x) + np.dot(a.y, b.y))
+        assert a.finite() is True and Point(a.x, a.y * np.nan).finite() is False
+
+    def test_has_no_instance_dict(self):
+        with pytest.raises(AttributeError):
+            Point([1.0], [2.0]).z = 0.0
+
 
 class TestFeasibleSets:
     def test_box_requires_ordered_bounds(self):

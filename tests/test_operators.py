@@ -10,6 +10,7 @@ from extragrad import (
     AliasTable, ScaledEuclidean, ProductRegularizer, gen_box_simplex,
     linf_regression_reduction,
 )
+from extragrad import operators
 
 
 class TestSmoothnessProfile:
@@ -114,7 +115,9 @@ class TestBoxSimplexInstance:
         (lambda: gen_box_simplex(50, 40, 0.5, seed=0), True),
         (lambda: gen_box_simplex(400, 300, 0.01, seed=0), False),
         (lambda: gen_box_simplex(2000, 1500, 0.01, seed=0), False),
-    ], ids=["linf 10x5 stacked", "50x40 at 50%", "400x300 at 1%", "2000x1500 at 1%"])
+        (lambda: gen_box_simplex(2000, 1500, 0.25, seed=0), False),
+    ], ids=["linf 10x5 stacked", "50x40 at 50%", "400x300 at 1%", "2000x1500 at 1%",
+            "2000x1500 at 25%"])
     def test_product_storage_follows_size_and_density(self, make, dense):
         inst = make()
         assert sp.issparse(inst.A) and inst.A.format == "csr"
@@ -126,6 +129,13 @@ class TestBoxSimplexInstance:
         else:
             assert all(sp.issparse(M) for M in operands)
             assert inst.A_op is inst.A
+
+
+    def test_dense_products_stop_above_the_cell_cap(self):
+        # a full matrix is dense up to DENSE_MAX_CELLS cells and compressed-row past it
+        cap = operators.DENSE_MAX_CELLS
+        assert operators._dense_products(1000, cap // 1000, cap)
+        assert not operators._dense_products(1000, cap // 1000 + 1, cap + 1000)
 
 
 class TestMinimaxInstance:
